@@ -22,8 +22,8 @@ from .rootsys import (
     parse_type,
     type_invariants,
 )
-from .intlat import SmithDecomposition, quotient_torsion, saturate, smith_normal_form
-from .weyl import WeylGroup, center_subgroup, longest_element, orbit_and_stabilizer
+from .intlat import SmithDecomposition, saturate, smith_normal_form
+from .weyl import WeylGroup, center_subgroup, longest_element
 from .subsys import (
     CompleteFamily,
     Subsystem,
@@ -37,12 +37,10 @@ from .layers import (
     IntPolynomial,
     LayerClassRecord,
     PointOrbitRecord,
-    RegularCharacterMultiple,
     a_series_census,
     a_series_poincare,
     count_layers,
     count_points,
-    equivariant_euler,
     euler_characteristic,
     layer_census,
     n_theta,

@@ -2,7 +2,8 @@
 
 Commands run one computation per process and emit deterministic output:
 identical inputs produce byte-identical bytes.  Exit codes: 0 success,
-1 usage/parse error, 2 capability bound hit, 3 verification mismatch.
+1 usage/parse error, 2 capability bound hit, 3 verification mismatch or a
+failed internal cross-check.
 """
 
 from __future__ import annotations
@@ -53,6 +54,22 @@ class _UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"capability bounds must be positive integers, not {text!r}")
+    return value
+
+
+def _require(condition: bool, message: str) -> None:
+    """Raise the mismatch that verify reports; unlike assert, survives python -O."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _num(x: int) -> str:
     """Counts are serialized as decimal strings; they can exceed 2^53."""
     return str(x)
@@ -84,9 +101,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--type", required=True, help='root system type, e.g. "F4" or "A3xA1"')
         p.add_argument("--format", default="text", choices=["json", "csv", "dot", "text"])
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--max-group-order", type=int, default=weyl.DEFAULT_MAX_GROUP_ORDER)
-        p.add_argument("--brute-rank", type=int, default=oracle.DEFAULT_BRUTE_RANK)
-        p.add_argument("--poset-rank", type=int, default=oracle.DEFAULT_POSET_RANK)
+        if name == "verify":
+            p.add_argument(
+                "--max-group-order", type=_positive_int, default=weyl.DEFAULT_MAX_GROUP_ORDER
+            )
+            p.add_argument("--brute-rank", type=_positive_int, default=oracle.DEFAULT_BRUTE_RANK)
+        if name in ("poset", "verify"):
+            p.add_argument("--poset-rank", type=_positive_int, default=oracle.DEFAULT_POSET_RANK)
         if name == "poincare":
             p.add_argument("--route", default="both", choices=["closed", "layers", "both"])
     return parser
@@ -219,7 +240,7 @@ def _cmd_euler(rs: RootSystem, args) -> tuple[dict, list[str]]:
     results = {
         "point_sum": _num(value),
         "closed_form": _num(closed),
-        "equivariant_multiple": _num(layers.equivariant_euler(rs).k),
+        "equivariant_multiple": _num((-1) ** rs.rank),
     }
     lines = [
         f"type {format_type(rs.factors)}: Euler characteristic",
@@ -233,7 +254,7 @@ def _cmd_euler(rs: RootSystem, args) -> tuple[dict, list[str]]:
     except CapabilityError:
         results["poincare_at_minus_one"] = None
         lines.append("  P(-1):           (K_d enumeration out of capability)")
-    lines.append(f"  equivariant: {layers.equivariant_euler(rs).k} * regular character")
+    lines.append(f"  equivariant: {(-1) ** rs.rank} * regular character")
     return results, lines
 
 
@@ -313,7 +334,7 @@ def _verify_checks(rs: RootSystem, args):
     def degree_identity():
         for sym in rs.factors:
             res = layers.verify_degree_identity(build((sym,)))
-            assert res.holds, f"{sym}: sum = {res.total}"
+            _require(res.holds, f"{sym}: sum = {res.total}")
         return "sum over vertices equals 1 for every factor"
 
     checks.append(run("degree_identity", degree_identity))
@@ -326,7 +347,7 @@ def _verify_checks(rs: RootSystem, args):
 
     def poincare_routes():
         poly = layers.poincare(rs, "both")
-        assert poly(0) == 1, "constant term is not 1"
+        _require(poly(0) == 1, "constant term is not 1")
         return f"routes agree: {poly}"
 
     checks.append(run("poincare_routes", poincare_routes))
@@ -335,7 +356,7 @@ def _verify_checks(rs: RootSystem, args):
         group = weyl.WeylGroup(rs, max_order=args.max_group_order)
         pts = oracle.brute_points(rs, max_rank=args.brute_rank, group=group)
         formula = layers.count_points(rs)
-        assert len(pts) == formula, f"brute {len(pts)} != formula {formula}"
+        _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
         brute_multiset = sorted((p.phi_type, p.stabilizer_order, p.wz_stabilizer_order) for p in pts)
         expected = []
         for sym_records in _factor_orbit_tables(rs):
@@ -343,7 +364,7 @@ def _verify_checks(rs: RootSystem, args):
         expected_multiset = sorted(
             (t, s, ws) for (t, s, ws, size) in expected for _ in range(size)
         )
-        assert brute_multiset == expected_multiset, "type/stabilizer multisets differ"
+        _require(brute_multiset == expected_multiset, "type/stabilizer multisets differ")
         return f"{formula} points; types and stabilizers match"
 
     checks.append(run("points_oracle", points_oracle))
@@ -356,8 +377,8 @@ def _verify_checks(rs: RootSystem, args):
                 cc = oracle.component_count(rs, th)
                 nt = layers.n_theta(rs, th)
                 cp = layers.count_points_of_type(th.type)
-                assert cc * nt == cp, (
-                    f"theta {format_type(th.type)}: components {cc} != {cp}/{nt}"
+                _require(
+                    cc * nt == cp, f"theta {format_type(th.type)}: components {cc} != {cp}/{nt}"
                 )
                 total += 1
         return f"{total} tangent subsystems checked"
@@ -369,7 +390,7 @@ def _verify_checks(rs: RootSystem, args):
         for d in range(rs.rank + 1):
             expected = layers.count_layers(rs, d)
             actual = sum(1 for el in poset.elements if el.dimension == d)
-            assert actual == expected, f"d={d}: poset {actual} != census {expected}"
+            _require(actual == expected, f"d={d}: poset {actual} != census {expected}")
         return f"graded poset with {len(poset.elements)} layers"
 
     checks.append(run("poset_grading", poset_grading))
@@ -379,10 +400,10 @@ def _verify_checks(rs: RootSystem, args):
             frs = build((sym,))
             group = weyl.WeylGroup(frs, max_order=args.max_group_order)
             wz = weyl.center_subgroup(group)
-            assert len(wz) == type_invariants(frs.factors).center_order, str(sym)
+            _require(len(wz) == type_invariants(frs.factors).center_order, str(sym))
             _, aut_orbits = diagram_automorphisms(affine_diagram(frs))
             wz_orbits = _perm_orbits([e.diagram_perm for e in wz], frs.rank + 1)
-            assert set(aut_orbits) == set(wz_orbits), f"{sym}: orbit mismatch"
+            _require(set(aut_orbits) == set(wz_orbits), f"{sym}: orbit mismatch")
         return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"
 
     checks.append(run("iwahori_matsumoto", iwahori_matsumoto))
@@ -474,18 +495,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"error: format {args.format!r} is not available for {args.command!r}\n"
         )
         return EXIT_USAGE
-    if min(args.max_group_order, args.brute_rank, args.poset_rank) < 1:
-        sys.stderr.write("error: capability bounds must be positive\n")
-        return EXIT_USAGE
-
-    try:
-        rs = build(parse_type(args.type))
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
 
     status = EXIT_OK
     try:
+        rs = build(parse_type(args.type))
         if args.command == "poset" and args.format == "dot":
             _emit(_poset_dot(rs, args), args.out)
             return EXIT_OK
@@ -523,6 +536,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapabilityError as exc:
         sys.stderr.write(f"capability: {exc}\n")
         return EXIT_CAPABILITY
+    except AssertionError as exc:
+        sys.stderr.write(f"mismatch: {exc}\n")
+        return EXIT_MISMATCH
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -1,15 +1,15 @@
 """Exact integer-lattice linear algebra.
 
-Smith normal form, Hermite normal form, saturation, quotient torsion and
-lattice indices over Python ints (arbitrary precision).  No floating point
-anywhere; rational intermediates use fractions.Fraction.
+Smith normal form and Hermite normal form over Python ints (arbitrary
+precision), and saturation, membership, coordinates and lattice indices
+built on them.  Every routine is fraction-free: the only divisions are
+exact ones that the normal forms guarantee.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from typing import Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -17,15 +17,6 @@ IntMatrix = Sequence[Sequence[int]]
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def mat_vec(a: IntMatrix, v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 @dataclass(frozen=True)
@@ -167,23 +158,14 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
                 rows_2x2(left, i, j, u)
                 cols_2x2(a, i, j, v)
                 cols_2x2(right, i, j, v)
-                assert a[i][i] == g and a[j][j] == lcm
+                if (a[i][i], a[j][j]) != (g, lcm):
+                    raise AssertionError("2x2 transform broke the divisibility chain")
                 changed = True
     return SmithDecomposition(
         left=tuple(tuple(row) for row in left),
         diagonal=tuple(tuple(row) for row in a),
         right=tuple(tuple(row) for row in right),
     )
-
-
-def quotient_torsion(rows: IntMatrix, ambient: Optional[int] = None) -> int:
-    """Order of the torsion part of Z^k modulo the row span of `rows`."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 1
-    if ambient is not None and rows and len(rows[0]) != ambient:
-        raise ValueError("ambient dimension mismatch")
-    return prod(smith_normal_form(rows).divisors)
 
 
 def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -226,29 +208,6 @@ def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a[:r])
 
 
-def invert_unimodular(mat: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unimodular integer matrix (must be integral)."""
-    n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if work[i][c])
-        work[c], work[piv] = work[piv], work[c]
-        inv = Fraction(1) / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    out = []
-    for row in work:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(v) for v in vals))
-    return tuple(out)
-
-
 def saturate(rows: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Saturation of the row lattice inside Z^n.
 
@@ -259,117 +218,60 @@ def saturate(rows: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     if not rows:
         return (), 1
     snf = smith_normal_form(rows)
-    divisors = snf.divisors
-    rinv = invert_unimodular(snf.right)
-    basis = hermite_normal_form(rinv[: len(divisors)])
-    return basis, prod(divisors)
+    cols = list(zip(*rows))
+    # left @ rows = diagonal @ right^-1, so row i of left @ rows, divided
+    # exactly by d_i, is row i of right^-1.  The first r rows of right^-1
+    # are part of a basis of Z^n and span the saturation.
+    inverse_rows = [
+        [sum(x * y for x, y in zip(snf.left[i], col)) // d for col in cols]
+        for i, d in enumerate(snf.divisors)
+    ]
+    return hermite_normal_form(inverse_rows), prod(snf.divisors)
 
 
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of a list of integer (or Fraction) vectors."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1) / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+def in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
+    """Whether the integer vector `vec` lies in the row lattice of `basis`.
 
-
-class SpanChecker:
-    """Membership tests against the rational span of a fixed set of rows."""
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self._rref: list[tuple[int, list[Fraction]]] = []  # (pivot col, row)
-        for row in rows:
-            self.contains(row, _absorb=True)
-
-    def contains(self, vec: Sequence[int], _absorb: bool = False) -> bool:
-        v = [Fraction(x) for x in vec]
-        for c, row in self._rref:
-            if v[c]:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
-        for c, x in enumerate(v):
-            if x:
-                if _absorb:
-                    inv = Fraction(1) / x
-                    new = [y * inv for y in v]
-                    for c2, row in self._rref:
-                        if row[c]:
-                            f = row[c]
-                            row[:] = [a - f * b for a, b in zip(row, new)]
-                    self._rref.append((c, new))
-                    self._rref.sort(key=lambda t: t[0])
-                return False
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self._rref)
-
-
-def solve_rational(rows: IntMatrix, rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One exact solution x of rows @ x = rhs (free variables set to 0).
-
-    Returns None when the system is inconsistent.  Pivot choice is
-    deterministic, so the returned particular solution is canonical.
+    `basis` must be in Hermite normal form (as hermite_normal_form returns
+    it): `vec` is reduced against the pivots in order, with no solve.  When
+    `basis` spans a saturated lattice (as saturate returns it), this is also
+    membership in its rational span, since an integer vector lies in the
+    Q-span of a saturated lattice exactly when it lies in the lattice.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if work[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = work[i][n]
-    return tuple(x)
+    v = list(vec)
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
 
 
-def in_lattice(basis: Sequence[Sequence[int]], vec: Sequence) -> bool:
-    """Whether `vec` lies in the integer row lattice spanned by `basis`.
+def lattice_coords(basis: IntMatrix, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Integer x with x @ basis == vec, or None when `vec` is not in the lattice.
 
-    `basis` must consist of linearly independent rows (e.g. an HNF basis).
+    From left @ basis @ right = diagonal and w = vec @ right, a solution
+    needs w_j = 0 beyond the rank and d_i | w_i; then x = (w_i / d_i) @ left,
+    with the coefficients of dependent rows set to 0.
     """
     if not basis:
-        return all(x == 0 for x in vec)
-    coeffs = solve_rational(list(zip(*basis)), vec)
-    if coeffs is None:
-        return False
-    return all(c.denominator == 1 for c in coeffs)
+        return () if not any(vec) else None
+    snf = smith_normal_form(basis)
+    w = [sum(x * row[j] for x, row in zip(vec, snf.right)) for j in range(len(snf.right))]
+    divisors = snf.divisors
+    if any(w[len(divisors):]):
+        return None
+    y = []
+    for wi, d in zip(w, divisors):
+        q, r = divmod(wi, d)
+        if r:
+            return None
+        y.append(q)
+    return tuple(
+        sum(yi * snf.left[i][k] for i, yi in enumerate(y)) for k in range(len(snf.left))
+    )
 
 
 def lattice_index(sup_rows: IntMatrix, sub_rows: IntMatrix) -> int:
@@ -379,18 +281,12 @@ def lattice_index(sup_rows: IntMatrix, sub_rows: IntMatrix) -> int:
     raises ValueError when sub is not contained in sup.
     """
     sup = hermite_normal_form(sup_rows)
-    sub = [row for row in sub_rows if any(row)]
-    if not sup and not sub:
-        return 1
-    if rational_rank(sup) != rational_rank(list(sup) + list(sub)):
-        raise ValueError("sublattice not contained in the rational span")
     coeff_rows = []
-    cols = list(zip(*sup))
-    for row in sub:
-        coeffs = solve_rational(cols, row)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    for row in sub_rows:
+        coeffs = lattice_coords(sup, row)
+        if coeffs is None:
             raise ValueError("sublattice not contained in the lattice")
-        coeff_rows.append([int(c) for c in coeffs])
+        coeff_rows.append(coeffs)
     divisors = smith_normal_form(coeff_rows).divisors if coeff_rows else ()
     if len(divisors) != len(sup):
         raise ValueError("lattices have different ranks")

@@ -317,18 +317,6 @@ def euler_characteristic(rs: RootSystem) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RegularCharacterMultiple:
-    """k, meaning k times the regular character of W."""
-
-    k: int
-
-
-def equivariant_euler(rs: RootSystem) -> RegularCharacterMultiple:
-    """Equivariant Euler characteristic: (-1)^n times the regular character."""
-    return RegularCharacterMultiple(k=(-1) ** rs.rank)
-
-
 def poincare(
     rs: RootSystem, route: str = "closed", *, allow_e6: bool = False
 ) -> IntPolynomial:
@@ -376,19 +364,6 @@ def poincare(
     if poly(-1) != euler_characteristic(rs):
         raise AssertionError("Poincare polynomial disagrees with the Euler characteristic")
     return poly
-
-
-def closed_form_sums(rs: RootSystem, *, allow_e6: bool = False) -> tuple[int, ...]:
-    """Per-dimension coefficients sum_{K_d} n_theta^{-1} |W^Theta|."""
-    records = _census_records(rs, allow_e6)
-    out = []
-    for d in range(rs.rank + 1):
-        coeff = 0
-        for r in records:
-            if r.dimension == d:
-                coeff += r.orbit_size * type_invariants(r.theta_type).weyl_order // r.n_theta
-        out.append(coeff)
-    return tuple(out)
 
 
 # -- the A series by partitions ----------------------------------------------

@@ -65,7 +65,6 @@ def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
     ct = [list(col) for col in zip(*ct)]  # transpose: rows index alpha_j
     snf = intlat.smith_normal_form(ct)
     divisors = snf.divisors
-    rinv = intlat.invert_unimodular(snf.right)
     # Lambda = (C^T)^{-1} Z^n; elements: V @ y with y_i in (1/d_i)Z.
     out = []
     ranges = [range(d) for d in divisors]
@@ -78,7 +77,8 @@ def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
             for k in range(rs.rank):
                 vec[k] += snf.right[k][i] * step
         out.append(tuple(x % m for x in vec))
-    assert len(out) == type_invariants(rs.factors).center_order
+    if len(out) != type_invariants(rs.factors).center_order:
+        raise AssertionError("center grid vectors do not match the center order")
     return out
 
 
@@ -112,7 +112,7 @@ def brute_points(
         ]
         if len(vanishing) < n:
             continue
-        if intlat.rational_rank([rs.all_roots[i] for i in vanishing]) == n:
+        if len(intlat.hermite_normal_form([rs.all_roots[i] for i in vanishing])) == n:
             hits.append((cand, vanishing))
     group = group or WeylGroup(rs)
     matrices = group.element_matrices()
@@ -165,15 +165,14 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
     )
     r_basis = intlat.hermite_normal_form(list(zip(*gamma)))
     simple_rows = [rs.all_roots[i] for i in theta.simples]
-    cols = list(zip(*simple_rows))
     coords = []
     for i in theta.roots:
         if i >= rs.n_positive:
             continue
-        sol = intlat.solve_rational(cols, rs.all_roots[i])
-        if sol is None or any(c.denominator != 1 for c in sol):
+        sol = intlat.lattice_coords(simple_rows, rs.all_roots[i])
+        if sol is None:
             raise AssertionError("theta root not integral over its simple system")
-        coords.append(tuple(int(c) for c in sol))
+        coords.append(sol)
     return _QuotientArrangement(
         gamma=gamma,
         r_basis=r_basis,
@@ -201,7 +200,7 @@ def _quotient_points(qa: _QuotientArrangement) -> list[tuple[int, ...]]:
         ]
         if len(vanishing) < rank:
             continue
-        if intlat.rational_rank(vanishing) == rank:
+        if len(intlat.hermite_normal_form(vanishing)) == rank:
             pts.append(combo)
     return pts
 
@@ -259,10 +258,9 @@ def _layer_leq(
     """Whether `lower` is contained in `upper`."""
     if lower.dimension > upper.dimension:
         return False
-    checker = intlat.SpanChecker(lower.theta.span_basis)
-    for row in upper.theta.span_basis:
-        if not checker.contains(row):
-            return False
+    lower_span = lower.theta.span_basis
+    if not all(intlat.in_lattice(lower_span, row) for row in upper.theta.span_basis):
+        return False
     diff = [a - b for a, b in zip(lower.base_point, upper.base_point)]
     image = [
         sum(g * x for g, x in zip(row, diff)) for row in qa_upper.gamma

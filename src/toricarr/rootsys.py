@@ -214,6 +214,12 @@ class RootSystem:
         )
         self.root_index = {r: i for i, r in enumerate(self.all_roots)}
         self.n_positive = len(self.positive_roots)
+        self.highest_roots = self._find_highest_roots()
+        # Highest-root coefficients a_1..a_k of each factor.
+        self.marks_by_factor = tuple(
+            top[block.start:block.start + block.symbol.rank]
+            for block, top in zip(self.blocks, self.highest_roots)
+        )
         self._check_invariants()
 
     def _check_invariants(self):
@@ -275,8 +281,7 @@ class RootSystem:
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1
 
-    @property
-    def highest_roots(self) -> tuple[tuple[int, ...], ...]:
+    def _find_highest_roots(self) -> tuple[tuple[int, ...], ...]:
         """Highest root of each factor, embedded in the full coordinates."""
         out = []
         for block in self.blocks:
@@ -291,15 +296,6 @@ class RootSystem:
                 if any(x > y for x, y in zip(r, top)):
                     raise AssertionError("highest root does not dominate")
             out.append(top)
-        return tuple(out)
-
-    @property
-    def marks_by_factor(self) -> tuple[tuple[int, ...], ...]:
-        """Highest-root coefficients a_1..a_k of each factor."""
-        out = []
-        for block, top in zip(self.blocks, self.highest_roots):
-            rk = block.symbol.rank
-            out.append(tuple(top[block.start + k] for k in range(rk)))
         return tuple(out)
 
     @property

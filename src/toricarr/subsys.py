@@ -99,8 +99,8 @@ def make_subsystem(
 
 
 def _positives_in_span(rs: RootSystem, basis: Sequence[Sequence[int]]) -> list[int]:
-    checker = intlat.SpanChecker(basis)
-    return [i for i in range(rs.n_positive) if checker.contains(rs.all_roots[i])]
+    """Positive roots in the rational span of a saturated HNF basis."""
+    return [i for i in range(rs.n_positive) if intlat.in_lattice(basis, rs.all_roots[i])]
 
 
 def completion(rs: RootSystem, root_indices: Iterable[int]) -> Subsystem:

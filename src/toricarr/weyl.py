@@ -9,8 +9,7 @@ torus points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .errors import CapabilityError
 from .rootsys import RootSystem, type_invariants
@@ -22,13 +21,6 @@ Perm = tuple[int, ...]
 
 def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
-
-
-def invert(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
 
 
 class WeylGroup:
@@ -72,7 +64,8 @@ class WeylGroup:
                             nxt.append(v)
                 out.extend(nxt)
                 frontier = nxt
-            assert len(out) == self.order
+            if len(out) != self.order:
+                raise AssertionError(f"enumerated {len(out)} elements, expected |W| = {self.order}")
             self._elements = tuple(out)
         return self._elements
 
@@ -91,61 +84,6 @@ class WeylGroup:
         if not hasattr(self, "_matrices"):
             self._matrices = tuple(self.coroot_matrix(w) for w in self.elements())
         return self._matrices
-
-    def act_point(self, w: Perm, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Action on a torus point in simple-coroot coordinates, mod 1."""
-        m = self.coroot_matrix(w)
-        return tuple(
-            (sum(m[i][k] * point[k] for k in range(self.rs.rank))) % 1
-            for i in range(self.rs.rank)
-        )
-
-
-@dataclass(frozen=True)
-class OrbitStabilizer:
-    orbit_size: int
-    stabilizer_order: int
-    stabilizer_generators: tuple[Perm, ...]
-
-
-def orbit_and_stabilizer(
-    group: WeylGroup, obj: Union[frozenset, tuple]
-) -> OrbitStabilizer:
-    """Orbit size and stabilizer data for a root-index set or a torus point.
-
-    The stabilizer generators are the (deduplicated) Schreier generators of
-    the orbit traversal; the stabilizer order comes from orbit-stabilizer.
-    """
-    if isinstance(obj, frozenset):
-        def act(g: Perm, x):
-            return frozenset(g[i] for i in x)
-    elif isinstance(obj, tuple):
-        def act(g: Perm, x):
-            return group.act_point(g, x)
-    else:
-        raise TypeError(f"cannot act on {type(obj).__name__}")
-    transversal = {obj: group.identity}
-    queue = [obj]
-    schreier = set()
-    while queue:
-        x = queue.pop(0)
-        for g in group.gens:
-            y = act(g, x)
-            if y not in transversal:
-                transversal[y] = compose(g, transversal[x])
-                queue.append(y)
-                if len(transversal) > group.max_order:
-                    raise CapabilityError(
-                        f"orbit exceeds max_group_order={group.max_order}"
-                    )
-            else:
-                sg = compose(invert(transversal[y]), compose(g, transversal[x]))
-                if sg != group.identity:
-                    schreier.add(sg)
-    size = len(transversal)
-    if group.order % size:
-        raise AssertionError("orbit size does not divide |W|")
-    return OrbitStabilizer(size, group.order // size, tuple(sorted(schreier)))
 
 
 def longest_element(group: WeylGroup, p: Optional[int] = None) -> Perm:
@@ -212,85 +150,3 @@ def center_subgroup(group: WeylGroup) -> tuple[CenterElement, ...]:
             images.append(extended_idx.index(img))
         out.append(CenterElement(p, z, tuple(images)))
     return tuple(out)
-
-
-def permutation_group_order(gens: Sequence[Perm]) -> int:
-    """Order of the group generated by permutations, via Schreier-Sims.
-
-    A strong generator stored at level j fixes the first j base points and
-    therefore belongs to the generating set of every level <= j; levels are
-    verified bottom-up, re-descending whenever a new generator is added.
-    """
-    gens = [g for g in gens if g != tuple(range(len(g)))]
-    if not gens:
-        return 1
-    deg = len(gens[0])
-    identity = tuple(range(deg))
-    bases: list[int] = []
-    stored: list[list[Perm]] = []
-    transversals: list[dict[int, Perm]] = []
-
-    def effective(level: int) -> list[Perm]:
-        return [g for j in range(level, len(stored)) for g in stored[j]]
-
-    def recompute(level: int) -> None:
-        t = {bases[level]: identity}
-        queue = [bases[level]]
-        gl = effective(level)
-        while queue:
-            x = queue.pop()
-            for g in gl:
-                y = g[x]
-                if y not in t:
-                    t[y] = compose(g, t[x])
-                    queue.append(y)
-        transversals[level] = t
-
-    def strip(g: Perm, level: int) -> tuple[Perm, int]:
-        for i in range(level, len(bases)):
-            x = g[bases[i]]
-            if x not in transversals[i]:
-                return g, i
-            g = compose(invert(transversals[i][x]), g)
-        return g, len(bases)
-
-    def register(g: Perm, level: int) -> None:
-        if level == len(bases):
-            b = next(i for i in range(deg) if g[i] != i)
-            bases.append(b)
-            stored.append([])
-            transversals.append({b: identity})
-        stored[level].append(g)
-        for j in range(level + 1):
-            recompute(j)
-
-    for g in gens:
-        rem, lvl = strip(g, 0)
-        if rem != identity:
-            register(rem, lvl)
-
-    level = len(bases) - 1
-    while level >= 0:
-        failure = None
-        t = transversals[level]
-        gl = effective(level)
-        for x in t:
-            for h in gl:
-                sg = compose(invert(t[h[x]]), compose(h, t[x]))
-                if sg == identity:
-                    continue
-                rem, lvl = strip(sg, level + 1)
-                if rem != identity:
-                    failure = (rem, lvl)
-                    break
-            if failure:
-                break
-        if failure:
-            register(*failure)
-            level = failure[1]
-        else:
-            level -= 1
-    order = 1
-    for t in transversals:
-        order *= len(t)
-    return order

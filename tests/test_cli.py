@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricarr
 from toricarr.cli import main
 
 
@@ -82,8 +87,42 @@ def test_euler_beyond_enumeration_flags_missing_poincare(capsys):
 
 
 def test_bounds_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "points", "--type", "A1", "--brute-rank", "0")
+    code, _, err = run_cli(capsys, "verify", "--type", "A1", "--brute-rank", "0")
     assert code == 1 and "positive" in err
+
+
+def test_ignored_capability_flags_are_rejected(capsys):
+    code, _, err = run_cli(capsys, "points", "--type", "A1", "--brute-rank", "3")
+    assert code == 1 and "--brute-rank" in err
+    code, _, err = run_cli(capsys, "census", "--type", "A1", "--poset-rank", "3")
+    assert code == 1 and "--poset-rank" in err
+    code, _, err = run_cli(capsys, "poset", "--type", "A1", "--max-group-order", "10")
+    assert code == 1 and "--max-group-order" in err
+
+
+def _run_with_defect(patch, argv, *python_flags):
+    """Run the CLI in a fresh interpreter after applying `patch` to the library."""
+    script = f"import sys\nfrom toricarr import cli, layers\n{patch}\nsys.exit(cli.main({argv!r}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(toricarr.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_verify_mismatch_survives_optimized_mode():
+    patch = "count = layers.count_points\nlayers.count_points = lambda rs: count(rs) + 1"
+    proc = _run_with_defect(patch, ["verify", "--type", "A2"], "-O")
+    assert proc.returncode == 3
+    assert "points_oracle: mismatch" in proc.stdout
+
+
+def test_internal_cross_check_failure_exits_3_without_traceback():
+    patch = "layers.euler_characteristic = lambda rs: 0"
+    proc = _run_with_defect(patch, ["poincare", "--type", "A2"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "mismatch" in proc.stderr and "Euler" in proc.stderr
 
 
 def test_census_csv(capsys):

@@ -1,10 +1,28 @@
-"""Exact linear algebra: Smith/Hermite forms, saturation, torsion, indices."""
+"""Exact linear algebra: Smith/Hermite forms, saturation, membership, indices."""
 
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricarr import intlat
+
+
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _is_unimodular(mat):
+    """Square with all Smith divisors 1, i.e. invertible over the integers."""
+    return intlat.smith_normal_form(mat).divisors == (1,) * len(mat)
+
+
+def _torsion(rows):
+    """Order of the torsion of Z^k modulo the row span."""
+    return prod(intlat.smith_normal_form(rows).divisors) if rows else 1
 
 
 def test_snf_identity():
@@ -25,15 +43,12 @@ def test_snf_round_trip_random():
         n = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         s = intlat.smith_normal_form(mat)
-        assert intlat.mat_mul(intlat.mat_mul(s.left, mat), s.right) == [
-            list(r) for r in s.diagonal
-        ]
+        assert _mul(_mul(s.left, mat), s.right) == [list(r) for r in s.diagonal]
         divisors = s.divisors
         assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
-        # left^-1 @ diagonal @ right^-1 recovers the input
-        li = intlat.invert_unimodular(s.left)
-        ri = intlat.invert_unimodular(s.right)
-        assert intlat.mat_mul(intlat.mat_mul(li, s.diagonal), ri) == [list(r) for r in mat]
+        # unimodular transforms are invertible, so left^-1 @ diagonal @
+        # right^-1 recovers the input
+        assert _is_unimodular(s.left) and _is_unimodular(s.right)
 
 
 def test_snf_deterministic():
@@ -42,22 +57,22 @@ def test_snf_deterministic():
 
 
 def test_quotient_torsion():
-    assert intlat.quotient_torsion([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
-    assert intlat.quotient_torsion([(2, 0)]) == 2  # Z^2/<(2,0)> = Z + Z/2
-    assert intlat.quotient_torsion([]) == 1
+    assert _torsion([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+    assert _torsion([(2, 0)]) == 2  # Z^2/<(2,0)> = Z + Z/2
+    assert _torsion([]) == 1
 
 
 def test_quotient_torsion_unimodular_invariance():
     rng = random.Random(13)
     rows = [(2, 4, 0), (0, 6, 2)]
-    base = intlat.quotient_torsion(rows)
+    base = _torsion(rows)
     for _ in range(50):
         # random unimodular row operation
         i, j = rng.sample(range(2), 2)
         c = rng.randint(-3, 3)
         new = [list(r) for r in rows]
         new[i] = [x + c * y for x, y in zip(new[i], new[j])]
-        assert intlat.quotient_torsion(new) == base
+        assert _torsion(new) == base
         rows = [tuple(r) for r in new]
 
 
@@ -99,6 +114,107 @@ def test_in_lattice():
     assert not intlat.in_lattice((), (1, 0))
 
 
+def test_lattice_coords_examples():
+    assert intlat.lattice_coords([(1, 1), (0, 2)], (2, 4)) == (2, 1)
+    assert intlat.lattice_coords([(1, 1), (0, 2)], (2, 3)) is None
+    assert intlat.lattice_coords([(1, 0, 0)], (0, 1, 0)) is None  # outside the span
+    assert intlat.lattice_coords([(2, 0), (1, 1)], (3, 1)) == (1, 1)  # not HNF
+    assert intlat.lattice_coords((), (0, 0)) == ()
+    assert intlat.lattice_coords((), (1, 0)) is None
+
+
 def test_lattice_index_errors():
     with pytest.raises(ValueError):
         intlat.lattice_index([(2, 0), (0, 2)], [(1, 0)])  # not contained
+
+
+# -- property tests ----------------------------------------------------------
+
+_entries = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def _matrices(draw, max_rows=4, max_cols=4):
+    m = draw(st.integers(min_value=1, max_value=max_rows))
+    n = draw(st.integers(min_value=1, max_value=max_cols))
+    return [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@st.composite
+def _row_operations(draw, m):
+    """A list of (target, source, multiplier) with target != source."""
+    ops = []
+    if m < 2:
+        return ops
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=m - 1))
+        j = draw(st.integers(min_value=0, max_value=m - 2))
+        ops.append((i, j + (j >= i), draw(st.integers(min_value=-3, max_value=3))))
+    return ops
+
+
+def _apply(rows, ops, swap):
+    rows = [list(r) for r in rows]
+    for i, j, c in ops:
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if swap and len(rows) > 1:
+        rows[0], rows[-1] = rows[-1], [-x for x in rows[0]]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_snf_invariants(mat):
+    s = intlat.smith_normal_form(mat)
+    assert _mul(_mul(s.left, mat), s.right) == [list(r) for r in s.diagonal]
+    assert _is_unimodular(s.left) and _is_unimodular(s.right)
+    d = s.divisors
+    assert all(x > 0 for x in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
+    # diagonal: nonzero entries only at (i, i) for i < rank
+    for i, row in enumerate(s.diagonal):
+        assert all(x == 0 for j, x in enumerate(row) if j != i or i >= len(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hnf_invariant_under_unimodular_row_operations(data):
+    mat = data.draw(_matrices())
+    ops = data.draw(_row_operations(len(mat)))
+    moved = _apply(mat, ops, data.draw(st.booleans()))
+    assert intlat.hermite_normal_form(moved) == intlat.hermite_normal_form(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_saturate_index_equals_lattice_index(rows):
+    basis, index = intlat.saturate(rows)
+    nonzero = [r for r in rows if any(r)]
+    if not nonzero:
+        assert (basis, index) == ((), 1)
+        return
+    assert intlat.lattice_index(basis, nonzero) == index
+    # the saturation contains every row, and saturating it again changes
+    # nothing
+    assert all(intlat.in_lattice(basis, r) for r in nonzero)
+    assert intlat.saturate(basis) == (basis, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.lists(_entries, min_size=4, max_size=4))
+def test_lattice_coords_round_trip(basis, coeffs):
+    n = len(basis[0])
+    x = coeffs[: len(basis)]
+    vec = [sum(c * row[j] for c, row in zip(x, basis)) for j in range(n)]
+    found = intlat.lattice_coords(basis, vec)
+    assert found is not None
+    assert [sum(c * row[j] for c, row in zip(found, basis)) for j in range(n)] == vec
+    # a vector one unit off a lattice vector is in the lattice exactly
+    # when the unit vector is
+    shifted = vec[:-1] + [vec[-1] + 1]
+    unit = [0] * (n - 1) + [1]
+    assert (intlat.lattice_coords(basis, shifted) is None) == (
+        intlat.lattice_coords(basis, unit) is None
+    )
+    hnf = intlat.hermite_normal_form(basis)
+    assert intlat.in_lattice(hnf, shifted) == (intlat.lattice_coords(basis, shifted) is not None)

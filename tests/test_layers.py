@@ -1,19 +1,19 @@
 """The counting formulas: points, orbits, n_theta, census, Poincare, Euler."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from toricarr.cli import main
 from toricarr.errors import CapabilityError
 from toricarr.layers import (
     IntPolynomial,
     a_series_census,
     a_series_poincare,
-    closed_form_sums,
     count_layers,
     count_points,
     count_points_of_type,
-    equivariant_euler,
     euler_characteristic,
     layer_census,
     n_theta,
@@ -23,7 +23,7 @@ from toricarr.layers import (
     point_type_multiset,
     verify_degree_identity,
 )
-from toricarr.rootsys import build_str, format_type, parse_type
+from toricarr.rootsys import build_str, format_type, parse_type, type_invariants
 from toricarr.subsys import completion, enumerate_complete
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -251,17 +251,25 @@ def test_euler_multiplicative():
     assert euler_characteristic(build_str("A1xA2")) == -12
 
 
-def test_equivariant_euler():
-    assert equivariant_euler(build_str("A1")).k == -1
-    assert equivariant_euler(build_str("F4")).k == 1
-    assert equivariant_euler(build_str("B2")).k == 1
-    assert abs(equivariant_euler(build_str("C3")).k) == 1
+def test_equivariant_euler(capsys):
+    # (-1)^n times the regular character of W
+    for t, k in [("A1", "-1"), ("F4", "1"), ("B2", "1"), ("C3", "-1")]:
+        assert main(["euler", "--type", t, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["equivariant_multiple"] == k
+
+
+def _closed_form_sums(rs):
+    """Per-dimension sums of n_theta^-1 |W^Theta| over K_d, from the census."""
+    sums = [0] * (rs.rank + 1)
+    for r in layer_census(rs):
+        sums[r.dimension] += r.orbit_size * type_invariants(r.theta_type).weyl_order // r.n_theta
+    return tuple(sums)
 
 
 def test_poincare_f4_paper_value():
     poly = poincare(build_str("F4"), "both")
     assert poly.coeffs == (1, 28, 286, 1260, 2153)
-    assert closed_form_sums(build_str("F4")) == (1152, 768, 208, 24, 1)
+    assert _closed_form_sums(build_str("F4")) == (1152, 768, 208, 24, 1)
 
 
 def test_poincare_small_hand_values():
@@ -292,7 +300,7 @@ def test_poincare_leading_coefficient():
     for t in ["A3", "B3", "F4"]:
         rs = build_str(t)
         poly = poincare(rs, "closed")
-        assert poly.coeffs[-1] == sum(closed_form_sums(rs))
+        assert poly.coeffs[-1] == sum(_closed_form_sums(rs))
         assert poly.degree == rs.rank
 
 
