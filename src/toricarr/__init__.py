@@ -31,7 +31,7 @@ from .subsys import (
     decompose_type,
     enumerate_complete,
     make_subsystem,
-    w_orbit_census,
+    parabolic_classes,
 )
 from .layers import (
     IntPolynomial,

@@ -24,8 +24,7 @@ from .rootsys import (
     diagram_automorphisms,
     type_invariants,
 )
-from .subsys import Subsystem, enumerate_complete, w_orbit_census
-from .weyl import WeylGroup
+from .subsys import Subsystem, _check_enumerable, parabolic_classes
 
 
 # -- integer polynomials ----------------------------------------------------
@@ -251,12 +250,10 @@ class LayerClassRecord:
 
 @lru_cache(maxsize=None)
 def _census_records(rs: RootSystem, allow_e6: bool) -> tuple[LayerClassRecord, ...]:
-    group = WeylGroup(rs)
+    _check_enumerable(rs, allow_e6)
     records = []
     for d in range(rs.rank + 1):
-        family = enumerate_complete(rs, d, allow_e6=allow_e6)
-        for orbit in w_orbit_census(rs, family, group):
-            theta = orbit.representative
+        for theta, orbit_size in parabolic_classes(rs, d):
             nt = n_theta(rs, theta)
             types = point_type_multiset(theta.type)
             divided = []
@@ -271,13 +268,35 @@ def _census_records(rs: RootSystem, allow_e6: bool) -> tuple[LayerClassRecord, .
                     dimension=d,
                     theta=theta,
                     theta_type=theta.type,
-                    orbit_size=orbit.size,
+                    orbit_size=orbit_size,
                     n_theta=nt,
                     layer_count=layer_count,
                     phi_c_types=tuple(divided),
                 )
             )
+    _check_orlik_solomon(rs, records)
     return tuple(records)
+
+
+def _check_orlik_solomon(rs: RootSystem, records: Sequence[LayerClassRecord]) -> None:
+    """Sum of orbit_size * |mu| * t^rank over the flats = prod (1 + e_i t).
+
+    |mu| of the flat of theta is the exponent product of W_theta, so this
+    pins the orbit sizes against degree data alone.
+    """
+    by_rank = [0] * (rs.rank + 1)
+    for r in records:
+        by_rank[rs.rank - r.dimension] += (
+            r.orbit_size * type_invariants(r.theta_type).exponent_product
+        )
+    expected = IntPolynomial.of([1])
+    for degree in rs.degrees:
+        expected = expected * IntPolynomial.of([1, degree - 1])
+    if IntPolynomial.of(by_rank) != expected:
+        raise AssertionError(
+            f"Orlik-Solomon factorisation fails: flats give {by_rank}, "
+            f"degrees give {list(expected.coeffs)}"
+        )
 
 
 def layer_census(rs: RootSystem, *, allow_e6: bool = False) -> tuple[LayerClassRecord, ...]:

@@ -5,18 +5,20 @@ A subsystem is a subset closed under negation and under addition of roots
 its rational span with the ambient system; complete subsystems of rank
 n - d are in bijection with the d-dimensional spaces of the linear
 arrangement, which is what makes them enumerable by rational spans.
+Their W-orbits are classified from the standard parabolic flats alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import intlat
 from .errors import CapabilityError
 from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type
-from .weyl import WeylGroup, compose
+from .weyl import WeylGroup
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,6 @@ class Subsystem:
     span_basis: tuple[tuple[int, ...], ...]  # canonical HNF basis of the saturated span
     type: tuple[TypeSymbol, ...]
     simples: tuple[int, ...]  # indices of the simple system (positive part)
-
-    @property
-    def key(self) -> frozenset:
-        return frozenset(self.roots)
 
     def __str__(self):
         return format_type(self.type)
@@ -145,26 +143,28 @@ def _check_enumerable(rs: RootSystem, allow_e6: bool) -> None:
 
 
 @lru_cache(maxsize=None)
-def _span_levels(rs: RootSystem) -> tuple[dict, ...]:
-    """Rational spans of root subsets, one dict {basis: positives} per rank.
+def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
+    """Rational spans of root subsets, one dict {basis: positives} per rank 0..top.
 
     Level r maps the canonical HNF basis of each rank-r span to the sorted
-    tuple of positive-root indices it contains.
+    tuple of positive-root indices it contains.  Level r + 1 extends each
+    rank-r span by one root at a time; roots already in a flat found from
+    that span give the same flat again, so they are skipped unsaturated.
     """
-    levels: list[dict[tuple, tuple[int, ...]]] = [{(): ()}]
-    for _ in range(rs.rank):
-        nxt: dict[tuple, tuple[int, ...]] = {}
-        for basis, members in levels[-1].items():
-            member_set = set(members)
-            for j in range(rs.n_positive):
-                if j in member_set:
-                    continue
-                new_basis, _ = intlat.saturate(list(basis) + [rs.all_roots[j]])
-                if new_basis in nxt:
-                    continue
+    if top == 0:
+        return ({(): ()},)
+    levels = _span_levels(rs, top - 1)
+    nxt: dict[tuple, tuple[int, ...]] = {}
+    for basis, members in levels[-1].items():
+        covered = set(members)
+        for j in range(rs.n_positive):
+            if j in covered:
+                continue
+            new_basis, _ = intlat.saturate(list(basis) + [rs.all_roots[j]])
+            if new_basis not in nxt:
                 nxt[new_basis] = tuple(_positives_in_span(rs, new_basis))
-        levels.append(nxt)
-    return tuple(levels)
+            covered.update(nxt[new_basis])
+    return levels + (nxt,)
 
 
 def enumerate_complete(rs: RootSystem, d: int, *, allow_e6: bool = False) -> CompleteFamily:
@@ -172,52 +172,49 @@ def enumerate_complete(rs: RootSystem, d: int, *, allow_e6: bool = False) -> Com
 
     Enumerates saturated rational spans of independent subsets of positive
     roots, growing rank one root at a time and deduplicating spans by their
-    canonical HNF basis.
+    canonical HNF basis.  This is the span route; the census classifies
+    K_d by parabolic_classes instead.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
     _check_enumerable(rs, allow_e6)
     target = rs.rank - d
-    level = _span_levels(rs)[target]
+    level = _span_levels(rs, target)[target]
     members = tuple(make_subsystem(rs, pos) for basis, pos in sorted(level.items()))
     return CompleteFamily(d=d, members=members)
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    """One W-orbit inside a CompleteFamily."""
+def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ...]:
+    """W-orbits of K_d as (lex-minimal member, orbit size), ordered by roots.
 
-    representative: Subsystem
-    members: tuple[Subsystem, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def w_orbit_census(
-    rs: RootSystem, family: CompleteFamily, group: WeylGroup
-) -> tuple[OrbitClass, ...]:
-    """Partition of a family into W-orbits (representative = lex-minimal)."""
-    by_key = {m.key: m for m in family.members}
-    seen: set[frozenset] = set()
-    orbits = []
-    for member in family.members:
-        if member.key in seen:
+    Every flat of the Coxeter arrangement is W-conjugate to a standard
+    parabolic one (Steinberg; Orlik-Solomon 1983), so each orbit contains
+    some X_J, the positive roots supported on J with |J| = n - d.  Orbits
+    are walked under the simple reflections on sorted tuples of positive
+    indices; negatives follow positives in all_roots, so the lex-minimal
+    tuple is also the member with the lex-minimal roots.
+    """
+    if not 0 <= d <= rs.rank:
+        raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
+    npos = rs.n_positive
+    gens = WeylGroup(rs).gens
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for J in combinations(range(rs.rank), rs.rank - d):
+        outside = [k for k in range(rs.rank) if k not in J]
+        flat = tuple(i for i in range(npos) if not any(rs.all_roots[i][k] for k in outside))
+        if flat in seen:
             continue
-        orbit_keys = {member.key}
-        queue = [member.key]
+        orbit = {flat}
+        queue = [flat]
         while queue:
-            k = queue.pop()
-            for g in group.gens:
-                img = frozenset(g[i] for i in k)
-                if img not in orbit_keys:
-                    if img not in by_key:
-                        raise AssertionError("W-image left the complete family")
-                    orbit_keys.add(img)
+            x = queue.pop()
+            for g in gens:
+                img = tuple(sorted(g[i] % npos for i in x))
+                if img not in orbit:
+                    orbit.add(img)
                     queue.append(img)
-        seen |= orbit_keys
-        members = tuple(sorted((by_key[k] for k in orbit_keys), key=lambda s: s.roots))
-        orbits.append(OrbitClass(representative=members[0], members=members))
-    orbits.sort(key=lambda o: o.representative.roots)
-    return tuple(orbits)
+        seen |= orbit
+        classes.append((make_subsystem(rs, min(orbit)), len(orbit)))
+    classes.sort(key=lambda c: c[0].roots)
+    return tuple(classes)

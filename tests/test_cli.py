@@ -125,6 +125,18 @@ def test_internal_cross_check_failure_exits_3_without_traceback():
     assert "mismatch" in proc.stderr and "Euler" in proc.stderr
 
 
+def test_orlik_solomon_check_catches_a_wrong_orbit_size():
+    patch = (
+        "classes = layers.parabolic_classes\n"
+        "layers.parabolic_classes = lambda rs, d: tuple(\n"
+        "    (theta, size + (d == 1)) for theta, size in classes(rs, d))"
+    )
+    proc = _run_with_defect(patch, ["poincare", "--type", "B3"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "mismatch" in proc.stderr and "Orlik-Solomon" in proc.stderr
+
+
 def test_census_csv(capsys):
     code, out, _ = run_cli(capsys, "census", "--type", "B2", "--format", "csv")
     assert code == 0

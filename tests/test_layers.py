@@ -154,16 +154,14 @@ def test_n_theta_rejects_non_complete():
         n_theta(rs, make_subsystem(rs, longs))
 
 
-def test_n_theta_constant_on_orbits():
-    from toricarr.subsys import w_orbit_census
-    from toricarr.weyl import WeylGroup
+def test_n_theta_constant_on_orbits(span_orbits):
+    from toricarr.subsys import parabolic_classes
 
     rs = build_str("B3")
-    W = WeylGroup(rs)
     for d in range(4):
-        for orbit in w_orbit_census(rs, enumerate_complete(rs, d), W):
-            values = {n_theta(rs, m) for m in orbit.members}
-            assert len(values) == 1
+        for (theta, _), orbit in zip(parabolic_classes(rs, d), span_orbits(rs, d), strict=True):
+            assert theta == orbit[0]
+            assert {n_theta(rs, m) for m in orbit} == {n_theta(rs, theta)}
 
 
 # -- layer counts and census ------------------------------------------------------
@@ -302,6 +300,41 @@ def test_poincare_leading_coefficient():
         poly = poincare(rs, "closed")
         assert poly.coeffs[-1] == sum(_closed_form_sums(rs))
         assert poly.degree == rs.rank
+
+
+def test_census_classifies_without_span_enumeration(monkeypatch):
+    from toricarr import intlat, layers, subsys
+
+    saturate = intlat.saturate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return saturate(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the census enumerated spans")
+
+    monkeypatch.setattr(intlat, "saturate", counted)
+    monkeypatch.setattr(subsys, "_span_levels", forbidden)
+    layers._census_records.cache_clear()
+    assert poincare(build_str("F4")).coeffs == (1, 28, 286, 1260, 2153)
+    assert len(calls) <= 20  # one per orbit representative: 11
+
+
+def test_orlik_solomon_f4():
+    # flats by rank, weighted by |mu|, give prod (1 + e_i t) over the exponents 1, 5, 7, 11
+    by_rank = [0] * 5
+    for r in layer_census(build_str("F4")):
+        by_rank[4 - r.dimension] += r.orbit_size * type_invariants(r.theta_type).exponent_product
+    assert by_rank == [1, 24, 190, 552, 385]
+
+
+def test_poincare_e6_pinned():
+    rs = build_str("E6")
+    poly = poincare(rs, "both", allow_e6=True)
+    assert poly.coeffs == (1, 42, 705, 6020, 28419, 76818, 105595)
+    assert poly(-1) == type_invariants(rs.factors).weyl_order
 
 
 def test_poincare_capability():

@@ -11,7 +11,7 @@ from toricarr.subsys import (
     decompose_type,
     enumerate_complete,
     make_subsystem,
-    w_orbit_census,
+    parabolic_classes,
 )
 from toricarr.weyl import WeylGroup
 from toricarr.layers import a_series_census
@@ -132,20 +132,40 @@ def test_a_series_counts_by_partitions():
 
 def test_w_orbit_census_f4_k1():
     rs = build_str("F4")
-    W = WeylGroup(rs)
-    orbits = w_orbit_census(rs, enumerate_complete(rs, 1), W)
-    sizes = sorted((format_type(o.representative.type), o.size) for o in orbits)
+    sizes = sorted((format_type(theta.type), size) for theta, size in parabolic_classes(rs, 1))
     assert sizes == [("A1xA2", 48), ("A1xA2", 48), ("B3", 12), ("C3", 12)]
 
 
-def test_w_orbit_same_type_within_orbit():
+def test_w_orbit_same_type_within_orbit(span_orbits):
     rs = build_str("B3")
     W = WeylGroup(rs)
     for d in range(rs.rank + 1):
-        for orbit in w_orbit_census(rs, enumerate_complete(rs, d), W):
-            types = {m.type for m in orbit.members}
+        for orbit in span_orbits(rs, d):
+            types = {m.type for m in orbit}
             assert len(types) == 1
-            assert W.order % orbit.size == 0
+            assert W.order % len(orbit) == 0
+        for _, size in parabolic_classes(rs, d):
+            assert W.order % size == 0
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+     "A5", "A3xA1", "B2xG2"],
+)
+def test_parabolic_classes_match_span_route(t, span_orbits):
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        by_span = [(orbit[0], len(orbit)) for orbit in span_orbits(rs, d)]
+        assert list(parabolic_classes(rs, d)) == by_span, d
+
+
+def test_parabolic_classes_e6_lines(span_orbits):
+    rs = build_str("E6")
+    by_span = [(orbit[0], len(orbit)) for orbit in span_orbits(rs, 5, allow_e6=True)]
+    classes = parabolic_classes(rs, 5)
+    assert list(classes) == by_span
+    assert [size for _, size in classes] == [36]
 
 
 def test_capability_gate():
