@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Sequence
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -250,28 +251,39 @@ def in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
 
 
 def lattice_coords(basis: IntMatrix, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer x with x @ basis == vec, or None when `vec` is not in the lattice.
+    """Integer x with x @ basis == vec, or None when `vec` is not in the lattice."""
+    return _coords_solver(basis)(vec)
+
+
+def _coords_solver(
+    basis: IntMatrix,
+) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
+    """lattice_coords against one fixed basis, its Smith form computed once.
 
     From left @ basis @ right = diagonal and w = vec @ right, a solution
     needs w_j = 0 beyond the rank and d_i | w_i; then x = (w_i / d_i) @ left,
     with the coefficients of dependent rows set to 0.
     """
     if not basis:
-        return () if not any(vec) else None
+        return lambda vec: () if not any(vec) else None
     snf = smith_normal_form(basis)
-    w = [sum(x * row[j] for x, row in zip(vec, snf.right)) for j in range(len(snf.right))]
     divisors = snf.divisors
-    if any(w[len(divisors):]):
-        return None
-    y = []
-    for wi, d in zip(w, divisors):
-        q, r = divmod(wi, d)
-        if r:
+    right_cols = list(zip(*snf.right))
+    left_cols = list(zip(*snf.left))
+
+    def solve(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        w = [sum(map(mul, vec, col)) for col in right_cols]
+        if any(w[len(divisors):]):
             return None
-        y.append(q)
-    return tuple(
-        sum(yi * snf.left[i][k] for i, yi in enumerate(y)) for k in range(len(snf.left))
-    )
+        y = []
+        for wi, d in zip(w, divisors):
+            q, r = divmod(wi, d)
+            if r:
+                return None
+            y.append(q)
+        return tuple(sum(map(mul, y, col)) for col in left_cols)
+
+    return solve
 
 
 def lattice_index(sup_rows: IntMatrix, sub_rows: IntMatrix) -> int:
@@ -281,9 +293,10 @@ def lattice_index(sup_rows: IntMatrix, sub_rows: IntMatrix) -> int:
     raises ValueError when sub is not contained in sup.
     """
     sup = hermite_normal_form(sup_rows)
+    solve = _coords_solver(sup)
     coeff_rows = []
     for row in sub_rows:
-        coeffs = lattice_coords(sup, row)
+        coeffs = solve(row)
         if coeffs is None:
             raise ValueError("sublattice not contained in the lattice")
         coeff_rows.append(coeffs)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import lcm
-from typing import Optional
+from operator import add, mod, mul
+from typing import Optional, Sequence
 
 from . import intlat
 from .errors import CapabilityError
@@ -24,6 +25,8 @@ from .weyl import WeylGroup
 
 DEFAULT_BRUTE_RANK = 4
 DEFAULT_POSET_RANK = 3
+# Largest grid scan, as candidates times roots; F4 is 12^4 x 24 = 497664.
+MAX_GRID_WORK = 10**7
 
 TorusPoint = tuple[Fraction, ...]
 
@@ -82,7 +85,51 @@ def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-_brute_cache: dict = {}
+def _grid_points(
+    rows: Sequence[Sequence[int]], m: int, rank: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every x in Z_m^rank whose vanishing rows have full rank, with those rows.
+
+    Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
+    vanishing rows) in lexicographic order of x.  Every candidate is
+    scanned: row values are built one coordinate at a time from residue
+    tables, and the rank test runs once per distinct vanishing set.
+    """
+    work = m**rank * len(rows)
+    if work > MAX_GRID_WORK:
+        raise CapabilityError(
+            f"grid scan of {m}^{rank} candidates x {len(rows)} roots = {work} "
+            f"exceeds the work bound {MAX_GRID_WORK}"
+        )
+    if rank == 0:
+        return [((), tuple(range(len(rows))))]
+    # tables[k][c][i] = (rows[i][k] * c) mod m
+    tables = [[tuple(u[k] * c % m for u in rows) for c in range(m)] for k in range(rank)]
+    moduli = (m,) * len(rows)
+    full_rank: dict[tuple[int, ...], bool] = {}
+    out = []
+
+    def scan(prefix: tuple[int, ...], values: tuple[int, ...]) -> None:
+        k = len(prefix)
+        if k < rank - 1:
+            for c, column in enumerate(tables[k]):
+                scan(prefix + (c,), tuple(map(mod, map(add, values, column), moduli)))
+            return
+        # Last coordinate: both summands lie in [0, m), so a row vanishes
+        # exactly when its value is 0 or m.
+        for c, column in enumerate(tables[k]):
+            total = list(map(add, values, column))
+            if total.count(0) + total.count(m) < rank:
+                continue
+            vanishing = tuple(i for i, v in enumerate(total) if v == 0 or v == m)
+            if vanishing not in full_rank:
+                basis = intlat.hermite_normal_form([rows[i] for i in vanishing])
+                full_rank[vanishing] = len(basis) == rank
+            if full_rank[vanishing]:
+                out.append((prefix + (c,), vanishing))
+
+    scan((), (0,) * len(rows))
+    return out
 
 
 def brute_points(
@@ -94,55 +141,48 @@ def brute_points(
     """All points of the arrangement by exhaustive grid scan.
 
     Returns one record per point with the type of its vanishing subsystem,
-    its stabilizer order in W, and its stabilizer order in W x Z.
+    its stabilizer order in W, and its stabilizer order in W x Z.  Both
+    orders are computed once per W-orbit of points: conjugate stabilizers
+    have equal order, and W acts trivially on the center, so the count of
+    central shifts that stay in the orbit is constant on it too.  Raises
+    AssertionError when a W-image of a point is not among the points.
     """
     n = rs.rank
     if n > max_rank:
         raise CapabilityError(f"rank {n} exceeds brute-force bound brute_rank={max_rank}")
-    cache_key = (rs, max_rank) if group is None else None
-    if cache_key in _brute_cache:
-        return _brute_cache[cache_key]
     m = order_bound(rs.factors)
-    pair_vecs = _pairing_vectors(rs)
-    hits = []
-    for cand in iproduct(range(m), repeat=n):
-        vanishing = [
-            i for i, u in enumerate(pair_vecs)
-            if sum(x * y for x, y in zip(u, cand)) % m == 0
-        ]
-        if len(vanishing) < n:
-            continue
-        if len(intlat.hermite_normal_form([rs.all_roots[i] for i in vanishing])) == n:
-            hits.append((cand, vanishing))
+    # The rank of a set of roots equals that of their pairing vectors,
+    # since the Cartan matrix is invertible.
+    hits = dict(_grid_points(_pairing_vectors(rs), m, n))
     group = group or WeylGroup(rs)
     matrices = group.element_matrices()
     centers = _center_grid_vectors(rs, m)
+    orders: dict[tuple[int, ...], tuple[int, int]] = {}
     records = []
-    for cand, vanishing in hits:
-        sub = make_subsystem(rs, vanishing)
-        images = [
-            tuple(sum(row[k] * cand[k] for k in range(n)) % m for row in mat)
-            for mat in matrices
-        ]
-        stab = sum(1 for img in images if img == cand)
-        orbit = set(images)
-        shifts = sum(
-            1 for z in centers
-            if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit
-        )
+    for cand, vanishing in hits.items():
+        if cand not in orders:
+            images = [
+                tuple(sum(map(mul, row, cand)) % m for row in mat) for mat in matrices
+            ]
+            orbit = set(images)
+            if not orbit <= hits.keys():
+                raise AssertionError(f"a W-image of the grid point {cand} is not a point")
+            stab = images.count(cand)
+            shifts = sum(
+                1 for z in centers
+                if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit
+            )
+            orders.update(dict.fromkeys(orbit, (stab, stab * shifts)))
+        stab, wz_stab = orders[cand]
         records.append(
             BrutePoint(
                 point=tuple(Fraction(c, m) for c in cand),
-                phi_type=sub.type,
+                phi_type=make_subsystem(rs, vanishing).type,
                 stabilizer_order=stab,
-                wz_stabilizer_order=stab * shifts,
+                wz_stabilizer_order=wz_stab,
             )
         )
-    records.sort(key=lambda r: r.point)
-    out = tuple(records)
-    if cache_key is not None:
-        _brute_cache[cache_key] = out
-    return out
+    return tuple(records)
 
 
 # -- counting layers tangent to one subsystem ---------------------------------
@@ -164,12 +204,12 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
         for i in theta.simples
     )
     r_basis = intlat.hermite_normal_form(list(zip(*gamma)))
-    simple_rows = [rs.all_roots[i] for i in theta.simples]
+    solve = intlat._coords_solver([rs.all_roots[i] for i in theta.simples])
     coords = []
     for i in theta.roots:
         if i >= rs.n_positive:
             continue
-        sol = intlat.lattice_coords(simple_rows, rs.all_roots[i])
+        sol = solve(rs.all_roots[i])
         if sol is None:
             raise AssertionError("theta root not integral over its simple system")
         coords.append(sol)
@@ -182,27 +222,17 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
 
 
 def _quotient_points(qa: _QuotientArrangement) -> list[tuple[int, ...]]:
-    """Grid coordinates (in the R-basis, units of 1/modulus) of the points."""
-    rank = len(qa.gamma)
-    if rank == 0:
-        return [()]
-    m = qa.modulus
-    # Functional coordinates of the k-th grid candidate: (k @ r_basis) / m.
-    pts = []
-    for combo in iproduct(range(m), repeat=rank):
-        func = [
-            sum(combo[i] * qa.r_basis[i][j] for i in range(rank))
-            for j in range(rank)
-        ]
-        vanishing = [
-            c for c in qa.theta_coords
-            if sum(x * y for x, y in zip(c, func)) % m == 0
-        ]
-        if len(vanishing) < rank:
-            continue
-        if len(intlat.hermite_normal_form(vanishing)) == rank:
-            pts.append(combo)
-    return pts
+    """Grid coordinates (in the R-basis, units of 1/modulus) of the points.
+
+    At grid point x the functional values are x @ r_basis / modulus, so a
+    root with theta coordinates c vanishes when x . (r_basis @ c) = 0 mod
+    modulus; r_basis is invertible, so the rank test is unchanged.
+    """
+    rows = [
+        tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis)
+        for c in qa.theta_coords
+    ]
+    return [x for x, _ in _grid_points(rows, qa.modulus, len(qa.gamma))]
 
 
 def component_count(rs: RootSystem, theta: Subsystem) -> int:

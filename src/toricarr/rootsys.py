@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -274,6 +274,14 @@ class RootSystem:
         out = list(root)
         out[i] -= c
         return tuple(out)
+
+    @cached_property
+    def simple_reflections(self) -> tuple[tuple[int, ...], ...]:
+        """Each s_i as the tuple of root indices it sends all_roots to."""
+        return tuple(
+            tuple(self.root_index[self.reflect(r, i)] for r in self.all_roots)
+            for i in range(self.rank)
+        )
 
     # -- per-factor data ---------------------------------------------------
 

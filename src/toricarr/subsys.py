@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from . import intlat
 from .errors import CapabilityError
 from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type
-from .weyl import WeylGroup
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
     npos = rs.n_positive
-    gens = WeylGroup(rs).gens
+    gens = rs.simple_reflections
     seen: set[tuple[int, ...]] = set()
     classes = []
     for J in combinations(range(rs.rank), rs.rank - d):

@@ -32,7 +32,7 @@ class WeylGroup:
         self.order = type_invariants(rs.factors).weyl_order
         n2 = len(rs.all_roots)
         self.identity: Perm = tuple(range(n2))
-        self.gens = tuple(self.simple_reflection(i) for i in range(rs.rank))
+        self.gens = rs.simple_reflections
         self._elements: Optional[tuple[Perm, ...]] = None
         self._simple_idx = tuple(rs.root_index[tuple(int(i == j) for j in range(rs.rank))]
                                  for i in range(rs.rank))
@@ -41,8 +41,7 @@ class WeylGroup:
     def simple_reflection(self, i: int) -> Perm:
         if not 0 <= i < self.rs.rank:
             raise IndexError(f"simple reflection index {i} out of range")
-        rs = self.rs
-        return tuple(rs.root_index[rs.reflect(r, i)] for r in rs.all_roots)
+        return self.gens[i]
 
     def elements(self) -> tuple[Perm, ...]:
         """Full enumeration in shortlex order over generator words."""

@@ -117,6 +117,18 @@ def test_verify_mismatch_survives_optimized_mode():
     assert "points_oracle: mismatch" in proc.stdout
 
 
+def test_orbit_closure_check_survives_optimized_mode():
+    # Drop the last grid point: its W-conjugates then map outside the scan.
+    patch = (
+        "from toricarr import oracle\n"
+        "scan = oracle._grid_points\n"
+        "oracle._grid_points = lambda rows, m, rank: scan(rows, m, rank)[:-1]"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "G2"], "-O")
+    assert proc.returncode == 3
+    assert "points_oracle: mismatch" in proc.stdout and "is not a point" in proc.stdout
+
+
 def test_internal_cross_check_failure_exits_3_without_traceback():
     patch = "layers.euler_characteristic = lambda rs: 0"
     proc = _run_with_defect(patch, ["poincare", "--type", "A2"])

@@ -2,19 +2,23 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
+from toricarr import intlat
 from toricarr.errors import CapabilityError
 from toricarr.layers import count_layers, count_points, count_points_of_type, n_theta, point_orbits
 from toricarr.oracle import (
+    BrutePoint,
+    _quotient_arrangement,
     brute_points,
     build_poset,
     component_count,
     order_bound,
 )
 from toricarr.rootsys import build, build_str, format_type, parse_type
-from toricarr.subsys import completion, enumerate_complete
+from toricarr.subsys import completion, enumerate_complete, make_subsystem
 from toricarr.weyl import WeylGroup
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -73,6 +77,95 @@ def test_brute_stabilizers_match_parabolic_orders(t):
     for r in point_orbits(rs):
         expected[(r.point_type, r.stabilizer_order)] += r.orbit_size
     assert brute == expected
+
+
+def _dot_mod(u, x, m):
+    return sum(a * b for a, b in zip(u, x)) % m
+
+
+def _naive_brute_points(rs):
+    """The torsion-grid scan written out per candidate and per point."""
+    n, m = rs.rank, order_bound(rs.factors)
+    pairings = [[rs.pairing(r, k) for k in range(n)] for r in rs.positive_roots]
+    grid = list(iproduct(range(m), repeat=n))
+
+    def vanishing(x):
+        return [i for i, u in enumerate(pairings) if _dot_mod(u, x, m) == 0]
+
+    # The center: grid points where every root is integral.
+    centers = [x for x in grid if len(vanishing(x)) == len(pairings)]
+    matrices = WeylGroup(rs).element_matrices()
+    records = []
+    for x in grid:
+        van = vanishing(x)
+        if len(intlat.hermite_normal_form([rs.all_roots[i] for i in van])) < n:
+            continue
+        images = [tuple(_dot_mod(row, x, m) for row in mat) for mat in matrices]
+        stab = images.count(x)
+        shifts = sum(1 for z in centers if tuple((a - b) % m for a, b in zip(x, z)) in images)
+        records.append(
+            BrutePoint(
+                point=tuple(Fraction(c, m) for c in x),
+                phi_type=make_subsystem(rs, van).type,
+                stabilizer_order=stab,
+                wz_stabilizer_order=stab * shifts,
+            )
+        )
+    return tuple(records)
+
+
+def _naive_component_count(rs, theta):
+    """Points of theta's arrangement on its quotient torus, one candidate at a time."""
+    qa = _quotient_arrangement(rs, theta)
+    rank, m = len(qa.gamma), qa.modulus
+    count = 0
+    for x in iproduct(range(m), repeat=rank):
+        func = [sum(x[i] * qa.r_basis[i][j] for i in range(rank)) for j in range(rank)]
+        van = [c for c in qa.theta_coords if _dot_mod(c, func, m) == 0]
+        count += len(intlat.hermite_normal_form(van)) == rank
+    return count
+
+
+@pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4"])
+def test_grid_kernel_matches_naive_scan(t):
+    rs = build_str(t)
+    assert brute_points(rs) == _naive_brute_points(rs)
+    for d in range(rs.rank + 1):
+        for theta in enumerate_complete(rs, d).members:
+            assert component_count(rs, theta) == _naive_component_count(rs, theta), (d, theta)
+
+
+@pytest.mark.parametrize("t", ["B3", "C3"])
+def test_brute_stabilizers_count_fixing_elements(t):
+    rs = build_str(t)
+    m = order_bound(rs.factors)
+    matrices = WeylGroup(rs).element_matrices()
+    for p in brute_points(rs):
+        x = tuple(int(c * m) for c in p.point)
+        fixing = sum(1 for mat in matrices if tuple(_dot_mod(row, x, m) for row in mat) == x)
+        assert p.stabilizer_order == fixing, p.point
+
+
+def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):
+    calls = 0
+    hnf = intlat.hermite_normal_form
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return hnf(rows)
+
+    monkeypatch.setattr(intlat, "hermite_normal_form", counting)
+    brute_points(build_str("F4"))
+    assert calls <= 400  # 302: the rank memo, plus make_subsystem per point
+
+
+def test_grid_scan_work_bound():
+    with pytest.raises(CapabilityError, match=r"18\^6 candidates x 36 roots = 1224440064"):
+        brute_points(build_str("E6"), max_rank=6)
+    rs = build_str("A7")
+    with pytest.raises(CapabilityError, match=r"8\^7 candidates x 28 roots = 58720256"):
+        component_count(rs, completion(rs, range(rs.n_positive)))
 
 
 def test_component_count_examples():
