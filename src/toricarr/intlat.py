@@ -230,24 +230,33 @@ def saturate(rows: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     return hermite_normal_form(inverse_rows), prod(snf.divisors)
 
 
-def in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
-    """Whether the integer vector `vec` lies in the row lattice of `basis`.
+def residue(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
+    """Canonical residue of `vec` modulo the row lattice of an HNF `basis`.
 
     `basis` must be in Hermite normal form (as hermite_normal_form returns
-    it): `vec` is reduced against the pivots in order, with no solve.  When
-    `basis` spans a saturated lattice (as saturate returns it), this is also
-    membership in its rational span, since an integer vector lies in the
-    Q-span of a saturated lattice exactly when it lies in the lattice.
+    it): `vec` is reduced against the pivots in order, each pivot entry into
+    [0, pivot), with no solve.  Two vectors have equal residues exactly
+    when their difference lies in the lattice.
     """
     v = list(vec)
     for row in basis:
         c = next(j for j, x in enumerate(row) if x)
-        q, r = divmod(v[c], row[c])
-        if r:
-            return False
+        q = v[c] // row[c]
         if q:
             v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
+    return tuple(v)
+
+
+def in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
+    """Whether the integer vector `vec` lies in the row lattice of `basis`.
+
+    `basis` must be in Hermite normal form; `vec` is a member exactly when
+    its residue is zero.  When `basis` spans a saturated lattice (as
+    saturate returns it), this is also membership in its rational span,
+    since an integer vector lies in the Q-span of a saturated lattice
+    exactly when it lies in the lattice.
+    """
+    return not any(residue(basis, vec))
 
 
 def lattice_coords(basis: IntMatrix, vec: Sequence[int]) -> Optional[tuple[int, ...]]:

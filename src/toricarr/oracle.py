@@ -144,7 +144,8 @@ def brute_points(
     its stabilizer order in W, and its stabilizer order in W x Z.  Both
     orders are computed once per W-orbit of points: conjugate stabilizers
     have equal order, and W acts trivially on the center, so the count of
-    central shifts that stay in the orbit is constant on it too.  Raises
+    central shifts that stay in the orbit is constant on it too.  The type
+    is computed once per distinct vanishing set.  Raises
     AssertionError when a W-image of a point is not among the points.
     """
     n = rs.rank
@@ -158,6 +159,7 @@ def brute_points(
     matrices = group.element_matrices()
     centers = _center_grid_vectors(rs, m)
     orders: dict[tuple[int, ...], tuple[int, int]] = {}
+    types: dict[tuple[int, ...], tuple[TypeSymbol, ...]] = {}
     records = []
     for cand, vanishing in hits.items():
         if cand not in orders:
@@ -174,10 +176,12 @@ def brute_points(
             )
             orders.update(dict.fromkeys(orbit, (stab, stab * shifts)))
         stab, wz_stab = orders[cand]
+        if vanishing not in types:
+            types[vanishing] = make_subsystem(rs, vanishing).type
         records.append(
             BrutePoint(
                 point=tuple(Fraction(c, m) for c in cand),
-                phi_type=make_subsystem(rs, vanishing).type,
+                phi_type=types[vanishing],
                 stabilizer_order=stab,
                 wz_stabilizer_order=wz_stab,
             )
@@ -279,84 +283,93 @@ class LayerPoset:
         return tuple(out)
 
 
-def _layer_leq(
-    rs: RootSystem,
-    lower: ExplicitLayer,
-    upper: ExplicitLayer,
-    qa_upper: _QuotientArrangement,
-) -> bool:
-    """Whether `lower` is contained in `upper`."""
-    if lower.dimension > upper.dimension:
-        return False
-    lower_span = lower.theta.span_basis
-    if not all(intlat.in_lattice(lower_span, row) for row in upper.theta.span_basis):
-        return False
-    diff = [a - b for a, b in zip(lower.base_point, upper.base_point)]
-    image = [
-        sum(g * x for g, x in zip(row, diff)) for row in qa_upper.gamma
-    ]
-    if any(v.denominator != 1 for v in image):
-        return False
-    return intlat.in_lattice(qa_upper.r_basis, [int(v) for v in image])
+def _first_points_by_key(m: int, n: int, key, wanted: set) -> dict:
+    """The lexicographically first x in Z_m^n with key(x) == w, for each wanted w.
+
+    Stops as soon as every wanted key has been seen; a key that no grid
+    point takes is absent from the result.
+    """
+    found: dict = {}
+    for x in iproduct(range(m), repeat=n):
+        k = key(x)
+        if k in wanted and k not in found:
+            found[k] = x
+            if len(found) == len(wanted):
+                break
+    return found
 
 
 def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerPoset:
     """Every layer of the arrangement, with the full order relation.
 
     Each layer is a fiber of the projection onto the quotient torus of its
-    tangent subsystem; the base point is the lexicographically minimal
-    grid point of the layer.
+    tangent subsystem theta; the base point is the lexicographically
+    minimal grid point of the layer.  Everything runs on integer keys: with
+    L = lcm(m, modulus of theta), a grid point x (units of 1/m) has the key
+    (L/m)(gamma x) reduced modulo the lattice L R^Phi(Theta), and a quotient
+    point c (units of 1/modulus) the key (L/modulus)(c r_basis) reduced
+    likewise; two of them lie on one fiber exactly when their keys agree.
+    One lexicographic grid pass per theta finds every base point, stopping
+    once each layer of theta has one.  Layer i lies in layer j when the
+    span of theta_j lies in that of theta_i (so dim i <= dim j) and base_i
+    has the key of layer j.  Refuses, with the estimate, when m^n
+    grid points times the number of thetas exceeds MAX_GRID_WORK.
     """
     n = rs.rank
     if n > max_rank:
         raise CapabilityError(f"rank {n} exceeds poset bound poset_rank={max_rank}")
     m = order_bound(rs.factors)
-    grid = [
-        tuple(Fraction(c, m) for c in cand) for cand in iproduct(range(m), repeat=n)
-    ]
-    elements: list[ExplicitLayer] = []
-    arrangements: list[_QuotientArrangement] = []
-    for d in range(n + 1):
-        family = enumerate_complete(rs, d)
-        for theta in family.members:
-            qa = _quotient_arrangement(rs, theta)
-            rank = len(qa.gamma)
-            for combo in _quotient_points(qa):
-                func = [
-                    Fraction(
-                        sum(combo[i] * qa.r_basis[i][j] for i in range(rank)),
-                        qa.modulus,
-                    )
-                    for j in range(rank)
-                ]
-                base = None
-                for cand in grid:
-                    image = [
-                        sum(g * x for g, x in zip(row, cand)) for row in qa.gamma
-                    ]
-                    diff = [a - b for a, b in zip(image, func)]
-                    if any(v.denominator != 1 for v in diff):
-                        continue
-                    if intlat.in_lattice(qa.r_basis, [int(v) for v in diff]):
-                        base = cand
-                        break
-                if base is None:
-                    raise AssertionError("layer contains no grid point")
-                elements.append(ExplicitLayer(theta=theta, base_point=base, dimension=d))
-                arrangements.append(qa)
-    order = sorted(
-        range(len(elements)),
-        key=lambda i: (
-            elements[i].dimension,
-            elements[i].theta.span_basis,
-            elements[i].base_point,
-        ),
-    )
-    elements = [elements[i] for i in order]
-    arrangements = [arrangements[i] for i in order]
+    thetas = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
+    work = m**n * len(thetas)
+    if work > MAX_GRID_WORK:
+        raise CapabilityError(
+            f"poset grid pass of {m}^{n} points x {len(thetas)} subsystems = {work} "
+            f"exceeds the work bound {MAX_GRID_WORK}"
+        )
+    keyers = []
+    layers = []  # (dimension, theta index, key, base grid point)
+    for t, (d, theta) in enumerate(thetas):
+        qa = _quotient_arrangement(rs, theta)
+        big = lcm(m, qa.modulus)
+        lattice = tuple(tuple(big * v for v in row) for row in qa.r_basis)
+        scaled = tuple(tuple(big // m * g for g in row) for row in qa.gamma)
+
+        def key(x, lattice=lattice, scaled=scaled):
+            return intlat.residue(lattice, [sum(map(mul, row, x)) for row in scaled])
+
+        r_cols = list(zip(*qa.r_basis))
+        wanted = [
+            intlat.residue(
+                lattice, [big // qa.modulus * sum(map(mul, c, col)) for col in r_cols]
+            )
+            for c in _quotient_points(qa)
+        ]
+        bases = _first_points_by_key(m, n, key, set(wanted))
+        if len(bases) != len(wanted):
+            raise AssertionError("layer contains no grid point")
+        keyers.append(key)
+        layers.extend((d, t, w, bases[w]) for w in wanted)
+    layers.sort(key=lambda layer: (layer[0], thetas[layer[1]][1].span_basis, layer[3]))
+    index = {(t, w): i for i, (_, t, w, _) in enumerate(layers)}
+    # uppers[t]: the thetas whose layers may contain a layer of theta t.  A
+    # complete subsystem is the set of roots in its span, so one span lies
+    # in another exactly when the root sets do; then its rank is not
+    # larger, and its layers' dimension not smaller.
+    roots = [frozenset(theta.roots) for _, theta in thetas]
+    uppers = [[u for u, upper in enumerate(roots) if upper <= lower] for lower in roots]
+    keys: dict = {}
     relation = set()
-    for i, lower in enumerate(elements):
-        for j, upper in enumerate(elements):
-            if _layer_leq(rs, lower, upper, arrangements[j]):
+    for i, (_, t, _, base) in enumerate(layers):
+        for u in uppers[t]:
+            if (u, base) not in keys:
+                keys[u, base] = keyers[u](base)
+            j = index.get((u, keys[u, base]))
+            if j is not None:
                 relation.add((i, j))
-    return LayerPoset(elements=tuple(elements), relation=frozenset(relation))
+    elements = tuple(
+        ExplicitLayer(
+            theta=thetas[t][1], base_point=tuple(Fraction(c, m) for c in base), dimension=d
+        )
+        for d, t, _, base in layers
+    )
+    return LayerPoset(elements=elements, relation=frozenset(relation))

@@ -129,6 +129,20 @@ def test_orbit_closure_check_survives_optimized_mode():
     assert "points_oracle: mismatch" in proc.stdout and "is not a point" in proc.stdout
 
 
+def test_poset_base_point_check_survives_optimized_mode():
+    # Drop the first base point each grid pass finds: that layer has none.
+    patch = (
+        "from toricarr import oracle\n"
+        "walk = oracle._first_points_by_key\n"
+        "oracle._first_points_by_key = lambda *args: dict(list(walk(*args).items())[1:])"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B2"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "poset_grading: mismatch" in proc.stdout
+    assert "layer contains no grid point" in proc.stdout
+
+
 def test_internal_cross_check_failure_exits_3_without_traceback():
     patch = "layers.euler_characteristic = lambda rs: 0"
     proc = _run_with_defect(patch, ["poincare", "--type", "A2"])

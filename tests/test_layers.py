@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricarr.cli import main
 from toricarr.errors import CapabilityError
@@ -23,7 +26,7 @@ from toricarr.layers import (
     point_type_multiset,
     verify_degree_identity,
 )
-from toricarr.rootsys import build_str, format_type, parse_type, type_invariants
+from toricarr.rootsys import build_str, degrees_of, format_type, parse_type, type_invariants
 from toricarr.subsys import completion, enumerate_complete
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -395,3 +398,33 @@ def test_degree_identity_all_types_through_e8():
     )
     for t in types:
         assert verify_degree_identity(build_str(t)).holds, t
+
+
+# -- property tests ----------------------------------------------------------
+
+
+@st.composite
+def _products_of_rank_le_4(draw):
+    """Names of the irreducible factors of a product of rank at most 4."""
+    names, budget = [], 4
+    while budget and (not names or draw(st.booleans())):
+        name = draw(st.sampled_from([t for t in RANK_LE_4 if int(t[1:]) <= budget]))
+        names.append(name)
+        budget -= int(name[1:])
+    return names
+
+
+@settings(max_examples=15, deadline=None)
+@given(_products_of_rank_le_4(), st.data())
+def test_poincare_properties_on_products(names, data):
+    rs = build_str("x".join(names))
+    poly = poincare(rs)
+    assert poly(0) == 1
+    # |W| as the product of the degrees, read per factor from the degree table.
+    weyl_order = prod(prod(degrees_of(sym)) for sym in rs.factors)
+    assert poly(-1) == (-1) ** rs.rank * weyl_order
+    if len(names) > 1:
+        k = data.draw(st.integers(min_value=1, max_value=len(names) - 1))
+        left = poincare(build_str("x".join(names[:k])))
+        right = poincare(build_str("x".join(names[k:])))
+        assert poly == left * right

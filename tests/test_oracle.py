@@ -6,19 +6,21 @@ from itertools import product as iproduct
 
 import pytest
 
-from toricarr import intlat
+from toricarr import intlat, oracle
 from toricarr.errors import CapabilityError
 from toricarr.layers import count_layers, count_points, count_points_of_type, n_theta, point_orbits
 from toricarr.oracle import (
     BrutePoint,
+    ExplicitLayer,
     _quotient_arrangement,
+    _quotient_points,
     brute_points,
     build_poset,
     component_count,
     order_bound,
 )
 from toricarr.rootsys import build, build_str, format_type, parse_type
-from toricarr.subsys import completion, enumerate_complete, make_subsystem
+from toricarr.subsys import _span_levels, completion, enumerate_complete, make_subsystem
 from toricarr.weyl import WeylGroup
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -283,3 +285,130 @@ def test_poset_covers_respect_grading():
     poset = build_poset(build_str("A2"))
     for i, j in poset.covers():
         assert poset.elements[i].dimension < poset.elements[j].dimension
+
+
+def _in_fiber(qa, values):
+    """Whether rational theta-functional values lie in the lattice R^Phi(Theta)."""
+    return all(v.denominator == 1 for v in values) and intlat.in_lattice(
+        qa.r_basis, [int(v) for v in values]
+    )
+
+
+def _reference_poset(rs):
+    """The former algorithm: a Fraction grid search per layer, then every pair.
+
+    The base point of a layer is the first grid point whose image lies on
+    the layer's fiber; layer i lies in layer j when dim i <= dim j, the
+    span of theta_j lies in that of theta_i (by lattice membership), and
+    gamma_j (base_i - base_j) lies in R^Phi(Theta_j).
+    """
+    n, m = rs.rank, order_bound(rs.factors)
+    grid = [tuple(Fraction(c, m) for c in x) for x in iproduct(range(m), repeat=n)]
+    layers = []
+    for d in range(n + 1):
+        for theta in enumerate_complete(rs, d).members:
+            qa = _quotient_arrangement(rs, theta)
+            rank = len(qa.gamma)
+            for combo in _quotient_points(qa):
+                func = [
+                    Fraction(sum(combo[i] * qa.r_basis[i][j] for i in range(rank)), qa.modulus)
+                    for j in range(rank)
+                ]
+                base = next(
+                    x for x in grid
+                    if _in_fiber(qa, [sum(g * c for g, c in zip(row, x)) - f
+                                      for row, f in zip(qa.gamma, func)])
+                )
+                layers.append((ExplicitLayer(theta=theta, base_point=base, dimension=d), qa))
+    layers.sort(key=lambda l: (l[0].dimension, l[0].theta.span_basis, l[0].base_point))
+
+    def leq(lower, upper, qa_upper):
+        if lower.dimension > upper.dimension:
+            return False
+        if not all(intlat.in_lattice(lower.theta.span_basis, row)
+                   for row in upper.theta.span_basis):
+            return False
+        diff = [a - b for a, b in zip(lower.base_point, upper.base_point)]
+        return _in_fiber(qa_upper, [sum(g * x for g, x in zip(row, diff)) for row in qa_upper.gamma])
+
+    relation = {
+        (i, j)
+        for i, (lower, _) in enumerate(layers)
+        for j, (upper, qa) in enumerate(layers)
+        if leq(lower, upper, qa)
+    }
+    return tuple(el for el, _ in layers), frozenset(relation)
+
+
+POSET_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA1", "B2xA1", "A1xA1xA1", "G2xA1"]
+
+
+@pytest.mark.parametrize("t", POSET_TYPES + ["B4", "A3xA1"])
+def test_poset_matches_per_layer_grid_search(t):
+    rs = build_str(t)
+    poset = build_poset(rs, max_rank=4)
+    elements, relation = _reference_poset(rs)
+    assert poset.elements == elements
+    assert poset.relation == relation
+
+
+@pytest.mark.parametrize("t", POSET_TYPES)
+def test_poset_relation_keeps_theta_roots_constant(t):
+    # On layer j every root of theta_j is constant mod 1, so a layer inside
+    # it has base point with the same root values.
+    rs = build_str(t)
+    poset = build_poset(rs)
+
+    def value(root, point):
+        return sum(rs.pairing(root, k) * point[k] for k in range(rs.rank)) % 1
+
+    for i, j in poset.relation:
+        lower, upper = poset.elements[i], poset.elements[j]
+        for r in upper.theta.roots:
+            root = rs.all_roots[r]
+            assert value(root, lower.base_point) == value(root, upper.base_point), (i, j, r)
+
+
+def test_poset_does_no_fraction_arithmetic(monkeypatch):
+    rs = build_str("C3")
+    _span_levels.cache_clear()
+    order_bound.cache_clear()
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__mod__", "__neg__"):
+        op = getattr(Fraction, name)
+
+        def counting(*args, op=op, name=name):
+            calls[name] += 1
+            return op(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    poset = build_poset(rs)
+    assert len(poset.elements) == 49
+    assert not calls
+
+
+@pytest.mark.parametrize("t", ["A4", "B4"])
+def test_poset_grid_pass_stops_once_every_layer_has_a_base_point(t, monkeypatch):
+    rs = build_str(t)
+    visited = 0
+    walk = oracle._first_points_by_key
+
+    def counting_walk(m, n, key, wanted):
+        def counting_key(x):
+            nonlocal visited
+            visited += 1
+            return key(x)
+
+        return walk(m, n, counting_key, wanted)
+
+    monkeypatch.setattr(oracle, "_first_points_by_key", counting_walk)
+    build_poset(rs, max_rank=4)
+    thetas = sum(len(enumerate_complete(rs, d).members) for d in range(rs.rank + 1))
+    full_passes = order_bound(rs.factors) ** rs.rank * thetas
+    assert visited < full_passes / 4, (visited, full_passes)
+
+
+def test_poset_grid_work_bound():
+    with pytest.raises(CapabilityError, match=r"7\^6 points x 877 subsystems = 103178173"):
+        build_poset(build_str("A6"), max_rank=6)

@@ -1,6 +1,8 @@
 """Root system construction, affine diagrams, type identification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricarr.rootsys import (
     TypeSymbol,
@@ -217,3 +219,22 @@ def test_center_multiplicative():
     b = type_invariants(parse_type("B3")).center_order
     ab = type_invariants(parse_type("A2xB3")).center_order
     assert ab == a * b
+
+
+# -- property tests ----------------------------------------------------------
+
+# Other accepted spellings of some canonical factors.
+_SPELLINGS = {"A1": ["a1", "B1", "C1"], "A3": ["a3", "D3"], "B2": ["b2", "C2"], "G2": ["g2"]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(RANK_LE_4), min_size=1, max_size=4), st.data())
+def test_format_parse_round_trip(names, data):
+    factors = tuple(sorted(TypeSymbol.of(n[0], int(n[1:])) for n in names))
+    text = format_type(factors)
+    assert parse_type(text) == factors
+    assert format_type(parse_type(text)) == text
+    spelled = [data.draw(st.sampled_from([n] + _SPELLINGS.get(n, []))) for n in names]
+    separators = [data.draw(st.sampled_from("xX*")) for _ in names[1:]]
+    written = spelled[0] + "".join(sep + n for sep, n in zip(separators, spelled[1:]))
+    assert parse_type(written) == factors
