@@ -101,11 +101,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--type", required=True, help='root system type, e.g. "F4" or "A3xA1"')
         p.add_argument("--format", default="text", choices=["json", "csv", "dot", "text"])
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if name == "verify":
-            p.add_argument(
-                "--max-group-order", type=_positive_int, default=weyl.DEFAULT_MAX_GROUP_ORDER
-            )
-            p.add_argument("--brute-rank", type=_positive_int, default=oracle.DEFAULT_BRUTE_RANK)
         if name in ("poset", "verify"):
             p.add_argument("--poset-rank", type=_positive_int, default=oracle.DEFAULT_POSET_RANK)
         if name == "poincare":
@@ -131,10 +126,10 @@ def _cmd_points(rs: RootSystem, args) -> tuple[dict, list[str]]:
     total = layers.count_points(rs)
     factors_out = []
     lines = [f"type {format_type(rs.factors)}: {total} points"]
-    start = 0
     for sym in rs.factors:
         frs = build((sym,))
         records = layers.point_orbits(frs)
+        factor_total = layers.count_points(frs)
         rows = []
         for r in records:
             rows.append(
@@ -147,16 +142,13 @@ def _cmd_points(rs: RootSystem, args) -> tuple[dict, list[str]]:
                     "aut_orbit": r.aut_orbit,
                 }
             )
-        factors_out.append(
-            {"factor": str(sym), "total": _num(layers.count_points(frs)), "orbits": rows}
-        )
-        lines.append(f"factor {sym}: {layers.count_points(frs)} points")
+        factors_out.append({"factor": str(sym), "total": _num(factor_total), "orbits": rows})
+        lines.append(f"factor {sym}: {factor_total} points")
         for r in records:
             lines.append(
                 f"  vertex {r.vertex}: orbit {r.orbit_size}, type {format_type(r.point_type)}, "
                 f"|W_p| {r.stabilizer_order}, |Stab_Aut| {r.aut_stabilizer_order}, Q-orbit {r.aut_orbit}"
             )
-        start += sym.rank
     return {"total": _num(total), "factors": factors_out}, lines
 
 
@@ -353,8 +345,7 @@ def _verify_checks(rs: RootSystem, args):
     checks.append(run("poincare_routes", poincare_routes))
 
     def points_oracle():
-        group = weyl.WeylGroup(rs, max_order=args.max_group_order)
-        pts = oracle.brute_points(rs, max_rank=args.brute_rank, group=group)
+        pts = oracle.brute_points(rs)
         formula = layers.count_points(rs)
         _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
         brute_multiset = sorted((p.phi_type, p.stabilizer_order, p.wz_stabilizer_order) for p in pts)
@@ -398,8 +389,7 @@ def _verify_checks(rs: RootSystem, args):
     def iwahori_matsumoto():
         for sym in rs.factors:
             frs = build((sym,))
-            group = weyl.WeylGroup(frs, max_order=args.max_group_order)
-            wz = weyl.center_subgroup(group)
+            wz = weyl.center_subgroup(weyl.WeylGroup(frs))
             _require(len(wz) == type_invariants(frs.factors).center_order, str(sym))
             _, aut_orbits = diagram_automorphisms(affine_diagram(frs))
             wz_orbits = _perm_orbits([e.diagram_perm for e in wz], frs.rank + 1)

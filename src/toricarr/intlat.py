@@ -259,19 +259,15 @@ def in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
     return not any(residue(basis, vec))
 
 
-def lattice_coords(basis: IntMatrix, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer x with x @ basis == vec, or None when `vec` is not in the lattice."""
-    return _coords_solver(basis)(vec)
-
-
 def _coords_solver(
     basis: IntMatrix,
 ) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
-    """lattice_coords against one fixed basis, its Smith form computed once.
+    """A solver for integer x with x @ basis == vec, None when vec is not in the lattice.
 
-    From left @ basis @ right = diagonal and w = vec @ right, a solution
-    needs w_j = 0 beyond the rank and d_i | w_i; then x = (w_i / d_i) @ left,
-    with the coefficients of dependent rows set to 0.
+    The Smith form of the basis is computed once.  From left @ basis @
+    right = diagonal and w = vec @ right, a solution needs w_j = 0 beyond
+    the rank and d_i | w_i; then x = (w_i / d_i) @ left, with the
+    coefficients of dependent rows set to 0.
     """
     if not basis:
         return lambda vec: () if not any(vec) else None

@@ -24,7 +24,7 @@ from .rootsys import (
     diagram_automorphisms,
     type_invariants,
 )
-from .subsys import Subsystem, _check_enumerable, parabolic_classes
+from .subsys import Subsystem, parabolic_classes
 
 
 # -- integer polynomials ----------------------------------------------------
@@ -249,8 +249,7 @@ class LayerClassRecord:
 
 
 @lru_cache(maxsize=None)
-def _census_records(rs: RootSystem, allow_e6: bool) -> tuple[LayerClassRecord, ...]:
-    _check_enumerable(rs, allow_e6)
+def _census_records(rs: RootSystem) -> tuple[LayerClassRecord, ...]:
     records = []
     for d in range(rs.rank + 1):
         for theta, orbit_size in parabolic_classes(rs, d):
@@ -299,20 +298,16 @@ def _check_orlik_solomon(rs: RootSystem, records: Sequence[LayerClassRecord]) ->
         )
 
 
-def layer_census(rs: RootSystem, *, allow_e6: bool = False) -> tuple[LayerClassRecord, ...]:
+def layer_census(rs: RootSystem) -> tuple[LayerClassRecord, ...]:
     """Full census over all dimensions, ordered canonically."""
-    return _census_records(rs, allow_e6)
+    return _census_records(rs)
 
 
-def count_layers(rs: RootSystem, d: int, *, allow_e6: bool = False) -> int:
+def count_layers(rs: RootSystem, d: int) -> int:
     """|C_d|: number of d-dimensional layers (Cor. of the covering map)."""
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
-    return sum(
-        r.orbit_size * r.layer_count
-        for r in _census_records(rs, allow_e6)
-        if r.dimension == d
-    )
+    return sum(r.orbit_size * r.layer_count for r in _census_records(rs) if r.dimension == d)
 
 
 # -- topology of the complement ----------------------------------------------
@@ -336,9 +331,7 @@ def euler_characteristic(rs: RootSystem) -> int:
     return value
 
 
-def poincare(
-    rs: RootSystem, route: str = "closed", *, allow_e6: bool = False
-) -> IntPolynomial:
+def poincare(rs: RootSystem, route: str = "closed") -> IntPolynomial:
     """Poincare polynomial of the complement.
 
     route="closed": sum over tangent orbits of n_theta^{-1} |W^Theta| times
@@ -348,7 +341,7 @@ def poincare(
     """
     if route not in ("closed", "layers", "both"):
         raise ValueError(f"unknown route {route!r}")
-    records = _census_records(rs, allow_e6)
+    records = _census_records(rs)
     n = rs.rank
     results = []
     if route in ("closed", "both"):

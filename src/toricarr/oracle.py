@@ -15,18 +15,15 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import lcm
 from operator import add, mod, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import intlat
-from .errors import CapabilityError
+from .errors import CapabilityError, require_work
 from .rootsys import RootSystem, TypeSymbol, build, type_invariants, center_exponent
 from .subsys import Subsystem, enumerate_complete, make_subsystem
 from .weyl import WeylGroup
 
-DEFAULT_BRUTE_RANK = 4
 DEFAULT_POSET_RANK = 3
-# Largest grid scan, as candidates times roots; F4 is 12^4 x 24 = 497664.
-MAX_GRID_WORK = 10**7
 
 TorusPoint = tuple[Fraction, ...]
 
@@ -93,14 +90,10 @@ def _grid_points(
     Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
     vanishing rows) in lexicographic order of x.  Every candidate is
     scanned: row values are built one coordinate at a time from residue
-    tables, and the rank test runs once per distinct vanishing set.
+    tables, and the rank test runs once per distinct vanishing set.  The
+    work, candidates times rows, is bounded; F4 is 12^4 x 24 = 497664.
     """
-    work = m**rank * len(rows)
-    if work > MAX_GRID_WORK:
-        raise CapabilityError(
-            f"grid scan of {m}^{rank} candidates x {len(rows)} roots = {work} "
-            f"exceeds the work bound {MAX_GRID_WORK}"
-        )
+    require_work(f"grid scan of {m}^{rank} candidates x {len(rows)} roots", m**rank * len(rows))
     if rank == 0:
         return [((), tuple(range(len(rows))))]
     # tables[k][c][i] = (rows[i][k] * c) mod m
@@ -132,12 +125,7 @@ def _grid_points(
     return out
 
 
-def brute_points(
-    rs: RootSystem,
-    *,
-    max_rank: int = DEFAULT_BRUTE_RANK,
-    group: Optional[WeylGroup] = None,
-) -> tuple[BrutePoint, ...]:
+def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     """All points of the arrangement by exhaustive grid scan.
 
     Returns one record per point with the type of its vanishing subsystem,
@@ -148,15 +136,11 @@ def brute_points(
     is computed once per distinct vanishing set.  Raises
     AssertionError when a W-image of a point is not among the points.
     """
-    n = rs.rank
-    if n > max_rank:
-        raise CapabilityError(f"rank {n} exceeds brute-force bound brute_rank={max_rank}")
     m = order_bound(rs.factors)
     # The rank of a set of roots equals that of their pairing vectors,
     # since the Cartan matrix is invertible.
-    hits = dict(_grid_points(_pairing_vectors(rs), m, n))
-    group = group or WeylGroup(rs)
-    matrices = group.element_matrices()
+    hits = dict(_grid_points(_pairing_vectors(rs), m, rs.rank))
+    matrices = WeylGroup(rs).element_matrices()
     centers = _center_grid_vectors(rs, m)
     orders: dict[tuple[int, ...], tuple[int, int]] = {}
     types: dict[tuple[int, ...], tuple[TypeSymbol, ...]] = {}
@@ -275,11 +259,15 @@ class LayerPoset:
         return out
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        strict = {(i, j) for (i, j) in self.relation if i != j}
+        """Pairs i < j with nothing between: j above i, but above no k above i."""
+        succ: list[set[int]] = [set() for _ in self.elements]
+        for i, j in self.relation:
+            if i != j:
+                succ[i].add(j)
         out = []
-        for (i, j) in sorted(strict):
-            if not any((i, k) in strict and (k, j) in strict for k in range(len(self.elements))):
-                out.append((i, j))
+        for i, above in enumerate(succ):
+            beyond = set().union(*(succ[k] for k in above))
+            out.extend((i, j) for j in sorted(above - beyond))
         return tuple(out)
 
 
@@ -313,19 +301,16 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     once each layer of theta has one.  Layer i lies in layer j when the
     span of theta_j lies in that of theta_i (so dim i <= dim j) and base_i
     has the key of layer j.  Refuses, with the estimate, when m^n
-    grid points times the number of thetas exceeds MAX_GRID_WORK.
+    grid points times the number of thetas exceeds the work bound.
     """
     n = rs.rank
     if n > max_rank:
         raise CapabilityError(f"rank {n} exceeds poset bound poset_rank={max_rank}")
     m = order_bound(rs.factors)
     thetas = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
-    work = m**n * len(thetas)
-    if work > MAX_GRID_WORK:
-        raise CapabilityError(
-            f"poset grid pass of {m}^{n} points x {len(thetas)} subsystems = {work} "
-            f"exceeds the work bound {MAX_GRID_WORK}"
-        )
+    require_work(
+        f"poset grid pass of {m}^{n} points x {len(thetas)} subsystems", m**n * len(thetas)
+    )
     keyers = []
     layers = []  # (dimension, theta index, key, base grid point)
     for t, (d, theta) in enumerate(thetas):

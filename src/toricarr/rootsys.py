@@ -276,8 +276,8 @@ class RootSystem:
         return tuple(out)
 
     @cached_property
-    def simple_reflections(self) -> tuple[tuple[int, ...], ...]:
-        """Each s_i as the tuple of root indices it sends all_roots to."""
+    def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
+        """Each simple reflection s_i as the tuple of root indices it sends all_roots to."""
         return tuple(
             tuple(self.root_index[self.reflect(r, i)] for r in self.all_roots)
             for i in range(self.rank)

@@ -16,8 +16,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import intlat
-from .errors import CapabilityError
-from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type
+from .errors import require_work
+from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type, type_invariants
 
 
 @dataclass(frozen=True)
@@ -127,20 +127,6 @@ class CompleteFamily:
     members: tuple[Subsystem, ...]
 
 
-def _check_enumerable(rs: RootSystem, allow_e6: bool) -> None:
-    if rs.rank <= 4:
-        return
-    if all(sym.family == "A" for sym in rs.factors) and rs.rank <= 7:
-        return
-    if rs.factors == (TypeSymbol("E", 6),) and allow_e6:
-        return
-    raise CapabilityError(
-        f"K_d enumeration for {format_type(rs.factors)} exceeds the default "
-        "capability (rank <= 4, or A-series products of rank <= 7; "
-        "E6 requires allow_e6=True)"
-    )
-
-
 @lru_cache(maxsize=None)
 def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
     """Rational spans of root subsets, one dict {basis: positives} per rank 0..top.
@@ -166,17 +152,22 @@ def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
     return levels + (nxt,)
 
 
-def enumerate_complete(rs: RootSystem, d: int, *, allow_e6: bool = False) -> CompleteFamily:
+def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
     """The family K_d: complete subsystems of rank n - d.
 
     Enumerates saturated rational spans of independent subsets of positive
     roots, growing rank one root at a time and deduplicating spans by their
     canonical HNF basis.  This is the span route; the census classifies
-    K_d by parabolic_classes instead.
+    K_d by parabolic_classes instead.  Each span is saturated at most once
+    per positive root, and there are at most |W| flats (see
+    parabolic_classes), so the work is refused above |W| x n_positive.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
-    _check_enumerable(rs, allow_e6)
+    require_work(
+        f"span enumeration of {format_type(rs.factors)}: |W| x {rs.n_positive}",
+        type_invariants(rs.factors).weyl_order * rs.n_positive,
+    )
     target = rs.rank - d
     level = _span_levels(rs, target)[target]
     members = tuple(make_subsystem(rs, pos) for basis, pos in sorted(level.items()))
@@ -192,11 +183,19 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
     are walked under the simple reflections on sorted tuples of positive
     indices; negatives follow positives in all_roots, so the lex-minimal
     tuple is also the member with the lex-minimal roots.
+
+    The flats X satisfy sum |mu(X)| = |W| with every |mu(X)| >= 1
+    (Orlik-Solomon 1983), so the walk visits at most |W| of them; larger
+    groups are refused.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
+    require_work(
+        f"flat orbit walk of {format_type(rs.factors)}: |W|",
+        type_invariants(rs.factors).weyl_order,
+    )
     npos = rs.n_positive
-    gens = rs.simple_reflections
+    gens = rs.reflection_perms
     seen: set[tuple[int, ...]] = set()
     classes = []
     for J in combinations(range(rs.rank), rs.rank - d):

@@ -14,7 +14,8 @@ from typing import Optional
 from .errors import CapabilityError
 from .rootsys import RootSystem, type_invariants
 
-DEFAULT_MAX_GROUP_ORDER = 60000
+# Largest group whose element table is built; it bounds memory, not work.
+MAX_GROUP_ORDER = 60000
 
 Perm = tuple[int, ...]
 
@@ -26,29 +27,23 @@ def compose(a: Perm, b: Perm) -> Perm:
 class WeylGroup:
     """Weyl group of a root system, generated by the simple reflections."""
 
-    def __init__(self, rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.max_order = max_order
         self.order = type_invariants(rs.factors).weyl_order
         n2 = len(rs.all_roots)
         self.identity: Perm = tuple(range(n2))
-        self.gens = rs.simple_reflections
+        self.gens = rs.reflection_perms
         self._elements: Optional[tuple[Perm, ...]] = None
         self._simple_idx = tuple(rs.root_index[tuple(int(i == j) for j in range(rs.rank))]
                                  for i in range(rs.rank))
         self._coroot_table = tuple(rs.coroot_coords(r) for r in rs.all_roots)
 
-    def simple_reflection(self, i: int) -> Perm:
-        if not 0 <= i < self.rs.rank:
-            raise IndexError(f"simple reflection index {i} out of range")
-        return self.gens[i]
-
     def elements(self) -> tuple[Perm, ...]:
         """Full enumeration in shortlex order over generator words."""
         if self._elements is None:
-            if self.order > self.max_order:
+            if self.order > MAX_GROUP_ORDER:
                 raise CapabilityError(
-                    f"|W| = {self.order} exceeds max_group_order={self.max_order}"
+                    f"|W| = {self.order} exceeds the element-table bound {MAX_GROUP_ORDER}"
                 )
             seen = {self.identity}
             frontier = [self.identity]

@@ -6,7 +6,7 @@ from toricarr.subsys import enumerate_complete
 from toricarr.weyl import WeylGroup
 
 
-def _span_orbits(rs, d, **kwargs):
+def _span_orbits(rs, d):
     """W-orbits of the span route's K_d, found by walking the simple reflections.
 
     Each orbit is a tuple of Subsystems sorted by roots; orbits are ordered
@@ -14,7 +14,7 @@ def _span_orbits(rs, d, **kwargs):
     starts from every member of enumerate_complete and acts on full root
     indices.
     """
-    members = {m.roots: m for m in enumerate_complete(rs, d, **kwargs).members}
+    members = {m.roots: m for m in enumerate_complete(rs, d).members}
     gens = WeylGroup(rs).gens
     orbits = []
     seen = set()

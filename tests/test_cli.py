@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,26 +79,47 @@ def test_identity_command(capsys):
     assert doc["results"]["factors"][0]["holds"] is True
 
 
-def test_euler_beyond_enumeration_flags_missing_poincare(capsys):
+def test_euler_e7_reports_poincare_at_minus_one(capsys):
     code, out, _ = run_cli(capsys, "euler", "--type", "E7", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["closed_form"] == str(-2903040)
+    assert doc["results"]["poincare_at_minus_one"] == str(-2903040)
+
+
+def test_euler_beyond_enumeration_flags_missing_poincare(capsys):
+    code, out, _ = run_cli(capsys, "euler", "--type", "E8", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["closed_form"] == str(696729600)
     assert doc["results"]["poincare_at_minus_one"] is None
 
 
 def test_bounds_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "verify", "--type", "A1", "--brute-rank", "0")
+    code, _, err = run_cli(capsys, "verify", "--type", "A1", "--poset-rank", "0")
     assert code == 1 and "positive" in err
 
 
 def test_ignored_capability_flags_are_rejected(capsys):
-    code, _, err = run_cli(capsys, "points", "--type", "A1", "--brute-rank", "3")
-    assert code == 1 and "--brute-rank" in err
+    for command in ["points", "layers", "census", "poincare", "euler", "identity", "poset", "verify"]:
+        for flag in ("--brute-rank", "--max-group-order"):
+            code, _, err = run_cli(capsys, command, "--type", "A1", flag, "3")
+            assert code == 1 and flag in err, (command, flag)
     code, _, err = run_cli(capsys, "census", "--type", "A1", "--poset-rank", "3")
     assert code == 1 and "--poset-rank" in err
-    code, _, err = run_cli(capsys, "poset", "--type", "A1", "--max-group-order", "10")
-    assert code == 1 and "--max-group-order" in err
+
+
+@pytest.mark.parametrize(
+    "command, t, order", [("census", "E8", 696729600), ("poincare", "B8", 10321920)]
+)
+def test_work_bound_refusal_is_fast_and_names_the_group_order(capsys, command, t, order):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--type", t)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"capability: flat orbit walk of {t}: |W| = {order} exceeds the work bound 10000000\n"
+    )
 
 
 def _run_with_defect(patch, argv, *python_flags):
@@ -212,8 +234,8 @@ def test_verify_skips_out_of_capability(capsys):
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "points", "--type", "E9")
     assert code == 1 and "E9" in err
-    code, _, err = run_cli(capsys, "census", "--type", "E7")
-    assert code == 2 and "capability" in err.lower() or "exceeds" in err
+    code, _, err = run_cli(capsys, "census", "--type", "E8")
+    assert code == 2 and err.startswith("capability: ")
     code, _, err = run_cli(capsys, "poincare", "--type", "A1", "--format", "dot")
     assert code == 1
     code, _, err = run_cli(capsys, "nonsense", "--type", "A1")

@@ -335,14 +335,23 @@ def test_orlik_solomon_f4():
 
 def test_poincare_e6_pinned():
     rs = build_str("E6")
-    poly = poincare(rs, "both", allow_e6=True)
+    poly = poincare(rs, "both")
     assert poly.coeffs == (1, 42, 705, 6020, 28419, 76818, 105595)
     assert poly(-1) == type_invariants(rs.factors).weyl_order
 
 
+def test_poincare_e7_pinned():
+    rs = build_str("E7")
+    poly = poincare(rs, "both")
+    assert poly.coeffs == (1, 70, 2016, 31115, 280889, 1505700, 4523014, 6172075)
+    assert poly(-1) == -type_invariants(rs.factors).weyl_order == -2903040
+
+
 def test_poincare_capability():
-    with pytest.raises(CapabilityError):
-        poincare(build_str("E7"))
+    with pytest.raises(CapabilityError, match=r"\|W\| = 696729600 exceeds the work bound"):
+        poincare(build_str("E8"))
+    with pytest.raises(CapabilityError, match=r"\|W\| = 10321920 exceeds the work bound"):
+        poincare(build_str("B8"))
 
 
 # -- A series ------------------------------------------------------------------------

@@ -54,8 +54,9 @@ def test_brute_points_g2():
 
 
 def test_brute_points_capability():
-    with pytest.raises(CapabilityError, match="brute_rank"):
-        brute_points(build_str("D5"))
+    # rank alone refuses nothing: D5's grid is 8^5 x 20, inside the work bound
+    rs = build_str("D5")
+    assert len(brute_points(rs)) == count_points(rs) == 44
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
@@ -164,7 +165,7 @@ def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):
 
 def test_grid_scan_work_bound():
     with pytest.raises(CapabilityError, match=r"18\^6 candidates x 36 roots = 1224440064"):
-        brute_points(build_str("E6"), max_rank=6)
+        brute_points(build_str("E6"))
     rs = build_str("A7")
     with pytest.raises(CapabilityError, match=r"8\^7 candidates x 28 roots = 58720256"):
         component_count(rs, completion(rs, range(rs.n_positive)))
@@ -279,6 +280,22 @@ def test_poset_layer_multiplicity_per_theta():
 def test_poset_capability():
     with pytest.raises(CapabilityError, match="poset_rank"):
         build_poset(build_str("D4"))
+
+
+def _reference_covers(poset):
+    """The former definition: strict pairs (i, j) with no k strictly between."""
+    strict = {(i, j) for (i, j) in poset.relation if i != j}
+    return tuple(
+        (i, j)
+        for (i, j) in sorted(strict)
+        if not any((i, k) in strict and (k, j) in strict for k in range(len(poset.elements)))
+    )
+
+
+@pytest.mark.parametrize("t", ["B3", "C3", "G2xA1", "B4", "D4", "A3xA1"])
+def test_poset_covers_match_former_definition(t):
+    poset = build_poset(build_str(t), max_rank=4)
+    assert poset.covers() == _reference_covers(poset)
 
 
 def test_poset_covers_respect_grading():

@@ -162,19 +162,17 @@ def test_parabolic_classes_match_span_route(t, span_orbits):
 
 def test_parabolic_classes_e6_lines(span_orbits):
     rs = build_str("E6")
-    by_span = [(orbit[0], len(orbit)) for orbit in span_orbits(rs, 5, allow_e6=True)]
+    by_span = [(orbit[0], len(orbit)) for orbit in span_orbits(rs, 5)]
     classes = parabolic_classes(rs, 5)
     assert list(classes) == by_span
     assert [size for _, size in classes] == [36]
 
 
 def test_capability_gate():
-    with pytest.raises(CapabilityError):
+    # the span route's work is |W| x n_positive; the orbit walk's is |W|
+    with pytest.raises(CapabilityError, match=r"\|W\| x 63 = 182891520 exceeds the work bound"):
         enumerate_complete(build_str("E7"), 1)
-    with pytest.raises(CapabilityError):
-        enumerate_complete(build_str("B5"), 1)
-    # E6 behind the flag
-    with pytest.raises(CapabilityError):
-        enumerate_complete(build_str("E6"), 5)
-    fam = enumerate_complete(build_str("E6"), 5, allow_e6=True)
+    with pytest.raises(CapabilityError, match=r"\|W\| = 696729600 exceeds the work bound"):
+        parabolic_classes(build_str("E8"), 1)
+    fam = enumerate_complete(build_str("E6"), 5)
     assert len(fam.members) == 36  # one line per positive root
