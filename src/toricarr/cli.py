@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import __version__, layers, oracle, subsys, weyl
+from . import __version__, layers, oracle, weyl
 from .errors import CapabilityError
 from .rootsys import (
     RootSystem,
@@ -349,7 +349,7 @@ def _verify_checks(rs: RootSystem, args):
         formula = layers.count_points(rs)
         _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
         brute_multiset = sorted((p.phi_type, p.stabilizer_order, p.wz_stabilizer_order) for p in pts)
-        expected = []
+        expected = [((), 1, 1, 1)]  # the empty product
         for sym_records in _factor_orbit_tables(rs):
             expected = _combine_orbit_tables(expected, sym_records)
         expected_multiset = sorted(
@@ -361,18 +361,20 @@ def _verify_checks(rs: RootSystem, args):
     checks.append(run("points_oracle", points_oracle))
 
     def components():
-        total = 0
-        for d in range(rs.rank + 1):
-            fam = subsys.enumerate_complete(rs, d)
-            for th in fam.members:
-                cc = oracle.component_count(rs, th)
-                nt = layers.n_theta(rs, th)
-                cp = layers.count_points_of_type(th.type)
-                _require(
-                    cc * nt == cp, f"theta {format_type(th.type)}: components {cc} != {cp}/{nt}"
-                )
-                total += 1
-        return f"{total} tangent subsystems checked"
+        # Both sides are W-invariant, so one census representative per orbit checks all of K_d.
+        records = layers.layer_census(rs)
+        refused = []
+        for rec in records:
+            try:
+                cc = oracle.component_count(rs, rec.theta)
+            except CapabilityError as exc:
+                refused.append(exc)
+                continue
+            cp, nt = layers.count_points_of_type(rec.theta_type), rec.n_theta
+            _require(cc * nt == cp, f"theta {format_type(rec.theta_type)}: components {cc} != {cp}/{nt}")
+        if refused:
+            raise CapabilityError(f"{len(records) - len(refused)} of {len(records)} orbits checked; {refused[0]}")
+        return f"{sum(r.orbit_size for r in records)} tangent subsystems checked"
 
     checks.append(run("component_counts", components))
 
@@ -438,8 +440,6 @@ def _factor_orbit_tables(rs: RootSystem):
 
 
 def _combine_orbit_tables(acc, rows):
-    if not acc:
-        return [r for r in rows]
     out = []
     for (t1, s1, ws1, size1) in acc:
         for (t2, s2, ws2, size2) in rows:

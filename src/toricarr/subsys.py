@@ -157,10 +157,10 @@ def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
 
     Enumerates saturated rational spans of independent subsets of positive
     roots, growing rank one root at a time and deduplicating spans by their
-    canonical HNF basis.  This is the span route; the census classifies
-    K_d by parabolic_classes instead.  Each span is saturated at most once
-    per positive root, and there are at most |W| flats (see
-    parabolic_classes), so the work is refused above |W| x n_positive.
+    canonical HNF basis.  Only build_poset and the tests use this span
+    route; the census and verify work from parabolic_classes.  Each span is
+    saturated at most once per positive root, and there are at most |W|
+    flats (see parabolic_classes), so the work is refused above |W| x n_positive.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")

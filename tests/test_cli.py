@@ -231,6 +231,48 @@ def test_verify_skips_out_of_capability(capsys):
     assert "poset_grading: skipped" in out
 
 
+@pytest.mark.parametrize(
+    "t, row",
+    [
+        ("F4", "ok (268 tangent subsystems checked)"),
+        ("B4", "ok (116 tangent subsystems checked)"),
+        (
+            "E6",
+            "skipped (16 of 17 orbits checked; grid scan of 18^6 candidates x 36 roots"
+            " = 1224440064 exceeds the work bound 10000000)",
+        ),
+    ],
+    ids=["F4", "B4", "E6"],
+)
+def test_verify_checks_component_counts_per_orbit_without_spans(capsys, monkeypatch, t, row):
+    # Rank > --poset-rank 3, so nothing in verify may enumerate spans:
+    # component_counts checks one census representative per W-orbit, and
+    # every orbit within the work bound even when another is refused.
+    from toricarr import subsys
+
+    def forbidden(*args):
+        raise AssertionError("verify enumerated spans")
+
+    monkeypatch.setattr(subsys, "_span_levels", forbidden)
+    code, out, _ = run_cli(capsys, "verify", "--type", t)
+    assert code == 0
+    assert f"  component_counts: {row}\n" in out
+
+
+def test_component_count_mismatch_survives_optimized_mode():
+    # One more component for the theta of type B2 than the quotient torus has.
+    patch = (
+        "from toricarr import oracle\n"
+        "from toricarr.rootsys import format_type\n"
+        "count = oracle.component_count\n"
+        "oracle.component_count = lambda rs, theta: count(rs, theta) + (format_type(theta.type) == 'B2')"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "  component_counts: mismatch (theta B2: components 3 != 4/2)\n" in proc.stdout
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "points", "--type", "E9")
     assert code == 1 and "E9" in err
