@@ -209,25 +209,32 @@ def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a[:r])
 
 
-def saturate(rows: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Saturation of the row lattice inside Z^n.
+def saturate(
+    rows: IntMatrix,
+) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
+    """Saturation of the row lattice inside Z^n, with its null vectors.
 
     Returns (canonical HNF basis of span_Q(rows) ∩ Z^n, index of the row
-    lattice inside its saturation).
+    lattice inside its saturation, n - r vectors spanning the integer
+    vectors orthogonal to every row).  An integer vector lies in the span
+    exactly when it is orthogonal to every null vector.
     """
+    n = len(rows[0]) if rows else 0
     rows = [list(r) for r in rows if any(r)]
     if not rows:
-        return (), 1
+        return (), 1, tuple(map(tuple, identity_matrix(n)))
     snf = smith_normal_form(rows)
     cols = list(zip(*rows))
     # left @ rows = diagonal @ right^-1, so row i of left @ rows, divided
     # exactly by d_i, is row i of right^-1.  The first r rows of right^-1
-    # are part of a basis of Z^n and span the saturation.
+    # are part of a basis of Z^n and span the saturation; the last n - r
+    # columns of right span the null space of the rows.
     inverse_rows = [
         [sum(x * y for x, y in zip(snf.left[i], col)) // d for col in cols]
         for i, d in enumerate(snf.divisors)
     ]
-    return hermite_normal_form(inverse_rows), prod(snf.divisors)
+    null_vectors = tuple(zip(*snf.right))[len(inverse_rows):]
+    return hermite_normal_form(inverse_rows), prod(snf.divisors), null_vectors
 
 
 def residue(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:

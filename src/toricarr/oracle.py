@@ -9,12 +9,13 @@ arithmetic; set equality against the formula route is zero-tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import lcm
-from operator import add, mod, mul
+from operator import add, getitem, mod, mul
 from typing import Sequence
 
 from . import intlat
@@ -90,14 +91,20 @@ def _grid_points(
     Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
     vanishing rows) in lexicographic order of x.  Every candidate is
     scanned: row values are built one coordinate at a time from residue
-    tables, and the rank test runs once per distinct vanishing set.  The
-    work, candidates times rows, is bounded; F4 is 12^4 x 24 = 497664.
+    tables, the last coordinate is read off a table of the coordinates at
+    which each row vanishes, and the rank test runs once per distinct
+    vanishing set.  The work, candidates times rows, is bounded; F4 is
+    12^4 x 24 = 497664.
     """
     require_work(f"grid scan of {m}^{rank} candidates x {len(rows)} roots", m**rank * len(rows))
     if rank == 0:
         return [((), tuple(range(len(rows))))]
     # tables[k][c][i] = (rows[i][k] * c) mod m
-    tables = [[tuple(u[k] * c % m for u in rows) for c in range(m)] for k in range(rank)]
+    tables = [[tuple(u[k] * c % m for u in rows) for c in range(m)] for k in range(rank - 1)]
+    # zeros[i][v]: the last coordinates c at which row i vanishes, given value v so far
+    zeros = [
+        [tuple(c for c in range(m) if (v + u[-1] * c) % m == 0) for v in range(m)] for u in rows
+    ]
     moduli = (m,) * len(rows)
     full_rank: dict[tuple[int, ...], bool] = {}
     out = []
@@ -108,13 +115,10 @@ def _grid_points(
             for c, column in enumerate(tables[k]):
                 scan(prefix + (c,), tuple(map(mod, map(add, values, column), moduli)))
             return
-        # Last coordinate: both summands lie in [0, m), so a row vanishes
-        # exactly when its value is 0 or m.
-        for c, column in enumerate(tables[k]):
-            total = list(map(add, values, column))
-            if total.count(0) + total.count(m) < rank:
-                continue
-            vanishing = tuple(i for i, v in enumerate(total) if v == 0 or v == m)
+        last = list(map(getitem, zeros, values))
+        hits = Counter(chain.from_iterable(last))
+        for c in sorted([c for c, count in hits.items() if count >= rank]):
+            vanishing = tuple(i for i, cs in enumerate(last) if c in cs)
             if vanishing not in full_rank:
                 basis = intlat.hermite_normal_form([rows[i] for i in vanishing])
                 full_rank[vanishing] = len(basis) == rank
@@ -130,30 +134,45 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
 
     Returns one record per point with the type of its vanishing subsystem,
     its stabilizer order in W, and its stabilizer order in W x Z.  Both
-    orders are computed once per W-orbit of points: conjugate stabilizers
-    have equal order, and W acts trivially on the center, so the count of
-    central shifts that stay in the orbit is constant on it too.  The type
-    is computed once per distinct vanishing set.  Raises
-    AssertionError when a W-image of a point is not among the points.
+    orders are computed once per W-orbit of points, which is walked under
+    the simple reflections: the stabilizer order in W is |W| / |orbit|.
+    W acts trivially on the center, so the count of central shifts that
+    stay in the orbit is constant on it too.  The type is computed once
+    per distinct vanishing set.  Raises AssertionError when a W-image of a
+    point is not among the points, or when an orbit size does not divide
+    |W|.  The walk takes n steps per point, within the grid scan's work.
     """
     m = order_bound(rs.factors)
     # The rank of a set of roots equals that of their pairing vectors,
     # since the Cartan matrix is invertible.
     hits = dict(_grid_points(_pairing_vectors(rs), m, rs.rank))
-    matrices = WeylGroup(rs).element_matrices()
+    group = WeylGroup(rs)
+    reflections = [group.coroot_matrix(g) for g in group.gens]
     centers = _center_grid_vectors(rs, m)
     orders: dict[tuple[int, ...], tuple[int, int]] = {}
     types: dict[tuple[int, ...], tuple[TypeSymbol, ...]] = {}
     records = []
     for cand, vanishing in hits.items():
         if cand not in orders:
-            images = [
-                tuple(sum(map(mul, row, cand)) % m for row in mat) for mat in matrices
-            ]
-            orbit = set(images)
-            if not orbit <= hits.keys():
-                raise AssertionError(f"a W-image of the grid point {cand} is not a point")
-            stab = images.count(cand)
+            orbit = {cand}
+            queue = [cand]
+            while queue:
+                x = queue.pop()
+                for mat in reflections:
+                    image = tuple(sum(map(mul, row, x)) % m for row in mat)
+                    if image not in orbit:
+                        if image not in hits:
+                            raise AssertionError(
+                                f"a W-image of the grid point {cand} is not a point"
+                            )
+                        orbit.add(image)
+                        queue.append(image)
+            stab, rest = divmod(group.order, len(orbit))
+            if rest:
+                raise AssertionError(
+                    f"the W-orbit of the grid point {cand} has {len(orbit)} points,"
+                    f" which does not divide |W| = {group.order}"
+                )
             shifts = sum(
                 1 for z in centers
                 if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit

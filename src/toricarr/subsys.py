@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import intlat
@@ -76,7 +77,7 @@ def make_subsystem(
     roots = tuple(sorted(pos + neg))
     if not pos:
         return Subsystem(roots=(), rank=0, complete=True, span_basis=(), type=(), simples=())
-    basis, _ = intlat.saturate([rs.all_roots[i] for i in pos])
+    basis, _, null_vectors = intlat.saturate([rs.all_roots[i] for i in pos])
     rank = len(basis)
     simples = simple_system(rs, pos)
     labels = {}
@@ -88,16 +89,19 @@ def make_subsystem(
             if pab:
                 labels[(simples[a], simples[b])] = (pab, pba)
     stype = classify_dynkin(simples, labels)
-    complete = len(_positives_in_span(rs, basis)) == len(pos)
+    complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
     return Subsystem(
         roots=roots, rank=rank, complete=complete,
         span_basis=basis, type=stype, simples=simples,
     )
 
 
-def _positives_in_span(rs: RootSystem, basis: Sequence[Sequence[int]]) -> list[int]:
-    """Positive roots in the rational span of a saturated HNF basis."""
-    return [i for i in range(rs.n_positive) if intlat.in_lattice(basis, rs.all_roots[i])]
+def _positives_in_span(rs: RootSystem, null_vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Positive roots in a rational span: those orthogonal to its null vectors (saturate's)."""
+    inside = list(range(rs.n_positive))
+    for k in null_vectors:
+        inside = [i for i in inside if not sum(map(mul, rs.positive_roots[i], k))]
+    return inside
 
 
 def completion(rs: RootSystem, root_indices: Iterable[int]) -> Subsystem:
@@ -105,8 +109,8 @@ def completion(rs: RootSystem, root_indices: Iterable[int]) -> Subsystem:
     coords = [rs.all_roots[i] for i in root_indices]
     if not coords:
         return make_subsystem(rs, ())
-    basis, _ = intlat.saturate(coords)
-    return make_subsystem(rs, _positives_in_span(rs, basis))
+    _, _, null_vectors = intlat.saturate(coords)
+    return make_subsystem(rs, _positives_in_span(rs, null_vectors))
 
 
 def decompose_type(rs: RootSystem, sub: Subsystem | Iterable[int]) -> tuple[TypeSymbol, ...]:
@@ -145,9 +149,9 @@ def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
         for j in range(rs.n_positive):
             if j in covered:
                 continue
-            new_basis, _ = intlat.saturate(list(basis) + [rs.all_roots[j]])
+            new_basis, _, null_vectors = intlat.saturate(list(basis) + [rs.all_roots[j]])
             if new_basis not in nxt:
-                nxt[new_basis] = tuple(_positives_in_span(rs, new_basis))
+                nxt[new_basis] = tuple(_positives_in_span(rs, null_vectors))
             covered.update(nxt[new_basis])
     return levels + (nxt,)
 

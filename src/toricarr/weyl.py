@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapabilityError
 from .rootsys import RootSystem, type_invariants
-
-# Largest group whose element table is built; it bounds memory, not work.
-MAX_GROUP_ORDER = 60000
 
 Perm = tuple[int, ...]
 
@@ -33,35 +29,9 @@ class WeylGroup:
         n2 = len(rs.all_roots)
         self.identity: Perm = tuple(range(n2))
         self.gens = rs.reflection_perms
-        self._elements: Optional[tuple[Perm, ...]] = None
         self._simple_idx = tuple(rs.root_index[tuple(int(i == j) for j in range(rs.rank))]
                                  for i in range(rs.rank))
         self._coroot_table = tuple(rs.coroot_coords(r) for r in rs.all_roots)
-
-    def elements(self) -> tuple[Perm, ...]:
-        """Full enumeration in shortlex order over generator words."""
-        if self._elements is None:
-            if self.order > MAX_GROUP_ORDER:
-                raise CapabilityError(
-                    f"|W| = {self.order} exceeds the element-table bound {MAX_GROUP_ORDER}"
-                )
-            seen = {self.identity}
-            frontier = [self.identity]
-            out = [self.identity]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for g in self.gens:
-                        v = compose(w, g)
-                        if v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-                out.extend(nxt)
-                frontier = nxt
-            if len(out) != self.order:
-                raise AssertionError(f"enumerated {len(out)} elements, expected |W| = {self.order}")
-            self._elements = tuple(out)
-        return self._elements
 
     def is_positive_image(self, w: Perm, i: int) -> bool:
         """Whether w sends the i-th simple root to a positive root."""
@@ -72,12 +42,6 @@ class WeylGroup:
         n = self.rs.rank
         cols = [self._coroot_table[w[self._simple_idx[k]]] for k in range(n)]
         return tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
-
-    def element_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Coroot matrices of every element, in enumeration order."""
-        if not hasattr(self, "_matrices"):
-            self._matrices = tuple(self.coroot_matrix(w) for w in self.elements())
-        return self._matrices
 
 
 def longest_element(group: WeylGroup, p: Optional[int] = None) -> Perm:

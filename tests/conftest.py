@@ -3,7 +3,7 @@
 import pytest
 
 from toricarr.subsys import enumerate_complete
-from toricarr.weyl import WeylGroup
+from toricarr.weyl import WeylGroup, compose
 
 
 def _span_orbits(rs, d):
@@ -39,3 +39,30 @@ def _span_orbits(rs, d):
 @pytest.fixture
 def span_orbits():
     return _span_orbits
+
+
+def _weyl_elements(group):
+    """Every element of W, by breadth-first search over the simple reflections.
+
+    The tests' reference enumeration: its length pins |W| from the degree
+    table, and its coroot matrices count point stabilizers directly.
+    """
+    seen = {group.identity}
+    out = [group.identity]
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in group.gens:
+                v = compose(w, g)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        out.extend(nxt)
+        frontier = nxt
+    return tuple(out)
+
+
+@pytest.fixture
+def weyl_elements():
+    return _weyl_elements

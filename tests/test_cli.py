@@ -151,6 +151,26 @@ def test_orbit_closure_check_survives_optimized_mode():
     assert "points_oracle: mismatch" in proc.stdout and "is not a point" in proc.stdout
 
 
+def test_dropped_point_grid_hit_fails_only_the_points_oracle():
+    # Drop the last hit of the first grid scan, the point oracle's: the
+    # W-orbit walk then leaves the scan.  The quotient scans stay intact.
+    patch = (
+        "from toricarr import oracle\n"
+        "scan = oracle._grid_points\n"
+        "first = iter([True])\n"
+        "def drop_one(rows, m, rank):\n"
+        "    hits = scan(rows, m, rank)\n"
+        "    return hits[:-1] if next(first, False) else hits\n"
+        "oracle._grid_points = drop_one"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B4"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert "points_oracle: mismatch" in proc.stdout and "is not a point" in proc.stdout
+    assert "component_counts: ok" in proc.stdout
+
+
 def test_poset_base_point_check_survives_optimized_mode():
     # Drop the first base point each grid pass finds: that layer has none.
     patch = (

@@ -77,14 +77,18 @@ def test_quotient_torsion_unimodular_invariance():
 
 
 def test_saturate_examples():
-    basis, index = intlat.saturate([(2, 0)])
+    basis, index, null = intlat.saturate([(2, 0)])
     assert basis == ((1, 0),)
     assert index == 2
-    basis, index = intlat.saturate([(1, 0), (0, 1)])
+    assert null in (((0, 1),), ((0, -1),))
+    basis, index, null = intlat.saturate([(1, 0), (0, 1)])
     assert index == 1
-    basis, index = intlat.saturate([(1, 1, 0), (1, -1, 0)])
+    assert null == ()
+    basis, index, null = intlat.saturate([(1, 1, 0), (1, -1, 0)])
     assert index == 2
     assert basis == ((1, 0, 0), (0, 1, 0))  # the x3 = 0 sublattice
+    assert null in (((0, 0, 1),), ((0, 0, -1),))
+    assert intlat.saturate([(0, 0, 0)]) == ((), 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_saturate_index_is_torsion_inside_saturation():
@@ -93,7 +97,7 @@ def test_saturate_index_is_torsion_inside_saturation():
         m = rng.randint(1, 4)
         n = rng.randint(m, 5)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        basis, index = intlat.saturate(rows)
+        basis, index, _ = intlat.saturate(rows)
         if not basis:
             continue
         # rows expressed in the saturated basis span a finite-index sublattice
@@ -192,7 +196,7 @@ def test_hnf_invariant_under_unimodular_row_operations(data):
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
 def test_saturate_index_equals_lattice_index(rows):
-    basis, index = intlat.saturate(rows)
+    basis, index, null = intlat.saturate(rows)
     nonzero = [r for r in rows if any(r)]
     if not nonzero:
         assert (basis, index) == ((), 1)
@@ -201,7 +205,14 @@ def test_saturate_index_equals_lattice_index(rows):
     # the saturation contains every row, and saturating it again changes
     # nothing
     assert all(intlat.in_lattice(basis, r) for r in nonzero)
-    assert intlat.saturate(basis) == (basis, 1)
+    assert intlat.saturate(basis)[:2] == (basis, 1)
+    # n - r null vectors; an integer vector lies in the span exactly when
+    # it is orthogonal to all of them
+    n = len(rows[0])
+    assert len(null) == n - len(basis) == len(intlat.hermite_normal_form(null))
+    for vec in [*rows, *intlat.identity_matrix(n), [sum(col) for col in zip(*rows)]]:
+        orthogonal = not any(sum(x * k for x, k in zip(vec, kv)) for kv in null)
+        assert intlat.in_lattice(basis, vec) == orthogonal
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,8 @@ from toricarr.layers import count_layers, count_points, count_points_of_type, n_
 from toricarr.oracle import (
     BrutePoint,
     ExplicitLayer,
+    _grid_points,
+    _pairing_vectors,
     _quotient_arrangement,
     _quotient_points,
     brute_points,
@@ -71,7 +73,8 @@ def test_brute_count_and_types_match_formula(t):
     assert brute_types == formula_types
 
 
-@pytest.mark.parametrize("t", RANK_LE_4)
+# B7 and C7 (242 and 128 points) have |W| = 645120, too large for a table of W's elements.
+@pytest.mark.parametrize("t", RANK_LE_4 + ["B7", "C7"])
 def test_brute_stabilizers_match_parabolic_orders(t):
     rs = build_str(t)
     pts = brute_points(rs)
@@ -86,8 +89,11 @@ def _dot_mod(u, x, m):
     return sum(a * b for a, b in zip(u, x)) % m
 
 
-def _naive_brute_points(rs):
-    """The torsion-grid scan written out per candidate and per point."""
+def _naive_brute_points(rs, elements):
+    """The torsion-grid scan written out per candidate and per point.
+
+    Stabilizers are counted over the given enumeration of W.
+    """
     n, m = rs.rank, order_bound(rs.factors)
     pairings = [[rs.pairing(r, k) for k in range(n)] for r in rs.positive_roots]
     grid = list(iproduct(range(m), repeat=n))
@@ -97,7 +103,8 @@ def _naive_brute_points(rs):
 
     # The center: grid points where every root is integral.
     centers = [x for x in grid if len(vanishing(x)) == len(pairings)]
-    matrices = WeylGroup(rs).element_matrices()
+    group = WeylGroup(rs)
+    matrices = [group.coroot_matrix(w) for w in elements]
     records = []
     for x in grid:
         van = vanishing(x)
@@ -130,23 +137,49 @@ def _naive_component_count(rs, theta):
 
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4"])
-def test_grid_kernel_matches_naive_scan(t):
+def test_grid_kernel_matches_naive_scan(t, weyl_elements):
     rs = build_str(t)
-    assert brute_points(rs) == _naive_brute_points(rs)
+    assert brute_points(rs) == _naive_brute_points(rs, weyl_elements(WeylGroup(rs)))
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             assert component_count(rs, theta) == _naive_component_count(rs, theta), (d, theta)
 
 
-@pytest.mark.parametrize("t", ["B3", "C3"])
-def test_brute_stabilizers_count_fixing_elements(t):
+@pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4", "F4", "D5"])
+def test_point_grid_matches_per_candidate_loop(t):
+    rs = build_str(t)
+    n, m = rs.rank, order_bound(rs.factors)
+    rows = _pairing_vectors(rs)
+    expected = []
+    for x in iproduct(range(m), repeat=n):
+        van = tuple(i for i, u in enumerate(rows) if _dot_mod(u, x, m) == 0)
+        if len(van) >= n and len(intlat.hermite_normal_form([rows[i] for i in van])) == n:
+            expected.append((x, van))
+    assert _grid_points(rows, m, n) == expected
+
+
+@pytest.mark.parametrize("t", ["B3", "C3", "B4", "D4", "F4"])
+def test_brute_stabilizers_count_fixing_elements(t, weyl_elements):
     rs = build_str(t)
     m = order_bound(rs.factors)
-    matrices = WeylGroup(rs).element_matrices()
+    group = WeylGroup(rs)
+    matrices = [group.coroot_matrix(w) for w in weyl_elements(group)]
     for p in brute_points(rs):
         x = tuple(int(c * m) for c in p.point)
         fixing = sum(1 for mat in matrices if tuple(_dot_mod(row, x, m) for row in mat) == x)
         assert p.stabilizer_order == fixing, p.point
+
+
+def test_orbit_size_must_divide_group_order(monkeypatch):
+    # With |W| off by one, 49, B3's point orbits of sizes 2 and 6 no longer divide it.
+    class WrongOrder(WeylGroup):
+        def __init__(self, rs):
+            super().__init__(rs)
+            self.order += 1
+
+    monkeypatch.setattr(oracle, "WeylGroup", WrongOrder)
+    with pytest.raises(AssertionError, match="does not divide"):
+        brute_points(build_str("B3"))
 
 
 def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):
