@@ -27,8 +27,6 @@ from .weyl import WeylGroup, center_subgroup, longest_element
 from .subsys import (
     CompleteFamily,
     Subsystem,
-    completion,
-    decompose_type,
     enumerate_complete,
     make_subsystem,
     parabolic_classes,

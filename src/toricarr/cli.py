@@ -2,8 +2,8 @@
 
 Commands run one computation per process and emit deterministic output:
 identical inputs produce byte-identical bytes.  Exit codes: 0 success,
-1 usage/parse error, 2 capability bound hit, 3 verification mismatch or a
-failed internal cross-check.
+1 usage/parse error or unwritable --out path, 2 capability bound hit,
+3 verification mismatch or a failed internal cross-check.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if name in ("poset", "verify"):
             p.add_argument("--poset-rank", type=_positive_int, default=oracle.DEFAULT_POSET_RANK)
-        if name == "poincare":
-            p.add_argument("--route", default="both", choices=["closed", "layers", "both"])
     return parser
 
 
@@ -207,22 +205,20 @@ def _cmd_census(rs: RootSystem, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_poincare(rs: RootSystem, args) -> tuple[dict, list[str]]:
-    route = getattr(args, "route", "both")
-    results: dict = {"route": route}
-    lines = [f"type {format_type(rs.factors)}: Poincare polynomial"]
-    if route == "both":
-        closed = layers.poincare(rs, "closed")
-        by_layers = layers.poincare(rs, "layers")
-        results["closed"] = _poly_json(closed)
-        results["layers"] = _poly_json(by_layers)
-        results["routes_agree"] = closed == by_layers
-        lines.append(f"  closed-form: {closed}")
-        lines.append(f"  layer-sum:   {by_layers}")
-        lines.append(f"  routes agree: {closed == by_layers}")
-    else:
-        poly = layers.poincare(rs, route)
-        results["polynomial"] = _poly_json(poly)
-        lines.append(f"  {route}: {poly}")
+    # poincare computes both routes and raises when they differ, so they agree here.
+    poly = layers.poincare(rs)
+    results = {
+        "route": "both",
+        "closed": _poly_json(poly),
+        "layers": _poly_json(poly),
+        "routes_agree": True,
+    }
+    lines = [
+        f"type {format_type(rs.factors)}: Poincare polynomial",
+        f"  closed-form: {poly}",
+        f"  layer-sum:   {poly}",
+        "  routes agree: True",
+    ]
     return results, lines
 
 
@@ -240,7 +236,7 @@ def _cmd_euler(rs: RootSystem, args) -> tuple[dict, list[str]]:
         f"  (-1)^n |W|:      {closed}",
     ]
     try:
-        p_eval = layers.poincare(rs, "closed")(-1)
+        p_eval = layers.poincare(rs)(-1)
         results["poincare_at_minus_one"] = _num(p_eval)
         lines.append(f"  P(-1):           {p_eval}")
     except CapabilityError:
@@ -338,9 +334,7 @@ def _verify_checks(rs: RootSystem, args):
     checks.append(run("euler_characteristic", euler))
 
     def poincare_routes():
-        poly = layers.poincare(rs, "both")
-        _require(poly(0) == 1, "constant term is not 1")
-        return f"routes agree: {poly}"
+        return f"routes agree: {layers.poincare(rs)}"
 
     checks.append(run("poincare_routes", poincare_routes))
 
@@ -394,45 +388,23 @@ def _verify_checks(rs: RootSystem, args):
             wz = weyl.center_subgroup(weyl.WeylGroup(frs))
             _require(len(wz) == type_invariants(frs.factors).center_order, str(sym))
             _, aut_orbits = diagram_automorphisms(affine_diagram(frs))
-            wz_orbits = _perm_orbits([e.diagram_perm for e in wz], frs.rank + 1)
-            _require(set(aut_orbits) == set(wz_orbits), f"{sym}: orbit mismatch")
+            # W_Z is a group, so the orbit of v is its set of images under W_Z.
+            wz_orbits = {tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(frs.rank + 1)}
+            _require(set(aut_orbits) == wz_orbits, f"{sym}: orbit mismatch")
         return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"
 
     checks.append(run("iwahori_matsumoto", iwahori_matsumoto))
     return checks
 
 
-def _perm_orbits(perms: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    orbits = []
-    for v in range(n):
-        if v in seen:
-            continue
-        orbit = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for p in perms:
-                y = p[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        orbits.append(tuple(sorted(orbit)))
-        seen |= orbit
-    return orbits
-
-
 def _factor_orbit_tables(rs: RootSystem):
     """Per factor: rows (type, |W_p|, |W_p| * |Stab_{W_Z} p|, orbit size)."""
     for sym in rs.factors:
         frs = build((sym,))
-        group = weyl.WeylGroup(frs)
-        wz = weyl.center_subgroup(group)
-        wz_orbits = _perm_orbits([e.diagram_perm for e in wz], frs.rank + 1)
+        wz = weyl.center_subgroup(weyl.WeylGroup(frs))
         rows = []
         for rec in layers.point_orbits(frs):
-            orbit = next(o for o in wz_orbits if rec.vertex in o)
-            wz_stab = len(wz) // len(orbit)
+            wz_stab = sum(1 for e in wz if e.diagram_perm[rec.vertex] == rec.vertex)
             rows.append(
                 (rec.point_type, rec.stabilizer_order, rec.stabilizer_order * wz_stab, rec.orbit_size)
             )
@@ -465,11 +437,14 @@ def _cmd_verify(rs: RootSystem, args) -> tuple[dict, list[str], int]:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,7 +1,7 @@
 """Exact integer-lattice linear algebra.
 
 Smith normal form and Hermite normal form over Python ints (arbitrary
-precision), and saturation, membership, coordinates and lattice indices
+precision), and saturation, residues, coordinates and lattice indices
 built on them.  Every routine is fraction-free: the only divisions are
 exact ones that the normal forms guarantee.  No floating point anywhere.
 """
@@ -252,18 +252,6 @@ def residue(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return tuple(v)
-
-
-def in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
-    """Whether the integer vector `vec` lies in the row lattice of `basis`.
-
-    `basis` must be in Hermite normal form; `vec` is a member exactly when
-    its residue is zero.  When `basis` spans a saturated lattice (as
-    saturate returns it), this is also membership in its rational span,
-    since an integer vector lies in the Q-span of a saturated lattice
-    exactly when it lies in the lattice.
-    """
-    return not any(residue(basis, vec))
 
 
 def _coords_solver(

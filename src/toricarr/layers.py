@@ -43,10 +43,6 @@ class IntPolynomial:
             c.pop()
         return cls(tuple(c))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -331,46 +327,41 @@ def euler_characteristic(rs: RootSystem) -> int:
     return value
 
 
-def poincare(rs: RootSystem, route: str = "closed") -> IntPolynomial:
-    """Poincare polynomial of the complement.
+def _closed_form_sum(rs: RootSystem, records: Sequence[LayerClassRecord]) -> IntPolynomial:
+    """Sum over tangent orbits of n_theta^{-1} |W^Theta| (q+1)^d q^{n-d}."""
+    total = IntPolynomial.of([])
+    for r in records:
+        q, rem = divmod(r.orbit_size * type_invariants(r.theta_type).weyl_order, r.n_theta)
+        if rem:
+            raise AssertionError("n_theta does not divide |W^Theta|")
+        total = total + q * _binomial_shift(r.dimension, rs.rank - r.dimension)
+    return total
 
-    route="closed": sum over tangent orbits of n_theta^{-1} |W^Theta| times
-    (q+1)^d q^{n-d}.  route="layers": sum over the census of the
-    exponent-product of each layer's own subsystem.  route="both" computes
-    the two and insists they agree.
+
+def _layer_sum(rs: RootSystem, records: Sequence[LayerClassRecord]) -> IntPolynomial:
+    """Sum over the census of the exponent product of each layer's own subsystem."""
+    total = IntPolynomial.of([])
+    for r in records:
+        weight = 0
+        for ptype, count in r.phi_c_types:
+            weight += count * type_invariants(ptype).exponent_product
+        total = total + (r.orbit_size * weight) * _binomial_shift(
+            r.dimension, rs.rank - r.dimension
+        )
+    return total
+
+
+def poincare(rs: RootSystem) -> IntPolynomial:
+    """Poincare polynomial of the complement, by two routes that must agree.
+
+    The closed form over tangent orbits and the layer sum over the census
+    are both computed from the one census; the result must also have
+    constant term 1 and equal the Euler characteristic at q = -1.
     """
-    if route not in ("closed", "layers", "both"):
-        raise ValueError(f"unknown route {route!r}")
     records = _census_records(rs)
-    n = rs.rank
-    results = []
-    if route in ("closed", "both"):
-        total = IntPolynomial.of([])
-        for d in range(n + 1):
-            coeff = 0
-            for r in records:
-                if r.dimension != d:
-                    continue
-                w_theta = type_invariants(r.theta_type).weyl_order
-                q, rem = divmod(r.orbit_size * w_theta, r.n_theta)
-                if rem:
-                    raise AssertionError("n_theta does not divide |W^Theta|")
-                coeff += q
-            total = total + coeff * _binomial_shift(d, n - d)
-        results.append(total)
-    if route in ("layers", "both"):
-        total = IntPolynomial.of([])
-        for r in records:
-            weight = 0
-            for ptype, count in r.phi_c_types:
-                weight += count * type_invariants(ptype).exponent_product
-            total = total + (r.orbit_size * weight) * _binomial_shift(
-                r.dimension, n - r.dimension
-            )
-        results.append(total)
-    if len(results) == 2 and results[0] != results[1]:
+    poly = _closed_form_sum(rs, records)
+    if poly != _layer_sum(rs, records):
         raise AssertionError("closed-form and layer-sum Poincare polynomials differ")
-    poly = results[0]
     if poly(0) != 1:
         raise AssertionError("Poincare polynomial has nonunit constant term")
     if poly(-1) != euler_characteristic(rs):

@@ -137,10 +137,11 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     orders are computed once per W-orbit of points, which is walked under
     the simple reflections: the stabilizer order in W is |W| / |orbit|.
     W acts trivially on the center, so the count of central shifts that
-    stay in the orbit is constant on it too.  The type is computed once
-    per distinct vanishing set.  Raises AssertionError when a W-image of a
-    point is not among the points, or when an orbit size does not divide
-    |W|.  The walk takes n steps per point, within the grid scan's work.
+    stay in the orbit is constant on it too, and the vanishing subsystems
+    of an orbit are W-conjugate, so the type is computed once per orbit.
+    Raises AssertionError when a W-image of a point is not among the
+    points, or when an orbit size does not divide |W|.  The walk takes n
+    steps per point, within the grid scan's work.
     """
     m = order_bound(rs.factors)
     # The rank of a set of roots equals that of their pairing vectors,
@@ -149,8 +150,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     group = WeylGroup(rs)
     reflections = [group.coroot_matrix(g) for g in group.gens]
     centers = _center_grid_vectors(rs, m)
-    orders: dict[tuple[int, ...], tuple[int, int]] = {}
-    types: dict[tuple[int, ...], tuple[TypeSymbol, ...]] = {}
+    orders: dict[tuple[int, ...], tuple[int, int, tuple[TypeSymbol, ...]]] = {}
     records = []
     for cand, vanishing in hits.items():
         if cand not in orders:
@@ -177,14 +177,13 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
                 1 for z in centers
                 if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit
             )
-            orders.update(dict.fromkeys(orbit, (stab, stab * shifts)))
-        stab, wz_stab = orders[cand]
-        if vanishing not in types:
-            types[vanishing] = make_subsystem(rs, vanishing).type
+            phi_type = make_subsystem(rs, vanishing).type
+            orders.update(dict.fromkeys(orbit, (stab, stab * shifts, phi_type)))
+        stab, wz_stab, phi_type = orders[cand]
         records.append(
             BrutePoint(
                 point=tuple(Fraction(c, m) for c in cand),
-                phi_type=types[vanishing],
+                phi_type=phi_type,
                 stabilizer_order=stab,
                 wz_stabilizer_order=wz_stab,
             )
@@ -270,12 +269,6 @@ class LayerPoset:
 
     elements: tuple[ExplicitLayer, ...]
     relation: frozenset  # pairs (i, j) with element i <= element j
-
-    def levels(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for el in self.elements:
-            out[el.dimension] = out.get(el.dimension, 0) + 1
-        return out
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs i < j with nothing between: j above i, but above no k above i."""

@@ -317,10 +317,6 @@ class RootSystem:
     def degrees(self) -> tuple[int, ...]:
         return type_invariants(self.factors).degrees
 
-    @property
-    def weyl_order(self) -> int:
-        return type_invariants(self.factors).weyl_order
-
     def __repr__(self):
         return f"RootSystem({format_type(self.factors)})"
 

@@ -1,4 +1,4 @@
-"""Subsystems of a root system: completion, enumeration, classification.
+"""Subsystems of a root system: assembly, enumeration, classification.
 
 A subsystem is a subset closed under negation and under addition of roots
 (when the sum is a root).  A complete subsystem equals the intersection of
@@ -32,24 +32,6 @@ class Subsystem:
     type: tuple[TypeSymbol, ...]
     simples: tuple[int, ...]  # indices of the simple system (positive part)
 
-    def __str__(self):
-        return format_type(self.type)
-
-
-def _closure_check(rs: RootSystem, indices: Iterable[int]) -> None:
-    idx = set(indices)
-    for i in idx:
-        neg = rs.root_index[tuple(-x for x in rs.all_roots[i])]
-        if neg not in idx:
-            raise ValueError("subsystem not closed under negation")
-    coords = [rs.all_roots[i] for i in idx]
-    have = set(coords)
-    for a in coords:
-        for b in coords:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_index and s not in have:
-                raise ValueError("subsystem not closed under root addition")
-
 
 def simple_system(rs: RootSystem, positive_indices: Sequence[int]) -> tuple[int, ...]:
     """Indecomposable elements of the positive part of a closed subsystem."""
@@ -65,14 +47,9 @@ def simple_system(rs: RootSystem, positive_indices: Sequence[int]) -> tuple[int,
     return tuple(i for i in pos if coords[i] not in sums)
 
 
-def make_subsystem(
-    rs: RootSystem, positive_indices: Iterable[int], *, check: bool = False
-) -> Subsystem:
+def make_subsystem(rs: RootSystem, positive_indices: Iterable[int]) -> Subsystem:
     """Assemble a Subsystem from the indices of its positive roots."""
     pos = tuple(sorted(positive_indices))
-    if check:
-        full = list(pos) + [rs.root_index[tuple(-x for x in rs.all_roots[i])] for i in pos]
-        _closure_check(rs, full)
     neg = tuple(rs.root_index[tuple(-x for x in rs.all_roots[i])] for i in pos)
     roots = tuple(sorted(pos + neg))
     if not pos:
@@ -102,25 +79,6 @@ def _positives_in_span(rs: RootSystem, null_vectors: Sequence[Sequence[int]]) ->
     for k in null_vectors:
         inside = [i for i in inside if not sum(map(mul, rs.positive_roots[i], k))]
     return inside
-
-
-def completion(rs: RootSystem, root_indices: Iterable[int]) -> Subsystem:
-    """Smallest complete subsystem containing the given roots."""
-    coords = [rs.all_roots[i] for i in root_indices]
-    if not coords:
-        return make_subsystem(rs, ())
-    _, _, null_vectors = intlat.saturate(coords)
-    return make_subsystem(rs, _positives_in_span(rs, null_vectors))
-
-
-def decompose_type(rs: RootSystem, sub: Subsystem | Iterable[int]) -> tuple[TypeSymbol, ...]:
-    """Irreducible type decomposition of a closed subsystem."""
-    if isinstance(sub, Subsystem):
-        return sub.type
-    idx = list(sub)
-    _closure_check(rs, idx)
-    pos = [i for i in idx if i < rs.n_positive]
-    return make_subsystem(rs, pos).type
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,23 @@
 
 import pytest
 
-from toricarr.subsys import enumerate_complete
+from toricarr.intlat import saturate
+from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
 from toricarr.weyl import WeylGroup, compose
+
+
+def _completion(rs, root_indices):
+    """Smallest complete subsystem containing the given roots: every positive root in their span."""
+    coords = [rs.all_roots[i] for i in root_indices]
+    if not coords:
+        return make_subsystem(rs, ())
+    _, _, null_vectors = saturate(coords)
+    return make_subsystem(rs, _positives_in_span(rs, null_vectors))
+
+
+@pytest.fixture
+def completion():
+    return _completion
 
 
 def _span_orbits(rs, d):

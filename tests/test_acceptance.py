@@ -45,24 +45,9 @@ def _ok(n, message):
 
 
 def _wz_vertex_orbits(rs):
+    # W_Z is a group, so the orbit of v is its set of images under W_Z.
     wz = center_subgroup(WeylGroup(rs))
-    orbits = []
-    seen = set()
-    for v in range(rs.rank + 1):
-        if v in seen:
-            continue
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for e in wz:
-                y = e.diagram_perm[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        orbits.append(tuple(sorted(orbit)))
-        seen |= orbit
-    return wz, orbits
+    return wz, {tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(rs.rank + 1)}
 
 
 def test_criterion_1_f4_poincare_closed_form():
@@ -75,7 +60,7 @@ def test_criterion_1_f4_poincare_closed_form():
     for r in layer_census(rs):
         sums[r.dimension] += r.orbit_size * type_invariants(r.theta_type).weyl_order // r.n_theta
     sums = tuple(sums)
-    poly = poincare(rs, "closed")
+    poly = poincare(rs)
     elapsed = time.monotonic() - start
     assert sums == (1152, 768, 208, 24, 1), sums
     assert poly.coeffs == (1, 28, 286, 1260, 2153), poly
@@ -86,7 +71,9 @@ def test_criterion_1_f4_poincare_closed_form():
 def test_criterion_2_both_routes_agree():
     for t in ROUTE_LIST:
         rs = build_str(t)
-        assert poincare(rs, "layers") == poincare(rs, "closed"), t
+        records = layer_census(rs)
+        closed = layers._closed_form_sum(rs, records)
+        assert layers._layer_sum(rs, records) == closed == poincare(rs), t
     _ok(2, f"layer-sum == closed-form for {', '.join(ROUTE_LIST)}")
 
 
@@ -94,8 +81,8 @@ def test_criterion_3_euler_characteristic():
     expected = {"F4": 1152, "A2": 6, "D4": 192}
     for t in ROUTE_LIST:
         rs = build_str(t)
-        value = poincare(rs, "closed")(-1)
-        assert value == (-1) ** rs.rank * rs.weyl_order, t
+        value = poincare(rs)(-1)
+        assert value == (-1) ** rs.rank * type_invariants(rs.factors).weyl_order, t
         assert value == euler_characteristic(rs), t
         if t in expected:
             assert value == expected[t], t
@@ -253,7 +240,7 @@ def test_criterion_8_a_series_cross_check():
         for d in range(n):
             assert a_series_census(n, d)[0] == count_layers(rs, d), (n, d)
     for n in range(2, 6):
-        assert a_series_poincare(n) == poincare(build_str(f"A{n-1}"), "both"), n
+        assert a_series_poincare(n) == poincare(build_str(f"A{n-1}")), n
     _ok(8, "partition formulas match enumeration (n <= 6) and Poincare (n <= 5)")
 
 

@@ -50,10 +50,15 @@ def test_poincare_a1_text(capsys):
 
 
 def test_poincare_route_flag(capsys):
-    code, out, _ = run_cli(capsys, "poincare", "--type", "B2", "--route", "closed", "--format", "json")
+    # poincare always computes and compares both routes; the former route flag is rejected.
+    code, out, err = run_cli(capsys, "poincare", "--type", "B2", "--route", "closed")
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --route closed\n"
+    code, out, _ = run_cli(capsys, "poincare", "--type", "B2", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["results"]["polynomial"]["display"] == "15q^2 + 8q + 1"
+    results = json.loads(out)["results"]
+    assert results["route"] == "both" and results["routes_agree"] is True
+    assert results["closed"]["display"] == results["layers"]["display"] == "15q^2 + 8q + 1"
 
 
 def test_layers_command(capsys):
@@ -183,6 +188,30 @@ def test_poset_base_point_check_survives_optimized_mode():
     assert "Traceback" not in proc.stderr
     assert "poset_grading: mismatch" in proc.stdout
     assert "layer contains no grid point" in proc.stdout
+
+
+# Adding q + q^2 to the layer sum keeps P(0) and P(-1), so only the route comparison can catch it.
+_ROUTE_DEFECT = (
+    "layer_sum = layers._layer_sum\n"
+    "layers._layer_sum = lambda rs, records: layer_sum(rs, records) + layers.IntPolynomial.of([0, 1, 1])"
+)
+_ROUTE_MISMATCH = "closed-form and layer-sum Poincare polynomials differ"
+
+
+@pytest.mark.parametrize("command", ["poincare", "euler"])
+def test_poincare_route_mismatch_survives_optimized_mode(command):
+    proc = _run_with_defect(_ROUTE_DEFECT, [command, "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"mismatch: {_ROUTE_MISMATCH}\n"
+
+
+def test_verify_reports_a_poincare_route_mismatch():
+    proc = _run_with_defect(_ROUTE_DEFECT, ["verify", "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert f"  poincare_routes: mismatch ({_ROUTE_MISMATCH})\n" in proc.stdout
 
 
 def test_internal_cross_check_failure_exits_3_without_traceback():
@@ -317,6 +346,14 @@ def test_byte_determinism(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "points", "--type", "A1", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert not target.parent.exists()
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith/Hermite forms, saturation, membership, indices."""
+"""Exact linear algebra: Smith/Hermite forms, saturation, residues, indices."""
 
 import random
 from math import prod
@@ -110,12 +110,18 @@ def test_hermite_canonical():
     assert h == ((1, 1), (0, 2))
 
 
+def _in_lattice(basis, vec):
+    """Membership in the row lattice of an HNF basis: a zero residue."""
+    return not any(intlat.residue(basis, vec))
+
+
 def test_in_lattice():
     basis = [(1, 1), (0, 2)]
-    assert intlat.in_lattice(basis, (2, 4))
-    assert not intlat.in_lattice(basis, (2, 3))
-    assert intlat.in_lattice((), (0, 0))
-    assert not intlat.in_lattice((), (1, 0))
+    assert intlat.residue(basis, (2, 4)) == (0, 0)
+    assert intlat.residue(basis, (2, 3)) == (0, 1)
+    assert intlat.residue(basis, (3, -2)) == (0, 1)
+    assert _in_lattice((), (0, 0))
+    assert not _in_lattice((), (1, 0))
 
 
 def _lattice_coords(basis, vec):
@@ -204,7 +210,7 @@ def test_saturate_index_equals_lattice_index(rows):
     assert intlat.lattice_index(basis, nonzero) == index
     # the saturation contains every row, and saturating it again changes
     # nothing
-    assert all(intlat.in_lattice(basis, r) for r in nonzero)
+    assert all(_in_lattice(basis, r) for r in nonzero)
     assert intlat.saturate(basis)[:2] == (basis, 1)
     # n - r null vectors; an integer vector lies in the span exactly when
     # it is orthogonal to all of them
@@ -212,7 +218,31 @@ def test_saturate_index_equals_lattice_index(rows):
     assert len(null) == n - len(basis) == len(intlat.hermite_normal_form(null))
     for vec in [*rows, *intlat.identity_matrix(n), [sum(col) for col in zip(*rows)]]:
         orthogonal = not any(sum(x * k for x, k in zip(vec, kv)) for kv in null)
-        assert intlat.in_lattice(basis, vec) == orthogonal
+        assert _in_lattice(basis, vec) == orthogonal
+
+
+def _vectors(n):
+    return st.lists(_entries, min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_residue_is_canonical(data):
+    basis = intlat.hermite_normal_form(data.draw(_matrices()))
+    if not basis:
+        return
+    vec = data.draw(_vectors(len(basis[0])))
+    res = intlat.residue(basis, vec)
+    # each pivot entry is reduced into [0, pivot)
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        assert 0 <= res[c] < row[c]
+    # vec - res lies in the lattice, and adding a lattice vector to vec
+    # leaves the residue unchanged
+    assert intlat._coords_solver(basis)([v - r for v, r in zip(vec, res)]) is not None
+    coeffs = data.draw(_vectors(len(basis)))
+    shifted = [v + sum(k * row[j] for k, row in zip(coeffs, basis)) for j, v in enumerate(vec)]
+    assert intlat.residue(basis, shifted) == res
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,4 +261,4 @@ def test_lattice_coords_round_trip(basis, coeffs):
     unit = [0] * (n - 1) + [1]
     assert (solve(shifted) is None) == (solve(unit) is None)
     hnf = intlat.hermite_normal_form(basis)
-    assert intlat.in_lattice(hnf, shifted) == (solve(shifted) is not None)
+    assert _in_lattice(hnf, shifted) == (solve(shifted) is not None)

@@ -12,6 +12,8 @@ from toricarr.cli import main
 from toricarr.errors import CapabilityError
 from toricarr.layers import (
     IntPolynomial,
+    _closed_form_sum,
+    _layer_sum,
     a_series_census,
     a_series_poincare,
     count_layers,
@@ -27,7 +29,7 @@ from toricarr.layers import (
     verify_degree_identity,
 )
 from toricarr.rootsys import build_str, degrees_of, format_type, parse_type, type_invariants
-from toricarr.subsys import completion, enumerate_complete
+from toricarr.subsys import enumerate_complete
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -268,30 +270,31 @@ def _closed_form_sums(rs):
 
 
 def test_poincare_f4_paper_value():
-    poly = poincare(build_str("F4"), "both")
+    poly = poincare(build_str("F4"))
     assert poly.coeffs == (1, 28, 286, 1260, 2153)
     assert _closed_form_sums(build_str("F4")) == (1152, 768, 208, 24, 1)
 
 
 def test_poincare_small_hand_values():
-    assert poincare(build_str("A1"), "both").coeffs == (1, 3)
-    assert poincare(build_str("A2"), "both").coeffs == (1, 5, 10)
+    assert poincare(build_str("A1")).coeffs == (1, 3)
+    assert poincare(build_str("A2")).coeffs == (1, 5, 10)
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
 def test_poincare_routes_agree(t):
     rs = build_str(t)
-    closed = poincare(rs, "closed")
-    by_layers = poincare(rs, "layers")
-    assert closed == by_layers
+    records = layer_census(rs)
+    closed = _closed_form_sum(rs, records)
+    assert closed == _layer_sum(rs, records)
+    assert poincare(rs) == closed
     assert closed(0) == 1
     assert closed(-1) == euler_characteristic(rs)
 
 
 def test_poincare_product():
     # layers multiply, so Poincare polynomials multiply
-    p1 = poincare(build_str("A1"), "both")
-    p11 = poincare(build_str("A1xA1"), "both")
+    p1 = poincare(build_str("A1"))
+    p11 = poincare(build_str("A1xA1"))
     assert p11 == p1 * p1
 
 
@@ -300,9 +303,9 @@ def test_poincare_leading_coefficient():
     # is the plain sum of the per-dimension closed-form sums
     for t in ["A3", "B3", "F4"]:
         rs = build_str(t)
-        poly = poincare(rs, "closed")
+        poly = poincare(rs)
         assert poly.coeffs[-1] == sum(_closed_form_sums(rs))
-        assert poly.degree == rs.rank
+        assert len(poly.coeffs) - 1 == rs.rank
 
 
 def test_census_classifies_without_span_enumeration(monkeypatch):
@@ -335,14 +338,14 @@ def test_orlik_solomon_f4():
 
 def test_poincare_e6_pinned():
     rs = build_str("E6")
-    poly = poincare(rs, "both")
+    poly = poincare(rs)
     assert poly.coeffs == (1, 42, 705, 6020, 28419, 76818, 105595)
     assert poly(-1) == type_invariants(rs.factors).weyl_order
 
 
 def test_poincare_e7_pinned():
     rs = build_str("E7")
-    poly = poincare(rs, "both")
+    poly = poincare(rs)
     assert poly.coeffs == (1, 70, 2016, 31115, 280889, 1505700, 4523014, 6172075)
     assert poly(-1) == -type_invariants(rs.factors).weyl_order == -2903040
 
@@ -378,7 +381,7 @@ def test_a_series_census_matches_enumeration():
 
 def test_a_series_poincare_matches_general_route():
     for n in range(2, 6):
-        assert a_series_poincare(n) == poincare(build_str(f"A{n-1}"), "both")
+        assert a_series_poincare(n) == poincare(build_str(f"A{n-1}"))
     assert a_series_poincare(3).coeffs == (1, 5, 10)
 
 

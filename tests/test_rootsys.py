@@ -121,7 +121,7 @@ def test_build_examples():
     rs = build_str("C2")  # alias of B2
     assert rs.n_positive == 4
     assert rs.degrees == (2, 4)
-    assert rs.weyl_order == 8
+    assert type_invariants(rs.factors).weyl_order == 8
 
 
 def test_products_block_diagonal():
