@@ -23,7 +23,7 @@ from .rootsys import (
     type_invariants,
 )
 from .intlat import SmithDecomposition, saturate, smith_normal_form
-from .weyl import WeylGroup, center_subgroup, longest_element
+from .weyl import center_subgroup, longest_element
 from .subsys import (
     CompleteFamily,
     Subsystem,

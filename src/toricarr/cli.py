@@ -16,17 +16,9 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import __version__, layers, oracle, weyl
+from . import __version__, layers, oracle, verify
 from .errors import CapabilityError
-from .rootsys import (
-    RootSystem,
-    affine_diagram,
-    build,
-    diagram_automorphisms,
-    format_type,
-    parse_type,
-    type_invariants,
-)
+from .rootsys import RootSystem, build, format_type, parse_type, type_invariants
 
 _FORMATS = {
     "points": {"json", "text"},
@@ -62,12 +54,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"capability bounds must be positive integers, not {text!r}")
     return value
-
-
-def _require(condition: bool, message: str) -> None:
-    """Raise the mismatch that verify reports; unlike assert, survives python -O."""
-    if not condition:
-        raise AssertionError(message)
 
 
 def _num(x: int) -> str:
@@ -305,122 +291,8 @@ def _poset_dot(rs: RootSystem, args) -> str:
     return "\n".join(out) + "\n"
 
 
-def _verify_checks(rs: RootSystem, args):
-    """Yield (name, status, detail) rows; status in ok/mismatch/skipped."""
-
-    def run(name, fn):
-        try:
-            detail = fn()
-            return (name, "ok", detail or "")
-        except CapabilityError as exc:
-            return (name, "skipped", str(exc))
-        except AssertionError as exc:
-            return (name, "mismatch", str(exc))
-
-    checks = []
-
-    def degree_identity():
-        for sym in rs.factors:
-            res = layers.verify_degree_identity(build((sym,)))
-            _require(res.holds, f"{sym}: sum = {res.total}")
-        return "sum over vertices equals 1 for every factor"
-
-    checks.append(run("degree_identity", degree_identity))
-
-    def euler():
-        value = layers.euler_characteristic(rs)
-        return f"both routes give {value}"
-
-    checks.append(run("euler_characteristic", euler))
-
-    def poincare_routes():
-        return f"routes agree: {layers.poincare(rs)}"
-
-    checks.append(run("poincare_routes", poincare_routes))
-
-    def points_oracle():
-        pts = oracle.brute_points(rs)
-        formula = layers.count_points(rs)
-        _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
-        brute_multiset = sorted((p.phi_type, p.stabilizer_order, p.wz_stabilizer_order) for p in pts)
-        expected = [((), 1, 1, 1)]  # the empty product
-        for sym_records in _factor_orbit_tables(rs):
-            expected = _combine_orbit_tables(expected, sym_records)
-        expected_multiset = sorted(
-            (t, s, ws) for (t, s, ws, size) in expected for _ in range(size)
-        )
-        _require(brute_multiset == expected_multiset, "type/stabilizer multisets differ")
-        return f"{formula} points; types and stabilizers match"
-
-    checks.append(run("points_oracle", points_oracle))
-
-    def components():
-        # Both sides are W-invariant, so one census representative per orbit checks all of K_d.
-        records = layers.layer_census(rs)
-        refused = []
-        for rec in records:
-            try:
-                cc = oracle.component_count(rs, rec.theta)
-            except CapabilityError as exc:
-                refused.append(exc)
-                continue
-            cp, nt = layers.count_points_of_type(rec.theta_type), rec.n_theta
-            _require(cc * nt == cp, f"theta {format_type(rec.theta_type)}: components {cc} != {cp}/{nt}")
-        if refused:
-            raise CapabilityError(f"{len(records) - len(refused)} of {len(records)} orbits checked; {refused[0]}")
-        return f"{sum(r.orbit_size for r in records)} tangent subsystems checked"
-
-    checks.append(run("component_counts", components))
-
-    def poset_grading():
-        poset = oracle.build_poset(rs, max_rank=args.poset_rank)
-        for d in range(rs.rank + 1):
-            expected = layers.count_layers(rs, d)
-            actual = sum(1 for el in poset.elements if el.dimension == d)
-            _require(actual == expected, f"d={d}: poset {actual} != census {expected}")
-        return f"graded poset with {len(poset.elements)} layers"
-
-    checks.append(run("poset_grading", poset_grading))
-
-    def iwahori_matsumoto():
-        for sym in rs.factors:
-            frs = build((sym,))
-            wz = weyl.center_subgroup(weyl.WeylGroup(frs))
-            _require(len(wz) == type_invariants(frs.factors).center_order, str(sym))
-            _, aut_orbits = diagram_automorphisms(affine_diagram(frs))
-            # W_Z is a group, so the orbit of v is its set of images under W_Z.
-            wz_orbits = {tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(frs.rank + 1)}
-            _require(set(aut_orbits) == wz_orbits, f"{sym}: orbit mismatch")
-        return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"
-
-    checks.append(run("iwahori_matsumoto", iwahori_matsumoto))
-    return checks
-
-
-def _factor_orbit_tables(rs: RootSystem):
-    """Per factor: rows (type, |W_p|, |W_p| * |Stab_{W_Z} p|, orbit size)."""
-    for sym in rs.factors:
-        frs = build((sym,))
-        wz = weyl.center_subgroup(weyl.WeylGroup(frs))
-        rows = []
-        for rec in layers.point_orbits(frs):
-            wz_stab = sum(1 for e in wz if e.diagram_perm[rec.vertex] == rec.vertex)
-            rows.append(
-                (rec.point_type, rec.stabilizer_order, rec.stabilizer_order * wz_stab, rec.orbit_size)
-            )
-        yield rows
-
-
-def _combine_orbit_tables(acc, rows):
-    out = []
-    for (t1, s1, ws1, size1) in acc:
-        for (t2, s2, ws2, size2) in rows:
-            out.append((tuple(sorted(t1 + t2)), s1 * s2, ws1 * ws2, size1 * size2))
-    return out
-
-
 def _cmd_verify(rs: RootSystem, args) -> tuple[dict, list[str], int]:
-    checks = _verify_checks(rs, args)
+    checks = verify.run_checks(rs, args.poset_rank)
     lines = [f"type {format_type(rs.factors)}: verification suite"]
     for name, status, detail in checks:
         lines.append(f"  {name}: {status}" + (f" ({detail})" if detail else ""))

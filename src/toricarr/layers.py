@@ -190,15 +190,6 @@ def point_orbits(rs: RootSystem) -> tuple[PointOrbitRecord, ...]:
 # -- n_Theta and layer counts ------------------------------------------------
 
 
-def _functional_matrix(rs: RootSystem, theta: Subsystem) -> tuple[tuple[int, ...], ...]:
-    """Rows = values of theta's simple roots on the simple coroots of rs."""
-    rows = []
-    for i in theta.simples:
-        root = rs.all_roots[i]
-        rows.append(tuple(rs.pairing(root, k) for k in range(rs.rank)))
-    return tuple(rows)
-
-
 def restricted_coroot_lattice(
     rs: RootSystem, theta: Subsystem
 ) -> tuple[tuple[int, ...], ...]:
@@ -206,9 +197,7 @@ def restricted_coroot_lattice(
 
     Coordinates are functional values against theta's simple roots.
     """
-    gamma = _functional_matrix(rs, theta)
-    columns = list(zip(*gamma))
-    return intlat.hermite_normal_form(columns)
+    return intlat.hermite_normal_form(list(zip(*(rs.pairings[i] for i in theta.simples))))
 
 
 def n_theta(rs: RootSystem, theta: Subsystem) -> int:

@@ -22,7 +22,6 @@ from . import intlat
 from .errors import CapabilityError, require_work
 from .rootsys import RootSystem, TypeSymbol, build, type_invariants, center_exponent
 from .subsys import Subsystem, enumerate_complete, make_subsystem
-from .weyl import WeylGroup
 
 DEFAULT_POSET_RANK = 3
 
@@ -51,13 +50,6 @@ class BrutePoint:
     phi_type: tuple[TypeSymbol, ...]
     stabilizer_order: int
     wz_stabilizer_order: int
-
-
-def _pairing_vectors(rs: RootSystem) -> list[tuple[int, ...]]:
-    """For each positive root, its values on the simple coroots."""
-    return [
-        tuple(rs.pairing(r, k) for k in range(rs.rank)) for r in rs.positive_roots
-    ]
 
 
 def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
@@ -146,9 +138,10 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     m = order_bound(rs.factors)
     # The rank of a set of roots equals that of their pairing vectors,
     # since the Cartan matrix is invertible.
-    hits = dict(_grid_points(_pairing_vectors(rs), m, rs.rank))
-    group = WeylGroup(rs)
-    reflections = [group.coroot_matrix(g) for g in group.gens]
+    hits = dict(_grid_points(rs.pairings[:rs.n_positive], m, rs.rank))
+    order = type_invariants(rs.factors).weyl_order
+    # s_j moves only coordinate j: x_j -> x_j - sum_k cartan[k][j] x_k.
+    columns = list(enumerate(zip(*rs.cartan)))
     centers = _center_grid_vectors(rs, m)
     orders: dict[tuple[int, ...], tuple[int, int, tuple[TypeSymbol, ...]]] = {}
     records = []
@@ -158,8 +151,8 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
             queue = [cand]
             while queue:
                 x = queue.pop()
-                for mat in reflections:
-                    image = tuple(sum(map(mul, row, x)) % m for row in mat)
+                for j, column in columns:
+                    image = x[:j] + ((x[j] - sum(map(mul, column, x))) % m,) + x[j + 1:]
                     if image not in orbit:
                         if image not in hits:
                             raise AssertionError(
@@ -167,11 +160,11 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
                             )
                         orbit.add(image)
                         queue.append(image)
-            stab, rest = divmod(group.order, len(orbit))
+            stab, rest = divmod(order, len(orbit))
             if rest:
                 raise AssertionError(
                     f"the W-orbit of the grid point {cand} has {len(orbit)} points,"
-                    f" which does not divide |W| = {group.order}"
+                    f" which does not divide |W| = {order}"
                 )
             shifts = sum(
                 1 for z in centers
@@ -205,10 +198,7 @@ class _QuotientArrangement:
 
 
 def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangement:
-    gamma = tuple(
-        tuple(rs.pairing(rs.all_roots[i], k) for k in range(rs.rank))
-        for i in theta.simples
-    )
+    gamma = tuple(rs.pairings[i] for i in theta.simples)
     r_basis = intlat.hermite_normal_form(list(zip(*gamma)))
     solve = intlat._coords_solver([rs.all_roots[i] for i in theta.simples])
     coords = []

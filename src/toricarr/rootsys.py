@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, prod
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import intlat
@@ -143,7 +144,6 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     found = set(simple)
     current = list(simple)
-    out = list(simple)
     while current:
         nxt = set()
         for m in current:
@@ -165,7 +165,6 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                         nxt.add(cand)
         found |= nxt
         current = sorted(nxt)
-        out.extend(current)
     return sorted(found, key=lambda r: (sum(r), r))
 
 
@@ -179,36 +178,19 @@ class RootSystem:
 
     def __init__(self, factors: Sequence[TypeSymbol]):
         factors = tuple(sorted(factors))
-        blocks = []
-        cartan_rows: list[list[int]] = []
-        positive: list[tuple[int, ...]] = []
-        symmetrizer: list[int] = []
-        pos = 0
-        for sym in factors:
-            blocks.append(Block(sym, pos))
-            sub = _cartan_matrix(sym)
-            for i, row in enumerate(sub):
-                cartan_rows.append([0] * pos + row + [0] * 0)
-            symmetrizer.extend(_symmetrizer(sub))
-            for root in _positive_roots(sub):
-                positive.append((pos, root))
-            pos += sym.rank
-        n = pos
-        cartan = []
-        for row in cartan_rows:
-            cartan.append(tuple(row + [0] * (n - len(row))))
+        starts = [sum(sym.rank for sym in factors[:k]) for k in range(len(factors))]
+        n = sum(sym.rank for sym in factors)
+        # The block-diagonal Cartan matrix: closure and symmetrizer work per component.
+        cartan = [[0] * n for _ in range(n)]
+        for sym, start in zip(factors, starts):
+            for i, row in enumerate(_cartan_matrix(sym)):
+                cartan[start + i][start:start + sym.rank] = row
         self.factors = factors
         self.rank = n
-        self.blocks = tuple(blocks)
-        self.cartan = tuple(cartan)
-        self.symmetrizer = tuple(symmetrizer)
-        embedded = []
-        for start, root in positive:
-            vec = [0] * n
-            for k, x in enumerate(root):
-                vec[start + k] = x
-            embedded.append(tuple(vec))
-        self.positive_roots = tuple(sorted(embedded, key=lambda r: (sum(r), r)))
+        self.blocks = tuple(map(Block, factors, starts))
+        self.cartan = tuple(map(tuple, cartan))
+        self.symmetrizer = tuple(_symmetrizer(cartan))
+        self.positive_roots = tuple(_positive_roots(cartan))
         self.all_roots = self.positive_roots + tuple(
             tuple(-x for x in r) for r in self.positive_roots
         )
@@ -257,23 +239,19 @@ class RootSystem:
             raise AssertionError("non-integral Cartan pairing")
         return q
 
-    def coroot_coords(self, root: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of root^vee in the simple-coroot basis."""
-        norm = self.inner(root, root)
-        out = []
-        for i, m in enumerate(root):
-            q, r = divmod(2 * m * self.symmetrizer[i], norm)
-            if r:
-                raise AssertionError("non-integral coroot coordinate")
-            out.append(q)
-        return tuple(out)
-
     def reflect(self, root: Sequence[int], i: int) -> tuple[int, ...]:
         """Simple reflection s_i applied to a root."""
         c = self.pairing(root, i)
         out = list(root)
         out[i] -= c
         return tuple(out)
+
+    @cached_property
+    def pairings(self) -> tuple[tuple[int, ...], ...]:
+        """Each root's values on the simple coroots, in the order of all_roots."""
+        return tuple(
+            tuple(sum(map(mul, row, r)) for row in self.cartan) for r in self.all_roots
+        )
 
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -420,15 +398,6 @@ class AffineDiagram:
     def vertices(self) -> range:
         return range(self.n + 1)
 
-    def edge_label(self, u: int, v: int) -> tuple[int, int]:
-        if u > v:
-            a = self.edge_label(v, u)
-            return (a[1], a[0])
-        for (x, y, a, b) in self.edges:
-            if (x, y) == (u, v):
-                return (a, b)
-        return (0, 0)
-
     def neighbors(self, u: int) -> list[int]:
         out = []
         for (x, y, _, _) in self.edges:
@@ -569,11 +538,12 @@ def diagram_automorphisms(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """All mark- and label-preserving vertex permutations, plus their orbits Q."""
     verts = list(diagram.vertices)
+    labels = {}
+    for (u, v, a, b) in diagram.edges:
+        labels[u, v], labels[v, u] = (a, b), (b, a)
     invariant = {}
     for v in verts:
-        inc = sorted(
-            (diagram.edge_label(v, w) + (diagram.marks[w],)) for w in diagram.neighbors(v)
-        )
+        inc = sorted(labels[v, w] + (diagram.marks[w],) for w in diagram.neighbors(v))
         invariant[v] = (diagram.marks[v], tuple(inc))
     autos = []
     image: dict[int, int] = {}
@@ -589,7 +559,7 @@ def diagram_automorphisms(
                 continue
             ok = True
             for u in verts[:i]:
-                if diagram.edge_label(v, u) != diagram.edge_label(w, image[u]):
+                if labels.get((v, u)) != labels.get((w, image[u])):
                     ok = False
                     break
             if ok:

@@ -4,7 +4,7 @@ import pytest
 
 from toricarr.intlat import saturate
 from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
-from toricarr.weyl import WeylGroup, compose
+from toricarr.weyl import compose
 
 
 def _completion(rs, root_indices):
@@ -30,7 +30,7 @@ def _span_orbits(rs, d):
     indices.
     """
     members = {m.roots: m for m in enumerate_complete(rs, d).members}
-    gens = WeylGroup(rs).gens
+    gens = rs.reflection_perms
     orbits = []
     seen = set()
     for roots in members:
@@ -56,19 +56,20 @@ def span_orbits():
     return _span_orbits
 
 
-def _weyl_elements(group):
+def _weyl_elements(rs):
     """Every element of W, by breadth-first search over the simple reflections.
 
     The tests' reference enumeration: its length pins |W| from the degree
     table, and its coroot matrices count point stabilizers directly.
     """
-    seen = {group.identity}
-    out = [group.identity]
-    frontier = [group.identity]
+    identity = tuple(range(len(rs.all_roots)))
+    seen = {identity}
+    out = [identity]
+    frontier = [identity]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in group.gens:
+            for g in rs.reflection_perms:
                 v = compose(w, g)
                 if v not in seen:
                     seen.add(v)
@@ -81,3 +82,34 @@ def _weyl_elements(group):
 @pytest.fixture
 def weyl_elements():
     return _weyl_elements
+
+
+def _coroot_coords(rs, root):
+    """Coordinates of root^vee in the simple-coroot basis: 2 m_i d_i / (root, root)."""
+    norm = rs.inner(root, root)
+    out = []
+    for m, d in zip(root, rs.symmetrizer):
+        q, r = divmod(2 * m * d, norm)
+        assert r == 0, "non-integral coroot coordinate"
+        out.append(q)
+    return tuple(out)
+
+
+@pytest.fixture
+def coroot_coords():
+    return _coroot_coords
+
+
+def _coroot_matrix(rs, w):
+    """Matrix of the Weyl element w on simple-coroot coordinates (columns = images)."""
+    n = rs.rank
+    cols = [
+        _coroot_coords(rs, rs.all_roots[w[rs.root_index[tuple(int(i == k) for i in range(n))]]])
+        for k in range(n)
+    ]
+    return tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
+
+
+@pytest.fixture
+def coroot_matrix():
+    return _coroot_matrix

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from toricarr import layers, oracle, subsys
+from toricarr import layers, oracle, subsys, verify
 from toricarr.layers import (
     a_series_census,
     a_series_poincare,
@@ -34,7 +34,7 @@ from toricarr.rootsys import (
     type_invariants,
 )
 from toricarr.subsys import enumerate_complete
-from toricarr.weyl import WeylGroup, center_subgroup
+from toricarr.weyl import center_subgroup
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 ROUTE_LIST = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -45,9 +45,8 @@ def _ok(n, message):
 
 
 def _wz_vertex_orbits(rs):
-    # W_Z is a group, so the orbit of v is its set of images under W_Z.
-    wz = center_subgroup(WeylGroup(rs))
-    return wz, {tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(rs.rank + 1)}
+    """W_Z and the W_Z-orbit of each affine vertex, as the verify suite computes them."""
+    return verify.wz_vertex_orbits(rs)
 
 
 def test_criterion_1_f4_poincare_closed_form():
@@ -132,7 +131,7 @@ def test_criterion_5_oracle_point_equivalence():
         brute_wz = Counter((p.phi_type, p.wz_stabilizer_order) for p in pts)
         expected_wz = Counter()
         for r in point_orbits(rs):
-            orbit = next(o for o in wz_orbits if r.vertex in o)
+            orbit = wz_orbits[r.vertex]
             expected_wz[
                 (r.point_type, r.stabilizer_order * (len(wz) // len(orbit)))
             ] += r.orbit_size
@@ -285,8 +284,7 @@ def test_criterion_10_posets():
 def test_criterion_11_iwahori_matsumoto():
     for t in RANK_LE_4:
         rs = build_str(t)
-        group = WeylGroup(rs)
-        wz = center_subgroup(group)  # construction asserts z_p.alpha_0 = alpha_p
+        wz = center_subgroup(rs)  # construction asserts z_p.alpha_0 = alpha_p
         assert len(wz) == type_invariants(rs.factors).center_order, t
         perms = {e.perm for e in wz}
         for a in wz:

@@ -214,6 +214,34 @@ def test_verify_reports_a_poincare_route_mismatch():
     assert f"  poincare_routes: mismatch ({_ROUTE_MISMATCH})\n" in proc.stdout
 
 
+def test_verify_reports_a_wrong_center_subgroup():
+    # Without its last element, A3's W_Z has 3 elements but |Z| = 4.
+    patch = (
+        "from toricarr import weyl\n"
+        "center = weyl.center_subgroup\n"
+        "weyl.center_subgroup = lambda rs: center(rs)[:-1]"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "A3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert "  iwahori_matsumoto: mismatch (A3)\n" in proc.stdout
+
+
+def test_verify_reports_a_false_degree_identity():
+    patch = (
+        "import dataclasses\n"
+        "identity = layers.verify_degree_identity\n"
+        "layers.verify_degree_identity = lambda rs: dataclasses.replace(\n"
+        "    identity(rs), holds=False, total=2)"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "G2"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert "  degree_identity: mismatch (G2: sum = 2)\n" in proc.stdout
+
+
 def test_internal_cross_check_failure_exits_3_without_traceback():
     patch = "layers.euler_characteristic = lambda rs: 0"
     proc = _run_with_defect(patch, ["poincare", "--type", "A2"])

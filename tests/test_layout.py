@@ -1,0 +1,66 @@
+"""No library code that only the tests call.
+
+Every top-level function and class of `src/toricarr`, and every method
+other than a dunder, must be named somewhere in a library module other
+than `__init__.py` (which only re-exports).  A definition is found by its
+name alone, so this is a lint, not a call graph; it catches the helper
+whose last library caller is gone.
+"""
+
+import ast
+from pathlib import Path
+
+import toricarr
+
+SRC = Path(toricarr.__file__).resolve().parent
+
+# Kept on purpose, though no library module names them.
+ALLOWED = {
+    "build_str": "the one-line type-string entry point of the public API and of most tests",
+    "a_series_census": "the paper's partition formula for the A-series census, a reference identity",
+    "a_series_poincare": "the paper's partition formula for the A-series Poincare polynomial",
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of the top-level defs and classes and their non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references(tree):
+    """Every name the module reads, directly or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _unreferenced():
+    """Qualified names of the definitions that no library module outside __init__.py names."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*(_references(t) for name, t in trees.items() if name != "__init__.py"))
+    return {
+        f"{module}: {qualname}": qualname
+        for module, tree in trees.items()
+        for qualname, name in _definitions(tree)
+        if name not in referenced
+    }
+
+
+def test_every_definition_is_used_by_the_library():
+    unused = sorted(key for key, qualname in _unreferenced().items() if qualname not in ALLOWED)
+    assert not unused, "defined in src/ but named by no library module:\n" + "\n".join(unused)
+
+
+def test_allowlist_names_only_unreferenced_definitions():
+    assert set(ALLOWED) <= set(_unreferenced().values())

@@ -13,7 +13,6 @@ from toricarr.oracle import (
     BrutePoint,
     ExplicitLayer,
     _grid_points,
-    _pairing_vectors,
     _quotient_arrangement,
     _quotient_points,
     brute_points,
@@ -23,7 +22,6 @@ from toricarr.oracle import (
 )
 from toricarr.rootsys import build, build_str, format_type, parse_type
 from toricarr.subsys import _span_levels, enumerate_complete, make_subsystem
-from toricarr.weyl import WeylGroup
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -89,10 +87,10 @@ def _dot_mod(u, x, m):
     return sum(a * b for a, b in zip(u, x)) % m
 
 
-def _naive_brute_points(rs, elements):
+def _naive_brute_points(rs, matrices):
     """The torsion-grid scan written out per candidate and per point.
 
-    Stabilizers are counted over the given enumeration of W.
+    Stabilizers are counted over the given coroot matrices of every element of W.
     """
     n, m = rs.rank, order_bound(rs.factors)
     pairings = [[rs.pairing(r, k) for k in range(n)] for r in rs.positive_roots]
@@ -103,8 +101,6 @@ def _naive_brute_points(rs, elements):
 
     # The center: grid points where every root is integral.
     centers = [x for x in grid if len(vanishing(x)) == len(pairings)]
-    group = WeylGroup(rs)
-    matrices = [group.coroot_matrix(w) for w in elements]
     records = []
     for x in grid:
         van = vanishing(x)
@@ -137,9 +133,10 @@ def _naive_component_count(rs, theta):
 
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4"])
-def test_grid_kernel_matches_naive_scan(t, weyl_elements):
+def test_grid_kernel_matches_naive_scan(t, weyl_elements, coroot_matrix):
     rs = build_str(t)
-    assert brute_points(rs) == _naive_brute_points(rs, weyl_elements(WeylGroup(rs)))
+    matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
+    assert brute_points(rs) == _naive_brute_points(rs, matrices)
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             assert component_count(rs, theta) == _naive_component_count(rs, theta), (d, theta)
@@ -149,7 +146,7 @@ def test_grid_kernel_matches_naive_scan(t, weyl_elements):
 def test_point_grid_matches_per_candidate_loop(t):
     rs = build_str(t)
     n, m = rs.rank, order_bound(rs.factors)
-    rows = _pairing_vectors(rs)
+    rows = rs.pairings[:rs.n_positive]
     expected = []
     for x in iproduct(range(m), repeat=n):
         van = tuple(i for i, u in enumerate(rows) if _dot_mod(u, x, m) == 0)
@@ -159,11 +156,10 @@ def test_point_grid_matches_per_candidate_loop(t):
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "B4", "D4", "F4"])
-def test_brute_stabilizers_count_fixing_elements(t, weyl_elements):
+def test_brute_stabilizers_count_fixing_elements(t, weyl_elements, coroot_matrix):
     rs = build_str(t)
     m = order_bound(rs.factors)
-    group = WeylGroup(rs)
-    matrices = [group.coroot_matrix(w) for w in weyl_elements(group)]
+    matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
     for p in brute_points(rs):
         x = tuple(int(c * m) for c in p.point)
         fixing = sum(1 for mat in matrices if tuple(_dot_mod(row, x, m) for row in mat) == x)
@@ -172,12 +168,13 @@ def test_brute_stabilizers_count_fixing_elements(t, weyl_elements):
 
 def test_orbit_size_must_divide_group_order(monkeypatch):
     # With |W| off by one, 49, B3's point orbits of sizes 2 and 6 no longer divide it.
-    class WrongOrder(WeylGroup):
-        def __init__(self, rs):
-            super().__init__(rs)
-            self.order += 1
+    invariants = oracle.type_invariants
 
-    monkeypatch.setattr(oracle, "WeylGroup", WrongOrder)
+    def wrong_order(factors):
+        inv = invariants(factors)
+        return inv._replace(weyl_order=inv.weyl_order + 1)
+
+    monkeypatch.setattr(oracle, "type_invariants", wrong_order)
     with pytest.raises(AssertionError, match="does not divide"):
         brute_points(build_str("B3"))
 
