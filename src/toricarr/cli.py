@@ -8,52 +8,36 @@ identical inputs produce byte-identical bytes.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__, layers, oracle, verify
 from .errors import CapabilityError
 from .rootsys import RootSystem, build, format_type, parse_type, type_invariants
 
-_FORMATS = {
-    "points": {"json", "text"},
-    "layers": {"json", "text"},
-    "census": {"json", "text", "csv"},
-    "poincare": {"json", "text"},
-    "euler": {"json", "text"},
-    "identity": {"json", "text"},
-    "poset": {"json", "text", "dot"},
-    "verify": {"json", "text"},
+# Each command: its help line, its output formats, and whether it takes --poset-rank.
+_COMMANDS = {
+    "points": ("count the points of the arrangement and their orbit table", ("json", "text"), False),
+    "layers": ("per-dimension layer counts", ("json", "text"), False),
+    "census": ("full layer census with tangent types", ("json", "text", "csv"), False),
+    "poincare": ("Poincare polynomial of the complement", ("json", "text"), False),
+    "euler": ("Euler characteristic, both routes", ("json", "text"), False),
+    "identity": ("the degree identity check", ("json", "text"), False),
+    "poset": ("explicit layer poset", ("json", "text", "dot"), True),
+    "verify": ("run the oracle-vs-formula suite", ("json", "text"), True),
 }
+_FORMAT_CHOICES = ("json", "csv", "dot", "text")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPABILITY = 2
 EXIT_MISMATCH = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"capability bounds must be positive integers, not {text!r}")
-    return value
 
 
 def _num(x: int) -> str:
@@ -69,27 +53,91 @@ def _poly_json(p: layers.IntPolynomial) -> dict:
     return {"coefficients": [_num(c) for c in p.coeffs], "display": str(p)}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="toricarr", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("points", "count the points of the arrangement and their orbit table"),
-        ("layers", "per-dimension layer counts"),
-        ("census", "full layer census with tangent types"),
-        ("poincare", "Poincare polynomial of the complement"),
-        ("euler", "Euler characteristic, both routes"),
-        ("identity", "the degree identity check"),
-        ("poset", "explicit layer poset"),
-        ("verify", "run the oracle-vs-formula suite"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--type", required=True, help='root system type, e.g. "F4" or "A3xA1"')
-        p.add_argument("--format", default="text", choices=["json", "csv", "dot", "text"])
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if name in ("poset", "verify"):
-            p.add_argument("--poset-rank", type=_positive_int, default=oracle.DEFAULT_POSET_RANK)
-    return parser
+# -- argument parsing -----------------------------------------------------------
+# A long option matches exactly or by a unique prefix and takes its value from the next
+# token or after "="; the last repeat wins.  No token after the first "--" is an option.
+
+
+def _option(token: str, names: tuple[str, ...]) -> Optional[tuple[str, Optional[str]]]:
+    """None for a value, else (option, its text after "=" or None); option "" is unknown."""
+    if token[:1] != "-" or token == "-":
+        return None
+    flag, value = token.split("=", 1) if "=" in token else (token, None)
+    if flag not in names and token[1] == "-":
+        flag = next((name for name in names if len(flag) > 2 and name.startswith(flag)), "")
+    elif flag not in names:  # a short option takes the rest of its token as its value
+        flag, value = (token[:2], token[2:]) if token[:2] in names else ("", None)
+    return None if not flag and (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token)) else (flag, value)
+
+
+def _help(option: str, value: Optional[str], command: Optional[str]) -> None:
+    """Print the version, or the help of `command` or of the program."""
+    rest = value.lstrip("h") if value and option == "-h" else value  # -hh is -h -h
+    if rest is not None and (rest or not value):
+        name = "--version" if option == "--version" else "-h/--help"
+        raise ValueError(f"argument {name}: ignored explicit argument {rest!r}")
+    if option == "--version":
+        text = __version__
+    elif command is None:
+        text = "usage: toricarr [-h] [--version] COMMAND --type TYPE [options]\n\ncommands:"
+        text += "".join(f"\n  {name:10}{entry[0]}" for name, entry in _COMMANDS.items())
+    else:
+        line, formats, takes_rank = _COMMANDS[command]
+        text = f"usage: toricarr {command} [-h] --type TYPE [--format {{{','.join(formats)}}}] [--out PATH]"
+        text += " [--poset-rank N]" * takes_rank + f"\n\n{line}; TYPE is a root system such as F4 or A3xA1"
+    sys.stdout.write(text + "\n")
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command and its options, or None once the help or the version is printed."""
+    args = SimpleNamespace(command=None, type=None, format="text", out=None)
+    args.poset_rank = oracle.DEFAULT_POSET_RANK
+    names, extras, k = ("-h", "--help", "--version"), [], 0
+    for token in argv[: argv.index("--") if "--" in argv else None]:
+        if token.startswith("--="):  # an empty prefix names every long option at once
+            raise ValueError(f"ambiguous option: {token} could match --help, --version")
+    while k < len(argv):
+        token, k = argv[k], k + 1
+        opt = _option(token, names)
+        # Before the command, a "--" that is not the last token is read as the command.
+        if args.command is None and (opt is None or (token == "--" and k < len(argv))):
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise ValueError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            args.command = token
+            names = ("-h", "--help", "--type", "--format", "--out") + ("--poset-rank",) * _COMMANDS[token][2]
+        elif not (opt and opt[0]):
+            extras.append(token)
+            names = () if token == "--" else names
+        elif opt[0] in ("-h", "--help", "--version"):
+            return _help(*opt, args.command)
+        else:
+            option, value = opt
+            if value is None:
+                if k == len(argv) or _option(argv[k], names) is not None:
+                    raise ValueError(f"argument {option}: expected one argument")
+                value, k = argv[k], k + 1
+            if option == "--format" and value not in _FORMAT_CHOICES:
+                choices = ", ".join(map(repr, _FORMAT_CHOICES))
+                raise ValueError(f"argument --format: invalid choice: {value!r} (choose from {choices})")
+            if option == "--poset-rank":
+                try:
+                    rank = int(value)
+                except ValueError:
+                    rank = 0
+                if rank < 1:
+                    raise ValueError(
+                        f"argument --poset-rank: capability bounds must be positive integers, not {value!r}"
+                    )
+                value = rank
+            setattr(args, option[2:].replace("-", "_"), value)
+    if args.command is None or args.type is None:
+        raise ValueError(f"the following arguments are required: {'--type' if args.command else 'command'}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if args.format not in _COMMANDS[args.command][1]:
+        raise ValueError(f"format {args.format!r} is not available for {args.command!r}")
+    return args
 
 
 def _json_payload(rs: RootSystem, command: str, results: dict) -> str:
@@ -320,21 +368,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
-    if args.format not in _FORMATS[args.command]:
-        sys.stderr.write(
-            f"error: format {args.format!r} is not available for {args.command!r}\n"
-        )
-        return EXIT_USAGE
-
     status = EXIT_OK
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            return EXIT_OK
         rs = build(parse_type(args.type))
         if args.command == "poset" and args.format == "dot":
             _emit(_poset_dot(rs, args), args.out)

@@ -21,7 +21,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from . import intlat
+from . import errors, intlat
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _RANK_MAX = {"E": 8, "F": 4, "G": 2}
@@ -304,6 +304,8 @@ def build(factors: tuple[TypeSymbol, ...] | TypeSymbol) -> RootSystem:
     """Construct (and cache) the root system of a product of types."""
     if isinstance(factors, TypeSymbol):
         factors = (factors,)
+    work = sum(map(_n_positive_roots, factors)) * sum(sym.rank for sym in factors) ** 2
+    errors.require_work(f"root closure of {format_type(factors)}: positive roots x rank^2", work)
     return RootSystem(factors)
 
 

@@ -1,7 +1,12 @@
 """Shared test helpers."""
 
+import argparse
+import contextlib
+import io
+
 import pytest
 
+from toricarr import __version__, oracle
 from toricarr.intlat import saturate
 from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
 from toricarr.weyl import compose
@@ -113,3 +118,76 @@ def _coroot_matrix(rs, w):
 @pytest.fixture
 def coroot_matrix():
     return _coroot_matrix
+
+
+# -- the argparse front end that cli._parse_args replaced, kept as its reference --
+
+
+class _ReferenceUsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ReferenceUsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"capability bounds must be positive integers, not {text!r}")
+    return value
+
+
+_REFERENCE_FORMATS = {
+    "points": {"json", "text"},
+    "layers": {"json", "text"},
+    "census": {"json", "text", "csv"},
+    "poincare": {"json", "text"},
+    "euler": {"json", "text"},
+    "identity": {"json", "text"},
+    "poset": {"json", "text", "dot"},
+    "verify": {"json", "text"},
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="toricarr")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _REFERENCE_FORMATS:
+        p = sub.add_parser(name)
+        p.add_argument("--type", required=True, help='root system type, e.g. "F4" or "A3xA1"')
+        p.add_argument("--format", default="text", choices=["json", "csv", "dot", "text"])
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if name in ("poset", "verify"):
+            p.add_argument("--poset-rank", type=_positive_int, default=oracle.DEFAULT_POSET_RANK)
+    return parser
+
+
+def _reference_parse(argv):
+    """What the argparse front end made of argv, together with main's format check.
+
+    ("args", fields) with poset_rank defaulted on every command,
+    ("error", message), or ("printed", stdout) after -h or --version.
+    """
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "printed", out.getvalue()
+    except _ReferenceUsageError as exc:
+        return "error", str(exc)
+    if args.format not in _REFERENCE_FORMATS[args.command]:
+        return "error", f"format {args.format!r} is not available for {args.command!r}"
+    return "args", {"poset_rank": oracle.DEFAULT_POSET_RANK, **vars(args)}
+
+
+@pytest.fixture
+def reference_parse():
+    return _reference_parse

@@ -1,7 +1,9 @@
 """CLI surface: commands, formats, exit codes, determinism, round trips."""
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import toricarr
+from toricarr import cli
 from toricarr.cli import main
+
+COMMANDS = ["points", "layers", "census", "poincare", "euler", "identity", "poset", "verify"]
 
 
 def run_cli(capsys, *argv):
@@ -106,7 +111,7 @@ def test_bounds_must_be_positive(capsys):
 
 
 def test_ignored_capability_flags_are_rejected(capsys):
-    for command in ["points", "layers", "census", "poincare", "euler", "identity", "poset", "verify"]:
+    for command in COMMANDS:
         for flag in ("--brute-rank", "--max-group-order"):
             code, _, err = run_cli(capsys, command, "--type", "A1", flag, "3")
             assert code == 1 and flag in err, (command, flag)
@@ -391,3 +396,159 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["results"]["total"] == "72"
+
+
+# -- argument parsing -----------------------------------------------------------
+
+
+def _argv_corpus():
+    """Command lines that the parser reads or refuses, in every way it can."""
+    corpus = [
+        [], ["bogus"], ["bogus", "--type", "A1"], ["--type", "A1", "points"], ["-x", "points", "--type", "A1"],
+        ["--x", "1", "points", "--type", "A1"], ["--", "points", "--type", "A1"], ["--"], ["-x", "--"],
+        ["--version"], ["--vers"], ["--version=1"], ["-h"], ["--help"], ["--he"], ["-hh"], ["-hx"],
+        ["--help=x"], ["-h", "bogus"], ["bogus", "-h"], ["--=x", "points", "--type", "A1"],
+        ["points", "--type", "A1", "--=x"], ["points", "--type", "A1", "--", "--=x"],
+    ]
+    for command in COMMANDS:
+        options = [("--type", "A3xA1"), ("--format", "json"), ("--out", "-")]
+        for order in itertools.permutations(options):
+            for length, equals in itertools.product((None, 4), (False, True)):  # --ty is --type
+                argv = [command]
+                for name, value in order:
+                    argv += [f"{name[:length]}={value}"] if equals else [name[:length], value]
+                corpus.append(argv)
+        base = [command, "--type", "A1"]
+        corpus += [
+            [command, "--type", "A1", "--ty", "G2", "--form", "text", "--format=json", "--out", "a", "--o=b"],
+            base + ["--bogus"], base + ["--bogus", "value"], base + ["-x", "1", "--flag=2", "stray"],
+            base + ["--version"], base + ["--route", "closed"], base + ["-t", "A2"], base + ["--typo", "A2"],
+            [command, "--type"], [command, "--type", "--format", "json"], [command, "--type", "--"],
+            [command], [command, "--format", "json"], [command, "--out", "x", "stray"],
+            base + ["--format", "xml"], base + ["--format", "xml", "--bogus"], base + ["--bogus", "--format", "xml"],
+            base + ["--format", "dot"], base + ["--format", "csv"], base + ["--format="],
+            base + ["-h"], [command, "--help", "--type"], [command, "--format", "xml", "-h"], base + ["-h=x"],
+            base + ["--", "--format", "json"], [command, "--", "--type", "A1"], base + ["--"],
+            [command, "--type", "-1"], [command, "--type", "-"], [command, "--out", "-", "--type=B2"],
+            [command, "--type", "A1 x A2"], [command, "--type", "-A1 x"],
+        ]
+        for rank in ("3", "0", "-1", "x"):
+            corpus += [base + ["--poset-rank", rank], base + [f"--poset-rank={rank}"], base + ["--po", rank]]
+    return corpus
+
+
+def _parse(argv):
+    """What cli._parse_args makes of argv, in the reference's terms."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = cli._parse_args(argv)
+    except ValueError as exc:
+        return "error", str(exc)
+    return ("printed", out.getvalue()) if args is None else ("args", vars(args))
+
+
+def test_parse_matches_the_argparse_reference(reference_parse):
+    def outcome(result):  # help layouts differ by design; the version does not
+        return ("printed", "help") if result[0] == "printed" and "usage" in result[1] else result
+
+    pairs = [(argv, outcome(reference_parse(argv)), outcome(_parse(argv))) for argv in _argv_corpus()]
+    mismatches = [pair for pair in pairs if pair[1] != pair[2]]
+    assert not mismatches, "\n".join(map(repr, mismatches[:10]))
+    assert len(pairs) > 500 and {expected[0] for _, expected, _ in pairs} == {"args", "error", "printed"}
+
+
+def test_options_read_in_any_order_by_prefix_and_last_repeat():
+    argv = ["verify", "--po", "5", "--ty=G2", "--out", "-", "--type", "B3", "--form", "json", "--poset-rank=2"]
+    fields = {"command": "verify", "type": "B3", "format": "json", "out": "-", "poset_rank": 2}
+    assert vars(cli._parse_args(argv)) == fields
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["points", "--type", "A1", "--bogus", "1", "-x"], "unrecognized arguments: --bogus 1 -x"),
+        (
+            ["points", "--type", "A1", "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'dot', 'text')",
+        ),
+        (
+            ["bogus", "--type", "A1"],
+            "argument command: invalid choice: 'bogus' (choose from 'points', 'layers', 'census', "
+            "'poincare', 'euler', 'identity', 'poset', 'verify')",
+        ),
+        (["points", "--format", "json"], "the following arguments are required: --type"),
+        (
+            ["verify", "--type", "A1", "--poset-rank", "0"],
+            "argument --poset-rank: capability bounds must be positive integers, not '0'",
+        ),
+        (["poincare", "--type", "A1", "--format", "dot"], "format 'dot' is not available for 'poincare'"),
+    ],
+)
+def test_usage_errors_keep_their_messages(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_help_lists_the_commands(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run_cli(capsys, flag)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: toricarr ")
+        for line in [
+            "  points    count the points of the arrangement and their orbit table",
+            "  layers    per-dimension layer counts",
+            "  census    full layer census with tangent types",
+            "  poincare  Poincare polynomial of the complement",
+            "  euler     Euler characteristic, both routes",
+            "  identity  the degree identity check",
+            "  poset     explicit layer poset",
+            "  verify    run the oracle-vs-formula suite",
+        ]:
+            assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_lists_its_options(capsys, command):
+    code, out, err = run_cli(capsys, command, "-h")
+    assert code == 0 and err == ""
+    formats = {"census": "json,text,csv", "poset": "json,text,dot"}.get(command, "json,text")
+    usage = f"usage: toricarr {command} [-h] --type TYPE [--format {{{formats}}}] [--out PATH]"
+    assert out.splitlines()[0] == usage + (" [--poset-rank N]" if command in ("poset", "verify") else "")
+    assert run_cli(capsys, command, "--type", "A1", "--help") == (code, out, err)
+
+
+def test_version(capsys):
+    assert run_cli(capsys, "--version") == (0, "0.1.0\n", "")
+
+
+def test_requests_import_no_argument_parsing_modules():
+    # Every request used to build an argparse tree, which imports gettext and then locale.
+    argvs = [[c, "--type", "A2"] for c in COMMANDS] + [["--version"], ["poset", "-h"], ["points"]]
+    script = (
+        "import io, sys\n"
+        "from toricarr import cli\n"
+        "sys.stdout = io.StringIO()\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(toricarr.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] []\n", proc.stderr
+
+
+@pytest.mark.parametrize("command", ["census", "points"])
+def test_root_closure_is_refused_before_it_is_built(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--type", "A150")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "capability: root closure of A150: positive roots x rank^2 = 254812500 exceeds the work bound 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("t, total", [("A30", 31), ("D20", 2097072), ("E8", 157200)])
+def test_root_closure_bound_admits_large_types(capsys, t, total):
+    code, out, _ = run_cli(capsys, "points", "--type", t)
+    assert code == 0 and out.startswith(f"type {t}: {total} points\n")

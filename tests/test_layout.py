@@ -19,7 +19,6 @@ ALLOWED = {
     "build_str": "the one-line type-string entry point of the public API and of most tests",
     "a_series_census": "the paper's partition formula for the A-series census, a reference identity",
     "a_series_poincare": "the paper's partition formula for the A-series Poincare polynomial",
-    "_Parser.error": "argparse calls it on a usage error",
 }
 
 
