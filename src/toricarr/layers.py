@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import intlat
 from .rootsys import (
+    AffineDiagram,
     RootSystem,
     TypeSymbol,
     affine_diagram,
@@ -104,11 +105,15 @@ class PointOrbitRecord:
     aut_orbit: int  # index into the Aut(Gamma)-orbit list Q
 
 
+class _VertexData(NamedTuple):
+    diagram: AffineDiagram
+    vertices: tuple[tuple[int, tuple[TypeSymbol, ...], int, int], ...]  # (p, type, |W_p|, |W|/|W_p|)
+
+
 @lru_cache(maxsize=None)
-def _vertex_data(factors: tuple[TypeSymbol, ...]):
-    """Per-vertex deletion types and |W|/|W_p| for one irreducible factor."""
-    rs = build(factors)
-    diag = affine_diagram(rs)
+def _vertex_data(factors: tuple[TypeSymbol, ...]) -> _VertexData:
+    """One irreducible factor's affine diagram, and per vertex its deletion type and |W|/|W_p|."""
+    diag = affine_diagram(build(factors))
     w_order = type_invariants(factors).weyl_order
     out = []
     for p in diag.vertices:
@@ -117,7 +122,7 @@ def _vertex_data(factors: tuple[TypeSymbol, ...]):
         if w_order % wp:
             raise AssertionError("parabolic order does not divide |W|")
         out.append((p, ptype, wp, w_order // wp))
-    return tuple(out)
+    return _VertexData(diag, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +134,7 @@ def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[Ty
     combined: dict[tuple[TypeSymbol, ...], int] = {(): 1}
     for sym in factors:
         factor_counts: dict[tuple[TypeSymbol, ...], int] = {}
-        for _, ptype, _, size in _vertex_data((sym,)):
+        for _, ptype, _, size in _vertex_data((sym,)).vertices:
             factor_counts[ptype] = factor_counts.get(ptype, 0) + size
         merged: dict[tuple[TypeSymbol, ...], int] = {}
         for t1, c1 in combined.items():
@@ -144,7 +149,7 @@ def count_points_of_type(factors: tuple[TypeSymbol, ...]) -> int:
     """|C_0| for a product type: sum over affine vertices of |W|/|W_p|."""
     total = 1
     for sym in factors:
-        total *= sum(size for *_, size in _vertex_data((sym,)))
+        total *= sum(size for *_, size in _vertex_data((sym,)).vertices)
     return total
 
 
@@ -161,10 +166,10 @@ def point_orbits(rs: RootSystem) -> tuple[PointOrbitRecord, ...]:
     """
     if not rs.is_irreducible:
         raise ValueError("point_orbits is defined per irreducible factor")
-    diag = affine_diagram(rs)
+    diag, vertices = _vertex_data(rs.factors)
     autos, orbits = diagram_automorphisms(diag)
     records = []
-    for p, ptype, wp, size in _vertex_data(rs.factors):
+    for p, ptype, wp, size in vertices:
         q_index = next(i for i, orb in enumerate(orbits) if p in orb)
         aut_stab = len([a for a in autos if a[p] == p])
         records.append(
@@ -307,7 +312,7 @@ def euler_characteristic(rs: RootSystem) -> int:
     value = 1
     for sym in rs.factors:
         factor = 0
-        for _, ptype, _, size in _vertex_data((sym,)):
+        for _, ptype, _, size in _vertex_data((sym,)).vertices:
             factor += size * type_invariants(ptype).exponent_product
         value *= (-1) ** sym.rank * factor
     closed = (-1) ** rs.rank * type_invariants(rs.factors).weyl_order
@@ -440,7 +445,7 @@ def verify_degree_identity(rs: RootSystem) -> DegreeIdentityResult:
         raise ValueError("the degree identity is per irreducible type")
     terms = []
     total = Fraction(0)
-    for p, ptype, wp, _ in _vertex_data(rs.factors):
+    for p, ptype, wp, _ in _vertex_data(rs.factors).vertices:
         term = Fraction(type_invariants(ptype).exponent_product, wp)
         terms.append((p, term))
         total += term

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import intlat
 from .errors import CapabilityError, require_work
-from .rootsys import RootSystem, TypeSymbol, build, type_invariants, center_exponent
+from .rootsys import RootSystem, TypeSymbol, build, center_exponent, center_order, type_invariants
 from .subsys import Subsystem, enumerate_complete, make_subsystem
 
 DEFAULT_POSET_RANK = 3
@@ -70,7 +70,7 @@ def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
             for k in range(rs.rank):
                 vec[k] += snf.right[k][i] * step
         out.append(tuple(x % m for x in vec))
-    if len(out) != type_invariants(rs.factors).center_order:
+    if len(out) != center_order(rs.factors):
         raise AssertionError("center grid vectors do not match the center order")
     return out
 

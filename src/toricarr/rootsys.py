@@ -8,18 +8,20 @@ Conventions, fixed globally:
 
 Root data is generated by closure from the Cartan matrix (root strings),
 one code path for every type; the per-type coordinate models appear only
-in tests.
+in tests.  The closure carries each positive root's pairings with the
+simple coroots, and every later pairing, reflection and affine-diagram
+label reads that table.  The Weyl-group invariants come from the degree
+tables; the center order |Z| alone is computed from the Cartan lattice by
+Smith normal form.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from operator import add, gt, mul, neg
+from typing import NamedTuple, Sequence
 
 from . import errors, intlat
 
@@ -56,16 +58,18 @@ class TypeSymbol:
 
 
 def parse_type(text: str) -> tuple[TypeSymbol, ...]:
-    """Parse a type string like "F4" or "A3xA1" into canonical factors."""
-    parts = re.split(r"[xX*]", text.strip())
+    """Parse a type string like "F4" or "A3xA1" into canonical factors.
+
+    Factors are separated by x, X or *; each is a letter A-G (either case)
+    followed by decimal digits, with whitespace around it ignored.
+    """
     factors = []
-    for part in parts:
-        m = re.fullmatch(r"([A-Ga-g])(\d+)", part.strip())
-        if not m:
+    for part in text.strip().replace("X", "x").replace("*", "x").split("x"):
+        name = part.strip()
+        # isdecimal() is exactly the Unicode Nd digits that int() reads.
+        if len(name) < 2 or name[0] not in "ABCDEFGabcdefg" or not name[1:].isdecimal():
             raise ValueError(f"cannot parse type {part!r} in {text!r}")
-        factors.append(TypeSymbol.of(m.group(1), int(m.group(2))))
-    if not factors:
-        raise ValueError("empty type string")
+        factors.append(TypeSymbol.of(name[0], int(name[1:])))
     return tuple(sorted(factors))
 
 
@@ -111,61 +115,59 @@ def _cartan_matrix(sym: TypeSymbol) -> list[list[int]]:
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> list[int]:
     """Positive integers d with d[i]*c[i][j] == d[j]*c[j][i], gcd 1 per block."""
     n = len(cartan)
-    d: list[Optional[Fraction]] = [None] * n
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
         comp = [start]
-        d[start] = Fraction(1)
+        d[start] = 1
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
-                if i != j and cartan[i][j] and d[j] is None:
-                    # d_j = d_i * c[i][j] / c[j][i]
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                if i != j and cartan[i][j] and not d[j]:
+                    # d_j = d_i * c[i][j] / c[j][i]; scale the block first when that is no integer.
+                    num, den = d[i] * cartan[i][j], cartan[j][i]
+                    scale = abs(den) // gcd(num, den)
+                    for k in comp:
+                        d[k] *= scale
+                    d[j] = num * scale // den
                     comp.append(j)
                     queue.append(j)
-        denom = 1
+        g = gcd(*(d[i] for i in comp))
         for i in comp:
-            denom = denom * d[i].denominator // gcd(denom, d[i].denominator)
-        vals = [int(d[i] * denom) for i in comp]
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
-        for i, v in zip(comp, vals):
-            d[i] = Fraction(v // g)
-    return [int(x) for x in d]
+            d[i] //= g
+    return d
 
 
-def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All positive roots by closure under root strings, height by height."""
+def _closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Positive roots ordered by height, then coordinates, with their pairings <beta, alpha_i^vee>.
+
+    Each root of the current height also carries p_i, the length of its
+    alpha_i-string below it, and beta + alpha_i is a root iff
+    p_i(beta) > <beta, alpha_i^vee>.  That root gamma has beta's pairings
+    plus column i of the Cartan matrix, and p_i(gamma) = p_i(beta) + 1.
+    Every root gamma - alpha_k of this height reaches gamma this way, so a
+    p_k of gamma still 0 means gamma - alpha_k is no root.
+    """
     n = len(cartan)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = set(simple)
-    current = list(simple)
-    while current:
-        nxt = set()
-        for m in current:
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    level = {tuple(int(i == j) for j in range(n)): (columns[i], [0] * n) for i in range(n)}
+    roots, pairings = [], []
+    while level:
+        upper: dict = {}
+        for beta in sorted(level):
+            pairing, down = level[beta]
+            roots.append(beta)
+            pairings.append(pairing)
             for i in range(n):
-                pairing = sum(cartan[i][j] * m[j] for j in range(n))
-                down = list(m)
-                p = 0
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in found:
-                        p += 1
-                    else:
-                        break
-                if p - pairing > 0:
-                    up = list(m)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in found:
-                        nxt.add(cand)
-        found |= nxt
-        current = sorted(nxt)
-    return sorted(found, key=lambda r: (sum(r), r))
+                if down[i] > pairing[i]:
+                    gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if gamma not in upper:
+                        upper[gamma] = (tuple(map(add, pairing, columns[i])), [0] * n)
+                    upper[gamma][1][i] = down[i] + 1
+        level = upper
+    return roots, pairings
 
 
 class Block(NamedTuple):
@@ -190,10 +192,11 @@ class RootSystem:
         self.blocks = tuple(map(Block, factors, starts))
         self.cartan = tuple(map(tuple, cartan))
         self.symmetrizer = tuple(_symmetrizer(cartan))
-        self.positive_roots = tuple(_positive_roots(cartan))
-        self.all_roots = self.positive_roots + tuple(
-            tuple(-x for x in r) for r in self.positive_roots
-        )
+        positive, pairings = _closure(cartan)
+        self.positive_roots = tuple(positive)
+        self.all_roots = self.positive_roots + tuple(tuple(map(neg, r)) for r in positive)
+        # Each root's values on the simple coroots, in the order of all_roots.
+        self.pairings = tuple(pairings) + tuple(tuple(map(neg, p)) for p in pairings)
         self.root_index = {r: i for i, r in enumerate(self.all_roots)}
         self.n_positive = len(self.positive_roots)
         self.highest_roots = self._find_highest_roots()
@@ -217,41 +220,26 @@ class RootSystem:
 
     # -- basic linear data ------------------------------------------------
 
-    def pairing(self, root: Sequence[int], i: int) -> int:
+    def pairing(self, root: tuple[int, ...], i: int) -> int:
         """<root, alpha_i^vee>."""
-        return sum(self.cartan[i][j] * root[j] for j in range(self.rank))
+        return self.pairings[self.root_index[root]][i]
 
-    def inner(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Invariant bilinear form (block-scaled to integers)."""
-        total = 0
-        for i in range(self.rank):
-            if a[i]:
-                di = self.symmetrizer[i]
-                total += a[i] * di * sum(self.cartan[i][j] * b[j] for j in range(self.rank))
-        return total
-
-    def pair_roots(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """<a, b^vee> = 2(a,b)/(b,b) for roots a, b."""
-        num = 2 * self.inner(a, b)
-        den = self.inner(b, b)
+    def pair_roots(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """<a, b^vee> = 2(a,b)/(b,b) for roots a, b, where (a,b) = sum_i b_i d_i <a, alpha_i^vee>."""
+        weights = list(map(mul, b, self.symmetrizer))
+        num = 2 * sum(map(mul, weights, self.pairings[self.root_index[a]]))
+        den = sum(map(mul, weights, self.pairings[self.root_index[b]]))
         q, r = divmod(num, den)
         if r:
             raise AssertionError("non-integral Cartan pairing")
         return q
 
-    def reflect(self, root: Sequence[int], i: int) -> tuple[int, ...]:
+    def reflect(self, root: tuple[int, ...], i: int) -> tuple[int, ...]:
         """Simple reflection s_i applied to a root."""
         c = self.pairing(root, i)
         out = list(root)
         out[i] -= c
         return tuple(out)
-
-    @cached_property
-    def pairings(self) -> tuple[tuple[int, ...], ...]:
-        """Each root's values on the simple coroots, in the order of all_roots."""
-        return tuple(
-            tuple(sum(map(mul, row, r)) for row in self.cartan) for r in self.all_roots
-        )
 
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -271,15 +259,11 @@ class RootSystem:
         """Highest root of each factor, embedded in the full coordinates."""
         out = []
         for block in self.blocks:
-            rk = block.symbol.rank
-            cand = [
-                r
-                for r in self.positive_roots
-                if any(r[block.start + k] for k in range(rk))
-            ]
-            top = max(cand, key=lambda r: (sum(r), r))
+            support = slice(block.start, block.start + block.symbol.rank)
+            cand = [r for r in self.positive_roots if any(r[support])]
+            top = cand[-1]  # the positive roots are ordered by height
             for r in cand:
-                if any(x > y for x, y in zip(r, top)):
+                if any(map(gt, r, top)):
                     raise AssertionError("highest root does not dominate")
             out.append(top)
         return tuple(out)
@@ -349,35 +333,40 @@ class TypeInvariants(NamedTuple):
     weyl_order: int
     degrees: tuple[int, ...]
     exponent_product: int
-    center_order: int
 
 
 @lru_cache(maxsize=None)
 def type_invariants(factors: tuple[TypeSymbol, ...]) -> TypeInvariants:
-    """|W|, degrees, product of exponents, |Z| for a product of types.
+    """|W|, degrees and product of exponents for a product of types.
 
-    The center order is the determinant of the Cartan matrix (the index of
-    the coroot lattice in the coweight lattice), computed via Smith normal
-    form rather than read off a table.
+    All three are read off the degree table: |W| is the product of the
+    degrees and the exponents are the degrees less one.
     """
-    degrees: list[int] = []
-    center = 1
-    for sym in factors:
-        degrees.extend(degrees_of(sym))
-        center *= prod(intlat.smith_normal_form(_cartan_matrix(sym)).divisors)
-    degrees.sort()
+    degrees = sorted(d for sym in factors for d in degrees_of(sym))
     return TypeInvariants(
         weyl_order=prod(degrees),
         degrees=tuple(degrees),
         exponent_product=prod(d - 1 for d in degrees),
-        center_order=center,
     )
+
+
+def _center_divisors(sym: TypeSymbol) -> tuple[int, ...]:
+    """Elementary divisors of one factor's Cartan matrix: Z(Phi) is their product group."""
+    return intlat.smith_normal_form(_cartan_matrix(sym)).divisors
+
+
+def center_order(factors: tuple[TypeSymbol, ...]) -> int:
+    """|Z| for a product of types: the index of the coroot lattice in the coweight lattice.
+
+    Computed from each factor's Cartan matrix by Smith normal form rather
+    than read off a table.
+    """
+    return prod(prod(_center_divisors(sym)) for sym in factors)
 
 
 def center_exponent(sym: TypeSymbol) -> int:
     """Exponent of Z(Phi) for one factor: the largest elementary divisor."""
-    divisors = intlat.smith_normal_form(_cartan_matrix(sym)).divisors
-    return max((d for d in divisors), default=1)
+    return max(_center_divisors(sym), default=1)
 
 
 # -- affine Dynkin diagrams -------------------------------------------------

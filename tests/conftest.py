@@ -3,11 +3,13 @@
 import argparse
 import contextlib
 import io
+import re
 
 import pytest
 
 from toricarr import __version__, oracle
 from toricarr.intlat import saturate
+from toricarr.rootsys import TypeSymbol
 from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
 from toricarr.weyl import compose
 
@@ -89,9 +91,62 @@ def weyl_elements():
     return _weyl_elements
 
 
+# -- the root closure and bilinear form that the pairing table replaced, kept as references --
+
+
+def _positive_roots(cartan):
+    """All positive roots by closure under root strings, height by height."""
+    n = len(cartan)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    found = set(simple)
+    current = list(simple)
+    while current:
+        nxt = set()
+        for m in current:
+            for i in range(n):
+                pairing = sum(cartan[i][j] * m[j] for j in range(n))
+                down = list(m)
+                p = 0
+                while True:
+                    down[i] -= 1
+                    if tuple(down) in found:
+                        p += 1
+                    else:
+                        break
+                if p - pairing > 0:
+                    up = list(m)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in found:
+                        nxt.add(cand)
+        found |= nxt
+        current = sorted(nxt)
+    return sorted(found, key=lambda r: (sum(r), r))
+
+
+@pytest.fixture
+def reference_positive_roots():
+    return _positive_roots
+
+
+def _inner(rs, a, b):
+    """Invariant bilinear form (block-scaled to integers), from the Cartan matrix and symmetrizer."""
+    total = 0
+    for i in range(rs.rank):
+        if a[i]:
+            di = rs.symmetrizer[i]
+            total += a[i] * di * sum(rs.cartan[i][j] * b[j] for j in range(rs.rank))
+    return total
+
+
+@pytest.fixture
+def inner():
+    return _inner
+
+
 def _coroot_coords(rs, root):
     """Coordinates of root^vee in the simple-coroot basis: 2 m_i d_i / (root, root)."""
-    norm = rs.inner(root, root)
+    norm = _inner(rs, root, root)
     out = []
     for m, d in zip(root, rs.symmetrizer):
         q, r = divmod(2 * m * d, norm)
@@ -191,3 +246,24 @@ def _reference_parse(argv):
 @pytest.fixture
 def reference_parse():
     return _reference_parse
+
+
+# -- the regular-expression type parser that rootsys.parse_type replaced, kept as its reference --
+
+
+def _reference_parse_type(text):
+    parts = re.split(r"[xX*]", text.strip())
+    factors = []
+    for part in parts:
+        m = re.fullmatch(r"([A-Ga-g])(\d+)", part.strip())
+        if not m:
+            raise ValueError(f"cannot parse type {part!r} in {text!r}")
+        factors.append(TypeSymbol.of(m.group(1), int(m.group(2))))
+    if not factors:
+        raise ValueError("empty type string")
+    return tuple(sorted(factors))
+
+
+@pytest.fixture
+def reference_parse_type():
+    return _reference_parse_type

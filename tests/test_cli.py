@@ -552,3 +552,49 @@ def test_root_closure_is_refused_before_it_is_built(capsys, command):
 def test_root_closure_bound_admits_large_types(capsys, t, total):
     code, out, _ = run_cli(capsys, "points", "--type", t)
     assert code == 0 and out.startswith(f"type {t}: {total} points\n")
+
+
+def _clear_library_caches():
+    """Empty every lru_cache of the library, as a fresh CLI process starts."""
+    for module in (toricarr.rootsys, toricarr.subsys, toricarr.layers, toricarr.oracle):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [["points", "--type", "E8"], ["identity", "--type", "E7xA1"]])
+def test_closed_forms_compute_no_smith_normal_form(capsys, monkeypatch, argv):
+    # The closed forms need |W| and the degrees only; |Z| is the oracles' business.
+    _clear_library_caches()
+    calls = []
+    smith = toricarr.intlat.smith_normal_form
+    monkeypatch.setattr(toricarr.intlat, "smith_normal_form", lambda mat: calls.append(mat) or smith(mat))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert calls == []
+
+
+_ROOT_DATA_DEFECTS = {
+    "closure": (
+        "from toricarr import rootsys\n"
+        "closure = rootsys._closure\n"
+        "rootsys._closure = lambda cartan: tuple(part[:-1] for part in closure(cartan))",
+        "G2",
+        "closure produced 5 positive roots, expected 6 for G2",
+    ),
+    "symmetrizer": (
+        "from toricarr import rootsys\n"
+        "symmetrizer = rootsys._symmetrizer\n"
+        "rootsys._symmetrizer = lambda cartan: symmetrizer(cartan)[::-1]",
+        "B3",
+        "non-integral Cartan pairing",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_ROOT_DATA_DEFECTS))
+def test_root_data_checks_survive_optimized_mode(defect):
+    patch, t, message = _ROOT_DATA_DEFECTS[defect]
+    proc = _run_with_defect(patch, ["points", "--type", t], "-O")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"mismatch: {message}\n"

@@ -231,10 +231,10 @@ def test_component_count_examples(completion):
     assert component_count(rs, theta) == 4
 
 
-def test_component_count_rejects_non_complete():
+def test_component_count_rejects_non_complete(inner):
     rs = build_str("G2")
-    norms = [rs.inner(r, r) for r in rs.positive_roots]
-    longs = [i for i, r in enumerate(rs.positive_roots) if rs.inner(r, r) == max(norms)]
+    norms = [inner(rs, r, r) for r in rs.positive_roots]
+    longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
     from toricarr.subsys import make_subsystem
 
     with pytest.raises(ValueError):

@@ -26,10 +26,10 @@ def test_completion_a1xa1_in_b2_is_all(completion):
     assert format_type(sub.type) == "B2"
 
 
-def test_long_roots_of_g2_are_a2_not_complete(completion):
+def test_long_roots_of_g2_are_a2_not_complete(completion, inner):
     rs = build_str("G2")
-    norms = [rs.inner(r, r) for r in rs.positive_roots]
-    longs = [i for i, r in enumerate(rs.positive_roots) if rs.inner(r, r) == max(norms)]
+    norms = [inner(rs, r, r) for r in rs.positive_roots]
+    longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
     # the long roots are closed: a sum of two of them that is a root is long
     coords = [rs.all_roots[i] for i in longs]
     coords += [tuple(-x for x in r) for r in coords]
