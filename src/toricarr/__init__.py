@@ -35,8 +35,6 @@ from .layers import (
     IntPolynomial,
     LayerClassRecord,
     PointOrbitRecord,
-    a_series_census,
-    a_series_poincare,
     count_layers,
     count_points,
     euler_characteristic,

@@ -1,8 +1,7 @@
 """Exact integer-lattice linear algebra.
 
 Smith normal form and Hermite normal form over Python ints (arbitrary
-precision), and saturation, residues, coordinates and lattice indices
-built on them.  Every routine is fraction-free: the only divisions are
+precision), and saturation, residues and coordinates built on them.  Every routine is fraction-free: the only divisions are
 exact ones that the normal forms guarantee.  No floating point anywhere.
 """
 
@@ -284,23 +283,3 @@ def _coords_solver(
         return tuple(sum(map(mul, y, col)) for col in left_cols)
 
     return solve
-
-
-def lattice_index(sup_rows: IntMatrix, sub_rows: IntMatrix) -> int:
-    """Index [sup : sub] of one integer lattice inside another.
-
-    Both lattices are given by generating rows and must have equal rank;
-    raises ValueError when sub is not contained in sup.
-    """
-    sup = hermite_normal_form(sup_rows)
-    solve = _coords_solver(sup)
-    coeff_rows = []
-    for row in sub_rows:
-        coeffs = solve(row)
-        if coeffs is None:
-            raise ValueError("sublattice not contained in the lattice")
-        coeff_rows.append(coeffs)
-    divisors = smith_normal_form(coeff_rows).divisors if coeff_rows else ()
-    if len(divisors) != len(sup):
-        raise ValueError("lattices have different ranks")
-    return prod(divisors)

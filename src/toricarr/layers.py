@@ -4,6 +4,8 @@ Points of the arrangement and their orbit structure from the affine
 diagram, per-dimension layer counts through the complete-subsystem
 partition, the full layer census with tangent types, Euler characteristic
 and the Poincare polynomial of the complement by two independent routes.
+The index n_Theta is a quotient of two indices in Z^k, each the product of
+the pivots of a Hermite normal form.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod, factorial
+from math import comb, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlat
@@ -21,6 +23,7 @@ from .rootsys import (
     TypeSymbol,
     affine_diagram,
     build,
+    cartan_of,
     delete_vertex,
     diagram_automorphisms,
     type_invariants,
@@ -195,34 +198,35 @@ def point_orbits(rs: RootSystem) -> tuple[PointOrbitRecord, ...]:
 # -- n_Theta and layer counts ------------------------------------------------
 
 
-def restricted_coroot_lattice(
-    rs: RootSystem, theta: Subsystem
-) -> tuple[tuple[int, ...], ...]:
-    """HNF basis of the projection of the coroot lattice of rs onto theta.
+def _index_in_zk(rows: Sequence[Sequence[int]], k: int) -> int:
+    """[Z^k : L] for the row lattice L of `rows`: the product of its HNF pivots.
 
-    Coordinates are functional values against theta's simple roots.
+    L must have rank k, so that its HNF is square and the pivots are its diagonal.
     """
-    return intlat.hermite_normal_form(list(zip(*(rs.pairings[i] for i in theta.simples))))
+    basis = intlat.hermite_normal_form(rows)
+    if len(basis) != k:
+        raise AssertionError(f"a lattice of rank {len(basis)} in Z^{k}")
+    return prod(row[i] for i, row in enumerate(basis))
 
 
 def n_theta(rs: RootSystem, theta: Subsystem) -> int:
-    """The index [R^Phi(Theta) : <Theta^vee>].
+    """The index [R^Phi(Theta) : <Theta^vee>], as a quotient of two indices in Z^k.
 
-    Computed lattice-theoretically: project the coroots of rs onto the
-    span of theta along its tangent space, then take the index of theta's
-    own coroot lattice inside the projection.
+    Coordinates are the values on theta's k simple roots.  There
+    <Theta^vee> is the row lattice of theta's Cartan matrix, of index
+    |det C_Theta| = |Z(Theta)|, and R^Phi(Theta), the coroot lattice of rs
+    restricted to theta's span, is spanned by the values of the simple
+    coroots of rs, the transposed pairings of theta's simples.
     """
     if not theta.complete:
         raise ValueError("n_theta is defined for complete (tangent) subsystems")
-    if theta.rank == 0:
-        return 1
-    sup = restricted_coroot_lattice(rs, theta)
-    simple_coords = [rs.all_roots[i] for i in theta.simples]
-    sub = []
-    for i in theta.simples:
-        coroot = rs.all_roots[i]
-        sub.append(tuple(rs.pair_roots(g, coroot) for g in simple_coords))
-    return intlat.lattice_index(sup, sub)
+    simples = theta.simples
+    coroots = _index_in_zk(cartan_of(rs, [rs.all_roots[i] for i in simples]), theta.rank)
+    restricted = _index_in_zk(list(zip(*(rs.pairings[i] for i in simples))), theta.rank)
+    q, r = divmod(coroots, restricted)
+    if r:
+        raise AssertionError("theta's coroot lattice is not inside R^Phi(Theta)")
+    return q
 
 
 @dataclass(frozen=True)
@@ -361,72 +365,6 @@ def poincare(rs: RootSystem) -> IntPolynomial:
     if poly(-1) != euler_characteristic(rs):
         raise AssertionError("Poincare polynomial disagrees with the Euler characteristic")
     return poly
-
-
-# -- the A series by partitions ----------------------------------------------
-
-
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer partitions of n in decreasing order, largest part first."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, maximum: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return tuple(out)
-
-
-def _b_lambda(lam: Sequence[int]) -> int:
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    return prod(factorial(i) ** b * factorial(b) for i, b in mult.items())
-
-
-def a_series_census(n: int, d: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """Layer count of A_{n-1} at dimension d, from partitions of n alone.
-
-    A partition lambda with k parts describes tangent spaces of dimension
-    k - 1; each contributes n! g_lambda / b_lambda layers, where g_lambda
-    is the gcd of the parts.
-    """
-    if n < 2:
-        raise ValueError("the A series starts at n = 2 (type A1)")
-    breakdown = []
-    total = 0
-    for lam in partitions(n):
-        if len(lam) != d + 1:
-            continue
-        g = 0
-        for part in lam:
-            g = gcd(g, part)
-        count = factorial(n) * g // _b_lambda(lam)
-        breakdown.append((lam, count))
-        total += count
-    return total, tuple(breakdown)
-
-
-def a_series_poincare(n: int) -> IntPolynomial:
-    """Poincare polynomial of the A_{n-1} complement, by partitions alone."""
-    if n < 2:
-        raise ValueError("the A series starts at n = 2 (type A1)")
-    rank = n - 1
-    total = IntPolynomial.of([])
-    for lam in partitions(n):
-        d = len(lam) - 1
-        g = 0
-        for part in lam:
-            g = gcd(g, part)
-        coeff = factorial(n) * g * prod(factorial(p - 1) for p in lam) // _b_lambda(lam)
-        total = total + coeff * _binomial_shift(d, rank - d)
-    return total
 
 
 # -- the degree identity -------------------------------------------------------

@@ -9,8 +9,10 @@ Conventions, fixed globally:
 Root data is generated by closure from the Cartan matrix (root strings),
 one code path for every type; the per-type coordinate models appear only
 in tests.  The closure carries each positive root's pairings with the
-simple coroots, and every later pairing, reflection and affine-diagram
-label reads that table.  The Weyl-group invariants come from the degree
+simple coroots, and every later pairing and reflection reads that table.
+A Dynkin diagram, affine or of a subsystem, is encoded only by its Cartan
+matrix (`cartan_of`), and `classify_dynkin` types it from the nonzero
+off-diagonal entries.  The Weyl-group invariants come from the degree
 tables; the center order |Z| alone is computed from the Cartan lattice by
 Smith normal form.
 """
@@ -369,110 +371,85 @@ def center_exponent(sym: TypeSymbol) -> int:
     return max(_center_divisors(sym), default=1)
 
 
-# -- affine Dynkin diagrams -------------------------------------------------
+# -- Dynkin diagrams as Cartan matrices --------------------------------------
+
+
+def cartan_of(rs: RootSystem, roots: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix c[i][j] = <roots[j], roots[i]^vee> of a sequence of roots."""
+    return tuple(tuple(rs.pair_roots(b, a) for b in roots) for a in roots)
 
 
 @dataclass(frozen=True)
 class AffineDiagram:
-    """Affine diagram on vertices 0..n with marks and directed edge labels.
+    """Affine diagram on vertices 0..n: marks and the Cartan matrix of -theta, alpha_1, .., alpha_n.
 
-    Edge (u, v, a_uv, a_vu) with u < v stores a_uv = |<alpha_u, alpha_v^vee>|
-    and a_vu = |<alpha_v, alpha_u^vee>|; an arrow points from the long root
-    toward the short one (a_uv > a_vu means u is longer than v).
+    A diagram is its Cartan matrix: vertices u and v are joined when
+    cartan[u][v] = <alpha_v, alpha_u^vee> is nonzero.
     """
 
     n: int
     marks: tuple[int, ...]
-    edges: tuple[tuple[int, int, int, int], ...]
+    cartan: tuple[tuple[int, ...], ...]
 
     @property
     def vertices(self) -> range:
         return range(self.n + 1)
-
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for (x, y, _, _) in self.edges:
-            if x == u:
-                out.append(y)
-            elif y == u:
-                out.append(x)
-        return sorted(out)
 
 
 def affine_diagram(rs: RootSystem) -> AffineDiagram:
     """Extend the Dynkin diagram of an irreducible system by the lowest root."""
     if not rs.is_irreducible:
         raise ValueError("affine diagrams are per irreducible factor")
-    theta = rs.highest_roots[0]
-    extended = [tuple(-x for x in theta)] + [
+    extended = [tuple(map(neg, rs.highest_roots[0]))] + [
         tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
     ]
-    edges = []
-    for u in range(rs.rank + 1):
-        for v in range(u + 1, rs.rank + 1):
-            auv = abs(rs.pair_roots(extended[u], extended[v]))
-            avu = abs(rs.pair_roots(extended[v], extended[u]))
-            if auv:
-                edges.append((u, v, auv, avu))
-    return AffineDiagram(n=rs.rank, marks=rs.marks, edges=tuple(edges))
+    return AffineDiagram(n=rs.rank, marks=rs.marks, cartan=cartan_of(rs, extended))
 
 
 def delete_vertex(diagram: AffineDiagram, p: int) -> tuple[TypeSymbol, ...]:
     """Type of the subdiagram left after removing vertex p."""
     if p not in diagram.vertices:
         raise ValueError(f"vertex {p} not in diagram")
-    vertices = [v for v in diagram.vertices if v != p]
-    labels = {}
-    for (u, v, a, b) in diagram.edges:
-        if u != p and v != p:
-            labels[(u, v)] = (a, b)
-    return classify_dynkin(vertices, labels)
+    keep = [v for v in diagram.vertices if v != p]
+    return classify_dynkin([[diagram.cartan[i][j] for j in keep] for i in keep])
 
 
-def classify_dynkin(
-    vertices: Sequence, labels: dict
-) -> tuple[TypeSymbol, ...]:
-    """Identify a labeled Dynkin graph as a product of irreducible types.
+def classify_dynkin(cartan: Sequence[Sequence[int]]) -> tuple[TypeSymbol, ...]:
+    """Identify a Cartan matrix as a product of irreducible types.
 
-    `labels` maps ordered pairs (u, v) (one orientation per edge) to
-    (|<alpha_u, alpha_v^vee>|, |<alpha_v, alpha_u^vee>|).
+    Its rows are the vertices of the diagram; i and j are joined when
+    c[i][j] is nonzero.
     """
-    adj: dict = {v: [] for v in vertices}
-    for (u, v), (a, b) in labels.items():
-        adj[u].append((v, a, b))
-        adj[v].append((u, b, a))
+    k = len(cartan)
+    adj = [[j for j in range(k) if j != i and cartan[i][j]] for i in range(k)]
     seen = set()
     out = []
-    for v in vertices:
+    for v in range(k):
         if v in seen:
             continue
         comp = [v]
         seen.add(v)
         queue = [v]
         while queue:
-            x = queue.pop()
-            for (y, _, _) in adj[x]:
+            for y in adj[queue.pop()]:
                 if y not in seen:
                     seen.add(y)
                     comp.append(y)
                     queue.append(y)
-        out.append(_classify_component(comp, adj))
+        out.append(_classify_component(comp, adj, cartan))
     return tuple(sorted(out))
 
 
-def _classify_component(comp: Sequence, adj: dict) -> TypeSymbol:
+def _classify_component(
+    comp: Sequence[int], adj: Sequence[Sequence[int]], cartan: Sequence[Sequence[int]]
+) -> TypeSymbol:
     k = len(comp)
     if k == 1:
         return TypeSymbol("A", 1)
     degree = {v: len(adj[v]) for v in comp}
-    edges = []
-    for v in comp:
-        for (w, a, b) in adj[v]:
-            if (w, v) not in [(x, y) for (x, y, _, _) in edges]:
-                edges.append((v, w, a, b))
-    if len(edges) != k - 1:
+    if sum(degree.values()) != 2 * (k - 1):
         raise ValueError("graph is not a tree: not a finite Dynkin diagram")
-    multi = [(v, w, a, b) for (v, w, a, b) in edges if (a, b) != (1, 1)]
+    multi = [(v, w) for v in comp for w in adj[v] if v < w and cartan[v][w] * cartan[w][v] != 1]
     if not multi:
         if all(d <= 2 for d in degree.values()):
             return TypeSymbol("A", k)
@@ -481,12 +458,11 @@ def _classify_component(comp: Sequence, adj: dict) -> TypeSymbol:
             raise ValueError("not a finite Dynkin diagram")
         b = branches[0]
         arms = []
-        for (w, _, _) in adj[b]:
+        for w in adj[b]:
             length = 1
             prev, cur = b, w
             while degree[cur] == 2:
-                nxt = next(x for (x, _, _) in adj[cur] if x != prev)
-                prev, cur = cur, nxt
+                prev, cur = cur, next(x for x in adj[cur] if x != prev)
                 length += 1
             arms.append(length)
         arms.sort()
@@ -501,41 +477,36 @@ def _classify_component(comp: Sequence, adj: dict) -> TypeSymbol:
         raise ValueError("not a finite Dynkin diagram")
     if len(multi) != 1 or any(d > 2 for d in degree.values()):
         raise ValueError("not a finite Dynkin diagram")
-    v, w, a, b = multi[0]
-    if sorted((a, b)) == [1, 3]:
+    v, w = multi[0]
+    bond = (-cartan[w][v], -cartan[v][w])  # (|<alpha_v, alpha_w^vee>|, |<alpha_w, alpha_v^vee>|)
+    if sorted(bond) == [1, 3]:
         if k != 2:
             raise ValueError("triple bond only occurs in G2")
         return TypeSymbol("G", 2)
-    if sorted((a, b)) != [1, 2]:
-        raise ValueError(f"unrecognized bond {(a, b)}")
+    if sorted(bond) != [1, 2]:
+        raise ValueError(f"unrecognized bond {bond}")
     if k == 2:
         return TypeSymbol("B", 2)  # canonical alias of C2
     # Chain with one double bond: B/C when at an end, F4 in the middle.
-    ends = {v: degree[v] == 1, w: degree[w] == 1}
-    if not any(ends.values()):
+    if degree[v] != 1 and degree[w] != 1:
         if k == 4:
             return TypeSymbol("F", 4)
         raise ValueError("interior double bond only occurs in F4")
-    if all(ends.values()):
-        return TypeSymbol("B", 2)
-    endpoint = v if ends[v] else w
-    # a = |<alpha_v, alpha_w^vee>|; a == 2 means v is the long root.
-    endpoint_long = (endpoint == v and a == 2) or (endpoint == w and b == 2)
-    return TypeSymbol("C" if endpoint_long else "B", k)
+    end, other = (v, w) if degree[v] == 1 else (w, v)
+    # <alpha_end, alpha_other^vee> = -2 means the end root is the long one.
+    return TypeSymbol("C" if cartan[other][end] == -2 else "B", k)
 
 
 def diagram_automorphisms(
     diagram: AffineDiagram,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """All mark- and label-preserving vertex permutations, plus their orbits Q."""
+    """All vertex permutations preserving the marks and the Cartan matrix, plus their orbits Q."""
     verts = list(diagram.vertices)
-    labels = {}
-    for (u, v, a, b) in diagram.edges:
-        labels[u, v], labels[v, u] = (a, b), (b, a)
-    invariant = {}
-    for v in verts:
-        inc = sorted(labels[v, w] + (diagram.marks[w],) for w in diagram.neighbors(v))
-        invariant[v] = (diagram.marks[v], tuple(inc))
+    c = diagram.cartan
+    invariant = {
+        v: (diagram.marks[v], sorted((c[v][w], c[w][v], diagram.marks[w]) for w in verts if c[v][w] < 0))
+        for v in verts
+    }
     autos = []
     image: dict[int, int] = {}
     used = set()
@@ -548,12 +519,7 @@ def diagram_automorphisms(
         for w in verts:
             if w in used or invariant[v] != invariant[w]:
                 continue
-            ok = True
-            for u in verts[:i]:
-                if labels.get((v, u)) != labels.get((w, image[u])):
-                    ok = False
-                    break
-            if ok:
+            if all(c[v][u] == c[w][image[u]] and c[u][v] == c[image[u]][w] for u in verts[:i]):
                 image[v] = w
                 used.add(w)
                 extend(i + 1)

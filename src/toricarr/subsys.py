@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import intlat
 from .errors import require_work
-from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type, type_invariants
+from .rootsys import RootSystem, TypeSymbol, cartan_of, classify_dynkin, format_type, type_invariants
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,7 @@ def make_subsystem(rs: RootSystem, positive_indices: Iterable[int]) -> Subsystem
     basis, _, null_vectors = intlat.saturate([rs.all_roots[i] for i in pos])
     rank = len(basis)
     simples = simple_system(rs, pos)
-    labels = {}
-    simple_coords = [rs.all_roots[i] for i in simples]
-    for a in range(len(simples)):
-        for b in range(a + 1, len(simples)):
-            pab = abs(rs.pair_roots(simple_coords[a], simple_coords[b]))
-            pba = abs(rs.pair_roots(simple_coords[b], simple_coords[a]))
-            if pab:
-                labels[(simples[a], simples[b])] = (pab, pba)
-    stype = classify_dynkin(simples, labels)
+    stype = classify_dynkin(cartan_of(rs, [rs.all_roots[i] for i in simples]))
     complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
     return Subsystem(
         roots=roots, rank=rank, complete=complete,

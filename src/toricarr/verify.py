@@ -14,7 +14,7 @@ from math import prod
 
 from . import layers, oracle, weyl
 from .errors import CapabilityError
-from .rootsys import RootSystem, affine_diagram, build, center_order, diagram_automorphisms, format_type
+from .rootsys import RootSystem, build, center_order, diagram_automorphisms, format_type
 
 
 def _require(condition: bool, message: str) -> None:
@@ -102,7 +102,7 @@ def iwahori_matsumoto(rs, poset_rank, wz):
     for sym in rs.factors:
         group, orbits = wz(sym)
         _require(len(group) == center_order((sym,)), str(sym))
-        _, aut_orbits = diagram_automorphisms(affine_diagram(build((sym,))))
+        _, aut_orbits = diagram_automorphisms(layers._vertex_data((sym,)).diagram)
         _require(set(aut_orbits) == set(orbits), f"{sym}: orbit mismatch")
     return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"
 

@@ -4,11 +4,13 @@ import argparse
 import contextlib
 import io
 import re
+from math import factorial, gcd, prod
 
 import pytest
 
-from toricarr import __version__, oracle
+from toricarr import __version__, intlat, oracle
 from toricarr.intlat import saturate
+from toricarr.layers import IntPolynomial, _binomial_shift
 from toricarr.rootsys import TypeSymbol
 from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
 from toricarr.weyl import compose
@@ -267,3 +269,96 @@ def _reference_parse_type(text):
 @pytest.fixture
 def reference_parse_type():
     return _reference_parse_type
+
+
+# -- the A-series partition formulas, kept as references for the A_{n-1} census --
+
+
+def _partitions(n):
+    """Integer partitions of n in decreasing order, largest part first."""
+    out = []
+
+    def rec(remaining, maximum, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(remaining, maximum), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    rec(n, n, [])
+    return tuple(out)
+
+
+def _b_lambda(lam):
+    mult = {}
+    for part in lam:
+        mult[part] = mult.get(part, 0) + 1
+    return prod(factorial(i) ** b * factorial(b) for i, b in mult.items())
+
+
+def _a_series_census(n, d):
+    """Layer count of A_{n-1} at dimension d, from partitions of n alone.
+
+    A partition lambda with k parts describes tangent spaces of dimension
+    k - 1; each contributes n! g_lambda / b_lambda layers, where g_lambda
+    is the gcd of the parts.
+    """
+    breakdown = tuple(
+        (lam, factorial(n) * gcd(*lam) // _b_lambda(lam)) for lam in _partitions(n) if len(lam) == d + 1
+    )
+    return sum(count for _, count in breakdown), breakdown
+
+
+def _a_series_poincare(n):
+    """Poincare polynomial of the A_{n-1} complement, by partitions alone."""
+    total = IntPolynomial.of([])
+    for lam in _partitions(n):
+        d = len(lam) - 1
+        coeff = factorial(n) * gcd(*lam) * prod(factorial(p - 1) for p in lam) // _b_lambda(lam)
+        total = total + coeff * _binomial_shift(d, n - 1 - d)
+    return total
+
+
+@pytest.fixture
+def partitions():
+    return _partitions
+
+
+@pytest.fixture
+def a_series_census():
+    return _a_series_census
+
+
+@pytest.fixture
+def a_series_poincare():
+    return _a_series_poincare
+
+
+# -- the lattice index that layers.n_theta replaced, kept as its reference --
+
+
+def _lattice_index(sup_rows, sub_rows):
+    """Index [sup : sub] of one integer lattice inside another, by coordinates in sup.
+
+    Both lattices are given by generating rows and must have equal rank;
+    raises ValueError when sub is not contained in sup.
+    """
+    sup = intlat.hermite_normal_form(sup_rows)
+    solve = intlat._coords_solver(sup)
+    coeff_rows = []
+    for row in sub_rows:
+        coeffs = solve(row)
+        if coeffs is None:
+            raise ValueError("sublattice not contained in the lattice")
+        coeff_rows.append(coeffs)
+    divisors = intlat.smith_normal_form(coeff_rows).divisors if coeff_rows else ()
+    if len(divisors) != len(sup):
+        raise ValueError("lattices have different ranks")
+    return prod(divisors)
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def lattice_index():
+    return _lattice_index

@@ -12,8 +12,6 @@ import pytest
 
 from toricarr import layers, oracle, subsys, verify
 from toricarr.layers import (
-    a_series_census,
-    a_series_poincare,
     count_layers,
     count_points,
     count_points_of_type,
@@ -234,7 +232,7 @@ def test_criterion_7_f4_census():
     _ok(7, "F4 census counts (1,24,72,32,18,12,12,96,1) / (1,1,1,1,2,4,5,1,72) reproduced")
 
 
-def test_criterion_8_a_series_cross_check():
+def test_criterion_8_a_series_cross_check(a_series_census, a_series_poincare):
     for n in range(2, 7):
         rs = build_str(f"A{n-1}")
         for d in range(n):

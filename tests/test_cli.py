@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, determinism, round trips."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -572,6 +573,36 @@ def test_closed_forms_compute_no_smith_normal_form(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
     assert calls == []
+
+
+def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
+    # The iwahori_matsumoto row reads the diagram the degree_identity row already built.
+    _clear_library_caches()
+    calls = collections.Counter()
+    diagram = toricarr.rootsys.affine_diagram
+
+    def counted(rs):
+        calls[rs.factors] += 1
+        return diagram(rs)
+
+    for module in (toricarr.rootsys, toricarr.layers, toricarr.verify, toricarr.oracle, toricarr.weyl):
+        if hasattr(module, "affine_diagram"):
+            monkeypatch.setattr(module, "affine_diagram", counted)
+    code, out, _ = run_cli(capsys, "verify", "--type", "F4")
+    assert code == 0 and out
+    assert calls and max(calls.values()) == 1, calls
+
+
+def test_n_theta_division_check_survives_optimized_mode():
+    # An identity Cartan matrix makes <Theta^vee> all of Z^k, which cannot lie inside B3's R^Phi(Theta).
+    patch = (
+        "def identity(rs, roots):\n"
+        "    return [[int(i == j) for j in range(len(roots))] for i in range(len(roots))]\n"
+        "layers.cartan_of = identity"
+    )
+    proc = _run_with_defect(patch, ["census", "--type", "B3"], "-O")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "mismatch: theta's coroot lattice is not inside R^Phi(Theta)\n"
 
 
 _ROOT_DATA_DEFECTS = {

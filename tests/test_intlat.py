@@ -91,7 +91,7 @@ def test_saturate_examples():
     assert intlat.saturate([(0, 0, 0)]) == ((), 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def test_saturate_index_is_torsion_inside_saturation():
+def test_saturate_index_is_torsion_inside_saturation(lattice_index):
     rng = random.Random(99)
     for _ in range(100):
         m = rng.randint(1, 4)
@@ -101,7 +101,7 @@ def test_saturate_index_is_torsion_inside_saturation():
         if not basis:
             continue
         # rows expressed in the saturated basis span a finite-index sublattice
-        assert intlat.lattice_index(basis, [r for r in rows if any(r)]) == index
+        assert lattice_index(basis, [r for r in rows if any(r)]) == index
 
 
 def test_hermite_canonical():
@@ -137,9 +137,9 @@ def test_lattice_coords_examples():
     assert _lattice_coords((), (1, 0)) is None
 
 
-def test_lattice_index_errors():
+def test_lattice_index_errors(lattice_index):
     with pytest.raises(ValueError):
-        intlat.lattice_index([(2, 0), (0, 2)], [(1, 0)])  # not contained
+        lattice_index([(2, 0), (0, 2)], [(1, 0)])  # not contained
 
 
 # -- property tests ----------------------------------------------------------
@@ -201,13 +201,13 @@ def test_hnf_invariant_under_unimodular_row_operations(data):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
-def test_saturate_index_equals_lattice_index(rows):
+def test_saturate_index_equals_lattice_index(lattice_index, rows):
     basis, index, null = intlat.saturate(rows)
     nonzero = [r for r in rows if any(r)]
     if not nonzero:
         assert (basis, index) == ((), 1)
         return
-    assert intlat.lattice_index(basis, nonzero) == index
+    assert lattice_index(basis, nonzero) == index
     # the saturation contains every row, and saturating it again changes
     # nothing
     assert all(_in_lattice(basis, r) for r in nonzero)

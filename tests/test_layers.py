@@ -14,22 +14,19 @@ from toricarr.layers import (
     IntPolynomial,
     _closed_form_sum,
     _layer_sum,
-    a_series_census,
-    a_series_poincare,
     count_layers,
     count_points,
     count_points_of_type,
     euler_characteristic,
     layer_census,
     n_theta,
-    partitions,
     poincare,
     point_orbits,
     point_type_multiset,
     verify_degree_identity,
 )
 from toricarr.rootsys import build_str, degrees_of, format_type, parse_type, type_invariants
-from toricarr.subsys import enumerate_complete
+from toricarr.subsys import enumerate_complete, parabolic_classes
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -147,6 +144,27 @@ def test_n_theta_a_series_partition_formula():
                 lam = tuple(sorted((s.rank + 1 for s in theta.type), reverse=True))
                 lam = lam + (1,) * (n - sum(lam))
                 assert n_theta(rs, theta) == prod(lam) // gcd(*lam)
+
+
+_N_THETA_TYPES = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(3, 7)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["G2", "F4", "E6", "E7", "A3xA1", "B2xG2", "A2xA1", "B2xA1", "A1xA1xA1", "D4xA3", "C3xB2"]
+)
+
+
+@pytest.mark.parametrize("t", _N_THETA_TYPES)
+def test_n_theta_equals_the_reference_lattice_index(t, lattice_index):
+    # The reference index of theta's coroot lattice inside the restricted coroot lattice, by coordinates.
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        for theta, _ in parabolic_classes(rs, d):
+            simples = [rs.all_roots[i] for i in theta.simples]
+            restricted = list(zip(*(rs.pairings[i] for i in theta.simples)))
+            coroots = [tuple(rs.pair_roots(b, a) for b in simples) for a in simples]
+            assert n_theta(rs, theta) == lattice_index(restricted, coroots), (t, theta.type)
 
 
 def test_n_theta_rejects_non_complete(inner):
@@ -360,11 +378,11 @@ def test_poincare_capability():
 # -- A series ------------------------------------------------------------------------
 
 
-def test_partitions():
+def test_partitions(partitions):
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
-def test_a_series_census_hand_values():
+def test_a_series_census_hand_values(a_series_census):
     total, breakdown = a_series_census(3, 0)
     assert total == 3 and breakdown == (((3,), 3),)
     total, breakdown = a_series_census(3, 1)
@@ -372,14 +390,14 @@ def test_a_series_census_hand_values():
     assert a_series_census(3, 2)[0] == 1
 
 
-def test_a_series_census_matches_enumeration():
+def test_a_series_census_matches_enumeration(a_series_census):
     for n in range(2, 7):
         rs = build_str(f"A{n-1}")
         for d in range(n):
             assert a_series_census(n, d)[0] == count_layers(rs, d), (n, d)
 
 
-def test_a_series_poincare_matches_general_route():
+def test_a_series_poincare_matches_general_route(a_series_poincare):
     for n in range(2, 6):
         assert a_series_poincare(n) == poincare(build_str(f"A{n-1}"))
     assert a_series_poincare(3).coeffs == (1, 5, 10)

@@ -17,8 +17,6 @@ SRC = Path(toricarr.__file__).resolve().parent
 # Kept on purpose, though no library module names them.
 ALLOWED = {
     "build_str": "the one-line type-string entry point of the public API and of most tests",
-    "a_series_census": "the paper's partition formula for the A-series census, a reference identity",
-    "a_series_poincare": "the paper's partition formula for the A-series Poincare polynomial",
 }
 
 

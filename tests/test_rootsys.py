@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from toricarr.rootsys import (
     TypeSymbol,
+    _cartan_matrix,
     affine_diagram,
     build,
     build_str,
     center_order,
+    classify_dynkin,
     delete_vertex,
     diagram_automorphisms,
     format_type,
@@ -209,14 +212,63 @@ def test_delete_zero_recovers_type(t):
 
 def test_affine_diagram_a1_double_bond():
     diag = affine_diagram(build_str("A1"))
-    assert diag.edges == ((0, 1, 2, 2),)
+    assert diag.cartan == ((2, -2), (-2, 2))
 
 
 def test_affine_diagram_d4_star():
     diag = affine_diagram(build_str("D4"))
     assert diag.marks == (1, 1, 2, 1, 1)
-    center = [v for v in diag.vertices if len(diag.neighbors(v)) == 4]
+    center = [v for v in diag.vertices if sum(1 for w in diag.vertices if w != v and diag.cartan[v][w]) == 4]
     assert len(center) == 1 and diag.marks[center[0]] == 2
+
+
+IRREDUCIBLE = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _permuted(cartan):
+    """The matrix with rows and columns both reordered by one fixed permutation (odds, then evens reversed)."""
+    n = len(cartan)
+    perm = list(range(1, n, 2)) + list(range(0, n, 2))[::-1]
+    return [[cartan[i][j] for j in perm] for i in perm]
+
+
+@pytest.mark.parametrize("t", IRREDUCIBLE)
+def test_classify_dynkin_reads_a_cartan_matrix(t):
+    (sym,) = parse_type(t)
+    cartan = _cartan_matrix(sym)
+    assert classify_dynkin(cartan) == (sym,)
+    assert classify_dynkin(_permuted(cartan)) == (sym,)
+
+
+@pytest.mark.parametrize("t", ["A3xA1", "A1xA1xA1", "B2xG2", "C3xB2", "D4xA3", "E7xA1", "F4xG2xA2"])
+def test_classify_dynkin_reads_a_block_diagonal_product(t):
+    cartan = build_str(t).cartan
+    assert classify_dynkin(cartan) == parse_type(t)
+    assert classify_dynkin(_permuted(cartan)) == parse_type(t)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ("A2", "graph is not a tree: not a finite Dynkin diagram"),
+        ("D4", "not a finite Dynkin diagram"),
+        ("B3", "not a finite Dynkin diagram"),
+        ("C3", "not a finite Dynkin diagram"),
+        ("E6", "not a finite Dynkin diagram"),
+        ("F4", "interior double bond only occurs in F4"),
+        ("G2", "triple bond only occurs in G2"),
+        ("A1", "unrecognized bond (2, 2)"),
+    ],
+)
+def test_classify_dynkin_rejects_affine_cartan_matrices(t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_dynkin(affine_diagram(build_str(t)).cartan)
 
 
 def test_affine_diagram_reducible_rejected():

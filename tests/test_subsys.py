@@ -7,7 +7,6 @@ import pytest
 from toricarr.errors import CapabilityError
 from toricarr.rootsys import build_str, format_type, type_invariants
 from toricarr.subsys import enumerate_complete, make_subsystem, parabolic_classes
-from toricarr.layers import a_series_census
 
 
 def test_completion_single_root_a2(completion):
@@ -102,7 +101,7 @@ def test_total_span_count_matches_brute_force(t):
     assert total == len(seen)
 
 
-def test_a_series_counts_by_partitions():
+def test_a_series_counts_by_partitions(a_series_census):
     # the number of spaces of partition lambda is n!/b_lambda, which is the
     # layer-census count divided back by g_lambda
     from math import gcd
