@@ -9,13 +9,12 @@ arithmetic; set equality against the formula route is zero-tolerance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from math import lcm
-from operator import add, getitem, mod, mul
+from operator import mul
 from typing import Sequence
 
 from . import intlat
@@ -75,49 +74,71 @@ def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _row_lanes(u: Sequence[int], m: int, one: bytes, zero: bytes) -> bytes:
+    """Lanes of Z_m^rank in lexicographic order: `one` where u . x = 0 mod m, else `zero`."""
+    # tail[t]: the lanes of the last k coordinates, `one` where t plus their part of u . x is 0
+    tail = [one] + [zero] * (m - 1)
+    for a in reversed(u[1:]):
+        tail = [b"".join([tail[(t + a * c) % m] for c in range(m)]) for t in range(m)]
+    return b"".join([tail[u[0] * c % m] for c in range(m)])
+
+
 def _grid_points(
     rows: Sequence[Sequence[int]], m: int, rank: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every x in Z_m^rank whose vanishing rows have full rank, with those rows.
 
     Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
-    vanishing rows) in lexicographic order of x.  Every candidate is
-    scanned: row values are built one coordinate at a time from residue
-    tables, the last coordinate is read off a table of the coordinates at
-    which each row vanishes, and the rank test runs once per distinct
-    vanishing set.  The work, candidates times rows, is bounded; F4 is
-    12^4 x 24 = 497664.
+    vanishing rows) in lexicographic order of x.  The whole grid is scanned
+    in one pass over byte lanes, one per grid point in lexicographic order:
+    a count field, wide enough that no count of rows carries out of it,
+    then a bitmask of the rows.  Each row's lanes hold 1 in the count and
+    the row's bit in the mask where it vanishes, and zero elsewhere; read
+    as integers and summed, they give every point its number of vanishing
+    rows and which rows they are.  Strided slices of the count bytes find
+    the candidates, the points with at least rank vanishing rows, and the
+    rank test runs once per distinct mask.  The lanes take
+    m^rank x (1 + ceil(rows / 8)) bytes: within the work bound, at most
+    1.25 MB of masks plus two bytes per grid point (83 KB for F4).  The
+    work, candidates times rows, is bounded; F4 is 12^4 x 24 = 497664.
     """
     require_work(f"grid scan of {m}^{rank} candidates x {len(rows)} roots", m**rank * len(rows))
     if rank == 0:
         return [((), tuple(range(len(rows))))]
-    # tables[k][c][i] = (rows[i][k] * c) mod m
-    tables = [[tuple(u[k] * c % m for u in rows) for c in range(m)] for k in range(rank - 1)]
-    # zeros[i][v]: the last coordinates c at which row i vanishes, given value v so far
-    zeros = [
-        [tuple(c for c in range(m) if (v + u[-1] * c) % m == 0) for v in range(m)] for u in rows
-    ]
-    moduli = (m,) * len(rows)
-    full_rank: dict[tuple[int, ...], bool] = {}
+    count_bytes = max(1, (len(rows).bit_length() + 7) // 8)
+    width = count_bytes + (len(rows) + 7) // 8
+    size = m**rank
+    zero = bytes(width)
+    total = 0
+    for i, u in enumerate(rows):
+        one = (1 + (1 << 8 * count_bytes + i)).to_bytes(width, "little")
+        total += int.from_bytes(_row_lanes(u, m, one, zero), "little")
+    lanes = total.to_bytes(size * width, "little")
+    # A lane is a candidate when the low count byte reaches rank or a higher one is nonzero.
+    flags = 0
+    for k in range(count_bytes):
+        threshold = rank if k == 0 else 1
+        at_least = bytes(threshold) + b"\x01" * (256 - threshold)
+        flags |= int.from_bytes(lanes[k::width].translate(at_least), "big")
+    candidates = flags.to_bytes(size, "big")
+    tested: dict[bytes, tuple[tuple[int, ...], bool]] = {}
     out = []
-
-    def scan(prefix: tuple[int, ...], values: tuple[int, ...]) -> None:
-        k = len(prefix)
-        if k < rank - 1:
-            for c, column in enumerate(tables[k]):
-                scan(prefix + (c,), tuple(map(mod, map(add, values, column), moduli)))
-            return
-        last = list(map(getitem, zeros, values))
-        hits = Counter(chain.from_iterable(last))
-        for c in sorted([c for c, count in hits.items() if count >= rank]):
-            vanishing = tuple(i for i, cs in enumerate(last) if c in cs)
-            if vanishing not in full_rank:
-                basis = intlat.hermite_normal_form([rows[i] for i in vanishing])
-                full_rank[vanishing] = len(basis) == rank
-            if full_rank[vanishing]:
-                out.append((prefix + (c,), vanishing))
-
-    scan((), (0,) * len(rows))
+    j = candidates.find(1)
+    while j >= 0:
+        mask = lanes[j * width + count_bytes:(j + 1) * width]
+        if mask not in tested:
+            bits = int.from_bytes(mask, "little")
+            vanishing = tuple(i for i in range(len(rows)) if bits >> i & 1)
+            basis = intlat.hermite_normal_form([rows[i] for i in vanishing])
+            tested[mask] = vanishing, len(basis) == rank
+        vanishing, full_rank = tested[mask]
+        if full_rank:
+            x, q = [], j
+            for _ in range(rank):
+                q, c = divmod(q, m)
+                x.append(c)
+            out.append((tuple(reversed(x)), vanishing))
+        j = candidates.find(1, j + 1)
     return out
 
 
@@ -132,7 +153,8 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     stay in the orbit is constant on it too, and the vanishing subsystems
     of an orbit are W-conjugate, so the type is computed once per orbit.
     Raises AssertionError when a W-image of a point is not among the
-    points, or when an orbit size does not divide |W|.  The walk takes n
+    points, when an orbit size does not divide |W|, or when the roots
+    vanishing at a point do not form a subsystem.  The walk takes n
     steps per point, within the grid scan's work.
     """
     m = order_bound(rs.factors)
@@ -170,7 +192,12 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
                 1 for z in centers
                 if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit
             )
-            phi_type = make_subsystem(rs, vanishing).type
+            try:
+                phi_type = make_subsystem(rs, vanishing).type
+            except ValueError as exc:
+                raise AssertionError(
+                    f"the roots vanishing at the grid point {cand} are not a subsystem: {exc}"
+                ) from exc
             orders.update(dict.fromkeys(orbit, (stab, stab * shifts, phi_type)))
         stab, wz_stab, phi_type = orders[cand]
         records.append(

@@ -50,17 +50,22 @@ def simple_system(rs: RootSystem, positive_indices: Sequence[int]) -> tuple[int,
 def make_subsystem(rs: RootSystem, positive_indices: Iterable[int]) -> Subsystem:
     """Assemble a Subsystem from the indices of its positive roots."""
     pos = tuple(sorted(positive_indices))
-    neg = tuple(rs.root_index[tuple(-x for x in rs.all_roots[i])] for i in pos)
-    roots = tuple(sorted(pos + neg))
     if not pos:
-        return Subsystem(roots=(), rank=0, complete=True, span_basis=(), type=(), simples=())
+        return _assemble(rs, pos, (), complete=True)
     basis, _, null_vectors = intlat.saturate([rs.all_roots[i] for i in pos])
-    rank = len(basis)
+    complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
+    return _assemble(rs, pos, basis, complete)
+
+
+def _assemble(
+    rs: RootSystem, pos: tuple[int, ...], basis: tuple[tuple[int, ...], ...], complete: bool
+) -> Subsystem:
+    """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
+    neg = tuple(rs.root_index[tuple(-x for x in rs.all_roots[i])] for i in pos)
     simples = simple_system(rs, pos)
     stype = classify_dynkin(cartan_of(rs, [rs.all_roots[i] for i in simples]))
-    complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
     return Subsystem(
-        roots=roots, rank=rank, complete=complete,
+        roots=tuple(sorted(pos + neg)), rank=len(basis), complete=complete,
         span_basis=basis, type=stype, simples=simples,
     )
 
@@ -124,7 +129,8 @@ def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
     )
     target = rs.rank - d
     level = _span_levels(rs, target)[target]
-    members = tuple(make_subsystem(rs, pos) for basis, pos in sorted(level.items()))
+    # Each span holds every positive root in it, so it is complete; its basis is already canonical.
+    members = tuple(_assemble(rs, pos, basis, complete=True) for basis, pos in sorted(level.items()))
     return CompleteFamily(d=d, members=members)
 
 

@@ -4,11 +4,16 @@ import argparse
 import contextlib
 import io
 import re
+from collections import Counter
+from itertools import chain
 from math import factorial, gcd, prod
+from operator import add, getitem, mod
+from typing import Sequence
 
 import pytest
 
 from toricarr import __version__, intlat, oracle
+from toricarr.errors import require_work
 from toricarr.intlat import saturate
 from toricarr.layers import IntPolynomial, _binomial_shift
 from toricarr.rootsys import TypeSymbol
@@ -362,3 +367,57 @@ def _lattice_index(sup_rows, sub_rows):
 @pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
 def lattice_index():
     return _lattice_index
+
+
+# -- the recursive torsion-grid kernel that oracle._grid_points replaced, kept as its reference --
+
+
+def _recursive_grid_points(
+    rows: Sequence[Sequence[int]], m: int, rank: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every x in Z_m^rank whose vanishing rows have full rank, with those rows.
+
+    Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
+    vanishing rows) in lexicographic order of x.  Every candidate is
+    scanned: row values are built one coordinate at a time from residue
+    tables, the last coordinate is read off a table of the coordinates at
+    which each row vanishes, and the rank test runs once per distinct
+    vanishing set.  The work, candidates times rows, is bounded; F4 is
+    12^4 x 24 = 497664.
+    """
+    require_work(f"grid scan of {m}^{rank} candidates x {len(rows)} roots", m**rank * len(rows))
+    if rank == 0:
+        return [((), tuple(range(len(rows))))]
+    # tables[k][c][i] = (rows[i][k] * c) mod m
+    tables = [[tuple(u[k] * c % m for u in rows) for c in range(m)] for k in range(rank - 1)]
+    # zeros[i][v]: the last coordinates c at which row i vanishes, given value v so far
+    zeros = [
+        [tuple(c for c in range(m) if (v + u[-1] * c) % m == 0) for v in range(m)] for u in rows
+    ]
+    moduli = (m,) * len(rows)
+    full_rank: dict[tuple[int, ...], bool] = {}
+    out = []
+
+    def scan(prefix: tuple[int, ...], values: tuple[int, ...]) -> None:
+        k = len(prefix)
+        if k < rank - 1:
+            for c, column in enumerate(tables[k]):
+                scan(prefix + (c,), tuple(map(mod, map(add, values, column), moduli)))
+            return
+        last = list(map(getitem, zeros, values))
+        hits = Counter(chain.from_iterable(last))
+        for c in sorted([c for c, count in hits.items() if count >= rank]):
+            vanishing = tuple(i for i, cs in enumerate(last) if c in cs)
+            if vanishing not in full_rank:
+                basis = intlat.hermite_normal_form([rows[i] for i in vanishing])
+                full_rank[vanishing] = len(basis) == rank
+            if full_rank[vanishing]:
+                out.append((prefix + (c,), vanishing))
+
+    scan((), (0,) * len(rows))
+    return out
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def recursive_grid_points():
+    return _recursive_grid_points

@@ -182,6 +182,23 @@ def test_dropped_point_grid_hit_fails_only_the_points_oracle():
     assert "component_counts: ok" in proc.stdout
 
 
+def test_dropped_grid_lane_row_survives_optimized_mode():
+    # The first row of the point scan adds nothing to the lanes, so the
+    # points where it vanishes lose it from their vanishing sets.
+    patch = (
+        "from toricarr import oracle\n"
+        "lanes = oracle._row_lanes\n"
+        "first = iter([True])\n"
+        "def drop_one(u, m, one, zero):\n"
+        "    return lanes(u, m, zero if next(first, False) else one, zero)\n"
+        "oracle._row_lanes = drop_one"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "points_oracle: mismatch" in proc.stdout
+
+
 def test_poset_base_point_check_survives_optimized_mode():
     # Drop the first base point each grid pass finds: that layer has none.
     patch = (

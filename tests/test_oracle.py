@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricarr import intlat, oracle
 from toricarr.errors import CapabilityError
@@ -153,6 +155,26 @@ def test_point_grid_matches_per_candidate_loop(t):
         if len(van) >= n and len(intlat.hermite_normal_form([rows[i] for i in van])) == n:
             expected.append((x, van))
     assert _grid_points(rows, m, n) == expected
+
+
+def test_lane_count_field_holds_more_than_255_rows(recursive_grid_points):
+    # 300 rows, duplicates and a zero row among them: all 300 vanish at the
+    # origin, a count that would carry out of a one-byte field.
+    base = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    rows = (base * 7)[:299] + [(0, 0)]
+    hits = _grid_points(rows, 2, 2)
+    assert hits[0] == ((0, 0), tuple(range(300)))
+    assert hits == recursive_grid_points(rows, 2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lane_scan_matches_recursive_kernel(recursive_grid_points, data):
+    rank = data.draw(st.integers(0, 4))
+    m = data.draw(st.integers(2, 12))
+    entries = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=30))
+    assert _grid_points(rows, m, rank) == recursive_grid_points(rows, m, rank)
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "B4", "D4", "F4"])

@@ -2,11 +2,15 @@
 
 from collections import Counter
 
+import sys
+
 import pytest
 
+from toricarr import intlat
 from toricarr.errors import CapabilityError
+from toricarr.oracle import build_poset
 from toricarr.rootsys import build_str, format_type, type_invariants
-from toricarr.subsys import enumerate_complete, make_subsystem, parabolic_classes
+from toricarr.subsys import _span_levels, enumerate_complete, make_subsystem, parabolic_classes
 
 
 def test_completion_single_root_a2(completion):
@@ -80,6 +84,34 @@ def test_every_member_is_complete(completion):
                 assert m.rank == rs.rank - d
                 comp = completion(rs, m.roots)
                 assert comp.roots == m.roots
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+     "A1xA1", "A2xA1", "A1xA1xA1", "B2xA1", "G2xA1", "A2xA2", "A3xA1", "B3xA1",
+     "C3xA1", "B2xG2", "A1xA1xA1xA1"],
+)
+def test_span_members_equal_make_subsystem(t):
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        for m in enumerate_complete(rs, d).members:
+            assert m == make_subsystem(rs, [i for i in m.roots if i < rs.n_positive])
+
+
+def test_cold_poset_saturates_only_to_extend_spans(monkeypatch):
+    callers = Counter()
+    saturate = intlat.saturate
+
+    def counting(rows):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return saturate(rows)
+
+    monkeypatch.setattr(intlat, "saturate", counting)
+    _span_levels.cache_clear()
+    build_poset(build_str("B3"))
+    assert callers["_span_levels"] > 0
+    assert sum(callers.values()) == callers["_span_levels"], callers
 
 
 @pytest.mark.parametrize(
