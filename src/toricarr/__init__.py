@@ -22,7 +22,7 @@ from .rootsys import (
     parse_type,
     type_invariants,
 )
-from .intlat import SmithDecomposition, saturate, smith_normal_form
+from .intlat import saturate
 from .weyl import center_subgroup, longest_element
 from .subsys import (
     CompleteFamily,

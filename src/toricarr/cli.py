@@ -273,9 +273,9 @@ def _cmd_euler(rs: RootSystem, args) -> tuple[dict, list[str]]:
         p_eval = layers.poincare(rs)(-1)
         results["poincare_at_minus_one"] = _num(p_eval)
         lines.append(f"  P(-1):           {p_eval}")
-    except CapabilityError:
+    except CapabilityError as exc:
         results["poincare_at_minus_one"] = None
-        lines.append("  P(-1):           (K_d enumeration out of capability)")
+        lines.append(f"  P(-1):           ({exc})")
     lines.append(f"  equivariant: {(-1) ** rs.rank} * regular character")
     return results, lines
 

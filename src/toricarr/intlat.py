@@ -1,171 +1,20 @@
-"""Exact integer-lattice linear algebra.
+"""Exact integer-lattice linear algebra on one elimination routine.
 
-Smith normal form and Hermite normal form over Python ints (arbitrary
-precision), and saturation, residues and coordinates built on them.  Every routine is fraction-free: the only divisions are
-exact ones that the normal forms guarantee.  No floating point anywhere.
+The Hermite normal form over Python ints (arbitrary precision) is the only
+elimination.  Kernels, saturations, residues, coordinates and indices are
+read off it: the kernel and the image of a matrix come from one HNF of the
+matrix augmented by an identity (Cohen, A Course in Computational
+Algebraic Number Theory, 1993, section 2.4.3).  Every routine is
+fraction-free: the only divisions are the reductions of the normal form.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from operator import mul
 from typing import Callable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """left @ matrix @ right == diagonal, with left/right unimodular."""
-
-    left: tuple[tuple[int, ...], ...]
-    diagonal: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-
-    @property
-    def divisors(self) -> tuple[int, ...]:
-        """The nonzero elementary divisors d_1 | d_2 | ..."""
-        out = []
-        for i, row in enumerate(self.diagonal):
-            if i < len(row) and row[i]:
-                out.append(row[i])
-        return tuple(out)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with x*a + y*b == g == gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with exact unimodular transforms.
-
-    Pivots are chosen by minimal absolute value with a deterministic
-    tie-break (lowest row, then lowest column), so identical inputs give
-    identical decompositions.
-    """
-    a = [list(map(int, row)) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    left = identity_matrix(m)
-    right = identity_matrix(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in right:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        exhausted = False
-        while True:
-            # Re-select the minimal-magnitude pivot of the trailing submatrix
-            # on every round; this keeps intermediate entries small.
-            best = None
-            pivot = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best):
-                        best, pivot = v, (i, j)
-            if pivot is None:
-                exhausted = True
-                break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-            clean = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if a[t][j]:
-                        clean = False
-            if clean:
-                break
-        if exhausted:
-            break
-        t += 1
-
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            left[i] = [-x for x in left[i]]
-
-    # Enforce the divisibility chain d_i | d_j (i < j) via 2x2 unimodular
-    # transforms that replace (d_i, d_j) by (gcd, lcm).
-    def rows_2x2(mat, i, j, u):
-        ri, rj = mat[i], mat[j]
-        mat[i] = [u[0][0] * p + u[0][1] * q for p, q in zip(ri, rj)]
-        mat[j] = [u[1][0] * p + u[1][1] * q for p, q in zip(ri, rj)]
-
-    def cols_2x2(mat, i, j, v):
-        for row in mat:
-            ci, cj = row[i], row[j]
-            row[i] = ci * v[0][0] + cj * v[1][0]
-            row[j] = ci * v[0][1] + cj * v[1][1]
-
-    r = sum(1 for i in range(min(m, n)) if a[i][i])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            for j in range(i + 1, r):
-                di, dj = a[i][i], a[j][j]
-                if dj % di == 0:
-                    continue
-                g, x, y = _xgcd(di, dj)
-                lcm = di // g * dj
-                u = ((x, y), (-dj // g, di // g))
-                v = ((1, -y * dj // g), (1, x * di // g))
-                rows_2x2(a, i, j, u)
-                rows_2x2(left, i, j, u)
-                cols_2x2(a, i, j, v)
-                cols_2x2(right, i, j, v)
-                if (a[i][i], a[j][j]) != (g, lcm):
-                    raise AssertionError("2x2 transform broke the divisibility chain")
-                changed = True
-    return SmithDecomposition(
-        left=tuple(tuple(row) for row in left),
-        diagonal=tuple(tuple(row) for row in a),
-        right=tuple(tuple(row) for row in right),
-    )
 
 
 def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -208,32 +57,37 @@ def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a[:r])
 
 
+def _with_identity(rows: IntMatrix) -> list[list[int]]:
+    """[rows | I]: each row followed by its unit vector, which records the row operations."""
+    return [[*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows)]
+
+
+def kernel(rows: IntMatrix, n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical HNF basis of the integer vectors y in Z^n with rows @ y == 0.
+
+    The rows of the HNF of [rows^T | I_n] are (rows @ y, y) for integer
+    vectors y.  It is echelon, so the rows whose first len(rows) entries
+    vanish span the kernel, and their last n entries are already in
+    Hermite normal form: each pivot reduced every row above it.
+    """
+    r = len(rows)
+    hnf = hermite_normal_form(_with_identity([[row[j] for row in rows] for j in range(n)]))
+    return tuple(row[r:] for row in hnf if not any(row[:r]))
+
+
 def saturate(
     rows: IntMatrix,
-) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Saturation of the row lattice inside Z^n, with its null vectors.
 
-    Returns (canonical HNF basis of span_Q(rows) ∩ Z^n, index of the row
-    lattice inside its saturation, n - r vectors spanning the integer
-    vectors orthogonal to every row).  An integer vector lies in the span
-    exactly when it is orthogonal to every null vector.
+    Returns (canonical HNF basis of span_Q(rows) ∩ Z^n, n - r vectors
+    spanning the integer vectors orthogonal to every row).  An integer
+    vector lies in the span exactly when it is orthogonal to every null
+    vector, so the saturation is the kernel of the null vectors.
     """
     n = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return (), 1, tuple(map(tuple, identity_matrix(n)))
-    snf = smith_normal_form(rows)
-    cols = list(zip(*rows))
-    # left @ rows = diagonal @ right^-1, so row i of left @ rows, divided
-    # exactly by d_i, is row i of right^-1.  The first r rows of right^-1
-    # are part of a basis of Z^n and span the saturation; the last n - r
-    # columns of right span the null space of the rows.
-    inverse_rows = [
-        [sum(x * y for x, y in zip(snf.left[i], col)) // d for col in cols]
-        for i, d in enumerate(snf.divisors)
-    ]
-    null_vectors = tuple(zip(*snf.right))[len(inverse_rows):]
-    return hermite_normal_form(inverse_rows), prod(snf.divisors), null_vectors
+    null_vectors = kernel(rows, n)
+    return kernel(null_vectors, n), null_vectors
 
 
 def residue(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
@@ -258,28 +112,28 @@ def _coords_solver(
 ) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
     """A solver for integer x with x @ basis == vec, None when vec is not in the lattice.
 
-    The Smith form of the basis is computed once.  From left @ basis @
-    right = diagonal and w = vec @ right, a solution needs w_j = 0 beyond
-    the rank and d_i | w_i; then x = (w_i / d_i) @ left, with the
-    coefficients of dependent rows set to 0.
+    The HNF of [basis | I_k] is computed once; its rows are (x @ basis, x).
+    The residue of (vec, 0) is (vec, 0) - (x @ basis, x) for some integer
+    x, so vec is in the lattice exactly when its first n entries are zero,
+    and then x is the negated rest.
     """
-    if not basis:
-        return lambda vec: () if not any(vec) else None
-    snf = smith_normal_form(basis)
-    divisors = snf.divisors
-    right_cols = list(zip(*snf.right))
-    left_cols = list(zip(*snf.left))
+    hnf = hermite_normal_form(_with_identity(basis))
 
     def solve(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-        w = [sum(map(mul, vec, col)) for col in right_cols]
-        if any(w[len(divisors):]):
+        rest = residue(hnf, [*vec, *(0 for _ in basis)])
+        if any(rest[:len(vec)]):
             return None
-        y = []
-        for wi, d in zip(w, divisors):
-            q, r = divmod(wi, d)
-            if r:
-                return None
-            y.append(q)
-        return tuple(sum(map(mul, y, col)) for col in left_cols)
+        return tuple(-x for x in rest[len(vec):])
 
     return solve
+
+
+def index_in_zk(rows: IntMatrix, k: int) -> int:
+    """[Z^k : L] for the row lattice L of `rows`: the product of its HNF pivots.
+
+    L must have rank k, so that its HNF is square and the pivots are its diagonal.
+    """
+    basis = hermite_normal_form(rows)
+    if len(basis) != k:
+        raise AssertionError(f"a lattice of rank {len(basis)} in Z^{k}")
+    return prod(row[i] for i, row in enumerate(basis))

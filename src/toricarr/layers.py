@@ -5,7 +5,7 @@ diagram, per-dimension layer counts through the complete-subsystem
 partition, the full layer census with tangent types, Euler characteristic
 and the Poincare polynomial of the complement by two independent routes.
 The index n_Theta is a quotient of two indices in Z^k, each the product of
-the pivots of a Hermite normal form.
+the pivots of a Hermite normal form (`intlat.index_in_zk`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlat
@@ -198,17 +198,6 @@ def point_orbits(rs: RootSystem) -> tuple[PointOrbitRecord, ...]:
 # -- n_Theta and layer counts ------------------------------------------------
 
 
-def _index_in_zk(rows: Sequence[Sequence[int]], k: int) -> int:
-    """[Z^k : L] for the row lattice L of `rows`: the product of its HNF pivots.
-
-    L must have rank k, so that its HNF is square and the pivots are its diagonal.
-    """
-    basis = intlat.hermite_normal_form(rows)
-    if len(basis) != k:
-        raise AssertionError(f"a lattice of rank {len(basis)} in Z^{k}")
-    return prod(row[i] for i, row in enumerate(basis))
-
-
 def n_theta(rs: RootSystem, theta: Subsystem) -> int:
     """The index [R^Phi(Theta) : <Theta^vee>], as a quotient of two indices in Z^k.
 
@@ -221,8 +210,8 @@ def n_theta(rs: RootSystem, theta: Subsystem) -> int:
     if not theta.complete:
         raise ValueError("n_theta is defined for complete (tangent) subsystems")
     simples = theta.simples
-    coroots = _index_in_zk(cartan_of(rs, [rs.all_roots[i] for i in simples]), theta.rank)
-    restricted = _index_in_zk(list(zip(*(rs.pairings[i] for i in simples))), theta.rank)
+    coroots = intlat.index_in_zk(cartan_of(rs, [rs.all_roots[i] for i in simples]), theta.rank)
+    restricted = intlat.index_in_zk(list(zip(*(rs.pairings[i] for i in simples))), theta.rank)
     q, r = divmod(coroots, restricted)
     if r:
         raise AssertionError("theta's coroot lattice is not inside R^Phi(Theta)")

@@ -3,8 +3,11 @@
 Torsion points of the torus are enumerated on an exact grid whose modulus
 comes from the finite-order bound on arrangement points (the marks of the
 affine diagram times the exponent of the center, both computed from
-lattice data, not tables).  Everything is exact integer/rational
-arithmetic; set equality against the formula route is zero-tolerance.
+lattice data, not tables).  The center itself is read off the same scan,
+as the grid points at which every root vanishes.  The lattice work, ranks
+of vanishing sets and quotient tori, runs on intlat's Hermite normal form.
+Everything is exact integer/rational arithmetic; set equality against the
+formula route is zero-tolerance.
 """
 
 from __future__ import annotations
@@ -49,29 +52,6 @@ class BrutePoint:
     phi_type: tuple[TypeSymbol, ...]
     stabilizer_order: int
     wz_stabilizer_order: int
-
-
-def _center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
-    """Coweight representatives of Z(Phi) as grid vectors mod m."""
-    ct = [[rs.cartan[k][j] for j in range(rs.rank)] for k in range(rs.rank)]
-    ct = [list(col) for col in zip(*ct)]  # transpose: rows index alpha_j
-    snf = intlat.smith_normal_form(ct)
-    divisors = snf.divisors
-    # Lambda = (C^T)^{-1} Z^n; elements: V @ y with y_i in (1/d_i)Z.
-    out = []
-    ranges = [range(d) for d in divisors]
-    for combo in iproduct(*ranges):
-        vec = [0] * rs.rank
-        for i, (j, d) in enumerate(zip(combo, divisors)):
-            if m % d:
-                raise AssertionError("center exponent does not divide the grid modulus")
-            step = j * (m // d)
-            for k in range(rs.rank):
-                vec[k] += snf.right[k][i] * step
-        out.append(tuple(x % m for x in vec))
-    if len(out) != center_order(rs.factors):
-        raise AssertionError("center grid vectors do not match the center order")
-    return out
 
 
 def _row_lanes(u: Sequence[int], m: int, one: bytes, zero: bytes) -> bytes:
@@ -153,7 +133,8 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     stay in the orbit is constant on it too, and the vanishing subsystems
     of an orbit are W-conjugate, so the type is computed once per orbit.
     Raises AssertionError when a W-image of a point is not among the
-    points, when an orbit size does not divide |W|, or when the roots
+    points, when an orbit size does not divide |W|, when the points at
+    which every root vanishes are not |Z| many, or when the roots
     vanishing at a point do not form a subsystem.  The walk takes n
     steps per point, within the grid scan's work.
     """
@@ -164,7 +145,10 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     order = type_invariants(rs.factors).weyl_order
     # s_j moves only coordinate j: x_j -> x_j - sum_k cartan[k][j] x_k.
     columns = list(enumerate(zip(*rs.cartan)))
-    centers = _center_grid_vectors(rs, m)
+    # The center Z(Phi) is the set of points at which every root vanishes.
+    centers = [x for x, vanishing in hits.items() if len(vanishing) == rs.n_positive]
+    if len(centers) != center_order(rs.factors):
+        raise AssertionError("center grid vectors do not match the center order")
     orders: dict[tuple[int, ...], tuple[int, int, tuple[TypeSymbol, ...]]] = {}
     records = []
     for cand, vanishing in hits.items():

@@ -13,14 +13,15 @@ simple coroots, and every later pairing and reflection reads that table.
 A Dynkin diagram, affine or of a subsystem, is encoded only by its Cartan
 matrix (`cartan_of`), and `classify_dynkin` types it from the nonzero
 off-diagonal entries.  The Weyl-group invariants come from the degree
-tables; the center order |Z| alone is computed from the Cartan lattice by
-Smith normal form.
+tables; the center order |Z| and its exponent alone are computed from the
+Cartan lattice, by Hermite normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import gcd, prod
 from operator import add, gt, mul, neg
 from typing import NamedTuple, Sequence
@@ -352,23 +353,22 @@ def type_invariants(factors: tuple[TypeSymbol, ...]) -> TypeInvariants:
     )
 
 
-def _center_divisors(sym: TypeSymbol) -> tuple[int, ...]:
-    """Elementary divisors of one factor's Cartan matrix: Z(Phi) is their product group."""
-    return intlat.smith_normal_form(_cartan_matrix(sym)).divisors
-
-
 def center_order(factors: tuple[TypeSymbol, ...]) -> int:
     """|Z| for a product of types: the index of the coroot lattice in the coweight lattice.
 
-    Computed from each factor's Cartan matrix by Smith normal form rather
-    than read off a table.
+    Per factor, the index in Z^n of the row lattice of the Cartan matrix,
+    the product of its HNF pivots, rather than a table.
     """
-    return prod(prod(_center_divisors(sym)) for sym in factors)
+    return prod(intlat.index_in_zk(_cartan_matrix(sym), sym.rank) for sym in factors)
 
 
 def center_exponent(sym: TypeSymbol) -> int:
-    """Exponent of Z(Phi) for one factor: the largest elementary divisor."""
-    return max(_center_divisors(sym), default=1)
+    """Exponent of Z(Phi) for one factor: the least e with e Z^n inside the Cartan lattice."""
+    basis = intlat.hermite_normal_form(_cartan_matrix(sym))
+    units = [[int(i == j) for j in range(sym.rank)] for i in range(sym.rank)]
+    return next(
+        e for e in count(1) if not any(any(intlat.residue(basis, [e * x for x in u])) for u in units)
+    )
 
 
 # -- Dynkin diagrams as Cartan matrices --------------------------------------

@@ -52,7 +52,7 @@ def make_subsystem(rs: RootSystem, positive_indices: Iterable[int]) -> Subsystem
     pos = tuple(sorted(positive_indices))
     if not pos:
         return _assemble(rs, pos, (), complete=True)
-    basis, _, null_vectors = intlat.saturate([rs.all_roots[i] for i in pos])
+    basis, null_vectors = intlat.saturate([rs.all_roots[i] for i in pos])
     complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
     return _assemble(rs, pos, basis, complete)
 
@@ -104,7 +104,7 @@ def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
         for j in range(rs.n_positive):
             if j in covered:
                 continue
-            new_basis, _, null_vectors = intlat.saturate(list(basis) + [rs.all_roots[j]])
+            new_basis, null_vectors = intlat.saturate(list(basis) + [rs.all_roots[j]])
             if new_basis not in nxt:
                 nxt[new_basis] = tuple(_positives_in_span(rs, null_vectors))
             covered.update(nxt[new_basis])

@@ -5,18 +5,20 @@ import contextlib
 import io
 import re
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain
+from itertools import product as iproduct
 from math import factorial, gcd, prod
-from operator import add, getitem, mod
-from typing import Sequence
+from operator import add, getitem, mod, mul
+from typing import Callable, Optional, Sequence
 
 import pytest
 
 from toricarr import __version__, intlat, oracle
 from toricarr.errors import require_work
-from toricarr.intlat import saturate
+from toricarr.intlat import IntMatrix, saturate
 from toricarr.layers import IntPolynomial, _binomial_shift
-from toricarr.rootsys import TypeSymbol
+from toricarr.rootsys import RootSystem, TypeSymbol, center_order
 from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
 from toricarr.weyl import compose
 
@@ -26,7 +28,7 @@ def _completion(rs, root_indices):
     coords = [rs.all_roots[i] for i in root_indices]
     if not coords:
         return make_subsystem(rs, ())
-    _, _, null_vectors = saturate(coords)
+    _, null_vectors = saturate(coords)
     return make_subsystem(rs, _positives_in_span(rs, null_vectors))
 
 
@@ -341,6 +343,265 @@ def a_series_poincare():
     return _a_series_poincare
 
 
+# -- the Smith normal form and the routines on it that intlat's Hermite form replaced, kept as references --
+
+
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """left @ matrix @ right == diagonal, with left/right unimodular."""
+
+    left: tuple[tuple[int, ...], ...]
+    diagonal: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+
+    @property
+    def divisors(self) -> tuple[int, ...]:
+        """The nonzero elementary divisors d_1 | d_2 | ..."""
+        out = []
+        for i, row in enumerate(self.diagonal):
+            if i < len(row) and row[i]:
+                out.append(row[i])
+        return tuple(out)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with x*a + y*b == g == gcd(a, b)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with exact unimodular transforms.
+
+    Pivots are chosen by minimal absolute value with a deterministic
+    tie-break (lowest row, then lowest column), so identical inputs give
+    identical decompositions.
+    """
+    a = [list(map(int, row)) for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    left = identity_matrix(m)
+    right = identity_matrix(n)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in right:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
+
+    def add_col(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in right:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        exhausted = False
+        while True:
+            # Re-select the minimal-magnitude pivot of the trailing submatrix
+            # on every round; this keeps intermediate entries small.
+            best = None
+            pivot = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    v = abs(a[i][j])
+                    if v and (best is None or v < best):
+                        best, pivot = v, (i, j)
+            if pivot is None:
+                exhausted = True
+                break
+            if pivot[0] != t:
+                swap_rows(t, pivot[0])
+            if pivot[1] != t:
+                swap_cols(t, pivot[1])
+            clean = True
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        add_row(i, t, -q)
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        add_col(j, t, -q)
+                    if a[t][j]:
+                        clean = False
+            if clean:
+                break
+        if exhausted:
+            break
+        t += 1
+
+    for i in range(min(m, n)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            left[i] = [-x for x in left[i]]
+
+    # Enforce the divisibility chain d_i | d_j (i < j) via 2x2 unimodular
+    # transforms that replace (d_i, d_j) by (gcd, lcm).
+    def rows_2x2(mat, i, j, u):
+        ri, rj = mat[i], mat[j]
+        mat[i] = [u[0][0] * p + u[0][1] * q for p, q in zip(ri, rj)]
+        mat[j] = [u[1][0] * p + u[1][1] * q for p, q in zip(ri, rj)]
+
+    def cols_2x2(mat, i, j, v):
+        for row in mat:
+            ci, cj = row[i], row[j]
+            row[i] = ci * v[0][0] + cj * v[1][0]
+            row[j] = ci * v[0][1] + cj * v[1][1]
+
+    r = sum(1 for i in range(min(m, n)) if a[i][i])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            for j in range(i + 1, r):
+                di, dj = a[i][i], a[j][j]
+                if dj % di == 0:
+                    continue
+                g, x, y = _xgcd(di, dj)
+                lcm = di // g * dj
+                u = ((x, y), (-dj // g, di // g))
+                v = ((1, -y * dj // g), (1, x * di // g))
+                rows_2x2(a, i, j, u)
+                rows_2x2(left, i, j, u)
+                cols_2x2(a, i, j, v)
+                cols_2x2(right, i, j, v)
+                if (a[i][i], a[j][j]) != (g, lcm):
+                    raise AssertionError("2x2 transform broke the divisibility chain")
+                changed = True
+    return SmithDecomposition(
+        left=tuple(tuple(row) for row in left),
+        diagonal=tuple(tuple(row) for row in a),
+        right=tuple(tuple(row) for row in right),
+    )
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_smith_normal_form():
+    return smith_normal_form
+
+
+def _reference_saturate(
+    rows: IntMatrix,
+) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
+    """Saturation of the row lattice inside Z^n, with its null vectors.
+
+    Returns (canonical HNF basis of span_Q(rows) ∩ Z^n, index of the row
+    lattice inside its saturation, n - r vectors spanning the integer
+    vectors orthogonal to every row).  An integer vector lies in the span
+    exactly when it is orthogonal to every null vector.
+    """
+    n = len(rows[0]) if rows else 0
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return (), 1, tuple(map(tuple, identity_matrix(n)))
+    snf = smith_normal_form(rows)
+    cols = list(zip(*rows))
+    # left @ rows = diagonal @ right^-1, so row i of left @ rows, divided
+    # exactly by d_i, is row i of right^-1.  The first r rows of right^-1
+    # are part of a basis of Z^n and span the saturation; the last n - r
+    # columns of right span the null space of the rows.
+    inverse_rows = [
+        [sum(x * y for x, y in zip(snf.left[i], col)) // d for col in cols]
+        for i, d in enumerate(snf.divisors)
+    ]
+    null_vectors = tuple(zip(*snf.right))[len(inverse_rows):]
+    return intlat.hermite_normal_form(inverse_rows), prod(snf.divisors), null_vectors
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_saturate():
+    return _reference_saturate
+
+
+def _reference_coords_solver(
+    basis: IntMatrix,
+) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
+    """A solver for integer x with x @ basis == vec, None when vec is not in the lattice.
+
+    The Smith form of the basis is computed once.  From left @ basis @
+    right = diagonal and w = vec @ right, a solution needs w_j = 0 beyond
+    the rank and d_i | w_i; then x = (w_i / d_i) @ left, with the
+    coefficients of dependent rows set to 0.
+    """
+    if not basis:
+        return lambda vec: () if not any(vec) else None
+    snf = smith_normal_form(basis)
+    divisors = snf.divisors
+    right_cols = list(zip(*snf.right))
+    left_cols = list(zip(*snf.left))
+
+    def solve(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        w = [sum(map(mul, vec, col)) for col in right_cols]
+        if any(w[len(divisors):]):
+            return None
+        y = []
+        for wi, d in zip(w, divisors):
+            q, r = divmod(wi, d)
+            if r:
+                return None
+            y.append(q)
+        return tuple(sum(map(mul, y, col)) for col in left_cols)
+
+    return solve
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_coords_solver():
+    return _reference_coords_solver
+
+
+def _reference_center_grid_vectors(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
+    """Coweight representatives of Z(Phi) as grid vectors mod m."""
+    ct = [[rs.cartan[k][j] for j in range(rs.rank)] for k in range(rs.rank)]
+    ct = [list(col) for col in zip(*ct)]  # transpose: rows index alpha_j
+    snf = smith_normal_form(ct)
+    divisors = snf.divisors
+    # Lambda = (C^T)^{-1} Z^n; elements: V @ y with y_i in (1/d_i)Z.
+    out = []
+    ranges = [range(d) for d in divisors]
+    for combo in iproduct(*ranges):
+        vec = [0] * rs.rank
+        for i, (j, d) in enumerate(zip(combo, divisors)):
+            if m % d:
+                raise AssertionError("center exponent does not divide the grid modulus")
+            step = j * (m // d)
+            for k in range(rs.rank):
+                vec[k] += snf.right[k][i] * step
+        out.append(tuple(x % m for x in vec))
+    if len(out) != center_order(rs.factors):
+        raise AssertionError("center grid vectors do not match the center order")
+    return out
+
+
+@pytest.fixture
+def reference_center_grid_vectors():
+    return _reference_center_grid_vectors
+
+
 # -- the lattice index that layers.n_theta replaced, kept as its reference --
 
 
@@ -358,7 +619,7 @@ def _lattice_index(sup_rows, sub_rows):
         if coeffs is None:
             raise ValueError("sublattice not contained in the lattice")
         coeff_rows.append(coeffs)
-    divisors = intlat.smith_normal_form(coeff_rows).divisors if coeff_rows else ()
+    divisors = smith_normal_form(coeff_rows).divisors if coeff_rows else ()
     if len(divisors) != len(sup):
         raise ValueError("lattices have different ranks")
     return prod(divisors)

@@ -106,6 +106,18 @@ def test_euler_beyond_enumeration_flags_missing_poincare(capsys):
     assert doc["results"]["poincare_at_minus_one"] is None
 
 
+def test_euler_text_names_the_refused_census(capsys):
+    code, out, _ = run_cli(capsys, "euler", "--type", "E8")
+    assert code == 0
+    assert out == (
+        "type E8: Euler characteristic\n"
+        "  point-orbit sum: 696729600\n"
+        "  (-1)^n |W|:      696729600\n"
+        "  P(-1):           (flat orbit walk of E8: |W| = 696729600 exceeds the work bound 10000000)\n"
+        "  equivariant: 1 * regular character\n"
+    )
+
+
 def test_bounds_must_be_positive(capsys):
     code, _, err = run_cli(capsys, "verify", "--type", "A1", "--poset-rank", "0")
     assert code == 1 and "positive" in err
@@ -197,6 +209,20 @@ def test_dropped_grid_lane_row_survives_optimized_mode():
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "points_oracle: mismatch" in proc.stdout
+
+
+def test_center_order_check_survives_optimized_mode():
+    # One element more in |Z| than the grid points at which every root vanishes.
+    patch = (
+        "from toricarr import oracle\n"
+        "order = oracle.center_order\n"
+        "oracle.center_order = lambda factors: order(factors) + 1"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert "  points_oracle: mismatch (center grid vectors do not match the center order)\n" in proc.stdout
 
 
 def test_poset_base_point_check_survives_optimized_mode():
@@ -582,11 +608,12 @@ def _clear_library_caches():
 
 @pytest.mark.parametrize("argv", [["points", "--type", "E8"], ["identity", "--type", "E7xA1"]])
 def test_closed_forms_compute_no_smith_normal_form(capsys, monkeypatch, argv):
-    # The closed forms need |W| and the degrees only; |Z| is the oracles' business.
+    # The closed forms need |W| and the degrees only; |Z| is the oracles' business,
+    # and no other quantity of theirs needs a lattice normal form.
     _clear_library_caches()
     calls = []
-    smith = toricarr.intlat.smith_normal_form
-    monkeypatch.setattr(toricarr.intlat, "smith_normal_form", lambda mat: calls.append(mat) or smith(mat))
+    hnf = toricarr.intlat.hermite_normal_form
+    monkeypatch.setattr(toricarr.intlat, "hermite_normal_form", lambda rows: calls.append(rows) or hnf(rows))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
     assert calls == []

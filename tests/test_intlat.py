@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith/Hermite forms, saturation, residues, indices."""
+"""Exact linear algebra: the Hermite form and what is read off it, against the Smith form reference."""
 
 import random
 from math import prod
@@ -16,33 +16,35 @@ def _mul(a, b):
 
 
 def _is_unimodular(mat):
-    """Square with all Smith divisors 1, i.e. invertible over the integers."""
-    return intlat.smith_normal_form(mat).divisors == (1,) * len(mat)
+    """Square with the identity as Hermite form, i.e. invertible over the integers."""
+    return intlat.hermite_normal_form(mat) == tuple(
+        tuple(int(i == j) for j in range(len(mat))) for i in range(len(mat))
+    )
 
 
-def _torsion(rows):
+def _torsion(smith_normal_form, rows):
     """Order of the torsion of Z^k modulo the row span."""
-    return prod(intlat.smith_normal_form(rows).divisors) if rows else 1
+    return prod(smith_normal_form(rows).divisors) if rows else 1
 
 
-def test_snf_identity():
-    s = intlat.smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+def test_snf_identity(reference_smith_normal_form):
+    s = reference_smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert s.divisors == (1, 1, 1)
 
 
-def test_snf_worked_examples():
+def test_snf_worked_examples(reference_smith_normal_form):
     # d_1 = gcd of entries, d_1 * d_2 = |det|
-    assert intlat.smith_normal_form([[2, 0], [0, 3]]).divisors == (1, 6)
-    assert intlat.smith_normal_form([[2, 1], [0, 2]]).divisors == (1, 4)
+    assert reference_smith_normal_form([[2, 0], [0, 3]]).divisors == (1, 6)
+    assert reference_smith_normal_form([[2, 1], [0, 2]]).divisors == (1, 4)
 
 
-def test_snf_round_trip_random():
+def test_snf_round_trip_random(reference_smith_normal_form):
     rng = random.Random(20240901)
     for _ in range(400):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        s = intlat.smith_normal_form(mat)
+        s = reference_smith_normal_form(mat)
         assert _mul(_mul(s.left, mat), s.right) == [list(r) for r in s.diagonal]
         divisors = s.divisors
         assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
@@ -51,57 +53,62 @@ def test_snf_round_trip_random():
         assert _is_unimodular(s.left) and _is_unimodular(s.right)
 
 
-def test_snf_deterministic():
+def test_snf_deterministic(reference_smith_normal_form):
     mat = [[4, 6, 2], [6, 3, 9]]
-    assert intlat.smith_normal_form(mat) == intlat.smith_normal_form(mat)
+    assert reference_smith_normal_form(mat) == reference_smith_normal_form(mat)
 
 
-def test_quotient_torsion():
-    assert _torsion([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
-    assert _torsion([(2, 0)]) == 2  # Z^2/<(2,0)> = Z + Z/2
-    assert _torsion([]) == 1
+def test_quotient_torsion(reference_smith_normal_form):
+    assert _torsion(reference_smith_normal_form, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+    assert _torsion(reference_smith_normal_form, [(2, 0)]) == 2  # Z^2/<(2,0)> = Z + Z/2
+    assert _torsion(reference_smith_normal_form, []) == 1
 
 
-def test_quotient_torsion_unimodular_invariance():
+def test_quotient_torsion_unimodular_invariance(reference_smith_normal_form):
     rng = random.Random(13)
     rows = [(2, 4, 0), (0, 6, 2)]
-    base = _torsion(rows)
+    base = _torsion(reference_smith_normal_form, rows)
     for _ in range(50):
         # random unimodular row operation
         i, j = rng.sample(range(2), 2)
         c = rng.randint(-3, 3)
         new = [list(r) for r in rows]
         new[i] = [x + c * y for x, y in zip(new[i], new[j])]
-        assert _torsion(new) == base
+        assert _torsion(reference_smith_normal_form, new) == base
         rows = [tuple(r) for r in new]
 
 
-def test_saturate_examples():
-    basis, index, null = intlat.saturate([(2, 0)])
+def test_saturate_examples(lattice_index):
+    basis, null = intlat.saturate([(2, 0)])
     assert basis == ((1, 0),)
-    assert index == 2
+    assert lattice_index(basis, [(2, 0)]) == 2
     assert null in (((0, 1),), ((0, -1),))
-    basis, index, null = intlat.saturate([(1, 0), (0, 1)])
-    assert index == 1
+    basis, null = intlat.saturate([(1, 0), (0, 1)])
+    assert lattice_index(basis, [(1, 0), (0, 1)]) == 1
     assert null == ()
-    basis, index, null = intlat.saturate([(1, 1, 0), (1, -1, 0)])
-    assert index == 2
+    basis, null = intlat.saturate([(1, 1, 0), (1, -1, 0)])
+    assert lattice_index(basis, [(1, 1, 0), (1, -1, 0)]) == 2
     assert basis == ((1, 0, 0), (0, 1, 0))  # the x3 = 0 sublattice
     assert null in (((0, 0, 1),), ((0, 0, -1),))
-    assert intlat.saturate([(0, 0, 0)]) == ((), 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    basis, null = intlat.saturate([(0, 0, 0)])
+    assert (basis, null) == ((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert lattice_index(basis, []) == 1
 
 
-def test_saturate_index_is_torsion_inside_saturation(lattice_index):
+def test_saturate_index_is_torsion_inside_saturation(lattice_index, reference_smith_normal_form):
     rng = random.Random(99)
     for _ in range(100):
         m = rng.randint(1, 4)
         n = rng.randint(m, 5)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        basis, index, _ = intlat.saturate(rows)
+        basis, _ = intlat.saturate(rows)
         if not basis:
             continue
-        # rows expressed in the saturated basis span a finite-index sublattice
-        assert lattice_index(basis, [r for r in rows if any(r)]) == index
+        nonzero = [r for r in rows if any(r)]
+        # rows expressed in the saturated basis span a finite-index
+        # sublattice, of index the torsion of Z^n modulo the rows
+        index = lattice_index(basis, nonzero)
+        assert index == _torsion(reference_smith_normal_form, nonzero)
 
 
 def test_hermite_canonical():
@@ -178,8 +185,8 @@ def _apply(rows, ops, swap):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
-def test_snf_invariants(mat):
-    s = intlat.smith_normal_form(mat)
+def test_snf_invariants(reference_smith_normal_form, mat):
+    s = reference_smith_normal_form(mat)
     assert _mul(_mul(s.left, mat), s.right) == [list(r) for r in s.diagonal]
     assert _is_unimodular(s.left) and _is_unimodular(s.right)
     d = s.divisors
@@ -201,22 +208,24 @@ def test_hnf_invariant_under_unimodular_row_operations(data):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
-def test_saturate_index_equals_lattice_index(lattice_index, rows):
-    basis, index, null = intlat.saturate(rows)
+def test_saturate_index_equals_lattice_index(lattice_index, reference_smith_normal_form, rows):
+    basis, null = intlat.saturate(rows)
     nonzero = [r for r in rows if any(r)]
+    index = lattice_index(basis, nonzero)
     if not nonzero:
         assert (basis, index) == ((), 1)
         return
-    assert lattice_index(basis, nonzero) == index
+    assert index == _torsion(reference_smith_normal_form, nonzero)
     # the saturation contains every row, and saturating it again changes
-    # nothing
+    # nothing: Z^n modulo it has no torsion
     assert all(_in_lattice(basis, r) for r in nonzero)
-    assert intlat.saturate(basis)[:2] == (basis, 1)
+    assert (intlat.saturate(basis)[0], _torsion(reference_smith_normal_form, basis)) == (basis, 1)
     # n - r null vectors; an integer vector lies in the span exactly when
     # it is orthogonal to all of them
     n = len(rows[0])
     assert len(null) == n - len(basis) == len(intlat.hermite_normal_form(null))
-    for vec in [*rows, *intlat.identity_matrix(n), [sum(col) for col in zip(*rows)]]:
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    for vec in [*rows, *units, [sum(col) for col in zip(*rows)]]:
         orthogonal = not any(sum(x * k for x, k in zip(vec, kv)) for kv in null)
         assert _in_lattice(basis, vec) == orthogonal
 
@@ -262,3 +271,47 @@ def test_lattice_coords_round_trip(basis, coeffs):
     assert (solve(shifted) is None) == (solve(unit) is None)
     hnf = intlat.hermite_normal_form(basis)
     assert _in_lattice(hnf, shifted) == (solve(shifted) is not None)
+
+
+# -- differential tests against the Smith-form routines the Hermite form replaced --
+
+
+@st.composite
+def _row_sets(draw):
+    """0-5 rows of width 1-6, entries -4..4; a row may be zero or +-1 times an earlier row."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "dependent" and rows:
+            sign = draw(st.sampled_from([-1, 1]))
+            rows.append([sign * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_sets())
+def test_saturate_equals_the_smith_form_reference(reference_saturate, rows):
+    basis, null = intlat.saturate(rows)
+    ref_basis, _, ref_null = reference_saturate(rows)
+    assert basis == ref_basis
+    assert null == intlat.hermite_normal_form(null) == intlat.hermite_normal_form(ref_null)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coords_solver_agrees_with_the_smith_form_reference(reference_coords_solver, data):
+    basis = data.draw(_row_sets())
+    n = len(basis[0]) if basis else data.draw(st.integers(min_value=1, max_value=4))
+    coeffs = data.draw(_vectors(len(basis)))
+    on_lattice = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
+    solve, ref = intlat._coords_solver(basis), reference_coords_solver(basis)
+    for vec in (on_lattice, data.draw(_vectors(n))):
+        x = solve(vec)
+        assert (x is None) == (ref(vec) is None)
+        if x is not None:
+            assert [sum(c * row[j] for c, row in zip(x, basis)) for j in range(n)] == vec

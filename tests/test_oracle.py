@@ -55,6 +55,15 @@ def test_brute_points_g2():
     assert types == {"G2": 1, "A1xA1": 3, "A2": 2}
 
 
+@pytest.mark.parametrize("t", ["G2", "A3", "B3", "C3", "A4", "B4", "D4", "F4", "A2xA1", "B2xA1", "A1xA1xA1"])
+def test_brute_center_equals_the_smith_form_reference(reference_center_grid_vectors, t):
+    # The central points are those at which every root vanishes: the type of the whole system.
+    rs = build_str(t)
+    m = order_bound(rs.factors)
+    centers = {tuple(int(c * m) for c in p.point) for p in brute_points(rs) if p.phi_type == rs.factors}
+    assert centers == set(reference_center_grid_vectors(rs, m))
+
+
 def test_brute_points_capability():
     # rank alone refuses nothing: D5's grid is 8^5 x 20, inside the work bound
     rs = build_str("D5")

@@ -14,6 +14,7 @@ from toricarr.rootsys import (
     affine_diagram,
     build,
     build_str,
+    center_exponent,
     center_order,
     classify_dynkin,
     delete_vertex,
@@ -321,6 +322,21 @@ def test_center_multiplicative():
     b = center_order(parse_type("B3"))
     ab = center_order(parse_type("A2xB3"))
     assert ab == a * b
+
+
+_CENTER_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 11)] + ["E6", "E7", "E8", "F4", "G2", "A3xA1", "D4xA3"]
+)
+
+
+@pytest.mark.parametrize("t", _CENTER_TYPES)
+def test_center_order_and_exponent_equal_the_smith_divisors(reference_smith_normal_form, t):
+    # Z(Phi) is the product of cyclic groups of the Cartan matrix's elementary divisors.
+    factors = parse_type(t)
+    divisors = [reference_smith_normal_form(_cartan_matrix(sym)).divisors for sym in factors]
+    assert center_order(factors) == math.prod(math.prod(d) for d in divisors)
+    assert [center_exponent(sym) for sym in factors] == [max(d) for d in divisors]
 
 
 # -- property tests ----------------------------------------------------------

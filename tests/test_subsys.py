@@ -127,7 +127,7 @@ def test_total_span_count_matches_brute_force(t):
     seen = set()
     for k in range(rs.rank + 1):
         for sub in combinations(range(rs.n_positive), k):
-            basis, _, _ = intlat.saturate([rs.all_roots[i] for i in sub])
+            basis, _ = intlat.saturate([rs.all_roots[i] for i in sub])
             seen.add(basis)
     total = sum(len(enumerate_complete(rs, d).members) for d in range(rs.rank + 1))
     assert total == len(seen)
