@@ -23,7 +23,6 @@ from .rootsys import (
     TypeSymbol,
     affine_diagram,
     build,
-    cartan_of,
     delete_vertex,
     diagram_automorphisms,
     type_invariants,
@@ -202,16 +201,15 @@ def n_theta(rs: RootSystem, theta: Subsystem) -> int:
     """The index [R^Phi(Theta) : <Theta^vee>], as a quotient of two indices in Z^k.
 
     Coordinates are the values on theta's k simple roots.  There
-    <Theta^vee> is the row lattice of theta's Cartan matrix, of index
+    <Theta^vee> is the row lattice of theta's Cartan matrix (theta.cartan), of index
     |det C_Theta| = |Z(Theta)|, and R^Phi(Theta), the coroot lattice of rs
     restricted to theta's span, is spanned by the values of the simple
     coroots of rs, the transposed pairings of theta's simples.
     """
     if not theta.complete:
         raise ValueError("n_theta is defined for complete (tangent) subsystems")
-    simples = theta.simples
-    coroots = intlat.index_in_zk(cartan_of(rs, [rs.all_roots[i] for i in simples]), theta.rank)
-    restricted = intlat.index_in_zk(list(zip(*(rs.pairings[i] for i in simples))), theta.rank)
+    coroots = intlat.index_in_zk(theta.cartan, theta.rank)
+    restricted = intlat.index_in_zk(list(zip(*(rs.pairings[i] for i in theta.simples))), theta.rank)
     q, r = divmod(coroots, restricted)
     if r:
         raise AssertionError("theta's coroot lattice is not inside R^Phi(Theta)")

@@ -11,10 +11,10 @@ one code path for every type; the per-type coordinate models appear only
 in tests.  The closure carries each positive root's pairings with the
 simple coroots, and every later pairing and reflection reads that table.
 A Dynkin diagram, affine or of a subsystem, is encoded only by its Cartan
-matrix (`cartan_of`), and `classify_dynkin` types it from the nonzero
-off-diagonal entries.  The Weyl-group invariants come from the degree
-tables; the center order |Z| and its exponent alone are computed from the
-Cartan lattice, by Hermite normal form.
+matrix, and `classify_dynkin` types it from the nonzero off-diagonal
+entries.  The Weyl-group invariants come from the degree tables; the
+center order |Z| and its exponent alone are computed from the Cartan
+lattice, by Hermite normal form.
 """
 
 from __future__ import annotations
@@ -245,6 +245,12 @@ class RootSystem:
         return tuple(out)
 
     @cached_property
+    def simple_indices(self) -> tuple[int, ...]:
+        """Index in all_roots of each simple root alpha_1..alpha_n."""
+        n = self.rank
+        return tuple(self.root_index[tuple(int(i == j) for j in range(n))] for i in range(n))
+
+    @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
         """Each simple reflection s_i as the tuple of root indices it sends all_roots to."""
         return tuple(
@@ -374,11 +380,6 @@ def center_exponent(sym: TypeSymbol) -> int:
 # -- Dynkin diagrams as Cartan matrices --------------------------------------
 
 
-def cartan_of(rs: RootSystem, roots: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The Cartan matrix c[i][j] = <roots[j], roots[i]^vee> of a sequence of roots."""
-    return tuple(tuple(rs.pair_roots(b, a) for b in roots) for a in roots)
-
-
 @dataclass(frozen=True)
 class AffineDiagram:
     """Affine diagram on vertices 0..n: marks and the Cartan matrix of -theta, alpha_1, .., alpha_n.
@@ -400,10 +401,12 @@ def affine_diagram(rs: RootSystem) -> AffineDiagram:
     """Extend the Dynkin diagram of an irreducible system by the lowest root."""
     if not rs.is_irreducible:
         raise ValueError("affine diagrams are per irreducible factor")
-    extended = [tuple(map(neg, rs.highest_roots[0]))] + [
-        tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
-    ]
-    return AffineDiagram(n=rs.rank, marks=rs.marks, cartan=cartan_of(rs, extended))
+    # Only the row of -theta pairs roots: its column is its pairing table row, the rest rs.cartan.
+    lowest = tuple(map(neg, rs.highest_roots[0]))
+    row = [2] + [rs.pair_roots(rs.all_roots[s], lowest) for s in rs.simple_indices]
+    column = rs.pairings[rs.root_index[lowest]]
+    cartan = (tuple(row),) + tuple((c,) + r for c, r in zip(column, rs.cartan))
+    return AffineDiagram(n=rs.rank, marks=rs.marks, cartan=cartan)
 
 
 def delete_vertex(diagram: AffineDiagram, p: int) -> tuple[TypeSymbol, ...]:

@@ -5,7 +5,9 @@ A subsystem is a subset closed under negation and under addition of roots
 its rational span with the ambient system; complete subsystems of rank
 n - d are in bijection with the d-dimensional spaces of the linear
 arrangement, which is what makes them enumerable by rational spans.
-Their W-orbits are classified from the standard parabolic flats alone.
+Their W-orbits are classified from the standard parabolic flats alone, by a
+walk whose carried simple systems stay positive (Humphreys, Reflection Groups
+and Coxeter Groups, 1990, Prop. 1.4) and saturated, as W is unimodular.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Sequence
 
 from . import intlat
 from .errors import require_work
-from .rootsys import RootSystem, TypeSymbol, cartan_of, classify_dynkin, format_type, type_invariants
+from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type, type_invariants
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,7 @@ class Subsystem:
     span_basis: tuple[tuple[int, ...], ...]  # canonical HNF basis of the saturated span
     type: tuple[TypeSymbol, ...]
     simples: tuple[int, ...]  # indices of the simple system (positive part)
+    cartan: tuple[tuple[int, ...], ...]  # Cartan matrix of the simples, in their order
 
 
 def simple_system(rs: RootSystem, positive_indices: Sequence[int]) -> tuple[int, ...]:
@@ -61,12 +64,12 @@ def _assemble(
     rs: RootSystem, pos: tuple[int, ...], basis: tuple[tuple[int, ...], ...], complete: bool
 ) -> Subsystem:
     """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
-    neg = tuple(rs.root_index[tuple(-x for x in rs.all_roots[i])] for i in pos)
     simples = simple_system(rs, pos)
-    stype = classify_dynkin(cartan_of(rs, [rs.all_roots[i] for i in simples]))
+    coords = [rs.all_roots[i] for i in simples]
+    cartan = tuple(tuple(rs.pair_roots(b, a) for b in coords) for a in coords)
     return Subsystem(
-        roots=tuple(sorted(pos + neg)), rank=len(basis), complete=complete,
-        span_basis=basis, type=stype, simples=simples,
+        roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=complete,
+        span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
     )
 
 
@@ -140,9 +143,13 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
     Every flat of the Coxeter arrangement is W-conjugate to a standard
     parabolic one (Steinberg; Orlik-Solomon 1983), so each orbit contains
     some X_J, the positive roots supported on J with |J| = n - d.  Orbits
-    are walked under the simple reflections on sorted tuples of positive
-    indices; negatives follow positives in all_roots, so the lex-minimal
-    tuple is also the member with the lex-minimal roots.
+    are walked under the simple reflections, each flat keyed by its positive
+    simple system, the image of J's simple roots.  s_i is skipped when it
+    reached the flat or alpha_i is in that base (s_i fixes the flat);
+    otherwise alpha_i is not in the flat, and s_i turns no positive root but
+    alpha_i negative (Humphreys 1990, Prop. 1.4).  W acts unimodularly on
+    Z^n, so the base spans a saturated lattice; it keeps J's Cartan matrix.
+    Negatives follow positives, so the lex-minimal flat has the lex-minimal roots.
 
     The flats X satisfy sum |mu(X)| = |W| with every |mu(X)| >= 1
     (Orlik-Solomon 1983), so the walk visits at most |W| of them; larger
@@ -154,25 +161,43 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
         f"flat orbit walk of {format_type(rs.factors)}: |W|",
         type_invariants(rs.factors).weyl_order,
     )
-    npos = rs.n_positive
-    gens = rs.reflection_perms
+    gens = tuple(zip(rs.simple_indices, rs.reflection_perms))
+    support = [sum(1 << k for k, c in enumerate(r) if c) for r in rs.positive_roots]
     seen: set[tuple[int, ...]] = set()
     classes = []
     for J in combinations(range(rs.rank), rs.rank - d):
-        outside = [k for k in range(rs.rank) if k not in J]
-        flat = tuple(i for i in range(npos) if not any(rs.all_roots[i][k] for k in outside))
-        if flat in seen:
+        start = tuple(rs.simple_indices[j] for j in J)
+        if tuple(sorted(start)) in seen:
             continue
-        orbit = {flat}
-        queue = [flat]
+        mask = sum(1 << j for j in J)
+        least = (tuple(i for i, s in enumerate(support) if not s & ~mask), start)
+        orbit = {tuple(sorted(start))}
+        queue = [(*least, None)]
         while queue:
-            x = queue.pop()
-            for g in gens:
-                img = tuple(sorted(g[i] % npos for i in x))
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
+            flat, base, back = queue.pop()
+            for simple, g in gens:
+                if simple in base or g is back:
+                    continue
+                img = tuple([g[b] for b in base])
+                if (key := tuple(sorted(img))) not in orbit:
+                    orbit.add(key)
+                    queue.append((tuple(sorted([g[i] for i in flat])), img, g))
+                    least = min(least, queue[-1][:2])
         seen |= orbit
-        classes.append((make_subsystem(rs, min(orbit)), len(orbit)))
+        flat, base = least
+        order = sorted(range(len(J)), key=base.__getitem__)
+        simples = tuple(base[a] for a in order)
+        basis = intlat.hermite_normal_form([rs.all_roots[i] for i in simples])
+        if not set(simples) <= set(flat) or len(basis) != len(simples):
+            raise AssertionError(
+                f"the carried simple roots {simples} of a flat of {format_type(rs.factors)} "
+                "are not positive roots of it of full rank"
+            )
+        cartan = tuple(tuple(rs.cartan[J[a]][J[b]] for b in order) for a in order)
+        theta = Subsystem(
+            roots=flat + tuple(i + rs.n_positive for i in flat), rank=len(basis), complete=True,
+            span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
+        )
+        classes.append((theta, len(orbit)))
     classes.sort(key=lambda c: c[0].roots)
     return tuple(classes)

@@ -19,11 +19,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
 
 
-def _simple_indices(rs: RootSystem) -> list[int]:
-    """Root index of each simple root alpha_1..alpha_n."""
-    return [rs.root_index[tuple(int(i == j) for j in range(rs.rank))] for i in range(rs.rank)]
-
-
 def longest_element(rs: RootSystem, p: Optional[int] = None) -> Perm:
     """Longest element of W, or of the parabolic omitting vertex p (1-based).
 
@@ -33,11 +28,10 @@ def longest_element(rs: RootSystem, p: Optional[int] = None) -> Perm:
     skip = None if p is None else p - 1
     if skip is not None and not 0 <= skip < rs.rank:
         raise IndexError(f"parabolic vertex {p} out of range")
-    simple = _simple_indices(rs)
     w = tuple(range(len(rs.all_roots)))
     while True:
         for i in range(rs.rank):
-            if i != skip and w[simple[i]] < rs.n_positive:
+            if i != skip and w[rs.simple_indices[i]] < rs.n_positive:
                 w = compose(w, rs.reflection_perms[i])
                 break
         else:
@@ -69,7 +63,7 @@ def center_subgroup(rs: RootSystem) -> tuple[CenterElement, ...]:
     n = rs.rank
     theta = rs.highest_roots[0]
     lowest_idx = rs.root_index[tuple(-x for x in theta)]
-    extended_idx = [lowest_idx] + _simple_indices(rs)
+    extended_idx = (lowest_idx,) + rs.simple_indices
     w0 = longest_element(rs)
     out = [CenterElement(0, tuple(range(len(rs.all_roots))), tuple(range(n + 1)))]
     for p in range(1, n + 1):

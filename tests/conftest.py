@@ -6,7 +6,7 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from itertools import product as iproduct
 from math import factorial, gcd, prod
 from operator import add, getitem, mod, mul
@@ -18,7 +18,7 @@ from toricarr import __version__, intlat, oracle
 from toricarr.errors import require_work
 from toricarr.intlat import IntMatrix, saturate
 from toricarr.layers import IntPolynomial, _binomial_shift
-from toricarr.rootsys import RootSystem, TypeSymbol, center_order
+from toricarr.rootsys import RootSystem, TypeSymbol, center_order, format_type, type_invariants
 from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
 from toricarr.weyl import compose
 
@@ -682,3 +682,49 @@ def _recursive_grid_points(
 @pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
 def recursive_grid_points():
     return _recursive_grid_points
+
+
+# -- the orbit walk that subsys.parabolic_classes replaced, kept as its reference --
+
+
+def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
+    """W-orbits of K_d as (lex-minimal member, orbit size), ordered by roots.
+
+    Walks each standard parabolic flat's orbit under the simple
+    reflections on sorted tuples of positive indices, folding negatives
+    back with % n_positive, and rebuilds each representative with
+    make_subsystem: saturation, simple-system search and Cartan pairings.
+    """
+    if not 0 <= d <= rs.rank:
+        raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
+    require_work(
+        f"flat orbit walk of {format_type(rs.factors)}: |W|",
+        type_invariants(rs.factors).weyl_order,
+    )
+    npos = rs.n_positive
+    gens = rs.reflection_perms
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for J in combinations(range(rs.rank), rs.rank - d):
+        outside = [k for k in range(rs.rank) if k not in J]
+        flat = tuple(i for i in range(npos) if not any(rs.all_roots[i][k] for k in outside))
+        if flat in seen:
+            continue
+        orbit = {flat}
+        queue = [flat]
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                img = tuple(sorted(g[i] % npos for i in x))
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+        seen |= orbit
+        classes.append((make_subsystem(rs, min(orbit)), len(orbit)))
+    classes.sort(key=lambda c: c[0].roots)
+    return tuple(classes)
+
+
+@pytest.fixture
+def reference_parabolic_classes():
+    return _reference_parabolic_classes

@@ -640,13 +640,39 @@ def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
 def test_n_theta_division_check_survives_optimized_mode():
     # An identity Cartan matrix makes <Theta^vee> all of Z^k, which cannot lie inside B3's R^Phi(Theta).
     patch = (
-        "def identity(rs, roots):\n"
-        "    return [[int(i == j) for j in range(len(roots))] for i in range(len(roots))]\n"
-        "layers.cartan_of = identity"
+        "import dataclasses\n"
+        "def identity(theta):\n"
+        "    k = range(theta.rank)\n"
+        "    return dataclasses.replace(theta, cartan=tuple(tuple(int(i == j) for j in k) for i in k))\n"
+        "classes = layers.parabolic_classes\n"
+        "layers.parabolic_classes = lambda rs, d: tuple((identity(t), size) for t, size in classes(rs, d))"
     )
     proc = _run_with_defect(patch, ["census", "--type", "B3"], "-O")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "mismatch: theta's coroot lattice is not inside R^Phi(Theta)\n"
+
+
+_CARRIED_BASE_DEFECTS = {
+    # Negative simple roots: every carried base is then negative.
+    "negative": "tuple(i + rs.n_positive for i in simple(rs))",
+    # One simple root n times: J's base then has rank 1.
+    "repeated": "simple(rs)[:1] * rs.rank",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_CARRIED_BASE_DEFECTS))
+def test_carried_base_check_survives_optimized_mode(defect):
+    patch = (
+        "from toricarr import rootsys\n"
+        "simple = rootsys.RootSystem.simple_indices.func\n"
+        f"rootsys.RootSystem.simple_indices = property(lambda rs: {_CARRIED_BASE_DEFECTS[defect]})"
+    )
+    proc = _run_with_defect(patch, ["census", "--type", "B3"], "-O")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("mismatch: the carried simple roots ")
+    assert line.endswith(" of a flat of B3 are not positive roots of it of full rank")
 
 
 _ROOT_DATA_DEFECTS = {

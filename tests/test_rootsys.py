@@ -110,6 +110,7 @@ def test_simple_roots_are_units():
     for i in range(rs.rank):
         unit = tuple(int(i == j) for j in range(rs.rank))
         assert unit in rs.positive_roots
+        assert rs.all_roots[rs.simple_indices[i]] == unit
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
@@ -221,6 +222,25 @@ def test_affine_diagram_d4_star():
     assert diag.marks == (1, 1, 2, 1, 1)
     center = [v for v in diag.vertices if sum(1 for w in diag.vertices if w != v and diag.cartan[v][w]) == 4]
     assert len(center) == 1 and diag.marks[center[0]] == 2
+
+
+@pytest.mark.parametrize(
+    "t",
+    [f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_affine_diagram_equals_the_pairings_of_the_extended_roots(monkeypatch, t):
+    # The diagram copies rs.cartan and pairs only the lowest root.
+    rs = build_str(t)
+    extended = [tuple(-x for x in rs.highest_roots[0])] + [
+        tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
+    ]
+    expected = tuple(tuple(rs.pair_roots(b, a) for b in extended) for a in extended)
+    calls = []
+    pair_roots = type(rs).pair_roots
+    monkeypatch.setattr(type(rs), "pair_roots", lambda self, a, b: calls.append(b) or pair_roots(self, a, b))
+    assert affine_diagram(rs).cartan == expected
+    assert len(calls) == rs.rank
 
 
 IRREDUCIBLE = (

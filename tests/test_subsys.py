@@ -178,6 +178,14 @@ def test_parabolic_classes_match_span_route(t, span_orbits):
         assert list(parabolic_classes(rs, d)) == by_span, d
 
 
+@pytest.mark.parametrize("t", ["B5", "C5", "D5", "A6", "D6", "E6", "B2xG2xA1"])
+def test_parabolic_classes_match_the_reference_walk(t, reference_parabolic_classes):
+    # Beyond the span route's reach: the rebuilt representatives against the carried ones.
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        assert parabolic_classes(rs, d) == reference_parabolic_classes(rs, d), d
+
+
 def test_parabolic_classes_e6_lines(span_orbits):
     rs = build_str("E6")
     by_span = [(orbit[0], len(orbit)) for orbit in span_orbits(rs, 5)]
