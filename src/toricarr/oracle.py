@@ -6,8 +6,11 @@ affine diagram times the exponent of the center, both computed from
 lattice data, not tables).  The center itself is read off the same scan,
 as the grid points at which every root vanishes.  The lattice work, ranks
 of vanishing sets and quotient tori, runs on intlat's Hermite normal form.
-Everything is exact integer/rational arithmetic; set equality against the
-formula route is zero-tolerance.
+The layer poset takes no pass over the grid: the grid points of a layer
+form a coset of a lattice that contains the grid's own, and the canonical
+HNF residue of that coset is the layer's first grid point, which serves as
+both its base point and its name.  Everything is exact integer/rational
+arithmetic; set equality against the formula route is zero-tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -203,6 +205,7 @@ class _QuotientArrangement:
     """The arrangement of theta on the quotient torus D' = d/R^Phi(Theta)."""
 
     gamma: tuple[tuple[int, ...], ...]       # functional matrix, rows = theta simples
+    graph: tuple[tuple[int, ...], ...]       # HNF of the rows (gamma y, y) for y in Z^n
     r_basis: tuple[tuple[int, ...], ...]     # HNF basis of R^Phi(Theta)
     theta_coords: tuple[tuple[int, ...], ...]  # positive roots of theta in its simple basis
     modulus: int
@@ -210,7 +213,11 @@ class _QuotientArrangement:
 
 def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangement:
     gamma = tuple(rs.pairings[i] for i in theta.simples)
-    r_basis = intlat.hermite_normal_form(list(zip(*gamma)))
+    k = len(gamma)
+    # The graph rows with gamma y != 0 begin with the HNF of R^Phi(Theta) = gamma Z^n.
+    graph = intlat.hermite_normal_form(
+        intlat._with_identity([[row[j] for row in gamma] for j in range(rs.rank)])
+    )
     solve = intlat._coords_solver([rs.all_roots[i] for i in theta.simples])
     coords = []
     for i in theta.roots:
@@ -222,7 +229,8 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
         coords.append(sol)
     return _QuotientArrangement(
         gamma=gamma,
-        r_basis=r_basis,
+        graph=graph,
+        r_basis=tuple(row[:k] for row in graph if any(row[:k])),
         theta_coords=tuple(coords),
         modulus=order_bound(theta.type),
     )
@@ -284,71 +292,49 @@ class LayerPoset:
         return tuple(out)
 
 
-def _first_points_by_key(m: int, n: int, key, wanted: set) -> dict:
-    """The lexicographically first x in Z_m^n with key(x) == w, for each wanted w.
-
-    Stops as soon as every wanted key has been seen; a key that no grid
-    point takes is absent from the result.
-    """
-    found: dict = {}
-    for x in iproduct(range(m), repeat=n):
-        k = key(x)
-        if k in wanted and k not in found:
-            found[k] = x
-            if len(found) == len(wanted):
-                break
-    return found
-
-
 def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerPoset:
     """Every layer of the arrangement, with the full order relation.
 
     Each layer is a fiber of the projection onto the quotient torus of its
-    tangent subsystem theta; the base point is the lexicographically
-    minimal grid point of the layer.  Everything runs on integer keys: with
-    L = lcm(m, modulus of theta), a grid point x (units of 1/m) has the key
-    (L/m)(gamma x) reduced modulo the lattice L R^Phi(Theta), and a quotient
-    point c (units of 1/modulus) the key (L/modulus)(c r_basis) reduced
-    likewise; two of them lie on one fiber exactly when their keys agree.
-    One lexicographic grid pass per theta finds every base point, stopping
-    once each layer of theta has one.  Layer i lies in layer j when the
-    span of theta_j lies in that of theta_i (so dim i <= dim j) and base_i
-    has the key of layer j.  Refuses, with the estimate, when m^n
-    grid points times the number of thetas exceeds the work bound.
+    tangent subsystem theta.  With gamma the pairing rows of theta's simple
+    roots, the grid points x (units of 1/m) of the layer over the quotient
+    point c form one coset y + M of the lattice M = ker gamma + m Z^n, where
+    gamma y = m (c r_basis) / modulus.  M contains m Z^n, so the pivots of
+    its HNF divide m, and the canonical residue of y modulo M is the
+    lexicographically first grid point of the layer (Cohen 1993, 2.4.3):
+    its base point, which also names the layer.  One HNF of the rows
+    (gamma y, y) gives r_basis, ker gamma and y.  Layer i lies in layer j
+    when the roots of theta_j lie in theta_i (so dim i <= dim j) and base_i
+    reduces to base_j modulo M_j.  Refuses, with the estimate, when the
+    quotient scan of theta = Phi is over the work bound, before enumerating
+    any subsystem, or when m^n points times the number of thetas is.
     """
     n = rs.rank
     if n > max_rank:
         raise CapabilityError(f"rank {n} exceeds poset bound poset_rank={max_rank}")
     m = order_bound(rs.factors)
+    # The largest quotient scan, that of theta = Phi, is bounded before enumerating.
+    require_work(f"grid scan of {m}^{n} candidates x {rs.n_positive} roots", m**n * rs.n_positive)
     thetas = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
-    require_work(
-        f"poset grid pass of {m}^{n} points x {len(thetas)} subsystems", m**n * len(thetas)
-    )
-    keyers = []
-    layers = []  # (dimension, theta index, key, base grid point)
+    require_work(f"poset of {m}^{n} points x {len(thetas)} subsystems", m**n * len(thetas))
+    grid = [[m * (i == j) for j in range(n)] for i in range(n)]  # rows of m Z^n
+    lattices = []  # lattices[t]: HNF of M = ker gamma + m Z^n for theta t
+    layers = []  # (dimension, theta index, base grid point)
     for t, (d, theta) in enumerate(thetas):
         qa = _quotient_arrangement(rs, theta)
-        big = lcm(m, qa.modulus)
-        lattice = tuple(tuple(big * v for v in row) for row in qa.r_basis)
-        scaled = tuple(tuple(big // m * g for g in row) for row in qa.gamma)
-
-        def key(x, lattice=lattice, scaled=scaled):
-            return intlat.residue(lattice, [sum(map(mul, row, x)) for row in scaled])
-
+        k = len(qa.gamma)
+        kernel = [row[k:] for row in qa.graph if not any(row[:k])]
+        lattices.append(intlat.hermite_normal_form(kernel + grid))
         r_cols = list(zip(*qa.r_basis))
-        wanted = [
-            intlat.residue(
-                lattice, [big // qa.modulus * sum(map(mul, c, col)) for col in r_cols]
-            )
-            for c in _quotient_points(qa)
-        ]
-        bases = _first_points_by_key(m, n, key, set(wanted))
-        if len(bases) != len(wanted):
-            raise AssertionError("layer contains no grid point")
-        keyers.append(key)
-        layers.extend((d, t, w, bases[w]) for w in wanted)
-    layers.sort(key=lambda layer: (layer[0], thetas[layer[1]][1].span_basis, layer[3]))
-    index = {(t, w): i for i, (_, t, w, _) in enumerate(layers)}
+        for c in _quotient_points(qa):
+            scaled = [m * sum(map(mul, c, col)) for col in r_cols]
+            # (-v, 0) reduces by rows (gamma z, z) to (0, -z) only when gamma(-z) = v.
+            rest = intlat.residue(qa.graph, [-(v // qa.modulus) for v in scaled] + [0] * n)
+            if any(v % qa.modulus for v in scaled) or any(rest[:k]):
+                raise AssertionError("layer contains no grid point")
+            layers.append((d, t, intlat.residue(lattices[t], rest[k:])))
+    layers.sort(key=lambda layer: (layer[0], thetas[layer[1]][1].span_basis, layer[2]))
+    index = {(t, base): i for i, (_, t, base) in enumerate(layers)}
     # uppers[t]: the thetas whose layers may contain a layer of theta t.  A
     # complete subsystem is the set of roots in its span, so one span lies
     # in another exactly when the root sets do; then its rank is not
@@ -357,10 +343,10 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     uppers = [[u for u, upper in enumerate(roots) if upper <= lower] for lower in roots]
     keys: dict = {}
     relation = set()
-    for i, (_, t, _, base) in enumerate(layers):
+    for i, (_, t, base) in enumerate(layers):
         for u in uppers[t]:
             if (u, base) not in keys:
-                keys[u, base] = keyers[u](base)
+                keys[u, base] = intlat.residue(lattices[u], base)
             j = index.get((u, keys[u, base]))
             if j is not None:
                 relation.add((i, j))
@@ -368,6 +354,6 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
         ExplicitLayer(
             theta=thetas[t][1], base_point=tuple(Fraction(c, m) for c in base), dimension=d
         )
-        for d, t, _, base in layers
+        for d, t, base in layers
     )
     return LayerPoset(elements=elements, relation=frozenset(relation))

@@ -226,11 +226,15 @@ def test_center_order_check_survives_optimized_mode():
 
 
 def test_poset_base_point_check_survives_optimized_mode():
-    # Drop the first base point each grid pass finds: that layer has none.
+    # Drop the first row of each theta's graph HNF: the layers off ker gamma then have no lift.
     patch = (
+        "import dataclasses\n"
         "from toricarr import oracle\n"
-        "walk = oracle._first_points_by_key\n"
-        "oracle._first_points_by_key = lambda *args: dict(list(walk(*args).items())[1:])"
+        "arrangement = oracle._quotient_arrangement\n"
+        "def defective(rs, theta):\n"
+        "    qa = arrangement(rs, theta)\n"
+        "    return dataclasses.replace(qa, graph=qa.graph[1:])\n"
+        "oracle._quotient_arrangement = defective"
     )
     proc = _run_with_defect(patch, ["verify", "--type", "B2"], "-O")
     assert proc.returncode == 3
@@ -383,6 +387,22 @@ def test_verify_checks_component_counts_per_orbit_without_spans(capsys, monkeypa
     code, out, _ = run_cli(capsys, "verify", "--type", t)
     assert code == 0
     assert f"  component_counts: {row}\n" in out
+
+
+def test_poset_refuses_before_enumerating_spans(capsys, monkeypatch):
+    # The quotient scan of theta = Phi is over the bound, so no subsystem is enumerated.
+    from toricarr import subsys
+
+    def forbidden(*args):
+        raise AssertionError("poset enumerated spans")
+
+    monkeypatch.setattr(subsys, "_span_levels", forbidden)
+    code, out, err = run_cli(capsys, "poset", "--type", "E6", "--poset-rank", "6")
+    assert (code, out) == (2, "")
+    assert err == (
+        "capability: grid scan of 18^6 candidates x 36 roots = 1224440064"
+        " exceeds the work bound 10000000\n"
+    )
 
 
 def test_component_count_mismatch_survives_optimized_mode():

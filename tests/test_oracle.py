@@ -3,6 +3,8 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -438,7 +440,7 @@ def _reference_poset(rs):
 POSET_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA1", "B2xA1", "A1xA1xA1", "G2xA1"]
 
 
-@pytest.mark.parametrize("t", POSET_TYPES + ["B4", "A3xA1"])
+@pytest.mark.parametrize("t", POSET_TYPES + ["A4", "B4", "C4", "D4", "A3xA1"])
 def test_poset_matches_per_layer_grid_search(t):
     rs = build_str(t)
     poset = build_poset(rs, max_rank=4)
@@ -483,25 +485,46 @@ def test_poset_does_no_fraction_arithmetic(monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("t", ["A4", "B4"])
-def test_poset_grid_pass_stops_once_every_layer_has_a_base_point(t, monkeypatch):
+@pytest.mark.parametrize("t", ["B3", "A4", "B4"])
+def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
+    # One _grid_points call per theta, its quotient scan; besides, each layer
+    # takes two residues (lift and base point), and each base point one per
+    # theta above its layer's.
     rs = build_str(t)
-    visited = 0
-    walk = oracle._first_points_by_key
+    thetas = [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
+    expected = []
+    for theta in thetas:
+        qa = _quotient_arrangement(rs, theta)
+        rows = [
+            tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis)
+            for c in qa.theta_coords
+        ]
+        expected.append((rows, qa.modulus, len(qa.gamma)))
+    scans, residues = [], 0
+    scan = oracle._grid_points
 
-    def counting_walk(m, n, key, wanted):
-        def counting_key(x):
-            nonlocal visited
-            visited += 1
-            return key(x)
+    def recording_scan(rows, m, rank):
+        scans.append((list(rows), m, rank))
+        return scan(rows, m, rank)
 
-        return walk(m, n, counting_key, wanted)
+    def counting_residue(basis, vec):
+        nonlocal residues
+        residues += 1
+        return intlat.residue(basis, vec)
 
-    monkeypatch.setattr(oracle, "_first_points_by_key", counting_walk)
-    build_poset(rs, max_rank=4)
-    thetas = sum(len(enumerate_complete(rs, d).members) for d in range(rs.rank + 1))
-    full_passes = order_bound(rs.factors) ** rs.rank * thetas
-    assert visited < full_passes / 4, (visited, full_passes)
+    monkeypatch.setattr(oracle, "_grid_points", recording_scan)
+    # Only the calls made from oracle's own code are counted.
+    monkeypatch.setattr(oracle, "intlat", SimpleNamespace(**{**vars(intlat), "residue": counting_residue}))
+    poset = build_poset(rs, max_rank=4)
+    assert scans == expected
+    roots = {theta.roots: frozenset(theta.roots) for theta in thetas}
+    reduced = {
+        (upper, el.base_point)
+        for el in poset.elements
+        for upper in roots.values()
+        if upper <= roots[el.theta.roots]
+    }
+    assert residues == 2 * len(poset.elements) + len(reduced)
 
 
 def test_poset_grid_work_bound():
