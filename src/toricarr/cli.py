@@ -159,9 +159,8 @@ def _cmd_points(rs: RootSystem, args) -> tuple[dict, list[str]]:
     factors_out = []
     lines = [f"type {format_type(rs.factors)}: {total} points"]
     for sym in rs.factors:
-        frs = build((sym,))
-        records = layers.point_orbits(frs)
-        factor_total = layers.count_points(frs)
+        records = layers.point_orbits(sym)
+        factor_total = layers.count_points_of_type((sym,))
         rows = []
         for r in records:
             rows.append(
@@ -284,7 +283,7 @@ def _cmd_identity(rs: RootSystem, args) -> tuple[dict, list[str]]:
     factors_out = []
     lines = [f"type {format_type(rs.factors)}: degree identity"]
     for sym in rs.factors:
-        res = layers.verify_degree_identity(build((sym,)))
+        res = layers.verify_degree_identity(sym)
         factors_out.append(
             {
                 "factor": str(sym),

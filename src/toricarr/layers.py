@@ -22,7 +22,6 @@ from .rootsys import (
     RootSystem,
     TypeSymbol,
     affine_diagram,
-    build,
     delete_vertex,
     diagram_automorphisms,
     type_invariants,
@@ -113,10 +112,10 @@ class _VertexData(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _vertex_data(factors: tuple[TypeSymbol, ...]) -> _VertexData:
-    """One irreducible factor's affine diagram, and per vertex its deletion type and |W|/|W_p|."""
-    diag = affine_diagram(build(factors))
-    w_order = type_invariants(factors).weyl_order
+def _vertex_data(sym: TypeSymbol) -> _VertexData:
+    """One irreducible type's affine diagram, and per vertex its deletion type and |W|/|W_p|."""
+    diag = affine_diagram(sym)
+    w_order = type_invariants((sym,)).weyl_order
     out = []
     for p in diag.vertices:
         ptype = delete_vertex(diag, p)
@@ -136,7 +135,7 @@ def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[Ty
     combined: dict[tuple[TypeSymbol, ...], int] = {(): 1}
     for sym in factors:
         factor_counts: dict[tuple[TypeSymbol, ...], int] = {}
-        for _, ptype, _, size in _vertex_data((sym,)).vertices:
+        for _, ptype, _, size in _vertex_data(sym).vertices:
             factor_counts[ptype] = factor_counts.get(ptype, 0) + size
         merged: dict[tuple[TypeSymbol, ...], int] = {}
         for t1, c1 in combined.items():
@@ -151,7 +150,7 @@ def count_points_of_type(factors: tuple[TypeSymbol, ...]) -> int:
     """|C_0| for a product type: sum over affine vertices of |W|/|W_p|."""
     total = 1
     for sym in factors:
-        total *= sum(size for *_, size in _vertex_data((sym,)).vertices)
+        total *= sum(size for *_, size in _vertex_data(sym).vertices)
     return total
 
 
@@ -160,15 +159,13 @@ def count_points(rs: RootSystem) -> int:
     return count_points_of_type(rs.factors)
 
 
-def point_orbits(rs: RootSystem) -> tuple[PointOrbitRecord, ...]:
+def point_orbits(sym: TypeSymbol) -> tuple[PointOrbitRecord, ...]:
     """W-orbits of points, one per affine vertex, grouped by Aut(Gamma)-orbit.
 
-    Defined per irreducible system; factors of a product are handled
+    Defined per irreducible type; factors of a product are handled
     independently by the callers (layers multiply).
     """
-    if not rs.is_irreducible:
-        raise ValueError("point_orbits is defined per irreducible factor")
-    diag, vertices = _vertex_data(rs.factors)
+    diag, vertices = _vertex_data(sym)
     autos, orbits = diagram_automorphisms(diag)
     records = []
     for p, ptype, wp, size in vertices:
@@ -303,7 +300,7 @@ def euler_characteristic(rs: RootSystem) -> int:
     value = 1
     for sym in rs.factors:
         factor = 0
-        for _, ptype, _, size in _vertex_data((sym,)).vertices:
+        for _, ptype, _, size in _vertex_data(sym).vertices:
             factor += size * type_invariants(ptype).exponent_product
         value *= (-1) ** sym.rank * factor
     closed = (-1) ** rs.rank * type_invariants(rs.factors).weyl_order
@@ -364,13 +361,11 @@ class DegreeIdentityResult:
     total: Fraction
 
 
-def verify_degree_identity(rs: RootSystem) -> DegreeIdentityResult:
-    """Exact check of sum_p P(Phi_p)/|W_p| = 1 over the affine vertices."""
-    if not rs.is_irreducible:
-        raise ValueError("the degree identity is per irreducible type")
+def verify_degree_identity(sym: TypeSymbol) -> DegreeIdentityResult:
+    """Exact check of sum_p P(Phi_p)/|W_p| = 1 over the affine vertices of an irreducible type."""
     terms = []
     total = Fraction(0)
-    for p, ptype, wp, _ in _vertex_data(rs.factors).vertices:
+    for p, ptype, wp, _ in _vertex_data(sym).vertices:
         term = Fraction(type_invariants(ptype).exponent_product, wp)
         terms.append((p, term))
         total += term

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import intlat
 from .errors import CapabilityError, require_work
-from .rootsys import RootSystem, TypeSymbol, build, center_exponent, center_order, type_invariants
+from .rootsys import RootSystem, TypeSymbol, center_exponent, center_order, highest_root, type_invariants
 from .subsys import Subsystem, enumerate_complete, make_subsystem
 
 DEFAULT_POSET_RANK = 3
@@ -39,12 +39,12 @@ def order_bound(factors: tuple[TypeSymbol, ...]) -> int:
     Per irreducible factor: a point t induces an automorphism of order
     a_p for some vertex p, so t^{a_p} is central and
     ord(t) | a_p * exp(Z).  M is the lcm over factors of
-    lcm(marks) * exp(Z).
+    lcm(marks) * exp(Z), where the marks are 1 and the coefficients of the
+    highest root.
     """
     m = 1
     for sym in factors:
-        rs = build((sym,))
-        m = lcm(m, lcm(*rs.marks) * center_exponent(sym))
+        m = lcm(m, lcm(*highest_root(sym)) * center_exponent(sym))
     return m
 
 

@@ -10,11 +10,15 @@ Root data is generated by closure from the Cartan matrix (root strings),
 one code path for every type; the per-type coordinate models appear only
 in tests.  The closure carries each positive root's pairings with the
 simple coroots, and every later pairing and reflection reads that table.
+The per-type data of an irreducible type needs no closure: its highest
+root, and with it the marks and the affine diagram, follow from the
+Cartan matrix and its symmetrizer by ascent from a long simple root.
 A Dynkin diagram, affine or of a subsystem, is encoded only by its Cartan
 matrix, and `classify_dynkin` types it from the nonzero off-diagonal
-entries.  The Weyl-group invariants come from the degree tables; the
-center order |Z| and its exponent alone are computed from the Cartan
-lattice, by Hermite normal form.
+entries.  The Weyl-group invariants, and the number of positive roots
+(the sum of the exponents), come from the degree tables; the center
+order |Z| and its exponent alone are computed from the Cartan lattice,
+by Hermite normal form.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd, prod
-from operator import add, gt, mul, neg
+from operator import add, mul, neg
 from typing import NamedTuple, Sequence
 
 from . import errors, intlat
@@ -173,26 +177,20 @@ def _closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], li
     return roots, pairings
 
 
-class Block(NamedTuple):
-    symbol: TypeSymbol
-    start: int  # first coordinate index of this factor
-
-
 class RootSystem:
     """A (product of) irreducible system(s); immutable after construction."""
 
     def __init__(self, factors: Sequence[TypeSymbol]):
         factors = tuple(sorted(factors))
-        starts = [sum(sym.rank for sym in factors[:k]) for k in range(len(factors))]
         n = sum(sym.rank for sym in factors)
         # The block-diagonal Cartan matrix: closure and symmetrizer work per component.
         cartan = [[0] * n for _ in range(n)]
-        for sym, start in zip(factors, starts):
+        for k, sym in enumerate(factors):
+            start = sum(f.rank for f in factors[:k])
             for i, row in enumerate(_cartan_matrix(sym)):
                 cartan[start + i][start:start + sym.rank] = row
         self.factors = factors
         self.rank = n
-        self.blocks = tuple(map(Block, factors, starts))
         self.cartan = tuple(map(tuple, cartan))
         self.symmetrizer = tuple(_symmetrizer(cartan))
         positive, pairings = _closure(cartan)
@@ -202,24 +200,12 @@ class RootSystem:
         self.pairings = tuple(pairings) + tuple(tuple(map(neg, p)) for p in pairings)
         self.root_index = {r: i for i, r in enumerate(self.all_roots)}
         self.n_positive = len(self.positive_roots)
-        self.highest_roots = self._find_highest_roots()
-        # Highest-root coefficients a_1..a_k of each factor.
-        self.marks_by_factor = tuple(
-            top[block.start:block.start + block.symbol.rank]
-            for block, top in zip(self.blocks, self.highest_roots)
-        )
-        self._check_invariants()
-
-    def _check_invariants(self):
-        expected = sum(_n_positive_roots(b.symbol) for b in self.blocks)
+        expected = sum(self.degrees) - n  # the sum of the exponents
         if self.n_positive != expected:
             raise AssertionError(
                 f"closure produced {self.n_positive} positive roots, "
-                f"expected {expected} for {format_type(self.factors)}"
+                f"expected {expected} for {format_type(factors)}"
             )
-        for sym, marks in zip(self.factors, self.marks_by_factor):
-            if any(a <= 0 for a in marks):
-                raise AssertionError(f"bad marks for {sym}")
 
     # -- basic linear data ------------------------------------------------
 
@@ -264,26 +250,6 @@ class RootSystem:
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1
 
-    def _find_highest_roots(self) -> tuple[tuple[int, ...], ...]:
-        """Highest root of each factor, embedded in the full coordinates."""
-        out = []
-        for block in self.blocks:
-            support = slice(block.start, block.start + block.symbol.rank)
-            cand = [r for r in self.positive_roots if any(r[support])]
-            top = cand[-1]  # the positive roots are ordered by height
-            for r in cand:
-                if any(map(gt, r, top)):
-                    raise AssertionError("highest root does not dominate")
-            out.append(top)
-        return tuple(out)
-
-    @property
-    def marks(self) -> tuple[int, ...]:
-        """(a_0, a_1, .., a_n) for an irreducible system."""
-        if not self.is_irreducible:
-            raise ValueError("marks are per irreducible factor")
-        return (1,) + self.marks_by_factor[0]
-
     @property
     def degrees(self) -> tuple[int, ...]:
         return type_invariants(self.factors).degrees
@@ -293,11 +259,10 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def build(factors: tuple[TypeSymbol, ...] | TypeSymbol) -> RootSystem:
+def build(factors: tuple[TypeSymbol, ...]) -> RootSystem:
     """Construct (and cache) the root system of a product of types."""
-    if isinstance(factors, TypeSymbol):
-        factors = (factors,)
-    work = sum(map(_n_positive_roots, factors)) * sum(sym.rank for sym in factors) ** 2
+    # The number of positive roots is the sum of the exponents, the degrees less one.
+    work = sum(d - 1 for sym in factors for d in degrees_of(sym)) * sum(sym.rank for sym in factors) ** 2
     errors.require_work(f"root closure of {format_type(factors)}: positive roots x rank^2", work)
     return RootSystem(factors)
 
@@ -306,17 +271,28 @@ def build_str(text: str) -> RootSystem:
     return build(parse_type(text))
 
 
-def _n_positive_roots(sym: TypeSymbol) -> int:
-    n = sym.rank
-    return {
-        "A": n * (n + 1) // 2,
-        "B": n * n,
-        "C": n * n,
-        "D": n * (n - 1),
-        "E": {6: 36, 7: 63, 8: 120}.get(n, 0),
-        "F": 24,
-        "G": 6,
-    }[sym.family]
+def highest_root(sym: TypeSymbol) -> tuple[int, ...]:
+    """The highest root theta of an irreducible type, from its Cartan matrix alone.
+
+    theta is the unique dominant long root, and each W-orbit holds exactly
+    one dominant element, so the ascent from a long simple root ends at it.
+    """
+    cartan = _cartan_matrix(sym)
+    d = _symmetrizer(cartan)
+    long = d.index(max(d))
+    return _ascend(cartan, [int(i == long) for i in range(sym.rank)])
+
+
+def _ascend(cartan: Sequence[Sequence[int]], root: list[int]) -> tuple[int, ...]:
+    """The dominant root in a positive root's W-orbit: s_j raises the height while <root, alpha_j^vee> < 0."""
+    while True:
+        for j, row in enumerate(cartan):
+            c = sum(map(mul, row, root))
+            if c < 0:
+                root[j] -= c
+                break
+        else:
+            return tuple(root)
 
 
 def degrees_of(sym: TypeSymbol) -> tuple[int, ...]:
@@ -397,16 +373,28 @@ class AffineDiagram:
         return range(self.n + 1)
 
 
-def affine_diagram(rs: RootSystem) -> AffineDiagram:
-    """Extend the Dynkin diagram of an irreducible system by the lowest root."""
-    if not rs.is_irreducible:
-        raise ValueError("affine diagrams are per irreducible factor")
-    # Only the row of -theta pairs roots: its column is its pairing table row, the rest rs.cartan.
-    lowest = tuple(map(neg, rs.highest_roots[0]))
-    row = [2] + [rs.pair_roots(rs.all_roots[s], lowest) for s in rs.simple_indices]
-    column = rs.pairings[rs.root_index[lowest]]
-    cartan = (tuple(row),) + tuple((c,) + r for c, r in zip(column, rs.cartan))
-    return AffineDiagram(n=rs.rank, marks=rs.marks, cartan=cartan)
+def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
+    """Extend the Dynkin diagram of an irreducible type by the lowest root -theta.
+
+    Its column is -<theta, alpha_i^vee> and its row -2(alpha_j, theta)/(theta, theta), where
+    (a, b) = sum_i b_i d_i <a, alpha_i^vee> and (theta, theta) = 2 max(d), a long root's length.
+    The marks (1, theta) are then a null vector of the extended matrix only when theta is long.
+    """
+    cartan = _cartan_matrix(sym)
+    d = _symmetrizer(cartan)
+    theta = highest_root(sym)
+    marks = (1,) + theta
+    row = [2]
+    for j in range(sym.rank):
+        q, r = divmod(-sum(t * dt * c[j] for t, dt, c in zip(theta, d, cartan)), max(d))
+        if r:
+            raise AssertionError("non-integral Cartan pairing")
+        row.append(q)
+    column = [-sum(map(mul, c, theta)) for c in cartan]
+    extended = (tuple(row),) + tuple((a,) + tuple(c) for a, c in zip(column, cartan))
+    if any(sum(map(mul, c, marks)) for c in extended):
+        raise AssertionError(f"the marks of {sym} are not a null vector of its affine Cartan matrix")
+    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended)
 
 
 def delete_vertex(diagram: AffineDiagram, p: int) -> tuple[TypeSymbol, ...]:

@@ -34,7 +34,7 @@ def wz_vertex_orbits(frs: RootSystem):
 
 def degree_identity(rs, poset_rank, wz):
     for sym in rs.factors:
-        res = layers.verify_degree_identity(build((sym,)))
+        res = layers.verify_degree_identity(sym)
         _require(res.holds, f"{sym}: sum = {res.total}")
     return "sum over vertices equals 1 for every factor"
 
@@ -59,7 +59,7 @@ def points_oracle(rs, poset_rank, wz):
         tables.append([
             (r.point_type, r.stabilizer_order, r.stabilizer_order * len(group) // len(orbits[r.vertex]),
              r.orbit_size)
-            for r in layers.point_orbits(build((sym,)))
+            for r in layers.point_orbits(sym)
         ])
     # A point of the product is one point per factor: types join, the rest multiply.
     expected = sorted(
@@ -102,7 +102,7 @@ def iwahori_matsumoto(rs, poset_rank, wz):
     for sym in rs.factors:
         group, orbits = wz(sym)
         _require(len(group) == center_order((sym,)), str(sym))
-        _, aut_orbits = diagram_automorphisms(layers._vertex_data((sym,)).diagram)
+        _, aut_orbits = diagram_automorphisms(layers._vertex_data(sym).diagram)
         _require(set(aut_orbits) == set(orbits), f"{sym}: orbit mismatch")
     return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"
 

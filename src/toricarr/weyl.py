@@ -55,13 +55,15 @@ class CenterElement:
 def center_subgroup(rs: RootSystem) -> tuple[CenterElement, ...]:
     """W_Z = {1} u {w_0^p w_0 : a_p = 1}, with induced diagram action.
 
-    Verifies z_p . alpha_0 = alpha_p on construction.
+    Verifies z_p . alpha_0 = alpha_p on construction.  The highest root
+    theta, and with it the marks (1, theta), is the closure's own: its last
+    positive root by height.
     """
     if not rs.is_irreducible:
         raise ValueError("W_Z is defined per irreducible factor")
-    marks = rs.marks
     n = rs.rank
-    theta = rs.highest_roots[0]
+    theta = rs.positive_roots[-1]
+    marks = (1,) + theta
     lowest_idx = rs.root_index[tuple(-x for x in theta)]
     extended_idx = (lowest_idx,) + rs.simple_indices
     w0 = longest_element(rs)

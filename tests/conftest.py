@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from itertools import product as iproduct
 from math import factorial, gcd, prod
-from operator import add, getitem, mod, mul
+from operator import add, getitem, gt, mod, mul
 from typing import Callable, Optional, Sequence
 
 import pytest
@@ -136,6 +136,27 @@ def _positive_roots(cartan):
 @pytest.fixture
 def reference_positive_roots():
     return _positive_roots
+
+
+def _find_highest_roots(rs):
+    """Highest root of each factor, read off the closure: its last positive root, checked to dominate."""
+    out = []
+    start = 0
+    for sym in rs.factors:
+        support = slice(start, start + sym.rank)
+        cand = [r for r in rs.positive_roots if any(r[support])]
+        top = cand[-1]  # the positive roots are ordered by height
+        for r in cand:
+            if any(map(gt, r, top)):
+                raise AssertionError("highest root does not dominate")
+        out.append(top)
+        start += sym.rank
+    return tuple(out)
+
+
+@pytest.fixture
+def reference_highest_roots():
+    return _find_highest_roots
 
 
 def _inner(rs, a, b):

@@ -113,13 +113,13 @@ def test_criterion_5_oracle_point_equivalence():
         assert len(pts) == count_points(rs), t
         brute_types = Counter(p.phi_type for p in pts)
         formula_types = Counter()
-        for r in point_orbits(rs):
+        for r in point_orbits(*rs.factors):
             formula_types[r.point_type] += r.orbit_size
         assert brute_types == formula_types, t
         # stabilizers: multiset of (type, |W(t)|) vs (type, |W_p|)
         brute_stabs = Counter((p.phi_type, p.stabilizer_order) for p in pts)
         expected_stabs = Counter()
-        for r in point_orbits(rs):
+        for r in point_orbits(*rs.factors):
             expected_stabs[(r.point_type, r.stabilizer_order)] += r.orbit_size
         assert brute_stabs == expected_stabs, t
         # W x Z stabilizers: |W_p| times the vertex stabilizer inside the
@@ -129,7 +129,7 @@ def test_criterion_5_oracle_point_equivalence():
         wz, wz_orbits = _wz_vertex_orbits(rs)
         brute_wz = Counter((p.phi_type, p.wz_stabilizer_order) for p in pts)
         expected_wz = Counter()
-        for r in point_orbits(rs):
+        for r in point_orbits(*rs.factors):
             orbit = wz_orbits[r.vertex]
             expected_wz[
                 (r.point_type, r.stabilizer_order * (len(wz) // len(orbit)))
@@ -252,7 +252,7 @@ def test_criterion_9_degree_identity_through_e8():
     )
     start = time.monotonic()
     for t in types:
-        res = verify_degree_identity(build_str(t))
+        res = verify_degree_identity(*parse_type(t))
         assert res.holds and res.total == 1, t
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -291,7 +291,7 @@ def test_criterion_11_iwahori_matsumoto():
                 assert (  # subgroup closure
                     tuple(a.perm[x] for x in b.perm) in perms
                 ), t
-        _, aut_orbits = diagram_automorphisms(affine_diagram(rs))
+        _, aut_orbits = diagram_automorphisms(affine_diagram(*rs.factors))
         _, wz_orbits = _wz_vertex_orbits(rs)
         assert set(aut_orbits) == set(wz_orbits), t
     _ok(11, "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits, rank <= 4")

@@ -645,9 +645,9 @@ def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
     calls = collections.Counter()
     diagram = toricarr.rootsys.affine_diagram
 
-    def counted(rs):
-        calls[rs.factors] += 1
-        return diagram(rs)
+    def counted(sym):
+        calls[sym] += 1
+        return diagram(sym)
 
     for module in (toricarr.rootsys, toricarr.layers, toricarr.verify, toricarr.oracle, toricarr.weyl):
         if hasattr(module, "affine_diagram"):
@@ -655,6 +655,40 @@ def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--type", "F4")
     assert code == 0 and out
     assert calls and max(calls.values()) == 1, calls
+
+
+@pytest.mark.parametrize(
+    "argv, closed",
+    [
+        (["points", "--type", "E7xA1"], ["A1xE7"]),
+        (["identity", "--type", "E7xA1"], ["A1xE7"]),
+        (["census", "--type", "F4"], ["F4"]),
+    ],
+)
+def test_per_type_data_closes_no_other_root_system(capsys, monkeypatch, argv, closed):
+    # Affine diagrams and marks come from each type's Cartan matrix: no factor or Theta type is closed.
+    _clear_library_caches()
+    built = []
+    init = toricarr.rootsys.RootSystem.__init__
+    monkeypatch.setattr(
+        toricarr.rootsys.RootSystem, "__init__",
+        lambda self, factors: built.append(toricarr.rootsys.format_type(factors)) or init(self, factors),
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert built == closed
+
+
+def test_affine_null_vector_check_survives_optimized_mode():
+    # Ascent from B3's short simple root alpha_3 ends at the highest short root (1, 1, 1), not at theta.
+    patch = (
+        "from toricarr import rootsys\n"
+        "rootsys.highest_root = lambda sym: rootsys._ascend(rootsys._cartan_matrix(sym), [0, 0, 1])"
+    )
+    proc = _run_with_defect(patch, ["points", "--type", "B3"], "-O")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "mismatch: the marks of B3 are not a null vector of its affine Cartan matrix\n"
 
 
 def test_n_theta_division_check_survives_optimized_mode():

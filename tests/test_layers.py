@@ -71,7 +71,7 @@ def test_count_points_multiplicative():
 
 
 def test_point_orbits_b3():
-    records = point_orbits(build_str("B3"))
+    records = point_orbits(*parse_type("B3"))
     data = [(r.vertex, r.orbit_size, format_type(r.point_type)) for r in records]
     assert data == [
         (0, 1, "B3"),
@@ -83,7 +83,7 @@ def test_point_orbits_b3():
 
 
 def test_point_orbits_f4_sum():
-    records = point_orbits(build_str("F4"))
+    records = point_orbits(*parse_type("F4"))
     assert sorted(r.orbit_size for r in records) == [1, 3, 12, 24, 32]
     assert sum(r.orbit_size for r in records) == 72
     # F4 has trivial diagram automorphisms: five singleton Q-orbits
@@ -91,22 +91,17 @@ def test_point_orbits_f4_sum():
 
 
 def test_point_orbits_cn_binomials():
-    records = point_orbits(build_str("C4"))
+    records = point_orbits(*parse_type("C4"))
     from math import comb
 
     assert sorted(r.orbit_size for r in records) == sorted(comb(4, p) for p in range(5))
-
-
-def test_point_orbits_rejects_products():
-    with pytest.raises(ValueError):
-        point_orbits(build_str("A1xA1"))
 
 
 def test_eq1_equals_eq2_through_e8():
     # vertex sum vs Q-orbit sum
     for t in ["A5", "B6", "C6", "D7", "E6", "E7", "E8", "F4", "G2"]:
         rs = build_str(t)
-        records = point_orbits(rs)
+        records = point_orbits(*rs.factors)
         by_vertex = sum(r.orbit_size for r in records)
         by_q = {}
         for r in records:
@@ -407,13 +402,13 @@ def test_a_series_poincare_matches_general_route(a_series_poincare):
 
 
 def test_degree_identity_a1():
-    res = verify_degree_identity(build_str("A1"))
+    res = verify_degree_identity(*parse_type("A1"))
     assert res.holds
     assert res.terms == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
 
 
 def test_degree_identity_f4_term():
-    res = verify_degree_identity(build_str("F4"))
+    res = verify_degree_identity(*parse_type("F4"))
     assert res.holds
     assert (0, Fraction(385, 1152)) in res.terms
 
@@ -427,7 +422,7 @@ def test_degree_identity_all_types_through_e8():
         + ["E6", "E7", "E8", "F4", "G2"]
     )
     for t in types:
-        assert verify_degree_identity(build_str(t)).holds, t
+        assert verify_degree_identity(*parse_type(t)).holds, t
 
 
 # -- property tests ----------------------------------------------------------

@@ -79,7 +79,7 @@ def test_brute_count_and_types_match_formula(t):
     assert len(pts) == count_points(rs)
     brute_types = Counter(p.phi_type for p in pts)
     formula_types = Counter()
-    for r in point_orbits(rs):
+    for r in point_orbits(*rs.factors):
         formula_types[r.point_type] += r.orbit_size
     assert brute_types == formula_types
 
@@ -91,7 +91,7 @@ def test_brute_stabilizers_match_parabolic_orders(t):
     pts = brute_points(rs)
     brute = Counter((p.phi_type, p.stabilizer_order) for p in pts)
     expected = Counter()
-    for r in point_orbits(rs):
+    for r in point_orbits(*rs.factors):
         expected[(r.point_type, r.stabilizer_order)] += r.orbit_size
     assert brute == expected
 
@@ -226,7 +226,7 @@ def test_brute_points_classifies_once_per_point_orbit(monkeypatch, t, orbits):
     monkeypatch.setattr(oracle, "make_subsystem", counting)
     rs = build_str(t)
     brute_points(rs)
-    assert calls == orbits == len(point_orbits(rs))
+    assert calls == orbits == len(point_orbits(*rs.factors))
 
 
 def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricarr.rootsys import (
+    RootSystem,
     TypeSymbol,
     _cartan_matrix,
     affine_diagram,
@@ -20,6 +21,7 @@ from toricarr.rootsys import (
     delete_vertex,
     diagram_automorphisms,
     format_type,
+    highest_root,
     parse_type,
     type_invariants,
 )
@@ -91,13 +93,16 @@ def test_closure_matches_the_reference(reference_positive_roots, inner, t):
     assert list(rs.positive_roots) == reference_positive_roots(rs.cartan)
     d, c = rs.symmetrizer, rs.cartan
     assert all(d[i] * c[i][j] == d[j] * c[j][i] for i in range(rs.rank) for j in range(rs.rank))
-    assert all(math.gcd(*d[b.start:b.start + b.symbol.rank]) == 1 for b in rs.blocks)
+    start = 0
+    for sym in rs.factors:
+        assert math.gcd(*d[start:start + sym.rank]) == 1, sym
+        start += sym.rank
     for root, pairing in zip(rs.all_roots, rs.pairings, strict=True):
         assert pairing == tuple(sum(c * m for c, m in zip(row, root)) for row in rs.cartan), root
     if rs.rank <= 4:
         roots = rs.all_roots
     elif rs.is_irreducible:  # the extended simple roots: the lowest root, then the simple roots
-        roots = [tuple(-x for x in rs.highest_roots[0])] + [rs.all_roots[i] for i in range(rs.rank)]
+        roots = [tuple(-x for x in rs.positive_roots[-1])] + [rs.all_roots[i] for i in range(rs.rank)]
     else:
         roots = []
     for a, b in itertools.product(roots, repeat=2):
@@ -128,10 +133,25 @@ def test_closure_and_highest_root(t):
                 # sums of roots either leave the system or stay in it; the
                 # string arithmetic used to build it guarantees consistency
                 assert (s in allr) == (s in rs.root_index)
-    top = rs.highest_roots[0]
+    top = highest_root(*rs.factors)
     assert top in pos
     assert all(all(x >= y for x, y in zip(top, r)) for r in pos)
-    assert rs.marks == (1,) + top
+    assert affine_diagram(*rs.factors).marks == (1,) + top
+
+
+HIGHEST_ROOT_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 10)] + [f"C{n}" for n in range(3, 10)]
+    + [f"D{n}" for n in range(4, 11)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("t", HIGHEST_ROOT_TYPES)
+def test_highest_root_equals_the_closure_reference(reference_highest_roots, t):
+    # The ascent from a long simple root against the last root of the closure.
+    rs = build_str(t)
+    theta = highest_root(*rs.factors)
+    assert (theta,) == reference_highest_roots(rs)
+    assert all(all(x >= y for x, y in zip(theta, r)) for r in rs.positive_roots)
 
 
 def test_coordinate_model_b2():
@@ -173,7 +193,7 @@ def test_build_examples():
     assert rs.n_positive == 1 and rs.cartan == ((2,),)
     rs = build_str("F4")
     assert rs.n_positive == 24
-    assert sum(rs.marks) == 12  # 1+2+3+4+2
+    assert sum(affine_diagram(*rs.factors).marks) == 12  # 1+2+3+4+2
     rs = build_str("C2")  # alias of B2
     assert rs.n_positive == 4
     assert rs.degrees == (2, 4)
@@ -201,24 +221,23 @@ def test_products_block_diagonal():
     ],
 )
 def test_delete_vertex(t, p, expected):
-    diag = affine_diagram(build_str(t))
+    diag = affine_diagram(*parse_type(t))
     assert format_type(delete_vertex(diag, p)) == expected
 
 
 @pytest.mark.parametrize("t", RANK_LE_4 + ["E6", "E7", "E8", "D5"])
 def test_delete_zero_recovers_type(t):
-    rs = build_str(t)
-    diag = affine_diagram(rs)
-    assert delete_vertex(diag, 0) == rs.factors
+    factors = parse_type(t)
+    assert delete_vertex(affine_diagram(*factors), 0) == factors
 
 
 def test_affine_diagram_a1_double_bond():
-    diag = affine_diagram(build_str("A1"))
+    diag = affine_diagram(TypeSymbol("A", 1))
     assert diag.cartan == ((2, -2), (-2, 2))
 
 
 def test_affine_diagram_d4_star():
-    diag = affine_diagram(build_str("D4"))
+    diag = affine_diagram(TypeSymbol("D", 4))
     assert diag.marks == (1, 1, 2, 1, 1)
     center = [v for v in diag.vertices if sum(1 for w in diag.vertices if w != v and diag.cartan[v][w]) == 4]
     assert len(center) == 1 and diag.marks[center[0]] == 2
@@ -230,17 +249,19 @@ def test_affine_diagram_d4_star():
     + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8", "F4", "G2"],
 )
 def test_affine_diagram_equals_the_pairings_of_the_extended_roots(monkeypatch, t):
-    # The diagram copies rs.cartan and pairs only the lowest root.
-    rs = build_str(t)
-    extended = [tuple(-x for x in rs.highest_roots[0])] + [
+    # The diagram reads the Cartan matrix alone; the test's own closure pairs the extended roots.
+    rs = RootSystem(parse_type(t))
+    extended = [tuple(-x for x in rs.positive_roots[-1])] + [
         tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
     ]
     expected = tuple(tuple(rs.pair_roots(b, a) for b in extended) for a in extended)
-    calls = []
-    pair_roots = type(rs).pair_roots
-    monkeypatch.setattr(type(rs), "pair_roots", lambda self, a, b: calls.append(b) or pair_roots(self, a, b))
-    assert affine_diagram(rs).cartan == expected
-    assert len(calls) == rs.rank
+    built = []
+    init = RootSystem.__init__
+    monkeypatch.setattr(RootSystem, "__init__", lambda self, factors: built.append(factors) or init(self, factors))
+    diag = affine_diagram(*rs.factors)
+    assert diag.cartan == expected
+    assert diag.marks == (1,) + rs.positive_roots[-1]
+    assert built == []
 
 
 IRREDUCIBLE = (
@@ -289,35 +310,30 @@ def test_classify_dynkin_reads_a_block_diagonal_product(t):
 )
 def test_classify_dynkin_rejects_affine_cartan_matrices(t, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        classify_dynkin(affine_diagram(build_str(t)).cartan)
-
-
-def test_affine_diagram_reducible_rejected():
-    with pytest.raises(ValueError):
-        affine_diagram(build_str("A1xA1"))
+        classify_dynkin(affine_diagram(*parse_type(t)).cartan)
 
 
 def test_diagram_automorphisms_a_series():
     # the (n+1)-cycle has the dihedral group, one vertex orbit
     for n in [2, 3, 4, 5]:
-        diag = affine_diagram(build_str(f"A{n}"))
+        diag = affine_diagram(TypeSymbol("A", n))
         autos, orbits = diagram_automorphisms(diag)
         assert len(autos) == 2 * (n + 1)
         assert orbits == (tuple(range(n + 1)),)
     # A1 is the degenerate double-bond diagram: only the swap survives
-    autos, orbits = diagram_automorphisms(affine_diagram(build_str("A1")))
+    autos, orbits = diagram_automorphisms(affine_diagram(TypeSymbol("A", 1)))
     assert len(autos) == 2 and orbits == ((0, 1),)
 
 
 def test_diagram_automorphisms_f4_trivial():
-    autos, orbits = diagram_automorphisms(affine_diagram(build_str("F4")))
+    autos, orbits = diagram_automorphisms(affine_diagram(TypeSymbol("F", 4)))
     assert len(autos) == 1
     assert len(orbits) == 5
 
 
 def test_diagram_automorphisms_c_series_involution():
     for n in [3, 4, 5]:
-        diag = affine_diagram(build_str(f"C{n}"))
+        diag = affine_diagram(TypeSymbol("C", n))
         autos, _ = diagram_automorphisms(diag)
         assert len(autos) == 2
         swap = next(a for a in autos if a != tuple(range(n + 1)))

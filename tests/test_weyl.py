@@ -131,7 +131,7 @@ def test_center_subgroup_properties(t):
     for a in wz:
         for b in wz:
             assert compose(a.perm, b.perm) in perms
-    diag = affine_diagram(rs)
+    diag = affine_diagram(*rs.factors)
     autos, aut_orbits = diagram_automorphisms(diag)
     for e in wz:
         assert e.diagram_perm in autos
