@@ -28,7 +28,6 @@ from .subsys import (
     CompleteFamily,
     Subsystem,
     enumerate_complete,
-    make_subsystem,
     parabolic_classes,
 )
 from .layers import (

@@ -1,8 +1,8 @@
 """Exact integer-lattice linear algebra on one elimination routine.
 
 The Hermite normal form over Python ints (arbitrary precision) is the only
-elimination.  Kernels, saturations, residues, coordinates and indices are
-read off it: the kernel and the image of a matrix come from one HNF of the
+elimination.  Kernels, saturations, residues and indices are read off
+it: the kernel and the image of a matrix come from one HNF of the
 matrix augmented by an identity (Cohen, A Course in Computational
 Algebraic Number Theory, 1993, section 2.4.3).  Every routine is
 fraction-free: the only divisions are the reductions of the normal form.
@@ -12,7 +12,7 @@ No floating point anywhere.
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -22,39 +22,43 @@ def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot); the result is the unique canonical basis of the lattice.
+    In each column, Euclid reduces the rows nonzero there by the one of
+    least absolute entry until one is left, the pivot row; rows that
+    vanish are dropped, and the work stops once no row is left.
     """
-    a = [list(map(int, row)) for row in rows if any(row)]
-    if not a:
-        return ()
-    n = len(a[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
+    rest = [list(row) for row in rows if any(row)]
+    basis: list[list[int]] = []
+    for c in range(len(rest[0]) if rest else 0):
+        active, others = [], []
+        for row in rest:
+            (active if row[c] else others).append(row)
+        if not active:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        # Euclid on the remaining rows of this column.
-        while True:
-            nz = [i for i in range(r + 1, len(a)) if a[i][c]]
-            if not nz:
-                break
-            for i in nz:
-                q = a[i][c] // a[r][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if a[i][c]:
-                    a[r], a[i] = a[i], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
+        while len(active) > 1:
+            piv, p = active[0], abs(active[0][c])
+            for row in active:
+                if abs(row[c]) < p:
+                    piv, p = row, abs(row[c])
+            nxt = [piv]
+            for row in active:
+                if row is not piv:
+                    q = row[c] // piv[c]
+                    row = [x - q * y for x, y in zip(row, piv)]
+                    if row[c]:
+                        nxt.append(row)
+                    elif any(row):
+                        others.append(row)
+            active = nxt
+        piv = active[0] if active[0][c] > 0 else [-x for x in active[0]]
+        for i, row in enumerate(basis):
+            q = row[c] // piv[c]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return tuple(tuple(row) for row in a[:r])
+                basis[i] = [x - q * y for x, y in zip(row, piv)]
+        basis.append(piv)
+        rest = others
+        if not rest:
+            break
+    return tuple(map(tuple, basis))
 
 
 def _with_identity(rows: IntMatrix) -> list[list[int]]:
@@ -99,33 +103,14 @@ def residue(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
     when their difference lies in the lattice.
     """
     v = list(vec)
+    c = 0
     for row in basis:
-        c = next(j for j, x in enumerate(row) if x)
+        while not row[c]:  # the pivot columns increase down the rows
+            c += 1
         q = v[c] // row[c]
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return tuple(v)
-
-
-def _coords_solver(
-    basis: IntMatrix,
-) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
-    """A solver for integer x with x @ basis == vec, None when vec is not in the lattice.
-
-    The HNF of [basis | I_k] is computed once; its rows are (x @ basis, x).
-    The residue of (vec, 0) is (vec, 0) - (x @ basis, x) for some integer
-    x, so vec is in the lattice exactly when its first n entries are zero,
-    and then x is the negated rest.
-    """
-    hnf = hermite_normal_form(_with_identity(basis))
-
-    def solve(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-        rest = residue(hnf, [*vec, *(0 for _ in basis)])
-        if any(rest[:len(vec)]):
-            return None
-        return tuple(-x for x in rest[len(vec):])
-
-    return solve
 
 
 def index_in_zk(rows: IntMatrix, k: int) -> int:

@@ -25,7 +25,7 @@ from typing import Sequence
 from . import intlat
 from .errors import CapabilityError, require_work
 from .rootsys import RootSystem, TypeSymbol, center_exponent, center_order, highest_root, type_invariants
-from .subsys import Subsystem, enumerate_complete, make_subsystem
+from .subsys import Subsystem, enumerate_complete, simple_type
 
 DEFAULT_POSET_RANK = 3
 
@@ -133,12 +133,13 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     the simple reflections: the stabilizer order in W is |W| / |orbit|.
     W acts trivially on the center, so the count of central shifts that
     stay in the orbit is constant on it too, and the vanishing subsystems
-    of an orbit are W-conjugate, so the type is computed once per orbit.
+    of an orbit are W-conjugate, so the type is computed once per orbit,
+    from the simple system of the vanishing roots, with no saturation.
     Raises AssertionError when a W-image of a point is not among the
     points, when an orbit size does not divide |W|, when the points at
     which every root vanishes are not |Z| many, or when the roots
-    vanishing at a point do not form a subsystem.  The walk takes n
-    steps per point, within the grid scan's work.
+    vanishing at a point do not form a subsystem with n simple roots.
+    The walk takes n steps per point, within the grid scan's work.
     """
     m = order_bound(rs.factors)
     # The rank of a set of roots equals that of their pairing vectors,
@@ -179,7 +180,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
                 if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit
             )
             try:
-                phi_type = make_subsystem(rs, vanishing).type
+                phi_type = simple_type(rs, vanishing, rs.rank)[2]
             except ValueError as exc:
                 raise AssertionError(
                     f"the roots vanishing at the grid point {cand} are not a subsystem: {exc}"
@@ -207,31 +208,32 @@ class _QuotientArrangement:
     gamma: tuple[tuple[int, ...], ...]       # functional matrix, rows = theta simples
     graph: tuple[tuple[int, ...], ...]       # HNF of the rows (gamma y, y) for y in Z^n
     r_basis: tuple[tuple[int, ...], ...]     # HNF basis of R^Phi(Theta)
-    theta_coords: tuple[tuple[int, ...], ...]  # positive roots of theta in its simple basis
+    rows: tuple[tuple[int, ...], ...]        # grid rows of theta's positive roots
     modulus: int
 
 
 def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangement:
+    """Theta's arrangement on its quotient torus, read off one HNF of [gamma^T | I_n].
+
+    The graph rows (gamma y_j, y_j) with gamma y_j != 0 give r_basis_j =
+    gamma y_j, so at grid point x the functional values are x @ r_basis =
+    gamma (sum_j x_j y_j): a root of theta with pairing row p takes the
+    value x . (y_j . p)_j, and that is its grid row, with no solve.
+    """
     gamma = tuple(rs.pairings[i] for i in theta.simples)
     k = len(gamma)
-    # The graph rows with gamma y != 0 begin with the HNF of R^Phi(Theta) = gamma Z^n.
     graph = intlat.hermite_normal_form(
         intlat._with_identity([[row[j] for row in gamma] for j in range(rs.rank)])
     )
-    solve = intlat._coords_solver([rs.all_roots[i] for i in theta.simples])
-    coords = []
-    for i in theta.roots:
-        if i >= rs.n_positive:
-            continue
-        sol = solve(rs.all_roots[i])
-        if sol is None:
-            raise AssertionError("theta root not integral over its simple system")
-        coords.append(sol)
+    image = [row for row in graph if any(row[:k])]
     return _QuotientArrangement(
         gamma=gamma,
         graph=graph,
-        r_basis=tuple(row[:k] for row in graph if any(row[:k])),
-        theta_coords=tuple(coords),
+        r_basis=tuple(row[:k] for row in image),
+        rows=tuple(
+            tuple(sum(map(mul, row[k:], rs.pairings[i])) for row in image)
+            for i in theta.roots if i < rs.n_positive
+        ),
         modulus=order_bound(theta.type),
     )
 
@@ -239,15 +241,11 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
 def _quotient_points(qa: _QuotientArrangement) -> list[tuple[int, ...]]:
     """Grid coordinates (in the R-basis, units of 1/modulus) of the points.
 
-    At grid point x the functional values are x @ r_basis / modulus, so a
-    root with theta coordinates c vanishes when x . (r_basis @ c) = 0 mod
-    modulus; r_basis is invertible, so the rank test is unchanged.
+    A root vanishes at grid point x when x . row = 0 mod modulus for its
+    grid row, r_basis applied to its theta coordinates; r_basis is
+    invertible, so the rank test is that of theta's roots.
     """
-    rows = [
-        tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis)
-        for c in qa.theta_coords
-    ]
-    return [x for x, _ in _grid_points(rows, qa.modulus, len(qa.gamma))]
+    return [x for x, _ in _grid_points(qa.rows, qa.modulus, len(qa.gamma))]
 
 
 def component_count(rs: RootSystem, theta: Subsystem) -> int:

@@ -4,7 +4,8 @@ A subsystem is a subset closed under negation and under addition of roots
 (when the sum is a root).  A complete subsystem equals the intersection of
 its rational span with the ambient system; complete subsystems of rank
 n - d are in bijection with the d-dimensional spaces of the linear
-arrangement, which is what makes them enumerable by rational spans.
+arrangement, which is what makes them enumerable by rational spans, at one
+saturation per span; a subsystem is typed from its simple roots with none.
 Their W-orbits are classified from the standard parabolic flats alone, by a
 walk whose carried simple systems stay positive (Humphreys, Reflection Groups
 and Coxeter Groups, 1990, Prop. 1.4) and saturated, as W is unimodular.
@@ -15,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
-from typing import Iterable, Sequence
+from math import gcd
+from operator import mul, sub
+from typing import Sequence
 
 from . import intlat
 from .errors import require_work
@@ -37,48 +39,42 @@ class Subsystem:
 
 
 def simple_system(rs: RootSystem, positive_indices: Sequence[int]) -> tuple[int, ...]:
-    """Indecomposable elements of the positive part of a closed subsystem."""
+    """Simple roots of a closed subsystem, from the indices of its positive roots.
+
+    The roots are taken in index order, which is height order.  A positive
+    root that is not simple is a simple root plus a positive root of the
+    subsystem, and that simple root is lower, so it is found first; a simple
+    root minus another is no root.  So a root is simple exactly when
+    subtracting each simple root found so far never gives a positive root
+    of the subsystem.
+    """
     pos = sorted(positive_indices)
-    coords = {i: rs.all_roots[i] for i in pos}
-    sums = set()
-    vecs = set(coords.values())
-    for a in coords.values():
-        for b in coords.values():
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in vecs:
-                sums.add(s)
-    return tuple(i for i in pos if coords[i] not in sums)
+    vecs = {rs.all_roots[i] for i in pos}
+    simples: list[int] = []
+    for i in pos:
+        root = rs.all_roots[i]
+        if not any(tuple(map(sub, root, rs.all_roots[s])) in vecs for s in simples):
+            simples.append(i)
+    return tuple(simples)
 
 
-def make_subsystem(rs: RootSystem, positive_indices: Iterable[int]) -> Subsystem:
-    """Assemble a Subsystem from the indices of its positive roots."""
-    pos = tuple(sorted(positive_indices))
-    if not pos:
-        return _assemble(rs, pos, (), complete=True)
-    basis, null_vectors = intlat.saturate([rs.all_roots[i] for i in pos])
-    complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
-    return _assemble(rs, pos, basis, complete)
+def simple_type(
+    rs: RootSystem, positive_indices: Sequence[int], rank: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[TypeSymbol, ...]]:
+    """(simples, their Cartan matrix in their order, type) of a closed subsystem of rank `rank`.
 
-
-def _assemble(
-    rs: RootSystem, pos: tuple[int, ...], basis: tuple[tuple[int, ...], ...], complete: bool
-) -> Subsystem:
-    """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
-    simples = simple_system(rs, pos)
+    Raises AssertionError when the simple system does not have `rank`
+    roots, as that of a closed subsystem of that rank has.
+    """
+    simples = simple_system(rs, positive_indices)
+    if len(simples) != rank:
+        raise AssertionError(
+            f"a closed subsystem of rank {rank} of {format_type(rs.factors)} "
+            f"has {len(simples)} simple roots"
+        )
     coords = [rs.all_roots[i] for i in simples]
     cartan = tuple(tuple(rs.pair_roots(b, a) for b in coords) for a in coords)
-    return Subsystem(
-        roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=complete,
-        span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
-    )
-
-
-def _positives_in_span(rs: RootSystem, null_vectors: Sequence[Sequence[int]]) -> list[int]:
-    """Positive roots in a rational span: those orthogonal to its null vectors (saturate's)."""
-    inside = list(range(rs.n_positive))
-    for k in null_vectors:
-        inside = [i for i in inside if not sum(map(mul, rs.positive_roots[i], k))]
-    return inside
+    return simples, cartan, classify_dynkin(cartan)
 
 
 @dataclass(frozen=True)
@@ -91,38 +87,52 @@ class CompleteFamily:
 
 @lru_cache(maxsize=None)
 def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
-    """Rational spans of root subsets, one dict {basis: positives} per rank 0..top.
+    """Rational spans of root subsets, one dict {basis: (positives, null vectors)} per rank 0..top.
 
-    Level r maps the canonical HNF basis of each rank-r span to the sorted
-    tuple of positive-root indices it contains.  Level r + 1 extends each
-    rank-r span by one root at a time; roots already in a flat found from
-    that span give the same flat again, so they are skipped unsaturated.
+    Level r maps the canonical HNF basis of each rank-r span F to the
+    sorted tuple of positive-root indices in F and to F's null vectors k.
+    A positive root beta outside F has a nonzero value vector (k . beta),
+    and span(F, beta) holds a root exactly when its value vector is a
+    rational multiple of beta's.  So the roots outside F, grouped by their
+    value vectors divided by their gcd and signed, give with F the positive
+    roots of every rank-(r + 1) span through F, with no elimination.  Each
+    new span is saturated once, for its basis and null vectors.
     """
     if top == 0:
-        return ({(): ()},)
+        units = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+        return ({(): ((), units)},)
     levels = _span_levels(rs, top - 1)
-    nxt: dict[tuple, tuple[int, ...]] = {}
-    for basis, members in levels[-1].items():
-        covered = set(members)
-        for j in range(rs.n_positive):
-            if j in covered:
-                continue
-            new_basis, null_vectors = intlat.saturate(list(basis) + [rs.all_roots[j]])
-            if new_basis not in nxt:
-                nxt[new_basis] = tuple(_positives_in_span(rs, null_vectors))
-            covered.update(nxt[new_basis])
+    extensions: dict[tuple[int, ...], list] = {}  # positives of a new span: rows spanning it
+    for basis, (members, null_vectors) in levels[-1].items():
+        inside = set(members)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for j, root in enumerate(rs.positive_roots):
+            if j not in inside:
+                values = [sum(map(mul, root, k)) for k in null_vectors]
+                g = gcd(*values)
+                if next(filter(None, values)) < 0:
+                    g = -g
+                groups.setdefault(tuple(v // g for v in values), []).append(j)
+        for roots in groups.values():
+            positives = tuple(sorted(members + tuple(roots)))
+            extensions.setdefault(positives, [*basis, rs.all_roots[roots[0]]])
+    nxt = {}
+    for positives, rows in extensions.items():
+        new_basis, null_vectors = intlat.saturate(rows)
+        nxt[new_basis] = (positives, null_vectors)
     return levels + (nxt,)
 
 
 def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
     """The family K_d: complete subsystems of rank n - d.
 
-    Enumerates saturated rational spans of independent subsets of positive
-    roots, growing rank one root at a time and deduplicating spans by their
-    canonical HNF basis.  Only build_poset and the tests use this span
-    route; the census and verify work from parabolic_classes.  Each span is
-    saturated at most once per positive root, and there are at most |W|
-    flats (see parabolic_classes), so the work is refused above |W| x n_positive.
+    Enumerates saturated rational spans of root subsets, growing rank one
+    root at a time (see _span_levels) and naming each span by its canonical
+    HNF basis.  Only build_poset and the tests use this span route; the
+    census and verify work from parabolic_classes.  Each flat is saturated
+    once and extended by the value vectors of at most n_positive roots, and
+    there are at most |W| flats (see parabolic_classes), so the work is
+    refused above |W| x n_positive.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
@@ -133,8 +143,14 @@ def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
     target = rs.rank - d
     level = _span_levels(rs, target)[target]
     # Each span holds every positive root in it, so it is complete; its basis is already canonical.
-    members = tuple(_assemble(rs, pos, basis, complete=True) for basis, pos in sorted(level.items()))
-    return CompleteFamily(d=d, members=members)
+    members = []
+    for basis, (pos, _) in sorted(level.items()):
+        simples, cartan, types = simple_type(rs, pos, len(basis))
+        members.append(Subsystem(
+            roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=True,
+            span_basis=basis, type=types, simples=simples, cartan=cartan,
+        ))
+    return CompleteFamily(d=d, members=tuple(members))
 
 
 def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ...]:

@@ -18,18 +18,116 @@ from toricarr import __version__, intlat, oracle
 from toricarr.errors import require_work
 from toricarr.intlat import IntMatrix, saturate
 from toricarr.layers import IntPolynomial, _binomial_shift
-from toricarr.rootsys import RootSystem, TypeSymbol, center_order, format_type, type_invariants
-from toricarr.subsys import _positives_in_span, enumerate_complete, make_subsystem
+from toricarr.rootsys import (
+    RootSystem,
+    TypeSymbol,
+    center_order,
+    classify_dynkin,
+    format_type,
+    type_invariants,
+)
+from toricarr.subsys import Subsystem, enumerate_complete
 from toricarr.weyl import compose
+
+
+# -- subsystem assembly by saturation and the per-root span route that subsys replaced, kept as references --
+
+
+def _reference_simple_system(rs, positive_indices):
+    """Indecomposable elements of the positive part of a closed subsystem, by every pairwise sum."""
+    pos = sorted(positive_indices)
+    coords = {i: rs.all_roots[i] for i in pos}
+    sums = set()
+    vecs = set(coords.values())
+    for a in coords.values():
+        for b in coords.values():
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in vecs:
+                sums.add(s)
+    return tuple(i for i in pos if coords[i] not in sums)
+
+
+@pytest.fixture
+def reference_simple_system():
+    return _reference_simple_system
+
+
+def _reference_assemble(rs, pos, basis, complete):
+    """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
+    simples = _reference_simple_system(rs, pos)
+    coords = [rs.all_roots[i] for i in simples]
+    cartan = tuple(tuple(rs.pair_roots(b, a) for b in coords) for a in coords)
+    return Subsystem(
+        roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=complete,
+        span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
+    )
+
+
+def _positives_in_span(rs, null_vectors):
+    """Positive roots in a rational span: those orthogonal to its null vectors (saturate's)."""
+    inside = list(range(rs.n_positive))
+    for k in null_vectors:
+        inside = [i for i in inside if not sum(map(mul, rs.positive_roots[i], k))]
+    return inside
+
+
+def _make_subsystem(rs, positive_indices):
+    """Assemble a Subsystem from the indices of its positive roots, by one saturation."""
+    pos = tuple(sorted(positive_indices))
+    if not pos:
+        return _reference_assemble(rs, pos, (), complete=True)
+    basis, null_vectors = saturate([rs.all_roots[i] for i in pos])
+    complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
+    return _reference_assemble(rs, pos, basis, complete)
+
+
+@pytest.fixture
+def make_subsystem():
+    return _make_subsystem
+
+
+def _reference_span_levels(rs, top):
+    """Rational spans of root subsets, one dict {basis: positives} per rank 0..top.
+
+    Level r + 1 extends each rank-r span by one root at a time, saturating
+    once per root; roots already in a flat found from that span give the
+    same flat again, so they are skipped unsaturated.
+    """
+    levels = [{(): ()}]
+    for _ in range(top):
+        nxt = {}
+        for basis, members in levels[-1].items():
+            covered = set(members)
+            for j in range(rs.n_positive):
+                if j in covered:
+                    continue
+                new_basis, null_vectors = saturate(list(basis) + [rs.all_roots[j]])
+                if new_basis not in nxt:
+                    nxt[new_basis] = tuple(_positives_in_span(rs, null_vectors))
+                covered.update(nxt[new_basis])
+        levels.append(nxt)
+    return levels
+
+
+def _reference_enumerate_complete(rs, d):
+    """The members of K_d by the per-root span route, ordered by span basis."""
+    target = rs.rank - d
+    level = _reference_span_levels(rs, target)[target]
+    return tuple(_reference_assemble(rs, pos, basis, complete=True) for basis, pos in sorted(level.items()))
+
+
+@pytest.fixture
+def reference_enumerate_complete():
+    return _reference_enumerate_complete
 
 
 def _completion(rs, root_indices):
     """Smallest complete subsystem containing the given roots: every positive root in their span."""
     coords = [rs.all_roots[i] for i in root_indices]
     if not coords:
-        return make_subsystem(rs, ())
+        return _make_subsystem(rs, ())
     _, null_vectors = saturate(coords)
-    return make_subsystem(rs, _positives_in_span(rs, null_vectors))
+    return _make_subsystem(rs, _positives_in_span(rs, null_vectors))
 
 
 @pytest.fixture
@@ -364,6 +462,80 @@ def a_series_poincare():
     return _a_series_poincare
 
 
+# -- the Hermite form's first-nonzero-pivot Euclid loop and the coordinate solver on it, kept as references --
+
+
+def _reference_hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Canonical (row-style) HNF basis of the row lattice, zero rows dropped.
+
+    Column by column, the first row with a nonzero entry becomes the pivot
+    row, and Euclid runs on the remaining rows of that column, rescanning
+    them all on every round.
+    """
+    a = [list(map(int, row)) for row in rows if any(row)]
+    if not a:
+        return ()
+    n = len(a[0])
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, len(a)):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        while True:
+            nz = [i for i in range(r + 1, len(a)) if a[i][c]]
+            if not nz:
+                break
+            for i in nz:
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                if a[i][c]:
+                    a[r], a[i] = a[i], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return tuple(tuple(row) for row in a[:r])
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_hermite_normal_form():
+    return _reference_hermite_normal_form
+
+
+def _coords_solver(
+    basis: IntMatrix,
+) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
+    """A solver for integer x with x @ basis == vec, None when vec is not in the lattice.
+
+    The HNF of [basis | I_k] is computed once; its rows are (x @ basis, x).
+    The residue of (vec, 0) is (vec, 0) - (x @ basis, x) for some integer
+    x, so vec is in the lattice exactly when its first n entries are zero,
+    and then x is the negated rest.
+    """
+    hnf = intlat.hermite_normal_form(intlat._with_identity(basis))
+
+    def solve(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        rest = intlat.residue(hnf, [*vec, *(0 for _ in basis)])
+        if any(rest[:len(vec)]):
+            return None
+        return tuple(-x for x in rest[len(vec):])
+
+    return solve
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def coords_solver():
+    return _coords_solver
+
+
 # -- the Smith normal form and the routines on it that intlat's Hermite form replaced, kept as references --
 
 
@@ -633,7 +805,7 @@ def _lattice_index(sup_rows, sub_rows):
     raises ValueError when sub is not contained in sup.
     """
     sup = intlat.hermite_normal_form(sup_rows)
-    solve = intlat._coords_solver(sup)
+    solve = _coords_solver(sup)
     coeff_rows = []
     for row in sub_rows:
         coeffs = solve(row)
@@ -741,7 +913,7 @@ def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
                     orbit.add(img)
                     queue.append(img)
         seen |= orbit
-        classes.append((make_subsystem(rs, min(orbit)), len(orbit)))
+        classes.append((_make_subsystem(rs, min(orbit)), len(orbit)))
     classes.sort(key=lambda c: c[0].roots)
     return tuple(classes)
 

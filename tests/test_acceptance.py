@@ -6,11 +6,8 @@ Every check is zero-tolerance; each test prints a PASS line on success so
 
 import time
 from collections import Counter
-from math import comb
 
-import pytest
-
-from toricarr import layers, oracle, subsys, verify
+from toricarr import layers, subsys, verify
 from toricarr.layers import (
     count_layers,
     count_points,

@@ -225,6 +225,21 @@ def test_center_order_check_survives_optimized_mode():
     assert "  points_oracle: mismatch (center grid vectors do not match the center order)\n" in proc.stdout
 
 
+def test_simple_root_count_check_survives_optimized_mode():
+    # One simple root short: a closed subsystem of rank n would have n of them.
+    # B4 is past the default poset rank, so only the point oracle types subsystems.
+    patch = (
+        "from toricarr import subsys\n"
+        "simples = subsys.simple_system\n"
+        "subsys.simple_system = lambda rs, pos: simples(rs, pos)[:-1]"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B4"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert "  points_oracle: mismatch (a closed subsystem of rank 4 of B4 has 3 simple roots)\n" in proc.stdout
+
+
 def test_poset_base_point_check_survives_optimized_mode():
     # Drop the first row of each theta's graph HNF: the layers off ker gamma then have no lift.
     patch = (

@@ -131,17 +131,14 @@ def test_in_lattice():
     assert not _in_lattice((), (1, 0))
 
 
-def _lattice_coords(basis, vec):
-    return intlat._coords_solver(basis)(vec)
-
-
-def test_lattice_coords_examples():
-    assert _lattice_coords([(1, 1), (0, 2)], (2, 4)) == (2, 1)
-    assert _lattice_coords([(1, 1), (0, 2)], (2, 3)) is None
-    assert _lattice_coords([(1, 0, 0)], (0, 1, 0)) is None  # outside the span
-    assert _lattice_coords([(2, 0), (1, 1)], (3, 1)) == (1, 1)  # not HNF
-    assert _lattice_coords((), (0, 0)) == ()
-    assert _lattice_coords((), (1, 0)) is None
+def test_lattice_coords_examples(coords_solver):
+    # Coordinates read off the HNF of [basis | I] by one residue.
+    assert coords_solver([(1, 1), (0, 2)])((2, 4)) == (2, 1)
+    assert coords_solver([(1, 1), (0, 2)])((2, 3)) is None
+    assert coords_solver([(1, 0, 0)])((0, 1, 0)) is None  # outside the span
+    assert coords_solver([(2, 0), (1, 1)])((3, 1)) == (1, 1)  # not HNF
+    assert coords_solver(())((0, 0)) == ()
+    assert coords_solver(())((1, 0)) is None
 
 
 def test_lattice_index_errors(lattice_index):
@@ -236,7 +233,7 @@ def _vectors(n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_residue_is_canonical(data):
+def test_residue_is_canonical(coords_solver, data):
     basis = intlat.hermite_normal_form(data.draw(_matrices()))
     if not basis:
         return
@@ -248,7 +245,7 @@ def test_residue_is_canonical(data):
         assert 0 <= res[c] < row[c]
     # vec - res lies in the lattice, and adding a lattice vector to vec
     # leaves the residue unchanged
-    assert intlat._coords_solver(basis)([v - r for v, r in zip(vec, res)]) is not None
+    assert coords_solver(basis)([v - r for v, r in zip(vec, res)]) is not None
     coeffs = data.draw(_vectors(len(basis)))
     shifted = [v + sum(k * row[j] for k, row in zip(coeffs, basis)) for j, v in enumerate(vec)]
     assert intlat.residue(basis, shifted) == res
@@ -256,11 +253,11 @@ def test_residue_is_canonical(data):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices(), st.lists(_entries, min_size=4, max_size=4))
-def test_lattice_coords_round_trip(basis, coeffs):
+def test_lattice_coords_round_trip(coords_solver, basis, coeffs):
     n = len(basis[0])
     x = coeffs[: len(basis)]
     vec = [sum(c * row[j] for c, row in zip(x, basis)) for j in range(n)]
-    solve = intlat._coords_solver(basis)
+    solve = coords_solver(basis)
     found = solve(vec)
     assert found is not None
     assert [sum(c * row[j] for c, row in zip(found, basis)) for j in range(n)] == vec
@@ -304,14 +301,29 @@ def test_saturate_equals_the_smith_form_reference(reference_saturate, rows):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_coords_solver_agrees_with_the_smith_form_reference(reference_coords_solver, data):
+def test_coords_solver_agrees_with_the_smith_form_reference(coords_solver, reference_coords_solver, data):
     basis = data.draw(_row_sets())
     n = len(basis[0]) if basis else data.draw(st.integers(min_value=1, max_value=4))
     coeffs = data.draw(_vectors(len(basis)))
     on_lattice = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
-    solve, ref = intlat._coords_solver(basis), reference_coords_solver(basis)
+    solve, ref = coords_solver(basis), reference_coords_solver(basis)
     for vec in (on_lattice, data.draw(_vectors(n))):
         x = solve(vec)
         assert (x is None) == (ref(vec) is None)
         if x is not None:
             assert [sum(c * row[j] for c, row in zip(x, basis)) for j in range(n)] == vec
+
+
+# -- differential test against the first-nonzero-pivot Hermite form the least-entry Euclid replaced --
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hnf_equals_the_first_pivot_reference(reference_hermite_normal_form, data):
+    # Entries stay small: the reference's Euclid loop takes minutes on 12 x 9 matrices of entries up to 1000.
+    m = data.draw(st.integers(min_value=1, max_value=10))
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    entries = st.integers(min_value=-5, max_value=5)
+    rows = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))  # the same row objects again
+    assert intlat.hermite_normal_form(rows) == reference_hermite_normal_form(rows)

@@ -16,7 +16,6 @@ from toricarr.layers import (
     _layer_sum,
     count_layers,
     count_points,
-    count_points_of_type,
     euler_characteristic,
     layer_census,
     n_theta,
@@ -162,12 +161,10 @@ def test_n_theta_equals_the_reference_lattice_index(t, lattice_index):
             assert n_theta(rs, theta) == lattice_index(restricted, coroots), (t, theta.type)
 
 
-def test_n_theta_rejects_non_complete(inner):
+def test_n_theta_rejects_non_complete(inner, make_subsystem):
     rs = build_str("G2")
     norms = [inner(rs, r, r) for r in rs.positive_roots]
     longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
-    from toricarr.subsys import make_subsystem
-
     with pytest.raises(ValueError):
         n_theta(rs, make_subsystem(rs, longs))
 

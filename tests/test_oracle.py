@@ -24,8 +24,8 @@ from toricarr.oracle import (
     component_count,
     order_bound,
 )
-from toricarr.rootsys import build, build_str, format_type, parse_type
-from toricarr.subsys import _span_levels, enumerate_complete, make_subsystem
+from toricarr.rootsys import build_str, format_type, parse_type
+from toricarr.subsys import _span_levels, enumerate_complete
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -100,10 +100,11 @@ def _dot_mod(u, x, m):
     return sum(a * b for a, b in zip(u, x)) % m
 
 
-def _naive_brute_points(rs, matrices):
+def _naive_brute_points(rs, matrices, make_subsystem):
     """The torsion-grid scan written out per candidate and per point.
 
-    Stabilizers are counted over the given coroot matrices of every element of W.
+    Stabilizers are counted over the given coroot matrices of every element
+    of W, and each point's type is that of its vanishing roots' saturation.
     """
     n, m = rs.rank, order_bound(rs.factors)
     pairings = [[rs.pairing(r, k) for k in range(n)] for r in rs.positive_roots]
@@ -139,17 +140,16 @@ def _naive_component_count(rs, theta):
     rank, m = len(qa.gamma), qa.modulus
     count = 0
     for x in iproduct(range(m), repeat=rank):
-        func = [sum(x[i] * qa.r_basis[i][j] for i in range(rank)) for j in range(rank)]
-        van = [c for c in qa.theta_coords if _dot_mod(c, func, m) == 0]
+        van = [row for row in qa.rows if _dot_mod(row, x, m) == 0]
         count += len(intlat.hermite_normal_form(van)) == rank
     return count
 
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4"])
-def test_grid_kernel_matches_naive_scan(t, weyl_elements, coroot_matrix):
+def test_grid_kernel_matches_naive_scan(t, weyl_elements, coroot_matrix, make_subsystem):
     rs = build_str(t)
     matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
-    assert brute_points(rs) == _naive_brute_points(rs, matrices)
+    assert brute_points(rs) == _naive_brute_points(rs, matrices, make_subsystem)
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             assert component_count(rs, theta) == _naive_component_count(rs, theta), (d, theta)
@@ -216,17 +216,60 @@ def test_orbit_size_must_divide_group_order(monkeypatch):
 def test_brute_points_classifies_once_per_point_orbit(monkeypatch, t, orbits):
     # F4 has 72 points in 5 W-orbits, one per affine vertex.
     calls = 0
-    make = oracle.make_subsystem
+    classify = oracle.simple_type
 
-    def counting(rs, positives):
+    def counting(rs, positives, rank):
         nonlocal calls
         calls += 1
-        return make(rs, positives)
+        return classify(rs, positives, rank)
 
-    monkeypatch.setattr(oracle, "make_subsystem", counting)
+    monkeypatch.setattr(oracle, "simple_type", counting)
     rs = build_str(t)
     brute_points(rs)
     assert calls == orbits == len(point_orbits(*rs.factors))
+
+
+@pytest.mark.parametrize("t", ["G2", "B3", "F4", "B2xA1"])
+def test_brute_points_saturates_nothing(monkeypatch, t):
+    # Each point orbit is typed from the simple system of its vanishing roots alone.
+    def forbidden(rows):
+        raise AssertionError("brute_points saturated")
+
+    monkeypatch.setattr(intlat, "saturate", forbidden)
+    rs = build_str(t)
+    assert len(brute_points(rs)) == count_points(rs)
+
+
+@pytest.mark.parametrize("t", ["B3", "C3", "F4"])
+def test_quotient_rows_equal_the_coordinates_through_r_basis(t, reference_coords_solver):
+    # A root's grid row is r_basis applied to its coordinates in theta's simple basis.
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        for theta in enumerate_complete(rs, d).members:
+            qa = _quotient_arrangement(rs, theta)
+            solve = reference_coords_solver([rs.all_roots[i] for i in theta.simples])
+            coords = [solve(rs.all_roots[i]) for i in theta.roots if i < rs.n_positive]
+            assert qa.rows == tuple(
+                tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis) for c in coords
+            ), (d, theta.roots)
+
+
+@pytest.mark.parametrize("t", ["B3", "F4"])
+def test_quotient_arrangement_takes_one_hnf_per_theta(monkeypatch, t):
+    rs = build_str(t)
+    thetas = [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
+    calls = 0
+    hnf = intlat.hermite_normal_form
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return hnf(rows)
+
+    monkeypatch.setattr(intlat, "hermite_normal_form", counting)
+    for theta in thetas:
+        _quotient_arrangement(rs, theta)
+    assert calls == len(thetas)
 
 
 def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):
@@ -240,7 +283,7 @@ def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):
 
     monkeypatch.setattr(intlat, "hermite_normal_form", counting)
     brute_points(build_str("F4"))
-    assert calls <= 400  # 235: the rank memo, plus make_subsystem per point orbit
+    assert calls <= 400  # 232: the rank memo, plus the center order and exponent
 
 
 def test_grid_scan_work_bound(completion):
@@ -264,12 +307,10 @@ def test_component_count_examples(completion):
     assert component_count(rs, theta) == 4
 
 
-def test_component_count_rejects_non_complete(inner):
+def test_component_count_rejects_non_complete(inner, make_subsystem):
     rs = build_str("G2")
     norms = [inner(rs, r, r) for r in rs.positive_roots]
     longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
-    from toricarr.subsys import make_subsystem
-
     with pytest.raises(ValueError):
         component_count(rs, make_subsystem(rs, longs))
 
@@ -495,11 +536,7 @@ def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
     expected = []
     for theta in thetas:
         qa = _quotient_arrangement(rs, theta)
-        rows = [
-            tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis)
-            for c in qa.theta_coords
-        ]
-        expected.append((rows, qa.modulus, len(qa.gamma)))
+        expected.append((list(qa.rows), qa.modulus, len(qa.gamma)))
     scans, residues = [], 0
     scan = oracle._grid_points
 

@@ -13,7 +13,6 @@ from toricarr.rootsys import (
     TypeSymbol,
     _cartan_matrix,
     affine_diagram,
-    build,
     build_str,
     center_exponent,
     center_order,

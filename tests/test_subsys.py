@@ -8,9 +8,9 @@ import pytest
 
 from toricarr import intlat
 from toricarr.errors import CapabilityError
-from toricarr.oracle import build_poset
+from toricarr.oracle import _grid_points, build_poset, order_bound
 from toricarr.rootsys import build_str, format_type, type_invariants
-from toricarr.subsys import _span_levels, enumerate_complete, make_subsystem, parabolic_classes
+from toricarr.subsys import _span_levels, enumerate_complete, parabolic_classes, simple_system
 
 
 def test_completion_single_root_a2(completion):
@@ -29,7 +29,7 @@ def test_completion_a1xa1_in_b2_is_all(completion):
     assert format_type(sub.type) == "B2"
 
 
-def test_long_roots_of_g2_are_a2_not_complete(completion, inner):
+def test_long_roots_of_g2_are_a2_not_complete(completion, inner, make_subsystem):
     rs = build_str("G2")
     norms = [inner(rs, r, r) for r in rs.positive_roots]
     longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
@@ -92,7 +92,7 @@ def test_every_member_is_complete(completion):
      "A1xA1", "A2xA1", "A1xA1xA1", "B2xA1", "G2xA1", "A2xA2", "A3xA1", "B3xA1",
      "C3xA1", "B2xG2", "A1xA1xA1xA1"],
 )
-def test_span_members_equal_make_subsystem(t):
+def test_span_members_equal_make_subsystem(t, make_subsystem):
     rs = build_str(t)
     for d in range(rs.rank + 1):
         for m in enumerate_complete(rs, d).members:
@@ -112,6 +112,58 @@ def test_cold_poset_saturates_only_to_extend_spans(monkeypatch):
     build_poset(build_str("B3"))
     assert callers["_span_levels"] > 0
     assert sum(callers.values()) == callers["_span_levels"], callers
+
+
+# Every type of rank at most 4.
+RANK_LE_4_ALL = [
+    "A1", "A2", "B2", "G2", "A1xA1", "A3", "B3", "C3", "A2xA1", "B2xA1", "G2xA1", "A1xA1xA1",
+    "A4", "B4", "C4", "D4", "F4", "A3xA1", "B3xA1", "C3xA1", "A2xA2", "B2xA2", "G2xA2", "B2xB2",
+    "B2xG2", "G2xG2", "A2xA1xA1", "B2xA1xA1", "G2xA1xA1", "A1xA1xA1xA1",
+]
+
+
+@pytest.mark.parametrize("t", RANK_LE_4_ALL + ["A5", "B5", "D5"])
+def test_span_route_equals_the_per_root_reference(t, reference_enumerate_complete):
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        assert enumerate_complete(rs, d).members == reference_enumerate_complete(rs, d), d
+
+
+@pytest.mark.parametrize("t, flats", [("B3", 23), ("F4", 267)])
+def test_span_route_saturates_once_per_flat(monkeypatch, t, flats):
+    # The per-root route saturated 58 times for B3 and 1152 times for F4.
+    calls = 0
+    saturate = intlat.saturate
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return saturate(rows)
+
+    monkeypatch.setattr(intlat, "saturate", counting)
+    _span_levels.cache_clear()
+    rs = build_str(t)
+    enumerate_complete(rs, 0)
+    nontrivial = sum(len(enumerate_complete(rs, d).members) for d in range(rs.rank))
+    assert calls == nontrivial == flats
+
+
+@pytest.mark.parametrize("t", ["F4", "B4", "D5"])
+def test_simple_system_equals_the_pairwise_reference_on_flats(t, reference_simple_system):
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        for m in enumerate_complete(rs, d).members:
+            pos = [i for i in m.roots if i < rs.n_positive]
+            assert simple_system(rs, pos) == reference_simple_system(rs, pos), m.roots
+
+
+@pytest.mark.parametrize("t", ["G2", "B3", "C3", "A4", "B4", "C4", "D4", "F4", "B2xA1", "G2xA1", "D5"])
+def test_simple_system_equals_the_pairwise_reference_at_points(t, reference_simple_system):
+    # The roots vanishing at a grid point of the point scan.
+    rs = build_str(t)
+    hits = _grid_points(rs.pairings[:rs.n_positive], order_bound(rs.factors), rs.rank)
+    for _, vanishing in hits:
+        assert simple_system(rs, vanishing) == reference_simple_system(rs, vanishing), vanishing
 
 
 @pytest.mark.parametrize(
