@@ -356,7 +356,7 @@ def _cmd_verify(rs: RootSystem, args) -> tuple[dict, list[str], int]:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if not out_path:
+    if out_path is None:
         sys.stdout.write(text)
         return
     try:

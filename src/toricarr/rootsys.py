@@ -247,10 +247,6 @@ class RootSystem:
     # -- per-factor data ---------------------------------------------------
 
     @property
-    def is_irreducible(self) -> bool:
-        return len(self.factors) == 1
-
-    @property
     def degrees(self) -> tuple[int, ...]:
         return type_invariants(self.factors).degrees
 

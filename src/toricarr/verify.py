@@ -14,7 +14,7 @@ from math import prod
 
 from . import layers, oracle, weyl
 from .errors import CapabilityError
-from .rootsys import RootSystem, build, center_order, diagram_automorphisms, format_type
+from .rootsys import RootSystem, TypeSymbol, center_order, diagram_automorphisms, format_type
 
 
 def _require(condition: bool, message: str) -> None:
@@ -23,31 +23,31 @@ def _require(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def wz_vertex_orbits(frs: RootSystem):
-    """W_Z of an irreducible system, and the W_Z-orbit of each affine vertex 0..n.
+def wz_vertex_orbits(sym: TypeSymbol):
+    """W_Z of an irreducible type, and the W_Z-orbit of each affine vertex 0..n.
 
     W_Z is a group, so the orbit of v is its set of images under W_Z.
     """
-    wz = weyl.center_subgroup(frs)
-    return wz, tuple(tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(frs.rank + 1))
+    wz = weyl.center_subgroup(sym)
+    return wz, tuple(tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(sym.rank + 1))
 
 
-def degree_identity(rs, poset_rank, wz):
+def degree_identity(rs, poset_rank):
     for sym in rs.factors:
         res = layers.verify_degree_identity(sym)
         _require(res.holds, f"{sym}: sum = {res.total}")
     return "sum over vertices equals 1 for every factor"
 
 
-def euler_characteristic(rs, poset_rank, wz):
+def euler_characteristic(rs, poset_rank):
     return f"both routes give {layers.euler_characteristic(rs)}"
 
 
-def poincare_routes(rs, poset_rank, wz):
+def poincare_routes(rs, poset_rank):
     return f"routes agree: {layers.poincare(rs)}"
 
 
-def points_oracle(rs, poset_rank, wz):
+def points_oracle(rs, poset_rank):
     pts = oracle.brute_points(rs)
     formula = layers.count_points(rs)
     _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
@@ -55,7 +55,7 @@ def points_oracle(rs, poset_rank, wz):
     # Per factor and point orbit: (type, |W_p|, |W_p| * |Stab_{W_Z} p|, orbit size).
     tables = []
     for sym in rs.factors:
-        group, orbits = wz(sym)
+        group, orbits = wz_vertex_orbits(sym)
         tables.append([
             (r.point_type, r.stabilizer_order, r.stabilizer_order * len(group) // len(orbits[r.vertex]),
              r.orbit_size)
@@ -72,7 +72,7 @@ def points_oracle(rs, poset_rank, wz):
     return f"{formula} points; types and stabilizers match"
 
 
-def component_counts(rs, poset_rank, wz):
+def component_counts(rs, poset_rank):
     # Both sides are W-invariant, so one census representative per orbit checks all of K_d.
     records = layers.layer_census(rs)
     refused = []
@@ -89,7 +89,7 @@ def component_counts(rs, poset_rank, wz):
     return f"{sum(r.orbit_size for r in records)} tangent subsystems checked"
 
 
-def poset_grading(rs, poset_rank, wz):
+def poset_grading(rs, poset_rank):
     poset = oracle.build_poset(rs, max_rank=poset_rank)
     for d in range(rs.rank + 1):
         expected = layers.count_layers(rs, d)
@@ -98,9 +98,9 @@ def poset_grading(rs, poset_rank, wz):
     return f"graded poset with {len(poset.elements)} layers"
 
 
-def iwahori_matsumoto(rs, poset_rank, wz):
+def iwahori_matsumoto(rs, poset_rank):
     for sym in rs.factors:
-        group, orbits = wz(sym)
+        group, orbits = wz_vertex_orbits(sym)
         _require(len(group) == center_order((sym,)), str(sym))
         _, aut_orbits = diagram_automorphisms(layers._vertex_data(sym).diagram)
         _require(set(aut_orbits) == set(orbits), f"{sym}: orbit mismatch")
@@ -121,18 +121,10 @@ CHECKS = (
 
 def run_checks(rs: RootSystem, poset_rank: int) -> list[tuple[str, str, str]]:
     """(name, status, detail) for each check in CHECKS; status is ok, mismatch or skipped."""
-    tables: dict = {}
-
-    def wz(sym):
-        # W_Z is built once per factor and shared by the checks that read it.
-        if sym not in tables:
-            tables[sym] = wz_vertex_orbits(build((sym,)))
-        return tables[sym]
-
     rows = []
     for check in CHECKS:
         try:
-            rows.append((check.__name__, "ok", check(rs, poset_rank, wz)))
+            rows.append((check.__name__, "ok", check(rs, poset_rank)))
         except CapabilityError as exc:
             rows.append((check.__name__, "skipped", str(exc)))
         except AssertionError as exc:

@@ -1,41 +1,48 @@
-"""The Weyl group as a permutation group on the full root set.
+"""Weyl group elements as integer matrices in the simple-root basis.
 
-Elements are tuples of root-index images (positives first, then their
-negatives), composed as functions: compose(a, b)[x] = a[b[x]].  The
-simple reflections are the root system's `reflection_perms`.
+An element w is the matrix whose columns are w(alpha_1), .., w(alpha_n), so
+it sends a root with simple-root coordinates m to the product w m.  The
+Cartan matrix alone builds it: no root closure is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import mul
+from typing import Iterable, Sequence
 
-from .rootsys import RootSystem
+from .rootsys import TypeSymbol, _cartan_matrix, highest_root
 
-Perm = tuple[int, ...]
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    return tuple(a[x] for x in b)
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def longest_element(rs: RootSystem, p: Optional[int] = None) -> Perm:
-    """Longest element of W, or of the parabolic omitting vertex p (1-based).
+def _apply(w: Matrix, root: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, root)) for row in w)
 
-    Built by greedy length ascent (w -> w s_i whenever w.alpha_i > 0), which
-    needs no group enumeration.
+
+def longest_element(cartan: Sequence[Sequence[int]], J: Iterable[int]) -> Matrix:
+    """Longest element of the parabolic <s_j : j in J> (0-based simple indices).
+
+    Built by greedy length ascent (w -> w s_j whenever w.alpha_j > 0), which
+    needs no group enumeration.  As (w s_j).alpha_i = w.alpha_i -
+    <alpha_i, alpha_j^vee> w.alpha_j, a step changes only column j and the
+    columns of j's diagram neighbours.
     """
-    skip = None if p is None else p - 1
-    if skip is not None and not 0 <= skip < rs.rank:
-        raise IndexError(f"parabolic vertex {p} out of range")
-    w = tuple(range(len(rs.all_roots)))
+    n = len(cartan)
+    J = sorted(set(J))
+    if J and not 0 <= J[0] <= J[-1] < n:
+        raise IndexError(f"simple indices {J} out of range for rank {n}")
+    cols = [[int(i == k) for k in range(n)] for i in range(n)]
+    moved = {j: [i for i in range(n) if cartan[j][i]] for j in J}
     while True:
-        for i in range(rs.rank):
-            if i != skip and w[rs.simple_indices[i]] < rs.n_positive:
-                w = compose(w, rs.reflection_perms[i])
+        for j in J:
+            wj = cols[j]
+            if max(wj) > 0:  # a root is positive when any coordinate is
+                for i in moved[j]:
+                    cols[i] = [x - cartan[j][i] * y for x, y in zip(cols[i], wj)]
                 break
         else:
-            return w
+            return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -43,42 +50,41 @@ class CenterElement:
     """One element of the Iwahori-Matsumoto subgroup W_Z.
 
     `vertex` is the affine vertex p the element sends vertex 0 to (the
-    identity carries vertex 0); `diagram_perm` is the induced permutation
+    identity carries vertex 0); `matrix` is the element, with columns
+    w(alpha_1), .., w(alpha_n); `diagram_perm` is the induced permutation
     of the affine vertices 0..n.
     """
 
     vertex: int
-    perm: Perm
+    matrix: Matrix
     diagram_perm: tuple[int, ...]
 
 
-def center_subgroup(rs: RootSystem) -> tuple[CenterElement, ...]:
+def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
     """W_Z = {1} u {w_0^p w_0 : a_p = 1}, with induced diagram action.
 
-    Verifies z_p . alpha_0 = alpha_p on construction.  The highest root
-    theta, and with it the marks (1, theta), is the closure's own: its last
-    positive root by height.
+    w_0^p is the longest element of the parabolic omitting vertex p.  The
+    marks (1, theta) come from the highest root by ascent; construction
+    verifies z_p.alpha_0 = alpha_p and that z_p permutes the extended
+    simple roots -theta, alpha_1, .., alpha_n.
     """
-    if not rs.is_irreducible:
-        raise ValueError("W_Z is defined per irreducible factor")
-    n = rs.rank
-    theta = rs.positive_roots[-1]
-    marks = (1,) + theta
-    lowest_idx = rs.root_index[tuple(-x for x in theta)]
-    extended_idx = (lowest_idx,) + rs.simple_indices
-    w0 = longest_element(rs)
-    out = [CenterElement(0, tuple(range(len(rs.all_roots))), tuple(range(n + 1)))]
-    for p in range(1, n + 1):
-        if marks[p] != 1:
+    n = sym.rank
+    cartan = _cartan_matrix(sym)
+    theta = highest_root(sym)
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    extended = (tuple(-t for t in theta),) + units
+    w0 = longest_element(cartan, range(n))
+    out = [CenterElement(0, units, tuple(range(n + 1)))]
+    for p, mark in enumerate(theta, 1):
+        if mark != 1:
             continue
-        z = compose(longest_element(rs, p), w0)
-        if z[lowest_idx] != extended_idx[p]:
+        w0p = longest_element(cartan, (j for j in range(n) if j != p - 1))
+        columns = [_apply(w0p, col) for col in zip(*w0)]
+        z = tuple(zip(*columns))
+        images = [_apply(z, extended[0])] + columns
+        if images[0] != extended[p]:
             raise AssertionError(f"z_{p}.alpha_0 != alpha_{p}")
-        images = []
-        for q in range(n + 1):
-            img = z[extended_idx[q]]
-            if img not in extended_idx:
-                raise AssertionError("z_p does not permute the extended simple roots")
-            images.append(extended_idx.index(img))
-        out.append(CenterElement(p, z, tuple(images)))
+        if not set(images) <= set(extended):
+            raise AssertionError("z_p does not permute the extended simple roots")
+        out.append(CenterElement(p, z, tuple(map(extended.index, images))))
     return tuple(out)

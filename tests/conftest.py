@@ -27,7 +27,6 @@ from toricarr.rootsys import (
     type_invariants,
 )
 from toricarr.subsys import Subsystem, enumerate_complete
-from toricarr.weyl import compose
 
 
 # -- subsystem assembly by saturation and the per-root span route that subsys replaced, kept as references --
@@ -170,6 +169,82 @@ def span_orbits():
     return _span_orbits
 
 
+# -- Weyl group elements as root permutations, and the W_Z that weyl replaced, kept as references --
+
+
+def _compose(a, b):
+    """Root permutations composed as functions: compose(a, b)[x] = a[b[x]]."""
+    return tuple(a[x] for x in b)
+
+
+@pytest.fixture
+def compose():
+    return _compose
+
+
+def _reference_longest_element(rs, p=None):
+    """Longest element of W, or of the parabolic omitting vertex p (1-based), as a root permutation.
+
+    Built by greedy length ascent (w -> w s_i whenever w.alpha_i > 0), which
+    needs no group enumeration.
+    """
+    skip = None if p is None else p - 1
+    if skip is not None and not 0 <= skip < rs.rank:
+        raise IndexError(f"parabolic vertex {p} out of range")
+    w = tuple(range(len(rs.all_roots)))
+    while True:
+        for i in range(rs.rank):
+            if i != skip and w[rs.simple_indices[i]] < rs.n_positive:
+                w = _compose(w, rs.reflection_perms[i])
+                break
+        else:
+            return w
+
+
+@pytest.fixture
+def reference_longest_element():
+    return _reference_longest_element
+
+
+@dataclass(frozen=True)
+class ReferenceCenterElement:
+    vertex: int
+    perm: tuple[int, ...]
+    diagram_perm: tuple[int, ...]
+
+
+def _reference_center_subgroup(rs):
+    """W_Z = {1} u {w_0^p w_0 : a_p = 1} as root permutations, theta read off an irreducible closure."""
+    if len(rs.factors) != 1:
+        raise ValueError("W_Z is defined per irreducible factor")
+    n = rs.rank
+    theta = rs.positive_roots[-1]
+    marks = (1,) + theta
+    lowest_idx = rs.root_index[tuple(-x for x in theta)]
+    extended_idx = (lowest_idx,) + rs.simple_indices
+    w0 = _reference_longest_element(rs)
+    out = [ReferenceCenterElement(0, tuple(range(len(rs.all_roots))), tuple(range(n + 1)))]
+    for p in range(1, n + 1):
+        if marks[p] != 1:
+            continue
+        z = _compose(_reference_longest_element(rs, p), w0)
+        if z[lowest_idx] != extended_idx[p]:
+            raise AssertionError(f"z_{p}.alpha_0 != alpha_{p}")
+        images = []
+        for q in range(n + 1):
+            img = z[extended_idx[q]]
+            if img not in extended_idx:
+                raise AssertionError("z_p does not permute the extended simple roots")
+            images.append(extended_idx.index(img))
+        out.append(ReferenceCenterElement(p, z, tuple(images)))
+    return tuple(out)
+
+
+@pytest.fixture
+def reference_center_subgroup():
+    return _reference_center_subgroup
+
+
 def _weyl_elements(rs):
     """Every element of W, by breadth-first search over the simple reflections.
 
@@ -184,7 +259,7 @@ def _weyl_elements(rs):
         nxt = []
         for w in frontier:
             for g in rs.reflection_perms:
-                v = compose(w, g)
+                v = _compose(w, g)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)

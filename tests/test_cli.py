@@ -296,6 +296,15 @@ def test_verify_reports_a_wrong_center_subgroup():
     assert "  iwahori_matsumoto: mismatch (A3)\n" in proc.stdout
 
 
+def test_verify_reports_a_wrong_highest_root_in_the_center_subgroup():
+    # B3's highest short root (1, 1, 1) in place of theta: z_1 = w_0^1 w_0 does not send -theta to alpha_1.
+    patch = "from toricarr import weyl\nweyl.highest_root = lambda sym: (1, 1, 1)"
+    proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "  iwahori_matsumoto: mismatch (z_1.alpha_0 != alpha_1)\n" in proc.stdout
+
+
 def test_verify_reports_a_false_degree_identity():
     patch = (
         "import dataclasses\n"
@@ -466,6 +475,14 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flag", [["--out", ""], ["--out="]])
+def test_empty_out_path_is_a_usage_error(capsys, flag):
+    # An empty path is a path that cannot be written, not a request for stdout.
+    code, out, err = run_cli(capsys, "points", "--type", "A1", *flag)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_out_file(tmp_path, capsys):
@@ -678,6 +695,8 @@ def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
         (["points", "--type", "E7xA1"], ["A1xE7"]),
         (["identity", "--type", "E7xA1"], ["A1xE7"]),
         (["census", "--type", "F4"], ["F4"]),
+        (["verify", "--type", "A2xA1"], ["A1xA2"]),
+        (["verify", "--type", "B2xA1"], ["A1xB2"]),
     ],
 )
 def test_per_type_data_closes_no_other_root_system(capsys, monkeypatch, argv, closed):

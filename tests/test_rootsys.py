@@ -100,7 +100,7 @@ def test_closure_matches_the_reference(reference_positive_roots, inner, t):
         assert pairing == tuple(sum(c * m for c, m in zip(row, root)) for row in rs.cartan), root
     if rs.rank <= 4:
         roots = rs.all_roots
-    elif rs.is_irreducible:  # the extended simple roots: the lowest root, then the simple roots
+    elif len(rs.factors) == 1:  # the extended simple roots: the lowest root, then the simple roots
         roots = [tuple(-x for x in rs.positive_roots[-1])] + [rs.all_roots[i] for i in range(rs.rank)]
     else:
         roots = []

@@ -1,15 +1,30 @@
-"""Weyl groups as root permutations: orders, orbits, W_Z."""
+"""Weyl groups as root permutations and as matrices: orders, orbits, longest elements, W_Z."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
 
 from toricarr.oracle import brute_points
-from toricarr.rootsys import affine_diagram, build_str, center_order, diagram_automorphisms, type_invariants
-from toricarr.weyl import center_subgroup, compose, longest_element
+from toricarr.rootsys import (
+    TypeSymbol,
+    affine_diagram,
+    build_str,
+    center_order,
+    diagram_automorphisms,
+    type_invariants,
+)
+from toricarr.weyl import center_subgroup, longest_element
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+IRREDUCIBLE = (
+    [f"A{n}" for n in range(1, 10)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def test_simple_reflection_examples():
@@ -25,7 +40,7 @@ def test_simple_reflection_examples():
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
-def test_reflections_are_involutions_preserving_pairing(t):
+def test_reflections_are_involutions_preserving_pairing(t, compose):
     rs = build_str(t)
     for g in rs.reflection_perms:
         assert compose(g, g) == tuple(range(len(rs.all_roots)))
@@ -47,35 +62,72 @@ def test_e6_order_by_enumeration(weyl_elements):
     assert len(set(weyl_elements(rs))) == 51840 == prod(rs.degrees)
 
 
-def test_longest_element_examples():
+def _apply(w, root):
+    return tuple(sum(x * r for x, r in zip(row, root)) for row in w)
+
+
+def _mul(a, b):
+    """The matrix product a b: the element b, then a."""
+    return tuple(zip(*(_apply(a, col) for col in zip(*b))))
+
+
+def _as_perm(rs, w):
+    """The root permutation of a matrix element: the index of w(beta) for each beta in all_roots."""
+    return tuple(rs.root_index[_apply(w, r)] for r in rs.all_roots)
+
+
+def test_longest_element_examples(compose):
     rs = build_str("A1")
-    assert longest_element(rs) == rs.reflection_perms[0]
+    w0 = longest_element(rs.cartan, range(1))
+    assert w0 == ((-1,),)
+    assert _as_perm(rs, w0) == rs.reflection_perms[0]
     rs = build_str("A2")
-    w0 = longest_element(rs)
+    w0 = longest_element(rs.cartan, range(2))
     s1, s2 = rs.reflection_perms
-    assert w0 == compose(compose(s1, s2), s1)
-    assert w0[rs.root_index[(1, 0)]] == rs.root_index[(0, -1)]
+    assert _as_perm(rs, w0) == compose(compose(s1, s2), s1)
+    # columns w0.alpha_1 = -alpha_2 and w0.alpha_2 = -alpha_1
+    assert w0 == ((0, -1), (-1, 0))
+    assert _apply(w0, (1, 0)) == (0, -1)
     rs = build_str("B2")
-    w0 = longest_element(rs)
-    assert all(
-        w0[i] == rs.root_index[tuple(-x for x in r)] for i, r in enumerate(rs.all_roots)
-    )
+    w0 = longest_element(rs.cartan, range(2))
+    assert w0 == ((-1, 0), (0, -1))
+    assert all(_apply(w0, r) == tuple(-x for x in r) for r in rs.all_roots)
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
 def test_longest_element_flips_all_positives(t):
     rs = build_str(t)
-    w0 = longest_element(rs)
-    assert all(w0[i] >= rs.n_positive for i in range(rs.n_positive))
+    w0 = longest_element(rs.cartan, range(rs.rank))
+    assert all(min(_apply(w0, r)) < 0 for r in rs.positive_roots)
 
 
 def test_parabolic_longest_element():
     rs = build_str("B3")
-    w0p = longest_element(rs, 1)
+    w0p = longest_element(rs.cartan, [1, 2])
     # flips exactly the positive roots with zero alpha_1-coordinate
-    for i, r in enumerate(rs.positive_roots):
-        flipped = w0p[i] >= rs.n_positive
+    for r in rs.positive_roots:
+        flipped = min(_apply(w0p, r)) < 0
         assert flipped == (r[0] == 0)
+
+
+@pytest.mark.parametrize("t", ["B3", "A2xA1"])
+def test_parabolic_longest_element_on_every_subset(t):
+    # w_0^J flips exactly the positive roots supported on J, and keeps the others positive.
+    rs = build_str(t)
+    for k in range(rs.rank + 1):
+        for J in combinations(range(rs.rank), k):
+            w = longest_element(rs.cartan, J)
+            for r in rs.positive_roots:
+                image = _apply(w, r)
+                assert image in rs.root_index
+                supported = all(r[i] == 0 for i in range(rs.rank) if i not in J)
+                assert (min(image) < 0) == supported, (J, r)
+
+
+@pytest.mark.parametrize("J", [[3], [-1], [0, 3]])
+def test_longest_element_rejects_indices_out_of_range(J):
+    with pytest.raises(IndexError):
+        longest_element(build_str("B3").cartan, J)
 
 
 def _root_orbit_and_stabilizer(elements, i):
@@ -123,14 +175,14 @@ def test_orbit_sizes_divide_group_order(weyl_elements):
 @pytest.mark.parametrize("t", RANK_LE_4)
 def test_center_subgroup_properties(t):
     rs = build_str(t)
-    wz = center_subgroup(rs)
+    wz = center_subgroup(*rs.factors)
     # |W_Z| = |Z|
     assert len(wz) == center_order(rs.factors)
     # subgroup closure, and the diagram action is by automorphisms
-    perms = {e.perm for e in wz}
+    matrices = {e.matrix for e in wz}
     for a in wz:
         for b in wz:
-            assert compose(a.perm, b.perm) in perms
+            assert _mul(a.matrix, b.matrix) in matrices
     diag = affine_diagram(*rs.factors)
     autos, aut_orbits = diagram_automorphisms(diag)
     for e in wz:
@@ -157,20 +209,39 @@ def test_center_subgroup_properties(t):
 
 
 def test_center_subgroup_a_series_transitive():
-    rs = build_str("A3")
-    wz = center_subgroup(rs)
+    wz = center_subgroup(TypeSymbol("A", 3))
     assert sorted(e.vertex for e in wz) == [0, 1, 2, 3]
     # cyclic: the vertex-1 element generates the rest
-    gen = next(e.perm for e in wz if e.vertex == 1)
+    gen = next(e.matrix for e in wz if e.vertex == 1)
     power = gen
     seen = {gen}
     for _ in range(2):
-        power = compose(gen, power)
+        power = _mul(gen, power)
         seen.add(power)
-    assert seen | {tuple(range(len(rs.all_roots)))} == {e.perm for e in wz}
+    identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    assert seen | {identity} == {e.matrix for e in wz}
 
 
 def test_center_subgroup_f4_trivial():
-    wz = center_subgroup(build_str("F4"))
+    wz = center_subgroup(TypeSymbol("F", 4))
     assert len(wz) == 1 and wz[0].vertex == 0
 
+
+@pytest.mark.parametrize("t", IRREDUCIBLE)
+def test_center_subgroup_equals_the_permutation_reference(t, reference_center_subgroup):
+    # Same vertices and diagram action as the root-permutation W_Z of the closure,
+    # and each z_p matrix moves every root as the reference permutation does.
+    rs = build_str(t)
+    wz = center_subgroup(*rs.factors)
+    ref = reference_center_subgroup(rs)
+    assert [(e.vertex, e.diagram_perm) for e in wz] == [(e.vertex, e.diagram_perm) for e in ref]
+    for e, r in zip(wz, ref):
+        assert _as_perm(rs, e.matrix) == r.perm
+
+
+def test_reference_longest_element_agrees_with_the_matrices(reference_longest_element):
+    rs = build_str("B3")
+    assert _as_perm(rs, longest_element(rs.cartan, range(3))) == reference_longest_element(rs)
+    for p in range(1, 4):
+        parabolic = [j for j in range(3) if j != p - 1]
+        assert _as_perm(rs, longest_element(rs.cartan, parabolic)) == reference_longest_element(rs, p)
