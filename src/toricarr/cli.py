@@ -18,8 +18,8 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__, layers, oracle, verify
-from .errors import CapabilityError
-from .rootsys import RootSystem, build, format_type, parse_type, type_invariants
+from .errors import CapabilityError, require_work
+from .rootsys import TypeSymbol, build, format_type, parse_type, type_invariants
 
 # Each command: its help line, its output formats, and whether it takes --poset-rank.
 _COMMANDS = {
@@ -140,10 +140,10 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return args
 
 
-def _json_payload(rs: RootSystem, command: str, results: dict) -> str:
+def _json_payload(factors: tuple[TypeSymbol, ...], command: str, results: dict) -> str:
     doc = {
-        "type": format_type(rs.factors),
-        "rank": rs.rank,
+        "type": format_type(factors),
+        "rank": _rank(factors),
         "command": command,
         "tool_version": __version__,
         "results": results,
@@ -152,15 +152,20 @@ def _json_payload(rs: RootSystem, command: str, results: dict) -> str:
 
 
 # -- command handlers ---------------------------------------------------------
+# Each takes the parsed factors; only those that read roots close the root system.
 
 
-def _cmd_points(rs: RootSystem, args) -> tuple[dict, list[str]]:
-    total = layers.count_points(rs)
+def _rank(factors: tuple[TypeSymbol, ...]) -> int:
+    return sum(sym.rank for sym in factors)
+
+
+def _cmd_points(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+    total = layers.count_points(factors)
     factors_out = []
-    lines = [f"type {format_type(rs.factors)}: {total} points"]
-    for sym in rs.factors:
+    lines = [f"type {format_type(factors)}: {total} points"]
+    for sym in factors:
         records = layers.point_orbits(sym)
-        factor_total = layers.count_points_of_type((sym,))
+        factor_total = layers.count_points((sym,))
         rows = []
         for r in records:
             rows.append(
@@ -183,9 +188,10 @@ def _cmd_points(rs: RootSystem, args) -> tuple[dict, list[str]]:
     return {"total": _num(total), "factors": factors_out}, lines
 
 
-def _cmd_layers(rs: RootSystem, args) -> tuple[dict, list[str]]:
+def _cmd_layers(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+    rs = build(factors)
     counts = [layers.count_layers(rs, d) for d in range(rs.rank + 1)]
-    lines = [f"type {format_type(rs.factors)}: layers by dimension"]
+    lines = [f"type {format_type(factors)}: layers by dimension"]
     for d, c in enumerate(counts):
         lines.append(f"  d={d}: {c}")
     lines.append(f"  total: {sum(counts)}")
@@ -195,27 +201,10 @@ def _cmd_layers(rs: RootSystem, args) -> tuple[dict, list[str]]:
     }, lines
 
 
-def _census_rows(rs: RootSystem) -> list[dict]:
-    rows = []
-    for rec in layers.layer_census(rs):
-        for ptype, count in rec.phi_c_types:
-            rows.append(
-                {
-                    "dim": rec.dimension,
-                    "theta_type": format_type(rec.theta_type),
-                    "theta_orbit_size": rec.orbit_size,
-                    "n_theta": rec.n_theta,
-                    "phi_c_type": format_type(ptype),
-                    "count": count,
-                }
-            )
-    return rows
-
-
-def _cmd_census(rs: RootSystem, args) -> tuple[dict, list[str]]:
-    records = layers.layer_census(rs)
+def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+    records = layers.layer_census(build(factors))
     out_records = []
-    lines = [f"type {format_type(rs.factors)}: layer census"]
+    lines = [f"type {format_type(factors)}: layer census"]
     for rec in records:
         out_records.append(
             {
@@ -237,9 +226,9 @@ def _cmd_census(rs: RootSystem, args) -> tuple[dict, list[str]]:
     return {"records": out_records}, lines
 
 
-def _cmd_poincare(rs: RootSystem, args) -> tuple[dict, list[str]]:
+def _cmd_poincare(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
     # poincare computes both routes and raises when they differ, so they agree here.
-    poly = layers.poincare(rs)
+    poly = layers.poincare(build(factors))
     results = {
         "route": "both",
         "closed": _poly_json(poly),
@@ -247,7 +236,7 @@ def _cmd_poincare(rs: RootSystem, args) -> tuple[dict, list[str]]:
         "routes_agree": True,
     }
     lines = [
-        f"type {format_type(rs.factors)}: Poincare polynomial",
+        f"type {format_type(factors)}: Poincare polynomial",
         f"  closed-form: {poly}",
         f"  layer-sum:   {poly}",
         "  routes agree: True",
@@ -255,34 +244,35 @@ def _cmd_poincare(rs: RootSystem, args) -> tuple[dict, list[str]]:
     return results, lines
 
 
-def _cmd_euler(rs: RootSystem, args) -> tuple[dict, list[str]]:
-    value = layers.euler_characteristic(rs)
-    closed = (-1) ** rs.rank * type_invariants(rs.factors).weyl_order
+def _cmd_euler(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+    value = layers.euler_characteristic(factors)
+    sign = (-1) ** _rank(factors)
+    closed = sign * type_invariants(factors).weyl_order
     results = {
         "point_sum": _num(value),
         "closed_form": _num(closed),
-        "equivariant_multiple": _num((-1) ** rs.rank),
+        "equivariant_multiple": _num(sign),
     }
     lines = [
-        f"type {format_type(rs.factors)}: Euler characteristic",
+        f"type {format_type(factors)}: Euler characteristic",
         f"  point-orbit sum: {value}",
         f"  (-1)^n |W|:      {closed}",
     ]
     try:
-        p_eval = layers.poincare(rs)(-1)
+        p_eval = layers.poincare(build(factors))(-1)
         results["poincare_at_minus_one"] = _num(p_eval)
         lines.append(f"  P(-1):           {p_eval}")
     except CapabilityError as exc:
         results["poincare_at_minus_one"] = None
         lines.append(f"  P(-1):           ({exc})")
-    lines.append(f"  equivariant: {(-1) ** rs.rank} * regular character")
+    lines.append(f"  equivariant: {sign} * regular character")
     return results, lines
 
 
-def _cmd_identity(rs: RootSystem, args) -> tuple[dict, list[str]]:
+def _cmd_identity(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
     factors_out = []
-    lines = [f"type {format_type(rs.factors)}: degree identity"]
-    for sym in rs.factors:
+    lines = [f"type {format_type(factors)}: degree identity"]
+    for sym in factors:
         res = layers.verify_degree_identity(sym)
         factors_out.append(
             {
@@ -300,8 +290,8 @@ def _cmd_identity(rs: RootSystem, args) -> tuple[dict, list[str]]:
     return {"factors": factors_out}, lines
 
 
-def _poset_payload(rs: RootSystem, args):
-    poset = oracle.build_poset(rs, max_rank=args.poset_rank)
+def _poset_payload(factors: tuple[TypeSymbol, ...], args):
+    poset = oracle.build_poset(build(factors), max_rank=args.poset_rank)
     elements = []
     for el in poset.elements:
         elements.append(
@@ -315,9 +305,9 @@ def _poset_payload(rs: RootSystem, args):
     return poset, elements, covers
 
 
-def _cmd_poset(rs: RootSystem, args) -> tuple[dict, list[str]]:
-    poset, elements, covers = _poset_payload(rs, args)
-    lines = [f"type {format_type(rs.factors)}: layer poset ({len(elements)} layers)"]
+def _cmd_poset(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+    poset, elements, covers = _poset_payload(factors, args)
+    lines = [f"type {format_type(factors)}: layer poset ({len(elements)} layers)"]
     for i, el in enumerate(elements):
         lines.append(
             f"  [{i}] d={el['dim']} {el['theta_type']} @ ({', '.join(el['base_point'])})"
@@ -326,8 +316,8 @@ def _cmd_poset(rs: RootSystem, args) -> tuple[dict, list[str]]:
     return {"elements": elements, "covers": covers}, lines
 
 
-def _poset_dot(rs: RootSystem, args) -> str:
-    poset, elements, covers = _poset_payload(rs, args)
+def _poset_dot(factors: tuple[TypeSymbol, ...], args) -> str:
+    poset, elements, covers = _poset_payload(factors, args)
     out = ["digraph layers {"]
     for i, el in enumerate(elements):
         label = f"{el['theta_type']}@{el['dim']}"
@@ -338,9 +328,9 @@ def _poset_dot(rs: RootSystem, args) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_verify(rs: RootSystem, args) -> tuple[dict, list[str], int]:
-    checks = verify.run_checks(rs, args.poset_rank)
-    lines = [f"type {format_type(rs.factors)}: verification suite"]
+def _cmd_verify(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
+    checks = verify.run_checks(build(factors), args.poset_rank)
+    lines = [f"type {format_type(factors)}: verification suite"]
     for name, status, detail in checks:
         lines.append(f"  {name}: {status}" + (f" ({detail})" if detail else ""))
     results = {
@@ -372,21 +362,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args is None:
             return EXIT_OK
-        rs = build(parse_type(args.type))
+        factors = parse_type(args.type)
+        if args.command in ("points", "identity", "euler"):
+            # Their per-type data is n + 1 deletions from each factor's affine diagram, each a pass over it.
+            work = sum((sym.rank + 1) ** 3 for sym in factors)
+            require_work(f"affine vertex deletions of {format_type(factors)}: sum of (rank + 1)^3", work)
         if args.command == "poset" and args.format == "dot":
-            _emit(_poset_dot(rs, args), args.out)
-            return EXIT_OK
-        if args.command == "census" and args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.DictWriter(
-                buf,
-                fieldnames=["dim", "theta_type", "theta_orbit_size", "n_theta", "phi_c_type", "count"],
-                lineterminator="\n",
-            )
-            writer.writeheader()
-            for row in _census_rows(rs):
-                writer.writerow(row)
-            _emit(buf.getvalue(), args.out)
+            _emit(_poset_dot(factors, args), args.out)
             return EXIT_OK
 
         handlers = {
@@ -399,11 +381,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "poset": _cmd_poset,
         }
         if args.command == "verify":
-            results, lines, status = _cmd_verify(rs, args)
+            results, lines, status = _cmd_verify(factors, args)
         else:
-            results, lines = handlers[args.command](rs, args)
-        if args.format == "json":
-            _emit(_json_payload(rs, args.command, results), args.out)
+            results, lines = handlers[args.command](factors, args)
+        if args.format == "csv":  # census only: one row per phi_c type of each record
+            buf = io.StringIO()
+            writer = csv.DictWriter(
+                buf,
+                fieldnames=["dim", "theta_type", "theta_orbit_size", "n_theta", "phi_c_type", "count"],
+                extrasaction="ignore",
+                lineterminator="\n",
+            )
+            writer.writeheader()
+            for rec in results["records"]:
+                for ptype in rec["phi_c_types"]:
+                    writer.writerow(dict(rec, phi_c_type=ptype["type"], count=ptype["count"]))
+            _emit(buf.getvalue(), args.out)
+        elif args.format == "json":
+            _emit(_json_payload(factors, args.command, results), args.out)
         else:
             _emit("\n".join(lines) + "\n", args.out)
         return status

@@ -146,17 +146,12 @@ def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[Ty
     return tuple(sorted(combined.items()))
 
 
-def count_points_of_type(factors: tuple[TypeSymbol, ...]) -> int:
-    """|C_0| for a product type: sum over affine vertices of |W|/|W_p|."""
+def count_points(factors: tuple[TypeSymbol, ...]) -> int:
+    """|C_0|, the number of points: per factor, the sum over affine vertices of |W|/|W_p|."""
     total = 1
     for sym in factors:
         total *= sum(size for *_, size in _vertex_data(sym).vertices)
     return total
-
-
-def count_points(rs: RootSystem) -> int:
-    """Number of 0-dimensional layers (points) of the arrangement."""
-    return count_points_of_type(rs.factors)
 
 
 def point_orbits(sym: TypeSymbol) -> tuple[PointOrbitRecord, ...]:
@@ -227,7 +222,8 @@ class LayerClassRecord:
 
 
 @lru_cache(maxsize=None)
-def _census_records(rs: RootSystem) -> tuple[LayerClassRecord, ...]:
+def layer_census(rs: RootSystem) -> tuple[LayerClassRecord, ...]:
+    """Full census over all dimensions, ordered canonically."""
     records = []
     for d in range(rs.rank + 1):
         for theta, orbit_size in parabolic_classes(rs, d):
@@ -276,34 +272,29 @@ def _check_orlik_solomon(rs: RootSystem, records: Sequence[LayerClassRecord]) ->
         )
 
 
-def layer_census(rs: RootSystem) -> tuple[LayerClassRecord, ...]:
-    """Full census over all dimensions, ordered canonically."""
-    return _census_records(rs)
-
-
 def count_layers(rs: RootSystem, d: int) -> int:
     """|C_d|: number of d-dimensional layers (Cor. of the covering map)."""
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
-    return sum(r.orbit_size * r.layer_count for r in _census_records(rs) if r.dimension == d)
+    return sum(r.orbit_size * r.layer_count for r in layer_census(rs) if r.dimension == d)
 
 
 # -- topology of the complement ----------------------------------------------
 
 
-def euler_characteristic(rs: RootSystem) -> int:
+def euler_characteristic(factors: tuple[TypeSymbol, ...]) -> int:
     """Euler characteristic of the set of regular points: (-1)^n |W|.
 
     Computed via the point-orbit sum (the only layers contributing at
     q = -1 are the points) and cross-checked against the closed form.
     """
     value = 1
-    for sym in rs.factors:
+    for sym in factors:
         factor = 0
         for _, ptype, _, size in _vertex_data(sym).vertices:
             factor += size * type_invariants(ptype).exponent_product
         value *= (-1) ** sym.rank * factor
-    closed = (-1) ** rs.rank * type_invariants(rs.factors).weyl_order
+    closed = (-1) ** sum(sym.rank for sym in factors) * type_invariants(factors).weyl_order
     if value != closed:
         raise AssertionError("point-sum and closed-form Euler characteristics differ")
     return value
@@ -340,13 +331,13 @@ def poincare(rs: RootSystem) -> IntPolynomial:
     are both computed from the one census; the result must also have
     constant term 1 and equal the Euler characteristic at q = -1.
     """
-    records = _census_records(rs)
+    records = layer_census(rs)
     poly = _closed_form_sum(rs, records)
     if poly != _layer_sum(rs, records):
         raise AssertionError("closed-form and layer-sum Poincare polynomials differ")
     if poly(0) != 1:
         raise AssertionError("Poincare polynomial has nonunit constant term")
-    if poly(-1) != euler_characteristic(rs):
+    if poly(-1) != euler_characteristic(rs.factors):
         raise AssertionError("Poincare polynomial disagrees with the Euler characteristic")
     return poly
 

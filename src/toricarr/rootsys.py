@@ -487,26 +487,39 @@ def _classify_component(
 def diagram_automorphisms(
     diagram: AffineDiagram,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """All vertex permutations preserving the marks and the Cartan matrix, plus their orbits Q."""
+    """All vertex permutations preserving the marks and the Cartan matrix, plus their orbits Q.
+
+    The affine diagram is connected, so the vertices are placed in breadth-first
+    order from vertex 0, each later one onto a neighbour of its parent's image.
+    Only the edges to placed vertices are checked: an injective map that sends
+    every edge to an equal edge, between vertices of equal degree, sends every
+    non-edge to a non-edge too.
+    """
     verts = list(diagram.vertices)
     c = diagram.cartan
-    invariant = {
-        v: (diagram.marks[v], sorted((c[v][w], c[w][v], diagram.marks[w]) for w in verts if c[v][w] < 0))
-        for v in verts
-    }
+    adj = [[w for w in verts if w != v and c[v][w]] for v in verts]
+    invariant = [
+        (diagram.marks[v], sorted((c[v][w], c[w][v], diagram.marks[w]) for w in adj[v])) for v in verts
+    ]
+    order, parent = [0], {0: 0}
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
     autos = []
     image: dict[int, int] = {}
     used = set()
 
     def extend(i):
-        if i == len(verts):
+        if i == len(order):
             autos.append(tuple(image[v] for v in verts))
             return
-        v = verts[i]
-        for w in verts:
+        v = order[i]
+        for w in adj[image[parent[v]]] if i else verts:
             if w in used or invariant[v] != invariant[w]:
                 continue
-            if all(c[v][u] == c[w][image[u]] and c[u][v] == c[image[u]][w] for u in verts[:i]):
+            if all(c[v][u] == c[w][image[u]] and c[u][v] == c[image[u]][w] for u in adj[v] if u in image):
                 image[v] = w
                 used.add(w)
                 extend(i + 1)

@@ -40,7 +40,7 @@ def degree_identity(rs, poset_rank):
 
 
 def euler_characteristic(rs, poset_rank):
-    return f"both routes give {layers.euler_characteristic(rs)}"
+    return f"both routes give {layers.euler_characteristic(rs.factors)}"
 
 
 def poincare_routes(rs, poset_rank):
@@ -49,7 +49,7 @@ def poincare_routes(rs, poset_rank):
 
 def points_oracle(rs, poset_rank):
     pts = oracle.brute_points(rs)
-    formula = layers.count_points(rs)
+    formula = layers.count_points(rs.factors)
     _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
     brute = sorted((p.phi_type, p.stabilizer_order, p.wz_stabilizer_order) for p in pts)
     # Per factor and point orbit: (type, |W_p|, |W_p| * |Stab_{W_Z} p|, orbit size).
@@ -82,7 +82,7 @@ def component_counts(rs, poset_rank):
         except CapabilityError as exc:
             refused.append(exc)
             continue
-        cp, nt = layers.count_points_of_type(rec.theta_type), rec.n_theta
+        cp, nt = layers.count_points(rec.theta_type), rec.n_theta
         _require(cc * nt == cp, f"theta {format_type(rec.theta_type)}: components {cc} != {cp}/{nt}")
     if refused:
         raise CapabilityError(f"{len(records) - len(refused)} of {len(records)} orbits checked; {refused[0]}")

@@ -332,6 +332,57 @@ def reference_highest_roots():
     return _find_highest_roots
 
 
+# -- the automorphism search that the breadth-first placement replaced, kept as a reference --
+
+
+def _reference_diagram_automorphisms(diagram):
+    """Every vertex permutation preserving the marks and the Cartan matrix, and their orbits.
+
+    Each vertex in turn tries every unused vertex with the same invariant,
+    checked against the images of all earlier vertices.
+    """
+    verts = list(diagram.vertices)
+    c = diagram.cartan
+    invariant = {
+        v: (diagram.marks[v], sorted((c[v][w], c[w][v], diagram.marks[w]) for w in verts if c[v][w] < 0))
+        for v in verts
+    }
+    autos = []
+    image: dict[int, int] = {}
+    used = set()
+
+    def extend(i):
+        if i == len(verts):
+            autos.append(tuple(image[v] for v in verts))
+            return
+        v = verts[i]
+        for w in verts:
+            if w in used or invariant[v] != invariant[w]:
+                continue
+            if all(c[v][u] == c[w][image[u]] and c[u][v] == c[image[u]][w] for u in verts[:i]):
+                image[v] = w
+                used.add(w)
+                extend(i + 1)
+                used.remove(w)
+                del image[v]
+
+    extend(0)
+    seen = set()
+    orbits = []
+    for v in verts:
+        if v in seen:
+            continue
+        orb = sorted({a[v] for a in autos})
+        orbits.append(tuple(orb))
+        seen.update(orb)
+    return tuple(sorted(autos)), tuple(orbits)
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_diagram_automorphisms():
+    return _reference_diagram_automorphisms
+
+
 def _inner(rs, a, b):
     """Invariant bilinear form (block-scaled to integers), from the Cartan matrix and symmetrizer."""
     total = 0

@@ -12,7 +12,6 @@ from toricarr import layers, subsys, verify
 from toricarr.layers import (
     count_layers,
     count_points,
-    count_points_of_type,
     euler_characteristic,
     layer_census,
     n_theta,
@@ -54,7 +53,7 @@ def _matmul(a, b):
 def test_criterion_1_f4_poincare_closed_form():
     # timed from cold caches: the bound includes the K_d enumeration
     subsys._span_levels.cache_clear()
-    layers._census_records.cache_clear()
+    layers.layer_census.cache_clear()
     rs = build_str("F4")
     start = time.monotonic()
     sums = [0] * (rs.rank + 1)
@@ -84,7 +83,7 @@ def test_criterion_3_euler_characteristic():
         rs = build_str(t)
         value = poincare(rs)(-1)
         assert value == (-1) ** rs.rank * type_invariants(rs.factors).weyl_order, t
-        assert value == euler_characteristic(rs), t
+        assert value == euler_characteristic(rs.factors), t
         if t in expected:
             assert value == expected[t], t
     _ok(3, "P(-1) = (-1)^n |W| for the full route list")
@@ -92,19 +91,19 @@ def test_criterion_3_euler_characteristic():
 
 def test_criterion_4_point_count_closed_forms():
     for n in range(1, 9):
-        assert count_points(build_str(f"A{n}")) == n + 1, f"A{n}"
+        assert count_points(parse_type(f"A{n}")) == n + 1, f"A{n}"
     for n in range(2, 7):
         t = "B2" if n == 2 else f"C{n}"
         prose = 2 ** n
-        formula = count_points(build_str(t))
+        formula = count_points(parse_type(t))
         assert formula == prose, f"C{n}: prose {prose} vs Eq.(1) {formula}"
     for n in range(2, 7):
         prose = 2 * (2 ** n - n)
-        formula = count_points(build_str(f"B{n}"))
+        formula = count_points(parse_type(f"B{n}"))
         assert formula == prose, f"B{n}: prose {prose} vs Eq.(1) {formula}"
     for n in range(4, 7):
         prose = 2 * (2 ** n - 2 * n)
-        formula = count_points(build_str(f"D{n}"))
+        formula = count_points(parse_type(f"D{n}"))
         assert formula == prose, f"D{n}: prose {prose} vs Eq.(1) {formula}"
     _ok(4, "A/B/C/D prose closed forms match the vertex-sum formula")
 
@@ -113,7 +112,7 @@ def test_criterion_5_oracle_point_equivalence():
     for t in RANK_LE_4:
         rs = build_str(t)
         pts = brute_points(rs)
-        assert len(pts) == count_points(rs), t
+        assert len(pts) == count_points(rs.factors), t
         brute_types = Counter(p.phi_type for p in pts)
         formula_types = Counter()
         for r in point_orbits(*rs.factors):
@@ -149,7 +148,7 @@ def test_criterion_6_component_counts():
             for theta in enumerate_complete(rs, d).members:
                 cc = component_count(rs, theta)
                 nt = n_theta(rs, theta)
-                cp = count_points_of_type(theta.type)
+                cp = count_points(theta.type)
                 assert cc * nt == cp, (t, d, format_type(theta.type), cc, nt, cp)
                 checked += 1
     assert checked > 400  # several hundred instances, mostly from F4

@@ -633,7 +633,7 @@ def test_requests_import_no_argument_parsing_modules():
     assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] []\n", proc.stderr
 
 
-@pytest.mark.parametrize("command", ["census", "points"])
+@pytest.mark.parametrize("command", ["census"])
 def test_root_closure_is_refused_before_it_is_built(capsys, command):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, command, "--type", "A150")
@@ -641,6 +641,23 @@ def test_root_closure_is_refused_before_it_is_built(capsys, command):
     assert code == 2 and out == ""
     assert err == (
         "capability: root closure of A150: positive roots x rank^2 = 254812500 exceeds the work bound 10000000\n"
+    )
+
+
+def test_points_beyond_the_closure_bound_answer_from_per_type_data(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "points", "--type", "A150")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.startswith("type A150: 151 points\n")
+
+
+def test_points_are_refused_on_their_own_work_estimate(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "points", "--type", "A215")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "capability: affine vertex deletions of A215: sum of (rank + 1)^3 = 10077696 exceeds the work bound 10000000\n"
     )
 
 
@@ -692,15 +709,17 @@ def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, closed",
     [
-        (["points", "--type", "E7xA1"], ["A1xE7"]),
-        (["identity", "--type", "E7xA1"], ["A1xE7"]),
+        (["points", "--type", "E7xA1"], []),
+        (["identity", "--type", "E7xA1"], []),
         (["census", "--type", "F4"], ["F4"]),
         (["verify", "--type", "A2xA1"], ["A1xA2"]),
         (["verify", "--type", "B2xA1"], ["A1xB2"]),
+        (["euler", "--type", "E7xA1"], ["A1xE7"]),
     ],
 )
 def test_per_type_data_closes_no_other_root_system(capsys, monkeypatch, argv, closed):
-    # Affine diagrams and marks come from each type's Cartan matrix: no factor or Theta type is closed.
+    # Affine diagrams and marks come from each type's Cartan matrix: no factor or Theta type is closed,
+    # and only a command that reads roots (euler for P(-1)) closes the requested system.
     _clear_library_caches()
     built = []
     init = toricarr.rootsys.RootSystem.__init__
@@ -770,6 +789,7 @@ _ROOT_DATA_DEFECTS = {
         "rootsys._closure = lambda cartan: tuple(part[:-1] for part in closure(cartan))",
         "G2",
         "closure produced 5 positive roots, expected 6 for G2",
+        "layers",
     ),
     "symmetrizer": (
         "from toricarr import rootsys\n"
@@ -777,13 +797,14 @@ _ROOT_DATA_DEFECTS = {
         "rootsys._symmetrizer = lambda cartan: symmetrizer(cartan)[::-1]",
         "B3",
         "non-integral Cartan pairing",
+        "points",
     ),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(_ROOT_DATA_DEFECTS))
 def test_root_data_checks_survive_optimized_mode(defect):
-    patch, t, message = _ROOT_DATA_DEFECTS[defect]
-    proc = _run_with_defect(patch, ["points", "--type", t], "-O")
+    patch, t, message, command = _ROOT_DATA_DEFECTS[defect]
+    proc = _run_with_defect(patch, [command, "--type", t], "-O")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == f"mismatch: {message}\n"

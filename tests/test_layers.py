@@ -49,24 +49,24 @@ def test_polynomial_arithmetic():
 
 
 def test_count_points_closed_forms():
-    assert [count_points(build_str(f"A{n}")) for n in range(1, 9)] == list(range(2, 10))
+    assert [count_points(parse_type(f"A{n}")) for n in range(1, 9)] == list(range(2, 10))
     for n in range(2, 7):
-        assert count_points(build_str(f"C{n}" if n > 2 else "B2")) == 2 ** n
+        assert count_points(parse_type(f"C{n}" if n > 2 else "B2")) == 2 ** n
     for n in range(2, 7):
-        assert count_points(build_str(f"B{n}")) == 2 * (2 ** n - n)
+        assert count_points(parse_type(f"B{n}")) == 2 * (2 ** n - n)
     for n in range(4, 7):
-        assert count_points(build_str(f"D{n}")) == 2 * (2 ** n - 2 * n)
+        assert count_points(parse_type(f"D{n}")) == 2 * (2 ** n - 2 * n)
 
 
 def test_count_points_examples():
-    assert count_points(build_str("F4")) == 72
-    assert count_points(build_str("G2")) == 6
-    assert count_points(build_str("E8")) == 157200  # diagram + tables only
+    assert count_points(parse_type("F4")) == 72
+    assert count_points(parse_type("G2")) == 6
+    assert count_points(parse_type("E8")) == 157200  # diagram + tables only
 
 
 def test_count_points_multiplicative():
-    assert count_points(build_str("A3xA1")) == 4 * 2
-    assert count_points(build_str("B3xG2")) == 10 * 6
+    assert count_points(parse_type("A3xA1")) == 4 * 2
+    assert count_points(parse_type("B3xG2")) == 10 * 6
 
 
 def test_point_orbits_b3():
@@ -106,7 +106,7 @@ def test_eq1_equals_eq2_through_e8():
         for r in records:
             by_q.setdefault(r.aut_orbit, []).append(r)
         total = sum(len(orb) * orb[0].orbit_size for orb in by_q.values())
-        assert by_vertex == total == count_points(rs), t
+        assert by_vertex == total == count_points(rs.factors), t
 
 
 # -- n_theta ---------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_count_layers_f4():
 def test_count_layers_equals_points_at_zero():
     for t in RANK_LE_4:
         rs = build_str(t)
-        assert count_layers(rs, 0) == count_points(rs)
+        assert count_layers(rs, 0) == count_points(rs.factors)
 
 
 def test_census_f4_matches_paper_table():
@@ -253,15 +253,15 @@ def test_point_type_multiset_product():
 
 
 def test_euler_examples():
-    assert euler_characteristic(build_str("A1")) == -2
-    assert euler_characteristic(build_str("A2")) == 6
-    assert euler_characteristic(build_str("F4")) == 1152
-    assert euler_characteristic(build_str("D4")) == 192
-    assert euler_characteristic(build_str("E8")) == 696729600
+    assert euler_characteristic(parse_type("A1")) == -2
+    assert euler_characteristic(parse_type("A2")) == 6
+    assert euler_characteristic(parse_type("F4")) == 1152
+    assert euler_characteristic(parse_type("D4")) == 192
+    assert euler_characteristic(parse_type("E8")) == 696729600
 
 
 def test_euler_multiplicative():
-    assert euler_characteristic(build_str("A1xA2")) == -12
+    assert euler_characteristic(parse_type("A1xA2")) == -12
 
 
 def test_equivariant_euler(capsys):
@@ -298,7 +298,7 @@ def test_poincare_routes_agree(t):
     assert closed == _layer_sum(rs, records)
     assert poincare(rs) == closed
     assert closed(0) == 1
-    assert closed(-1) == euler_characteristic(rs)
+    assert closed(-1) == euler_characteristic(rs.factors)
 
 
 def test_poincare_product():
@@ -333,7 +333,7 @@ def test_census_classifies_without_span_enumeration(monkeypatch):
 
     monkeypatch.setattr(intlat, "saturate", counted)
     monkeypatch.setattr(subsys, "_span_levels", forbidden)
-    layers._census_records.cache_clear()
+    layers.layer_census.cache_clear()
     assert poincare(build_str("F4")).coeffs == (1, 28, 286, 1260, 2153)
     assert len(calls) <= 20  # one per orbit representative: 11
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from toricarr import intlat, oracle
 from toricarr.errors import CapabilityError
-from toricarr.layers import count_layers, count_points, count_points_of_type, n_theta, point_orbits
+from toricarr.layers import count_layers, count_points, n_theta, point_orbits
 from toricarr.oracle import (
     BrutePoint,
     ExplicitLayer,
@@ -69,14 +69,14 @@ def test_brute_center_equals_the_smith_form_reference(reference_center_grid_vect
 def test_brute_points_capability():
     # rank alone refuses nothing: D5's grid is 8^5 x 20, inside the work bound
     rs = build_str("D5")
-    assert len(brute_points(rs)) == count_points(rs) == 44
+    assert len(brute_points(rs)) == count_points(rs.factors) == 44
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
 def test_brute_count_and_types_match_formula(t):
     rs = build_str(t)
     pts = brute_points(rs)
-    assert len(pts) == count_points(rs)
+    assert len(pts) == count_points(rs.factors)
     brute_types = Counter(p.phi_type for p in pts)
     formula_types = Counter()
     for r in point_orbits(*rs.factors):
@@ -237,7 +237,7 @@ def test_brute_points_saturates_nothing(monkeypatch, t):
 
     monkeypatch.setattr(intlat, "saturate", forbidden)
     rs = build_str(t)
-    assert len(brute_points(rs)) == count_points(rs)
+    assert len(brute_points(rs)) == count_points(rs.factors)
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "F4"])
@@ -321,7 +321,7 @@ def test_component_count_equals_quotient_formula(t):
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             cc = component_count(rs, theta)
-            assert cc * n_theta(rs, theta) == count_points_of_type(theta.type)
+            assert cc * n_theta(rs, theta) == count_points(theta.type)
 
 
 def test_poset_a1():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricarr.rootsys import (
+    AffineDiagram,
     RootSystem,
     TypeSymbol,
     _cartan_matrix,
@@ -322,6 +323,51 @@ def test_diagram_automorphisms_a_series():
     # A1 is the degenerate double-bond diagram: only the swap survives
     autos, orbits = diagram_automorphisms(affine_diagram(TypeSymbol("A", 1)))
     assert len(autos) == 2 and orbits == ((0, 1),)
+
+
+_AFFINE_TYPES = (
+    [f"A{n}" for n in range(1, 41)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_diagram_automorphisms_equal_the_exhaustive_search(reference_diagram_automorphisms):
+    for t in _AFFINE_TYPES:
+        diag = affine_diagram(*parse_type(t))
+        assert diagram_automorphisms(diag) == reference_diagram_automorphisms(diag), t
+
+
+@st.composite
+def _labelled_diagrams(draw):
+    """A connected diagram on up to 6 vertices with bonds of labels -1 and -2 and marks 1 or 2."""
+    k = draw(st.integers(2, 6))
+    c = [[2 * (i == j) for j in range(k)] for i in range(k)]
+    label = st.sampled_from([-1, -2])
+    for v in range(1, k):  # a random spanning tree keeps the diagram connected
+        u = draw(st.integers(0, v - 1))
+        c[u][v], c[v][u] = draw(label), draw(label)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3)):
+        if u != v:
+            c[u][v], c[v][u] = draw(label), draw(label)
+    marks = draw(st.lists(st.sampled_from([1, 2]), min_size=k, max_size=k))
+    return AffineDiagram(n=k - 1, marks=tuple(marks), cartan=tuple(map(tuple, c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_diagrams())
+def test_diagram_automorphisms_equal_the_exhaustive_search_on_labelled_graphs(
+    reference_diagram_automorphisms, diag
+):
+    assert diagram_automorphisms(diag) == reference_diagram_automorphisms(diag)
+
+
+def test_diagram_automorphisms_keep_the_orientation_of_each_bond():
+    # A 3-cycle of oriented double bonds: the rotations keep the Cartan matrix, the reflections reverse it.
+    diag = AffineDiagram(n=2, marks=(1, 1, 1), cartan=((2, -2, -1), (-1, 2, -2), (-2, -1, 2)))
+    assert diagram_automorphisms(diag) == (((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((0, 1, 2),))
 
 
 def test_diagram_automorphisms_f4_trivial():
