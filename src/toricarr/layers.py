@@ -10,7 +10,6 @@ the pivots of a Hermite normal form (`intlat.index_in_zk`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -32,8 +31,7 @@ from .subsys import Subsystem, parabolic_classes
 # -- integer polynomials ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Polynomial in q with integer coefficients, lowest degree first."""
 
     coeffs: tuple[int, ...]
@@ -94,8 +92,7 @@ def _binomial_shift(d: int, m: int) -> IntPolynomial:
 # -- points of the arrangement ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointOrbitRecord:
+class PointOrbitRecord(NamedTuple):
     """One W-orbit of 0-dimensional layers, keyed by an affine vertex."""
 
     vertex: int
@@ -208,8 +205,7 @@ def n_theta(rs: RootSystem, theta: Subsystem) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class LayerClassRecord:
+class LayerClassRecord(NamedTuple):
     """Census entry for one W-orbit of tangent subsystems."""
 
     dimension: int
@@ -345,8 +341,7 @@ def poincare(rs: RootSystem) -> IntPolynomial:
 # -- the degree identity -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeIdentityResult:
+class DegreeIdentityResult(NamedTuple):
     holds: bool
     terms: tuple[tuple[int, Fraction], ...]
     total: Fraction

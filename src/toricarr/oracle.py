@@ -15,12 +15,11 @@ arithmetic; set equality against the formula route is zero-tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intlat
 from .errors import CapabilityError, require_work
@@ -48,8 +47,7 @@ def order_bound(factors: tuple[TypeSymbol, ...]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class BrutePoint:
+class BrutePoint(NamedTuple):
     point: TorusPoint
     phi_type: tuple[TypeSymbol, ...]
     stabilizer_order: int
@@ -201,8 +199,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
 # -- counting layers tangent to one subsystem ---------------------------------
 
 
-@dataclass(frozen=True)
-class _QuotientArrangement:
+class _QuotientArrangement(NamedTuple):
     """The arrangement of theta on the quotient torus D' = d/R^Phi(Theta)."""
 
     gamma: tuple[tuple[int, ...], ...]       # functional matrix, rows = theta simples
@@ -263,15 +260,13 @@ def component_count(rs: RootSystem, theta: Subsystem) -> int:
 # -- the explicit layer poset --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExplicitLayer:
+class ExplicitLayer(NamedTuple):
     theta: Subsystem
     base_point: TorusPoint
     dimension: int
 
 
-@dataclass(frozen=True)
-class LayerPoset:
+class LayerPoset(NamedTuple):
     """Layers of the arrangement ordered by inclusion (C' <= C iff C' ⊆ C)."""
 
     elements: tuple[ExplicitLayer, ...]

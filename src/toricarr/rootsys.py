@@ -23,7 +23,6 @@ by Hermite normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd, prod
@@ -37,19 +36,24 @@ _RANK_MAX = {"E": 8, "F": 4, "G": 2}
 _ALIASES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
 
 
-@dataclass(frozen=True, order=True)
-class TypeSymbol:
-    """An irreducible type in canonical form (aliases already resolved)."""
+class _TypeFields(NamedTuple):
+    """TypeSymbol's fields; a NamedTuple cannot override __new__, where TypeSymbol checks them."""
 
     family: str
     rank: int
 
-    def __post_init__(self):
-        fam, rk = self.family, self.rank
-        if fam not in _RANK_MIN:
-            raise ValueError(f"unknown family {fam!r}")
-        if rk < _RANK_MIN[fam] or rk > _RANK_MAX.get(fam, 10 ** 9):
-            raise ValueError(f"{fam}{rk} is not a valid canonical type")
+
+class TypeSymbol(_TypeFields):
+    """An irreducible type in canonical form (aliases already resolved)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in _RANK_MIN:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < _RANK_MIN[family] or rank > _RANK_MAX.get(family, 10 ** 9):
+            raise ValueError(f"{family}{rank} is not a valid canonical type")
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def of(cls, family: str, rank: int) -> "TypeSymbol":
@@ -352,8 +356,7 @@ def center_exponent(sym: TypeSymbol) -> int:
 # -- Dynkin diagrams as Cartan matrices --------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(NamedTuple):
     """Affine diagram on vertices 0..n: marks and the Cartan matrix of -theta, alpha_1, .., alpha_n.
 
     A diagram is its Cartan matrix: vertices u and v are joined when

@@ -13,20 +13,18 @@ and Coxeter Groups, 1990, Prop. 1.4) and saturated, as W is unimodular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intlat
 from .errors import require_work
 from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type, type_invariants
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(NamedTuple):
     """A closed subsystem, stored as sorted indices into rs.all_roots."""
 
     roots: tuple[int, ...]
@@ -77,8 +75,7 @@ def simple_type(
     return simples, cartan, classify_dynkin(cartan)
 
 
-@dataclass(frozen=True)
-class CompleteFamily:
+class CompleteFamily(NamedTuple):
     """All complete subsystems of a fixed rank (the set K_d)."""
 
     d: int

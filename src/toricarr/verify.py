@@ -1,10 +1,12 @@
 """The oracle-versus-formula suite behind `toricarr verify`.
 
 Each check compares a counting formula with a brute-force oracle, or with
-a second route to the same quantity.  A check returns its detail line,
-raises AssertionError on a mismatch and CapabilityError when a work bound
-refuses it.  The library is called through module attributes (`layers.x`,
-`oracle.x`, `weyl.x`), so a function replaced there is the one checked.
+a second route to the same quantity.  A check takes the root system, the
+poset rank and the request's W_Z lookup, which builds W_Z once per factor.
+It returns its detail line, raises AssertionError on a mismatch and
+CapabilityError when a work bound refuses it.  The library is called
+through module attributes (`layers.x`, `oracle.x`, `weyl.x`), so a
+function replaced there is the one checked.
 """
 
 from __future__ import annotations
@@ -32,22 +34,22 @@ def wz_vertex_orbits(sym: TypeSymbol):
     return wz, tuple(tuple(sorted({e.diagram_perm[v] for e in wz})) for v in range(sym.rank + 1))
 
 
-def degree_identity(rs, poset_rank):
+def degree_identity(rs, poset_rank, wz):
     for sym in rs.factors:
         res = layers.verify_degree_identity(sym)
         _require(res.holds, f"{sym}: sum = {res.total}")
     return "sum over vertices equals 1 for every factor"
 
 
-def euler_characteristic(rs, poset_rank):
+def euler_characteristic(rs, poset_rank, wz):
     return f"both routes give {layers.euler_characteristic(rs.factors)}"
 
 
-def poincare_routes(rs, poset_rank):
+def poincare_routes(rs, poset_rank, wz):
     return f"routes agree: {layers.poincare(rs)}"
 
 
-def points_oracle(rs, poset_rank):
+def points_oracle(rs, poset_rank, wz):
     pts = oracle.brute_points(rs)
     formula = layers.count_points(rs.factors)
     _require(len(pts) == formula, f"brute {len(pts)} != formula {formula}")
@@ -55,7 +57,7 @@ def points_oracle(rs, poset_rank):
     # Per factor and point orbit: (type, |W_p|, |W_p| * |Stab_{W_Z} p|, orbit size).
     tables = []
     for sym in rs.factors:
-        group, orbits = wz_vertex_orbits(sym)
+        group, orbits = wz(sym)
         tables.append([
             (r.point_type, r.stabilizer_order, r.stabilizer_order * len(group) // len(orbits[r.vertex]),
              r.orbit_size)
@@ -72,7 +74,7 @@ def points_oracle(rs, poset_rank):
     return f"{formula} points; types and stabilizers match"
 
 
-def component_counts(rs, poset_rank):
+def component_counts(rs, poset_rank, wz):
     # Both sides are W-invariant, so one census representative per orbit checks all of K_d.
     records = layers.layer_census(rs)
     refused = []
@@ -89,7 +91,7 @@ def component_counts(rs, poset_rank):
     return f"{sum(r.orbit_size for r in records)} tangent subsystems checked"
 
 
-def poset_grading(rs, poset_rank):
+def poset_grading(rs, poset_rank, wz):
     poset = oracle.build_poset(rs, max_rank=poset_rank)
     for d in range(rs.rank + 1):
         expected = layers.count_layers(rs, d)
@@ -98,9 +100,9 @@ def poset_grading(rs, poset_rank):
     return f"graded poset with {len(poset.elements)} layers"
 
 
-def iwahori_matsumoto(rs, poset_rank):
+def iwahori_matsumoto(rs, poset_rank, wz):
     for sym in rs.factors:
-        group, orbits = wz_vertex_orbits(sym)
+        group, orbits = wz(sym)
         _require(len(group) == center_order((sym,)), str(sym))
         _, aut_orbits = diagram_automorphisms(layers._vertex_data(sym).diagram)
         _require(set(aut_orbits) == set(orbits), f"{sym}: orbit mismatch")
@@ -121,10 +123,18 @@ CHECKS = (
 
 def run_checks(rs: RootSystem, poset_rank: int) -> list[tuple[str, str, str]]:
     """(name, status, detail) for each check in CHECKS; status is ok, mismatch or skipped."""
+    built = {}
+
+    def wz(sym):
+        """`wz_vertex_orbits(sym)`, built once per factor by the first check that reads it."""
+        if sym not in built:
+            built[sym] = wz_vertex_orbits(sym)
+        return built[sym]
+
     rows = []
     for check in CHECKS:
         try:
-            rows.append((check.__name__, "ok", check(rs, poset_rank)))
+            rows.append((check.__name__, "ok", check(rs, poset_rank, wz)))
         except CapabilityError as exc:
             rows.append((check.__name__, "skipped", str(exc)))
         except AssertionError as exc:

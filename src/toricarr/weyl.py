@@ -7,9 +7,8 @@ Cartan matrix alone builds it: no root closure is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rootsys import TypeSymbol, _cartan_matrix, highest_root
 
@@ -45,8 +44,7 @@ def longest_element(cartan: Sequence[Sequence[int]], J: Iterable[int]) -> Matrix
             return tuple(zip(*cols))
 
 
-@dataclass(frozen=True)
-class CenterElement:
+class CenterElement(NamedTuple):
     """One element of the Iwahori-Matsumoto subgroup W_Z.
 
     `vertex` is the affine vertex p the element sends vertex 0 to (the

@@ -243,12 +243,11 @@ def test_simple_root_count_check_survives_optimized_mode():
 def test_poset_base_point_check_survives_optimized_mode():
     # Drop the first row of each theta's graph HNF: the layers off ker gamma then have no lift.
     patch = (
-        "import dataclasses\n"
         "from toricarr import oracle\n"
         "arrangement = oracle._quotient_arrangement\n"
         "def defective(rs, theta):\n"
         "    qa = arrangement(rs, theta)\n"
-        "    return dataclasses.replace(qa, graph=qa.graph[1:])\n"
+        "    return qa._replace(graph=qa.graph[1:])\n"
         "oracle._quotient_arrangement = defective"
     )
     proc = _run_with_defect(patch, ["verify", "--type", "B2"], "-O")
@@ -307,10 +306,8 @@ def test_verify_reports_a_wrong_highest_root_in_the_center_subgroup():
 
 def test_verify_reports_a_false_degree_identity():
     patch = (
-        "import dataclasses\n"
         "identity = layers.verify_degree_identity\n"
-        "layers.verify_degree_identity = lambda rs: dataclasses.replace(\n"
-        "    identity(rs), holds=False, total=2)"
+        "layers.verify_degree_identity = lambda rs: identity(rs)._replace(holds=False, total=2)"
     )
     proc = _run_with_defect(patch, ["verify", "--type", "G2"], "-O")
     assert proc.returncode == 3
@@ -633,6 +630,15 @@ def test_requests_import_no_argument_parsing_modules():
     assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] []\n", proc.stderr
 
 
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    # A @dataclass execs its generated methods at import, about a millisecond each, and
+    # dataclasses pulls in inspect, ast and dis: records are NamedTuples instead.
+    script = "import sys\nimport toricarr.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(toricarr.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 @pytest.mark.parametrize("command", ["census"])
 def test_root_closure_is_refused_before_it_is_built(capsys, command):
     start = time.perf_counter()
@@ -662,9 +668,33 @@ def test_points_are_refused_on_their_own_work_estimate(capsys):
 
 
 @pytest.mark.parametrize("t, total", [("A30", 31), ("D20", 2097072), ("E8", 157200)])
-def test_root_closure_bound_admits_large_types(capsys, t, total):
+def test_per_type_data_answers_points_on_large_types(capsys, t, total):
     code, out, _ = run_cli(capsys, "points", "--type", t)
     assert code == 0 and out.startswith(f"type {t}: {total} points\n")
+
+
+def test_root_closure_bound_admits_a66(capsys, monkeypatch):
+    # A66 has 2211 positive roots: 2211 x 66^2 = 9631116 is within the bound, so poincare
+    # closes it and is refused only afterwards, by the flat orbit walk's bound on |W| = 67!.
+    _clear_library_caches()
+    built = []
+    init = toricarr.rootsys.RootSystem.__init__
+    monkeypatch.setattr(
+        toricarr.rootsys.RootSystem, "__init__",
+        lambda self, factors: built.append(toricarr.rootsys.format_type(factors)) or init(self, factors),
+    )
+    code, out, err = run_cli(capsys, "poincare", "--type", "A66")
+    assert code == 2 and out == ""
+    assert err.startswith("capability: flat orbit walk of A66: |W| = 3647111091818868528")
+    assert built == ["A66"]
+
+
+def test_root_closure_bound_refuses_a67(capsys):
+    code, out, err = run_cli(capsys, "poincare", "--type", "A67")
+    assert code == 2 and out == ""
+    assert err == (
+        "capability: root closure of A67: positive roots x rank^2 = 10225942 exceeds the work bound 10000000\n"
+    )
 
 
 def _clear_library_caches():
@@ -747,10 +777,9 @@ def test_affine_null_vector_check_survives_optimized_mode():
 def test_n_theta_division_check_survives_optimized_mode():
     # An identity Cartan matrix makes <Theta^vee> all of Z^k, which cannot lie inside B3's R^Phi(Theta).
     patch = (
-        "import dataclasses\n"
         "def identity(theta):\n"
         "    k = range(theta.rank)\n"
-        "    return dataclasses.replace(theta, cartan=tuple(tuple(int(i == j) for j in k) for i in k))\n"
+        "    return theta._replace(cartan=tuple(tuple(int(i == j) for j in k) for i in k))\n"
         "classes = layers.parabolic_classes\n"
         "layers.parabolic_classes = lambda rs, d: tuple((identity(t), size) for t, size in classes(rs, d))"
     )

@@ -43,6 +43,21 @@ def test_invalid_types(bad):
         parse_type(bad)
 
 
+@pytest.mark.parametrize(
+    "family, rank, message",
+    [
+        ("E", 9, "E9 is not a valid canonical type"),
+        ("H", 4, "unknown family 'H'"),
+        ("A", 0, "A0 is not a valid canonical type"),
+        ("D", 3, "D3 is not a valid canonical type"),
+    ],
+)
+def test_type_symbol_constructor_rejects_non_canonical_types(family, rank, message):
+    # The constructor checks by itself, not only through TypeSymbol.of or parse_type.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TypeSymbol(family, rank)
+
+
 # Accepted, rejected by the pattern, rejected by TypeSymbol, and the separators in every spelling.
 _PARSE_CORPUS = [
     "F4", "a3xA1", " B2 * G2 ", "A3XA1", "A\u0663", "A\u00b2", "A 3", "A+1", "A0", "E9", "x", "F4x", "",
