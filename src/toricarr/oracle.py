@@ -4,8 +4,9 @@ Torsion points of the torus are enumerated on an exact grid whose modulus
 comes from the finite-order bound on arrangement points (the marks of the
 affine diagram times the exponent of the center, both computed from
 lattice data, not tables).  The center itself is read off the same scan,
-as the grid points at which every root vanishes.  The lattice work, ranks
-of vanishing sets and quotient tori, runs on intlat's Hermite normal form.
+as the grid points at which every root vanishes, and points are told from
+other grid points by counting simple vanishing roots on bit lanes.  The
+lattice work of the quotient tori runs on intlat's Hermite normal form.
 The layer poset takes no pass over the grid: the grid points of a layer
 form a coset of a lattice that contains the grid's own, and the canonical
 HNF residue of that coset is the layer's first grid point, which serves as
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from . import intlat
@@ -54,13 +55,19 @@ class BrutePoint(NamedTuple):
     wz_stabilizer_order: int
 
 
-def _row_lanes(u: Sequence[int], m: int, one: bytes, zero: bytes) -> bytes:
-    """Lanes of Z_m^rank in lexicographic order: `one` where u . x = 0 mod m, else `zero`."""
-    # tail[t]: the lanes of the last k coordinates, `one` where t plus their part of u . x is 0
-    tail = [one] + [zero] * (m - 1)
+def _row_lane(u: Sequence[int], m: int, rotations: list[bytes], digits: list[bytes]) -> int:
+    """Row u's lane: one binary digit per x in Z_m^rank, 1 where u . x = 0 mod m.
+
+    The digits run in lexicographic order of x, most significant first.  A
+    lane of the values u . x mod m over the last coordinates, one byte per
+    point, takes one more coordinate by m translations with rotations[s],
+    which add s mod m; for the first coordinate, digits[s] adds s and writes
+    "1" for 0, else "0".
+    """
+    values = b"\x00"
     for a in reversed(u[1:]):
-        tail = [b"".join([tail[(t + a * c) % m] for c in range(m)]) for t in range(m)]
-    return b"".join([tail[u[0] * c % m] for c in range(m)])
+        values = b"".join([values.translate(rotations[a * c % m]) for c in range(m)])
+    return int(b"".join([values.translate(digits[u[0] * c % m]) for c in range(m)]), 2)
 
 
 def _grid_points(
@@ -69,56 +76,49 @@ def _grid_points(
     """Every x in Z_m^rank whose vanishing rows have full rank, with those rows.
 
     Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
-    vanishing rows) in lexicographic order of x.  The whole grid is scanned
-    in one pass over byte lanes, one per grid point in lexicographic order:
-    a count field, wide enough that no count of rows carries out of it,
-    then a bitmask of the rows.  Each row's lanes hold 1 in the count and
-    the row's bit in the mask where it vanishes, and zero elsewhere; read
-    as integers and summed, they give every point its number of vanishing
-    rows and which rows they are.  Strided slices of the count bytes find
-    the candidates, the points with at least rank vanishing rows, and the
-    rank test runs once per distinct mask.  The lanes take
-    m^rank x (1 + ceil(rows / 8)) bytes: within the work bound, at most
-    1.25 MB of masks plus two bytes per grid point (83 KB for F4).  The
-    work, candidates times rows, is bounded; F4 is 12^4 x 24 = 497664.
+    vanishing rows) in lexicographic order of x.  The rows must be the
+    positive roots of a rank-`rank` root system under a linear map that is
+    injective on their span, as the pairings and a subsystem's quotient rows
+    are.  The roots vanishing at x then form a subsystem whose simple roots
+    are the vanishing rows that are not the sum of two vanishing rows
+    (Humphreys 1972, 10.1), so x is a point when `rank` of them are simple;
+    no rank test runs.  Each row's lane, less the points where two vanishing
+    rows sum to it, goes into a bit-sliced counter.  The lanes take
+    rows x m^rank bits, at most 1.25 MB within the work bound, plus transient
+    strings of one byte per grid point; the work, candidates times rows, is
+    bounded (F4 is 12^4 x 24 = 497664).  Raises AssertionError when the
+    origin, where every row vanishes, is not a point.
     """
     require_work(f"grid scan of {m}^{rank} candidates x {len(rows)} roots", m**rank * len(rows))
-    if rank == 0:
-        return [((), tuple(range(len(rows))))]
-    count_bytes = max(1, (len(rows).bit_length() + 7) // 8)
-    width = count_bytes + (len(rows) + 7) // 8
-    size = m**rank
-    zero = bytes(width)
-    total = 0
+    # ring[t] = t mod m and zeros[t] = "1" if m divides t, else "0", for t < 256 + m
+    ring, zeros = bytes(range(m)) * (256 // m + 2), (b"1" + b"0" * (m - 1)) * (256 // m + 2)
+    rotations, digits = [ring[s:s + 256] for s in range(m)], [zeros[s:s + 256] for s in range(m)]
+    lanes = [_row_lane(u, m, rotations, digits) for u in rows]
+    index = {tuple(u): k for k, u in enumerate(rows)}
+    sums: list[list[tuple[int, int]]] = [[] for _ in rows]  # sums[k]: rows[i] + rows[j] == rows[k]
     for i, u in enumerate(rows):
-        one = (1 + (1 << 8 * count_bytes + i)).to_bytes(width, "little")
-        total += int.from_bytes(_row_lanes(u, m, one, zero), "little")
-    lanes = total.to_bytes(size * width, "little")
-    # A lane is a candidate when the low count byte reaches rank or a higher one is nonzero.
-    flags = 0
-    for k in range(count_bytes):
-        threshold = rank if k == 0 else 1
-        at_least = bytes(threshold) + b"\x01" * (256 - threshold)
-        flags |= int.from_bytes(lanes[k::width].translate(at_least), "big")
-    candidates = flags.to_bytes(size, "big")
-    tested: dict[bytes, tuple[tuple[int, ...], bool]] = {}
+        for j in range(i, len(rows)):
+            k = index.get(tuple(map(add, u, rows[j])))
+            if k is not None:
+                sums[k].append((i, j))
+    counts = [0] * max(len(rows), rank).bit_length()  # counts[b]: bit b of the simple rows' count
+    for lane, pairs in zip(lanes, sums):
+        for i, j in pairs:
+            lane &= ~(lanes[i] & lanes[j])
+        for b, digit in enumerate(counts):
+            counts[b], lane = digit ^ lane, digit & lane
+    hits = (1 << m**rank) - 1
+    for b, digit in enumerate(counts):
+        hits &= digit if rank >> b & 1 else ~digit
+    bits = format(hits, f"0{m**rank}b")
+    if bits[0] != "1":
+        raise AssertionError(f"the rows are not the positive roots of a rank-{rank} system")
     out = []
-    j = candidates.find(1)
+    j = 0
     while j >= 0:
-        mask = lanes[j * width + count_bytes:(j + 1) * width]
-        if mask not in tested:
-            bits = int.from_bytes(mask, "little")
-            vanishing = tuple(i for i in range(len(rows)) if bits >> i & 1)
-            basis = intlat.hermite_normal_form([rows[i] for i in vanishing])
-            tested[mask] = vanishing, len(basis) == rank
-        vanishing, full_rank = tested[mask]
-        if full_rank:
-            x, q = [], j
-            for _ in range(rank):
-                q, c = divmod(q, m)
-                x.append(c)
-            out.append((tuple(reversed(x)), vanishing))
-        j = candidates.find(1, j + 1)
+        x = tuple(j // m**p % m for p in range(rank - 1, -1, -1))
+        out.append((x, tuple(i for i, u in enumerate(rows) if sum(map(mul, u, x)) % m == 0)))
+        j = bits.find("1", j + 1)
     return out
 
 
@@ -140,8 +140,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     The walk takes n steps per point, within the grid scan's work.
     """
     m = order_bound(rs.factors)
-    # The rank of a set of roots equals that of their pairing vectors,
-    # since the Cartan matrix is invertible.
+    # The pairing vectors are the roots under the Cartan matrix, which is invertible.
     hits = dict(_grid_points(rs.pairings[:rs.n_positive], m, rs.rank))
     order = type_invariants(rs.factors).weyl_order
     # s_j moves only coordinate j: x_j -> x_j - sum_k cartan[k][j] x_k.
@@ -240,7 +239,8 @@ def _quotient_points(qa: _QuotientArrangement) -> list[tuple[int, ...]]:
 
     A root vanishes at grid point x when x . row = 0 mod modulus for its
     grid row, r_basis applied to its theta coordinates; r_basis is
-    invertible, so the rank test is that of theta's roots.
+    invertible, so the rows are theta's positive roots under an injective
+    linear map, as the scan requires.
     """
     return [x for x, _ in _grid_points(qa.rows, qa.modulus, len(qa.gamma))]
 

@@ -195,20 +195,41 @@ def test_dropped_point_grid_hit_fails_only_the_points_oracle():
 
 
 def test_dropped_grid_lane_row_survives_optimized_mode():
-    # The first row of the point scan adds nothing to the lanes, so the
-    # points where it vanishes lose it from their vanishing sets.
+    # The first row of the point scan gets an empty lane, so it vanishes
+    # nowhere and no sum of vanishing rows is taken from it.
     patch = (
         "from toricarr import oracle\n"
-        "lanes = oracle._row_lanes\n"
+        "lane = oracle._row_lane\n"
         "first = iter([True])\n"
-        "def drop_one(u, m, one, zero):\n"
-        "    return lanes(u, m, zero if next(first, False) else one, zero)\n"
-        "oracle._row_lanes = drop_one"
+        "def drop_one(*args):\n"
+        "    return 0 if next(first, False) else lane(*args)\n"
+        "oracle._row_lane = drop_one"
     )
     proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "points_oracle: mismatch" in proc.stdout
+
+
+def test_grid_scan_premise_guard_survives_optimized_mode():
+    # A zero row in the point scan is the sum of itself and any row, so no
+    # row is simple at the origin, which is then no point.
+    patch = (
+        "from toricarr import oracle\n"
+        "scan = oracle._grid_points\n"
+        "first = iter([True])\n"
+        "def zero_row(rows, m, rank):\n"
+        "    return scan([*rows, (0,) * rank] if next(first, False) else rows, m, rank)\n"
+        "oracle._grid_points = zero_row"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert (
+        "points_oracle: mismatch (the rows are not the positive roots of a rank-3 system)"
+        in proc.stdout
+    )
+    assert "component_counts: ok" in proc.stdout
 
 
 def test_center_order_check_survives_optimized_mode():

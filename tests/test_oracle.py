@@ -168,24 +168,48 @@ def test_point_grid_matches_per_candidate_loop(t):
     assert _grid_points(rows, m, n) == expected
 
 
-def test_lane_count_field_holds_more_than_255_rows(recursive_grid_points):
-    # 300 rows, duplicates and a zero row among them: all 300 vanish at the
-    # origin, a count that would carry out of a one-byte field.
-    base = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
-    rows = (base * 7)[:299] + [(0, 0)]
-    hits = _grid_points(rows, 2, 2)
-    assert hits[0] == ((0, 0), tuple(range(300)))
-    assert hits == recursive_grid_points(rows, 2, 2)
+@pytest.mark.parametrize("t", ["A1", "B2"])
+def test_grid_scan_rejects_a_zero_row(t):
+    # A zero row is the sum of itself and any row, so no row is simple at
+    # the origin, and the origin is no point.
+    rs = build_str(t)
+    rows = [*rs.pairings[:rs.n_positive], (0,) * rs.rank]
+    with pytest.raises(AssertionError, match=f"not the positive roots of a rank-{rs.rank} system"):
+        _grid_points(rows, order_bound(rs.factors), rs.rank)
+
+
+TYPES_LE_4 = RANK_LE_4 + [
+    "A2xA1", "B2xA1", "G2xA1", "A3xA1", "A2xA2", "B2xG2", "A1xA1xA1", "A1xA1xA1xA1"
+]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lane_scan_matches_recursive_kernel(recursive_grid_points, data):
-    rank = data.draw(st.integers(0, 4))
+    # The positive roots of a system of rank <= 4, in random unimodular
+    # coordinates and a random order.
+    rs = build_str(data.draw(st.sampled_from(TYPES_LE_4)))
+    n = rs.rank
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, s in data.draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=8)):
+        if i != j:
+            basis[i] = [a + s * b for a, b in zip(basis[i], basis[j])]
+    columns = list(zip(*basis))
+    rows = [tuple(sum(map(mul, u, col)) for col in columns) for u in rs.pairings[:rs.n_positive]]
+    rows = data.draw(st.permutations(rows))
     m = data.draw(st.integers(2, 12))
-    entries = st.integers(-3, 3)
-    rows = data.draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=30))
-    assert _grid_points(rows, m, rank) == recursive_grid_points(rows, m, rank)
+    assert _grid_points(rows, m, n) == recursive_grid_points(rows, m, n)
+
+
+@pytest.mark.parametrize("t", RANK_LE_4 + ["A2xA1", "B2xA1", "A1xA1xA1", "G2xG2", "D5"])
+def test_quotient_scans_match_recursive_kernel(t, recursive_grid_points):
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        for theta in enumerate_complete(rs, d).members:
+            qa = _quotient_arrangement(rs, theta)
+            args = (qa.rows, qa.modulus, len(qa.gamma))
+            assert _grid_points(*args) == recursive_grid_points(*args), (d, theta.roots)
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "B4", "D4", "F4"])
@@ -272,18 +296,30 @@ def test_quotient_arrangement_takes_one_hnf_per_theta(monkeypatch, t):
     assert calls == len(thetas)
 
 
-def test_f4_grid_scan_rank_tests_once_per_vanishing_set(monkeypatch):
-    calls = 0
-    hnf = intlat.hermite_normal_form
+@pytest.mark.parametrize("t, run", [("F4", brute_points), ("B3", build_poset)], ids=["F4", "B3"])
+def test_grid_scans_take_no_hermite_normal_form(monkeypatch, t, run):
+    # Points are found by counting simple vanishing rows: no rank test runs
+    # in F4's point scan or in the quotient scans of B3's poset.
+    inside, scans, calls = False, 0, 0
+    hnf, scan = intlat.hermite_normal_form, oracle._grid_points
 
     def counting(rows):
         nonlocal calls
-        calls += 1
+        calls += inside
         return hnf(rows)
 
+    def flagged(rows, m, rank):
+        nonlocal inside, scans
+        inside, scans = True, scans + 1
+        try:
+            return scan(rows, m, rank)
+        finally:
+            inside = False
+
     monkeypatch.setattr(intlat, "hermite_normal_form", counting)
-    brute_points(build_str("F4"))
-    assert calls <= 400  # 232: the rank memo, plus the center order and exponent
+    monkeypatch.setattr(oracle, "_grid_points", flagged)
+    run(build_str(t))
+    assert scans and calls == 0
 
 
 def test_grid_scan_work_bound(completion):
