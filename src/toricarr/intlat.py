@@ -63,7 +63,8 @@ def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 def _with_identity(rows: IntMatrix) -> list[list[int]]:
     """[rows | I]: each row followed by its unit vector, which records the row operations."""
-    return [[*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows)]
+    k = len(rows)
+    return [[*row, *[0] * i, 1, *[0] * (k - 1 - i)] for i, row in enumerate(rows)]
 
 
 def kernel(rows: IntMatrix, n: int) -> tuple[tuple[int, ...], ...]:

@@ -3,10 +3,11 @@
 Torsion points of the torus are enumerated on an exact grid whose modulus
 comes from the finite-order bound on arrangement points (the marks of the
 affine diagram times the exponent of the center, both computed from
-lattice data, not tables).  The center itself is read off the same scan,
-as the grid points at which every root vanishes, and points are told from
-other grid points by counting simple vanishing roots on bit lanes.  The
-lattice work of the quotient tori runs on intlat's Hermite normal form.
+lattice data, not tables).  The scan tells points from other grid points
+by counting simple vanishing roots on bit lanes and returns the points
+alone; the center is read off them, and one point per W-orbit names its
+vanishing roots, to type it.  The lattice work of the quotient tori runs
+on intlat's Hermite normal form.
 The layer poset takes no pass over the grid: the grid points of a layer
 form a coset of a lattice that contains the grid's own, and the canonical
 HNF residue of that coset is the layer's first grid point, which serves as
@@ -70,26 +71,29 @@ def _row_lane(u: Sequence[int], m: int, rotations: list[bytes], digits: list[byt
     return int(b"".join([values.translate(digits[u[0] * c % m]) for c in range(m)]), 2)
 
 
-def _grid_points(
-    rows: Sequence[Sequence[int]], m: int, rank: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every x in Z_m^rank whose vanishing rows have full rank, with those rows.
+def _grid_points(rows: Sequence[Sequence[int]], m: int, rank: int) -> list[tuple[int, ...]]:
+    """Every x in Z_m^rank whose vanishing rows have full rank, in lexicographic order.
 
-    Row u vanishes at x when u . x = 0 mod m.  Returns (x, indices of the
-    vanishing rows) in lexicographic order of x.  The rows must be the
+    Row u vanishes at x when u . x = 0 mod m.  The rows must be the
     positive roots of a rank-`rank` root system under a linear map that is
     injective on their span, as the pairings and a subsystem's quotient rows
     are.  The roots vanishing at x then form a subsystem whose simple roots
     are the vanishing rows that are not the sum of two vanishing rows
     (Humphreys 1972, 10.1), so x is a point when `rank` of them are simple;
-    no rank test runs.  Each row's lane, less the points where two vanishing
-    rows sum to it, goes into a bit-sliced counter.  The lanes take
-    rows x m^rank bits, at most 1.25 MB within the work bound, plus transient
-    strings of one byte per grid point; the work, candidates times rows, is
-    bounded (F4 is 12^4 x 24 = 497664).  Raises AssertionError when the
-    origin, where every row vanishes, is not a point.
+    no rank test runs, and no point takes a dot product.  Each row's lane,
+    less the points where two vanishing rows sum to it, goes into a
+    bit-sliced counter.  The lanes take rows x m^rank bits, at most 1.25 MB
+    within the work bound, plus transient strings of one byte per grid
+    point; the work, candidates times rows, is bounded (F4 is
+    12^4 x 24 = 497664).  Raises AssertionError when the origin, where every
+    row vanishes, is not a point, and so when a rank-0 scan is given a row.
     """
     require_work(f"grid scan of {m}^{rank} candidates x {len(rows)} roots", m**rank * len(rows))
+    premise = f"the rows are not the positive roots of a rank-{rank} system"
+    if not rank:
+        if rows:  # a rank-0 system has no roots
+            raise AssertionError(premise)
+        return [()]
     # ring[t] = t mod m and zeros[t] = "1" if m divides t, else "0", for t < 256 + m
     ring, zeros = bytes(range(m)) * (256 // m + 2), (b"1" + b"0" * (m - 1)) * (256 // m + 2)
     rotations, digits = [ring[s:s + 256] for s in range(m)], [zeros[s:s + 256] for s in range(m)]
@@ -112,12 +116,12 @@ def _grid_points(
         hits &= digit if rank >> b & 1 else ~digit
     bits = format(hits, f"0{m**rank}b")
     if bits[0] != "1":
-        raise AssertionError(f"the rows are not the positive roots of a rank-{rank} system")
+        raise AssertionError(premise)
+    powers = [m**p for p in range(rank - 1, -1, -1)]
     out = []
     j = 0
     while j >= 0:
-        x = tuple(j // m**p % m for p in range(rank - 1, -1, -1))
-        out.append((x, tuple(i for i, u in enumerate(rows) if sum(map(mul, u, x)) % m == 0)))
+        out.append(tuple([j // q % m for q in powers]))
         j = bits.find("1", j + 1)
     return out
 
@@ -131,27 +135,30 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     the simple reflections: the stabilizer order in W is |W| / |orbit|.
     W acts trivially on the center, so the count of central shifts that
     stay in the orbit is constant on it too, and the vanishing subsystems
-    of an orbit are W-conjugate, so the type is computed once per orbit,
-    from the simple system of the vanishing roots, with no saturation.
-    Raises AssertionError when a W-image of a point is not among the
-    points, when an orbit size does not divide |W|, when the points at
-    which every root vanishes are not |Z| many, or when the roots
-    vanishing at a point do not form a subsystem with n simple roots.
+    of an orbit are W-conjugate, so the vanishing roots of one point per
+    orbit are found, and typed from their simple system, with no saturation.
+    The center is the set of points at which every simple root, and so
+    every root, vanishes.  Raises AssertionError when a W-image of a point
+    is not among the points, when an orbit size does not divide |W|, when
+    the central points are not |Z| many, or when the roots vanishing at a
+    point do not form a subsystem with n simple roots.
     The walk takes n steps per point, within the grid scan's work.
     """
     m = order_bound(rs.factors)
     # The pairing vectors are the roots under the Cartan matrix, which is invertible.
-    hits = dict(_grid_points(rs.pairings[:rs.n_positive], m, rs.rank))
+    rows = rs.pairings[:rs.n_positive]
+    points = _grid_points(rows, m, rs.rank)
+    hits = set(points)
     order = type_invariants(rs.factors).weyl_order
-    # s_j moves only coordinate j: x_j -> x_j - sum_k cartan[k][j] x_k.
+    # Column j is alpha_j's pairing row; s_j moves only coordinate j: x_j -> x_j - sum_k cartan[k][j] x_k.
     columns = list(enumerate(zip(*rs.cartan)))
-    # The center Z(Phi) is the set of points at which every root vanishes.
-    centers = [x for x, vanishing in hits.items() if len(vanishing) == rs.n_positive]
+    centers = [x for x in points if not any(sum(map(mul, column, x)) % m for _, column in columns)]
     if len(centers) != center_order(rs.factors):
         raise AssertionError("center grid vectors do not match the center order")
+    coords = [Fraction(c, m) for c in range(m)]
     orders: dict[tuple[int, ...], tuple[int, int, tuple[TypeSymbol, ...]]] = {}
     records = []
-    for cand, vanishing in hits.items():
+    for cand in points:
         if cand not in orders:
             orbit = {cand}
             queue = [cand]
@@ -176,6 +183,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
                 1 for z in centers
                 if tuple((c - zc) % m for c, zc in zip(cand, z)) in orbit
             )
+            vanishing = [i for i, u in enumerate(rows) if sum(map(mul, u, cand)) % m == 0]
             try:
                 phi_type = simple_type(rs, vanishing, rs.rank)[2]
             except ValueError as exc:
@@ -186,7 +194,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
         stab, wz_stab, phi_type = orders[cand]
         records.append(
             BrutePoint(
-                point=tuple(Fraction(c, m) for c in cand),
+                point=tuple(map(coords.__getitem__, cand)),
                 phi_type=phi_type,
                 stabilizer_order=stab,
                 wz_stabilizer_order=wz_stab,
@@ -242,7 +250,7 @@ def _quotient_points(qa: _QuotientArrangement) -> list[tuple[int, ...]]:
     invertible, so the rows are theta's positive roots under an injective
     linear map, as the scan requires.
     """
-    return [x for x, _ in _grid_points(qa.rows, qa.modulus, len(qa.gamma))]
+    return _grid_points(qa.rows, qa.modulus, len(qa.gamma))
 
 
 def component_count(rs: RootSystem, theta: Subsystem) -> int:
@@ -343,10 +351,10 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
             j = index.get((u, keys[u, base]))
             if j is not None:
                 relation.add((i, j))
+    # Each base point is a residue modulo M, which contains m Z^n, so its coordinates lie in [0, m).
+    coords = [Fraction(c, m) for c in range(m)]
     elements = tuple(
-        ExplicitLayer(
-            theta=thetas[t][1], base_point=tuple(Fraction(c, m) for c in base), dimension=d
-        )
+        ExplicitLayer(theta=thetas[t][1], base_point=tuple(map(coords.__getitem__, base)), dimension=d)
         for d, t, base in layers
     )
     return LayerPoset(elements=elements, relation=frozenset(relation))

@@ -217,15 +217,21 @@ class RootSystem:
         """<root, alpha_i^vee>."""
         return self.pairings[self.root_index[root]][i]
 
-    def pair_roots(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """<a, b^vee> = 2(a,b)/(b,b) for roots a, b, where (a,b) = sum_i b_i d_i <a, alpha_i^vee>."""
-        weights = list(map(mul, b, self.symmetrizer))
-        num = 2 * sum(map(mul, weights, self.pairings[self.root_index[a]]))
-        den = sum(map(mul, weights, self.pairings[self.root_index[b]]))
-        q, r = divmod(num, den)
-        if r:
-            raise AssertionError("non-integral Cartan pairing")
-        return q
+    def cartan_of(self, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix [a][b] = <b, a^vee> = 2(b,a)/(a,a) of the roots at `indices` in all_roots.
+
+        (b,a) = sum_i a_i d_i <b, alpha_i^vee>: one weight vector a d per root, one dot product per pair.
+        """
+        pairs = [self.pairings[i] for i in indices]
+        cartan = []
+        for a, i in enumerate(indices):
+            weights = list(map(mul, self.all_roots[i], self.symmetrizer))
+            doubled = [2 * sum(map(mul, weights, p)) for p in pairs]  # 2(b, a) for each b
+            norm = doubled[a] // 2
+            if any(v % norm for v in doubled):
+                raise AssertionError("non-integral Cartan pairing")
+            cartan.append(tuple(v // norm for v in doubled))
+        return tuple(cartan)
 
     def reflect(self, root: tuple[int, ...], i: int) -> tuple[int, ...]:
         """Simple reflection s_i applied to a root."""

@@ -70,8 +70,7 @@ def simple_type(
             f"a closed subsystem of rank {rank} of {format_type(rs.factors)} "
             f"has {len(simples)} simple roots"
         )
-    coords = [rs.all_roots[i] for i in simples]
-    cartan = tuple(tuple(rs.pair_roots(b, a) for b in coords) for a in coords)
+    cartan = rs.cartan_of(simples)
     return simples, cartan, classify_dynkin(cartan)
 
 

@@ -51,11 +51,30 @@ def reference_simple_system():
     return _reference_simple_system
 
 
+def _reference_pair_roots(rs, a, b):
+    """<a, b^vee> = 2(a,b)/(b,b) for roots a, b, where (a,b) = sum_i b_i d_i <a, alpha_i^vee>.
+
+    The pairwise formula that RootSystem.cartan_of replaced, one pair at a time.
+    """
+    weights = list(map(mul, b, rs.symmetrizer))
+    num = 2 * sum(map(mul, weights, rs.pairings[rs.root_index[a]]))
+    den = sum(map(mul, weights, rs.pairings[rs.root_index[b]]))
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("non-integral Cartan pairing")
+    return q
+
+
+@pytest.fixture
+def reference_pair_roots():
+    return _reference_pair_roots
+
+
 def _reference_assemble(rs, pos, basis, complete):
     """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
     simples = _reference_simple_system(rs, pos)
     coords = [rs.all_roots[i] for i in simples]
-    cartan = tuple(tuple(rs.pair_roots(b, a) for b in coords) for a in coords)
+    cartan = tuple(tuple(_reference_pair_roots(rs, b, a) for b in coords) for a in coords)
     return Subsystem(
         roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=complete,
         span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,

@@ -261,6 +261,25 @@ def test_simple_root_count_check_survives_optimized_mode():
     assert "  points_oracle: mismatch (a closed subsystem of rank 4 of B4 has 3 simple roots)\n" in proc.stdout
 
 
+def test_cartan_pairing_check_survives_optimized_mode():
+    # With the symmetrizer reversed, the simple roots still pair as the Cartan
+    # matrix says, but a short and a long root off the simple ones do not.
+    # G2's poset types only subsystems on simple roots, so only the point oracle fails.
+    patch = (
+        "from toricarr import rootsys\n"
+        "init = rootsys.RootSystem.__init__\n"
+        "def reversed_symmetrizer(rs, factors):\n"
+        "    init(rs, factors)\n"
+        "    rs.symmetrizer = rs.symmetrizer[::-1]\n"
+        "rootsys.RootSystem.__init__ = reversed_symmetrizer"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "G2"], "-O")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mismatch") == 1
+    assert "  points_oracle: mismatch (non-integral Cartan pairing)\n" in proc.stdout
+
+
 def test_poset_base_point_check_survives_optimized_mode():
     # Drop the first row of each theta's graph HNF: the layers off ker gamma then have no lift.
     patch = (

@@ -155,9 +155,8 @@ def test_n_theta_equals_the_reference_lattice_index(t, lattice_index):
     rs = build_str(t)
     for d in range(rs.rank + 1):
         for theta, _ in parabolic_classes(rs, d):
-            simples = [rs.all_roots[i] for i in theta.simples]
             restricted = list(zip(*(rs.pairings[i] for i in theta.simples)))
-            coroots = [tuple(rs.pair_roots(b, a) for b in simples) for a in simples]
+            coroots = rs.cartan_of(theta.simples)
             assert n_theta(rs, theta) == lattice_index(restricted, coroots), (t, theta.type)
 
 

@@ -24,8 +24,8 @@ from toricarr.oracle import (
     component_count,
     order_bound,
 )
-from toricarr.rootsys import build_str, format_type, parse_type
-from toricarr.subsys import _span_levels, enumerate_complete
+from toricarr.rootsys import build_str, center_order, format_type, parse_type
+from toricarr.subsys import _span_levels, enumerate_complete, simple_type
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -164,7 +164,7 @@ def test_point_grid_matches_per_candidate_loop(t):
     for x in iproduct(range(m), repeat=n):
         van = tuple(i for i, u in enumerate(rows) if _dot_mod(u, x, m) == 0)
         if len(van) >= n and len(intlat.hermite_normal_form([rows[i] for i in van])) == n:
-            expected.append((x, van))
+            expected.append(x)
     assert _grid_points(rows, m, n) == expected
 
 
@@ -176,6 +176,13 @@ def test_grid_scan_rejects_a_zero_row(t):
     rows = [*rs.pairings[:rs.n_positive], (0,) * rs.rank]
     with pytest.raises(AssertionError, match=f"not the positive roots of a rank-{rs.rank} system"):
         _grid_points(rows, order_bound(rs.factors), rs.rank)
+
+
+def test_rank_zero_scan_is_the_origin_alone():
+    # A rank-0 system has no roots, so a row given to its scan breaks the premise.
+    assert _grid_points([], 5, 0) == [()]
+    with pytest.raises(AssertionError, match="not the positive roots of a rank-0 system"):
+        _grid_points([()], 5, 0)
 
 
 TYPES_LE_4 = RANK_LE_4 + [
@@ -199,7 +206,7 @@ def test_lane_scan_matches_recursive_kernel(recursive_grid_points, data):
     rows = [tuple(sum(map(mul, u, col)) for col in columns) for u in rs.pairings[:rs.n_positive]]
     rows = data.draw(st.permutations(rows))
     m = data.draw(st.integers(2, 12))
-    assert _grid_points(rows, m, n) == recursive_grid_points(rows, m, n)
+    assert _grid_points(rows, m, n) == [x for x, _ in recursive_grid_points(rows, m, n)]
 
 
 @pytest.mark.parametrize("t", RANK_LE_4 + ["A2xA1", "B2xA1", "A1xA1xA1", "G2xG2", "D5"])
@@ -209,7 +216,30 @@ def test_quotient_scans_match_recursive_kernel(t, recursive_grid_points):
         for theta in enumerate_complete(rs, d).members:
             qa = _quotient_arrangement(rs, theta)
             args = (qa.rows, qa.modulus, len(qa.gamma))
-            assert _grid_points(*args) == recursive_grid_points(*args), (d, theta.roots)
+            assert _grid_points(*args) == [x for x, _ in recursive_grid_points(*args)], (d, theta.roots)
+
+
+@pytest.mark.parametrize("t", TYPES_LE_4 + ["D5"])
+def test_brute_points_shortcuts_hold_at_every_point(t, weyl_elements, coroot_matrix):
+    # brute_points types one point per W-orbit, and finds the center as the
+    # points at which every simple root vanishes.  At every point, the type
+    # of its own vanishing roots is the recorded one; and the centers are the
+    # points at which every positive root vanishes, as the W x Z stabilizers
+    # show: each counts the central shifts that keep the point in its orbit.
+    rs = build_str(t)
+    m = order_bound(rs.factors)
+    rows = rs.pairings[:rs.n_positive]
+    pts = brute_points(rs)
+    grid = [tuple(int(c * m) for c in p.point) for p in pts]
+    centers = [x for x in grid if all(_dot_mod(u, x, m) == 0 for u in rows)]
+    assert len(centers) == center_order(rs.factors)
+    matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
+    for p, x in zip(pts, grid):
+        vanishing = [i for i, u in enumerate(rows) if _dot_mod(u, x, m) == 0]
+        assert simple_type(rs, vanishing, rs.rank)[2] == p.phi_type, x
+        orbit = {tuple(_dot_mod(row, x, m) for row in mat) for mat in matrices}
+        shifts = sum(1 for z in centers if tuple((a - b) % m for a, b in zip(x, z)) in orbit)
+        assert p.wz_stabilizer_order == p.stabilizer_order * shifts, x
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "B4", "D4", "F4"])

@@ -25,6 +25,7 @@ from toricarr.rootsys import (
     parse_type,
     type_invariants,
 )
+from toricarr.subsys import enumerate_complete
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -120,9 +121,10 @@ def test_closure_matches_the_reference(reference_positive_roots, inner, t):
         roots = [tuple(-x for x in rs.positive_roots[-1])] + [rs.all_roots[i] for i in range(rs.rank)]
     else:
         roots = []
-    for a, b in itertools.product(roots, repeat=2):
+    cartan = rs.cartan_of([rs.root_index[r] for r in roots])
+    for (i, a), (j, b) in itertools.product(enumerate(roots), repeat=2):
         q, r = divmod(2 * inner(rs, a, b), inner(rs, b, b))
-        assert r == 0 and rs.pair_roots(a, b) == q, (a, b)
+        assert r == 0 and cartan[j][i] == q, (a, b)
 
 
 def test_simple_roots_are_units():
@@ -174,8 +176,7 @@ def test_coordinate_model_b2():
     rs = build_str("B2")
     assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1), (1, 2)}
     # <alpha_1, alpha_2^vee> = -2, <alpha_2, alpha_1^vee> = -1
-    assert rs.pair_roots((1, 0), (0, 1)) == -2
-    assert rs.pair_roots((0, 1), (1, 0)) == -1
+    assert rs.cartan_of([rs.root_index[(1, 0)], rs.root_index[(0, 1)]]) == ((2, -1), (-2, 2))
 
 
 def test_coordinate_model_g2():
@@ -197,10 +198,23 @@ def test_coroot_coords(coroot_coords):
 def test_cartan_convention():
     # cartan[i][j] = <alpha_j, alpha_i^vee>
     rs = build_str("C3")
-    a2 = (0, 1, 0)
-    a3 = (0, 0, 1)
-    assert rs.cartan[2][1] == rs.pair_roots(a2, a3) == -1
-    assert rs.cartan[1][2] == rs.pair_roots(a3, a2) == -2
+    assert rs.cartan_of(rs.simple_indices) == rs.cartan
+    assert rs.cartan[2][1] == -1  # <alpha_2, alpha_3^vee>, alpha_3 long
+    assert rs.cartan[1][2] == -2
+
+
+@pytest.mark.parametrize("t", RANK_LE_4 + [
+    "A2xA1", "B2xA1", "G2xA1", "A3xA1", "A2xA2", "B2xG2", "A1xA1xA1", "A1xA1xA1xA1"
+])
+def test_cartan_of_equals_the_pairwise_reference(t, reference_pair_roots):
+    # On every complete subsystem: its simple roots, and all of its roots.
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        for theta in enumerate_complete(rs, d).members:
+            for indices in (theta.simples, theta.roots):
+                roots = [rs.all_roots[i] for i in indices]
+                expected = tuple(tuple(reference_pair_roots(rs, b, a) for b in roots) for a in roots)
+                assert rs.cartan_of(indices) == expected, (d, indices)
 
 
 def test_build_examples():
@@ -269,7 +283,7 @@ def test_affine_diagram_equals_the_pairings_of_the_extended_roots(monkeypatch, t
     extended = [tuple(-x for x in rs.positive_roots[-1])] + [
         tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
     ]
-    expected = tuple(tuple(rs.pair_roots(b, a) for b in extended) for a in extended)
+    expected = rs.cartan_of([rs.root_index[r] for r in extended])
     built = []
     init = RootSystem.__init__
     monkeypatch.setattr(RootSystem, "__init__", lambda self, factors: built.append(factors) or init(self, factors))

@@ -1,6 +1,7 @@
 """Completion, complete-subsystem enumeration, type identification, W-orbits."""
 
 from collections import Counter
+from operator import mul
 
 import sys
 
@@ -159,10 +160,11 @@ def test_simple_system_equals_the_pairwise_reference_on_flats(t, reference_simpl
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A4", "B4", "C4", "D4", "F4", "B2xA1", "G2xA1", "D5"])
 def test_simple_system_equals_the_pairwise_reference_at_points(t, reference_simple_system):
-    # The roots vanishing at a grid point of the point scan.
+    # The roots vanishing at a point of the point scan.
     rs = build_str(t)
-    hits = _grid_points(rs.pairings[:rs.n_positive], order_bound(rs.factors), rs.rank)
-    for _, vanishing in hits:
+    rows, m = rs.pairings[:rs.n_positive], order_bound(rs.factors)
+    for x in _grid_points(rows, m, rs.rank):
+        vanishing = [i for i, u in enumerate(rows) if sum(map(mul, u, x)) % m == 0]
         assert simple_system(rs, vanishing) == reference_simple_system(rs, vanishing), vanishing
 
 
