@@ -16,15 +16,7 @@ from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlat
-from .rootsys import (
-    AffineDiagram,
-    RootSystem,
-    TypeSymbol,
-    affine_diagram,
-    delete_vertex,
-    diagram_automorphisms,
-    type_invariants,
-)
+from .rootsys import RootSystem, TypeSymbol, diagram_automorphisms, type_data, type_invariants
 from .subsys import Subsystem, parabolic_classes
 
 
@@ -103,26 +95,6 @@ class PointOrbitRecord(NamedTuple):
     aut_orbit: int  # index into the Aut(Gamma)-orbit list Q
 
 
-class _VertexData(NamedTuple):
-    diagram: AffineDiagram
-    vertices: tuple[tuple[int, tuple[TypeSymbol, ...], int, int], ...]  # (p, type, |W_p|, |W|/|W_p|)
-
-
-@lru_cache(maxsize=None)
-def _vertex_data(sym: TypeSymbol) -> _VertexData:
-    """One irreducible type's affine diagram, and per vertex its deletion type and |W|/|W_p|."""
-    diag = affine_diagram(sym)
-    w_order = type_invariants((sym,)).weyl_order
-    out = []
-    for p in diag.vertices:
-        ptype = delete_vertex(diag, p)
-        wp = type_invariants(ptype).weyl_order
-        if w_order % wp:
-            raise AssertionError("parabolic order does not divide |W|")
-        out.append((p, ptype, wp, w_order // wp))
-    return _VertexData(diag, tuple(out))
-
-
 @lru_cache(maxsize=None)
 def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[TypeSymbol, ...], int], ...]:
     """Multiset of Phi(t)-types over the points t, with multiplicities.
@@ -132,7 +104,7 @@ def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[Ty
     combined: dict[tuple[TypeSymbol, ...], int] = {(): 1}
     for sym in factors:
         factor_counts: dict[tuple[TypeSymbol, ...], int] = {}
-        for _, ptype, _, size in _vertex_data(sym).vertices:
+        for _, ptype, _, size in type_data(sym).vertices:
             factor_counts[ptype] = factor_counts.get(ptype, 0) + size
         merged: dict[tuple[TypeSymbol, ...], int] = {}
         for t1, c1 in combined.items():
@@ -147,7 +119,7 @@ def count_points(factors: tuple[TypeSymbol, ...]) -> int:
     """|C_0|, the number of points: per factor, the sum over affine vertices of |W|/|W_p|."""
     total = 1
     for sym in factors:
-        total *= sum(size for *_, size in _vertex_data(sym).vertices)
+        total *= sum(size for *_, size in type_data(sym).vertices)
     return total
 
 
@@ -157,10 +129,10 @@ def point_orbits(sym: TypeSymbol) -> tuple[PointOrbitRecord, ...]:
     Defined per irreducible type; factors of a product are handled
     independently by the callers (layers multiply).
     """
-    diag, vertices = _vertex_data(sym)
-    autos, orbits = diagram_automorphisms(diag)
+    data = type_data(sym)
+    autos, orbits = diagram_automorphisms(data.diagram)
     records = []
-    for p, ptype, wp, size in vertices:
+    for p, ptype, wp, size in data.vertices:
         q_index = next(i for i, orb in enumerate(orbits) if p in orb)
         aut_stab = len([a for a in autos if a[p] == p])
         records.append(
@@ -287,7 +259,7 @@ def euler_characteristic(factors: tuple[TypeSymbol, ...]) -> int:
     value = 1
     for sym in factors:
         factor = 0
-        for _, ptype, _, size in _vertex_data(sym).vertices:
+        for _, ptype, _, size in type_data(sym).vertices:
             factor += size * type_invariants(ptype).exponent_product
         value *= (-1) ** sym.rank * factor
     closed = (-1) ** sum(sym.rank for sym in factors) * type_invariants(factors).weyl_order
@@ -351,7 +323,7 @@ def verify_degree_identity(sym: TypeSymbol) -> DegreeIdentityResult:
     """Exact check of sum_p P(Phi_p)/|W_p| = 1 over the affine vertices of an irreducible type."""
     terms = []
     total = Fraction(0)
-    for p, ptype, wp, _ in _vertex_data(sym).vertices:
+    for p, ptype, wp, _ in type_data(sym).vertices:
         term = Fraction(type_invariants(ptype).exponent_product, wp)
         terms.append((p, term))
         total += term

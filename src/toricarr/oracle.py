@@ -18,14 +18,13 @@ arithmetic; set equality against the formula route is zero-tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from . import intlat
 from .errors import CapabilityError, require_work
-from .rootsys import RootSystem, TypeSymbol, center_exponent, center_order, highest_root, type_invariants
+from .rootsys import RootSystem, TypeSymbol, center, center_order, type_data, type_invariants
 from .subsys import Subsystem, enumerate_complete, simple_type
 
 DEFAULT_POSET_RANK = 3
@@ -33,20 +32,16 @@ DEFAULT_POSET_RANK = 3
 TorusPoint = tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=None)
 def order_bound(factors: tuple[TypeSymbol, ...]) -> int:
     """Grid modulus M: every point of C_0 has order dividing M.
 
     Per irreducible factor: a point t induces an automorphism of order
     a_p for some vertex p, so t^{a_p} is central and
     ord(t) | a_p * exp(Z).  M is the lcm over factors of
-    lcm(marks) * exp(Z), where the marks are 1 and the coefficients of the
-    highest root.
+    lcm(marks) * exp(Z), with the marks (1, theta) read from the type's
+    record and exp(Z) from its center.
     """
-    m = 1
-    for sym in factors:
-        m = lcm(m, lcm(*highest_root(sym)) * center_exponent(sym))
-    return m
+    return lcm(*(lcm(*type_data(sym).diagram.marks) * center(sym).exponent for sym in factors))
 
 
 class BrutePoint(NamedTuple):

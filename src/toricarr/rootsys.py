@@ -10,21 +10,21 @@ Root data is generated by closure from the Cartan matrix (root strings),
 one code path for every type; the per-type coordinate models appear only
 in tests.  The closure carries each positive root's pairings with the
 simple coroots, and every later pairing and reflection reads that table.
-The per-type data of an irreducible type needs no closure: its highest
-root, and with it the marks and the affine diagram, follow from the
-Cartan matrix and its symmetrizer by ascent from a long simple root.
+Each irreducible type has one record, `type_data`, built once with no
+closure: its Cartan matrix and symmetrizer, its affine diagram, whose
+marks (1, theta) come from one ascent from a long simple root, and its
+vertex deletions.  A product reads its factors' records, in blocks.
 A Dynkin diagram, affine or of a subsystem, is encoded only by its Cartan
 matrix, and `classify_dynkin` types it from the nonzero off-diagonal
 entries.  The Weyl-group invariants, and the number of positive roots
-(the sum of the exponents), come from the degree tables; the center
-order |Z| and its exponent alone are computed from the Cartan lattice,
-by Hermite normal form.
+(the sum of the exponents), come from the degree tables.  Only the
+oracles read the center: `center` takes |Z| and its exponent from one
+Hermite normal form of the Cartan lattice.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import count
 from math import gcd, prod
 from operator import add, mul, neg
 from typing import NamedTuple, Sequence
@@ -124,31 +124,21 @@ def _cartan_matrix(sym: TypeSymbol) -> list[list[int]]:
 
 
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> list[int]:
-    """Positive integers d with d[i]*c[i][j] == d[j]*c[j][i], gcd 1 per block."""
-    n = len(cartan)
-    d = [0] * n
-    for start in range(n):
-        if d[start]:
-            continue
-        comp = [start]
-        d[start] = 1
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i != j and cartan[i][j] and not d[j]:
-                    # d_j = d_i * c[i][j] / c[j][i]; scale the block first when that is no integer.
-                    num, den = d[i] * cartan[i][j], cartan[j][i]
-                    scale = abs(den) // gcd(num, den)
-                    for k in comp:
-                        d[k] *= scale
-                    d[j] = num * scale // den
-                    comp.append(j)
-                    queue.append(j)
-        g = gcd(*(d[i] for i in comp))
-        for i in comp:
-            d[i] //= g
-    return d
+    """Positive integers d with d[i]*c[i][j] == d[j]*c[j][i] and gcd 1, for a connected diagram."""
+    d = [1] + [0] * (len(cartan) - 1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j, cij in enumerate(cartan[i]):
+            if i != j and cij and not d[j]:
+                # d_j = d_i * c[i][j] / c[j][i]; scale d first when that is no integer.
+                num, den = d[i] * cij, cartan[j][i]
+                scale = abs(den) // gcd(num, den)
+                d = [x * scale for x in d]
+                d[j] = num * scale // den
+                queue.append(j)
+    g = gcd(*d)
+    return [x // g for x in d]
 
 
 def _closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -187,16 +177,18 @@ class RootSystem:
     def __init__(self, factors: Sequence[TypeSymbol]):
         factors = tuple(sorted(factors))
         n = sum(sym.rank for sym in factors)
-        # The block-diagonal Cartan matrix: closure and symmetrizer work per component.
         cartan = [[0] * n for _ in range(n)]
-        for k, sym in enumerate(factors):
-            start = sum(f.rank for f in factors[:k])
-            for i, row in enumerate(_cartan_matrix(sym)):
+        symmetrizer = []
+        for sym in factors:
+            data = type_data(sym)
+            start = len(symmetrizer)
+            for i, row in enumerate(data.cartan):
                 cartan[start + i][start:start + sym.rank] = row
+            symmetrizer += data.symmetrizer
         self.factors = factors
         self.rank = n
         self.cartan = tuple(map(tuple, cartan))
-        self.symmetrizer = tuple(_symmetrizer(cartan))
+        self.symmetrizer = tuple(symmetrizer)
         positive, pairings = _closure(cartan)
         self.positive_roots = tuple(positive)
         self.all_roots = self.positive_roots + tuple(tuple(map(neg, r)) for r in positive)
@@ -277,30 +269,6 @@ def build_str(text: str) -> RootSystem:
     return build(parse_type(text))
 
 
-def highest_root(sym: TypeSymbol) -> tuple[int, ...]:
-    """The highest root theta of an irreducible type, from its Cartan matrix alone.
-
-    theta is the unique dominant long root, and each W-orbit holds exactly
-    one dominant element, so the ascent from a long simple root ends at it.
-    """
-    cartan = _cartan_matrix(sym)
-    d = _symmetrizer(cartan)
-    long = d.index(max(d))
-    return _ascend(cartan, [int(i == long) for i in range(sym.rank)])
-
-
-def _ascend(cartan: Sequence[Sequence[int]], root: list[int]) -> tuple[int, ...]:
-    """The dominant root in a positive root's W-orbit: s_j raises the height while <root, alpha_j^vee> < 0."""
-    while True:
-        for j, row in enumerate(cartan):
-            c = sum(map(mul, row, root))
-            if c < 0:
-                root[j] -= c
-                break
-        else:
-            return tuple(root)
-
-
 def degrees_of(sym: TypeSymbol) -> tuple[int, ...]:
     """Degrees of the basic Weyl-group invariants (standard tables)."""
     n = sym.rank
@@ -341,53 +309,53 @@ def type_invariants(factors: tuple[TypeSymbol, ...]) -> TypeInvariants:
     )
 
 
-def center_order(factors: tuple[TypeSymbol, ...]) -> int:
-    """|Z| for a product of types: the index of the coroot lattice in the coweight lattice.
-
-    Per factor, the index in Z^n of the row lattice of the Cartan matrix,
-    the product of its HNF pivots, rather than a table.
-    """
-    return prod(intlat.index_in_zk(_cartan_matrix(sym), sym.rank) for sym in factors)
-
-
-def center_exponent(sym: TypeSymbol) -> int:
-    """Exponent of Z(Phi) for one factor: the least e with e Z^n inside the Cartan lattice."""
-    basis = intlat.hermite_normal_form(_cartan_matrix(sym))
-    units = [[int(i == j) for j in range(sym.rank)] for i in range(sym.rank)]
-    return next(
-        e for e in count(1) if not any(any(intlat.residue(basis, [e * x for x in u])) for u in units)
-    )
-
-
 # -- Dynkin diagrams as Cartan matrices --------------------------------------
 
 
 class AffineDiagram(NamedTuple):
-    """Affine diagram on vertices 0..n: marks and the Cartan matrix of -theta, alpha_1, .., alpha_n.
+    """Affine diagram on vertices 0..n: marks, Cartan matrix and symmetrizer of -theta, alpha_1, .., alpha_n.
 
     A diagram is its Cartan matrix: vertices u and v are joined when
-    cartan[u][v] = <alpha_v, alpha_u^vee> is nonzero.
+    cartan[u][v] = <alpha_v, alpha_u^vee> is nonzero.  The symmetrizer, empty
+    for a diagram that is no type's, holds half each root's squared length.
     """
 
     n: int
     marks: tuple[int, ...]
     cartan: tuple[tuple[int, ...], ...]
+    symmetrizer: tuple[int, ...]
 
     @property
     def vertices(self) -> range:
         return range(self.n + 1)
 
 
+def _ascend(cartan: Sequence[Sequence[int]], root: list[int]) -> tuple[int, ...]:
+    """The dominant root in a positive root's W-orbit: s_j raises the height while <root, alpha_j^vee> < 0."""
+    while True:
+        for j, row in enumerate(cartan):
+            c = sum(map(mul, row, root))
+            if c < 0:
+                root[j] -= c
+                break
+        else:
+            return tuple(root)
+
+
 def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
     """Extend the Dynkin diagram of an irreducible type by the lowest root -theta.
 
+    theta is the unique dominant long root, and each W-orbit holds exactly
+    one dominant element, so the ascent from a long simple root ends at it.
     Its column is -<theta, alpha_i^vee> and its row -2(alpha_j, theta)/(theta, theta), where
     (a, b) = sum_i b_i d_i <a, alpha_i^vee> and (theta, theta) = 2 max(d), a long root's length.
     The marks (1, theta) are then a null vector of the extended matrix only when theta is long.
+    `type_data` calls this once per type.
     """
     cartan = _cartan_matrix(sym)
     d = _symmetrizer(cartan)
-    theta = highest_root(sym)
+    long = d.index(max(d))
+    theta = _ascend(cartan, [int(i == long) for i in range(sym.rank)])
     marks = (1,) + theta
     row = [2]
     for j in range(sym.rank):
@@ -399,7 +367,7 @@ def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
     extended = (tuple(row),) + tuple((a,) + tuple(c) for a, c in zip(column, cartan))
     if any(sum(map(mul, c, marks)) for c in extended):
         raise AssertionError(f"the marks of {sym} are not a null vector of its affine Cartan matrix")
-    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended)
+    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended, symmetrizer=(max(d), *d))
 
 
 def delete_vertex(diagram: AffineDiagram, p: int) -> tuple[TypeSymbol, ...]:
@@ -545,3 +513,63 @@ def diagram_automorphisms(
         orbits.append(tuple(orb))
         seen.update(orb)
     return tuple(sorted(autos)), tuple(orbits)
+
+
+# -- one record per irreducible type ------------------------------------------
+
+
+class TypeData(NamedTuple):
+    """The record of an irreducible type; its `cartan` and `symmetrizer` are its diagram's less vertex 0."""
+
+    cartan: tuple[tuple[int, ...], ...]
+    symmetrizer: tuple[int, ...]
+    diagram: AffineDiagram
+    vertices: tuple[tuple[int, tuple[TypeSymbol, ...], int, int], ...]  # (p, type, |W_p|, |W|/|W_p|)
+
+
+@lru_cache(maxsize=None)
+def type_data(sym: TypeSymbol) -> TypeData:
+    """Cartan matrix, symmetrizer, affine diagram and, per affine vertex p, the type left by deleting p."""
+    diagram = affine_diagram(sym)
+    w_order = type_invariants((sym,)).weyl_order
+    vertices = []
+    for p in diagram.vertices:
+        ptype = delete_vertex(diagram, p)
+        wp = type_invariants(ptype).weyl_order
+        if w_order % wp:
+            raise AssertionError("parabolic order does not divide |W|")
+        vertices.append((p, ptype, wp, w_order // wp))
+    return TypeData(
+        cartan=tuple(row[1:] for row in diagram.cartan[1:]),
+        symmetrizer=diagram.symmetrizer[1:],
+        diagram=diagram,
+        vertices=tuple(vertices),
+    )
+
+
+class Center(NamedTuple):
+    order: int  # |Z|, the index of the coroot lattice in the coweight lattice
+    exponent: int  # the least e with e Z^n inside the coroot lattice
+
+
+@lru_cache(maxsize=None)
+def center(sym: TypeSymbol) -> Center:
+    """|Z| and exp Z of an irreducible type, from one Hermite normal form of its Cartan matrix.
+
+    Z is Z^n modulo the row lattice of the Cartan matrix: |Z| is the product
+    of the HNF pivots, and exp Z, which divides it, the least e that takes
+    every unit vector into the lattice.
+    """
+    basis = intlat.hermite_normal_form(type_data(sym).cartan)
+    order = prod(row[i] for i, row in enumerate(basis))
+    units = [[int(i == j) for j in range(sym.rank)] for i in range(sym.rank)]
+    exponent = next(
+        e for e in range(1, order + 1)
+        if not any(any(intlat.residue(basis, [e * x for x in u])) for u in units)
+    )
+    return Center(order, exponent)
+
+
+def center_order(factors: tuple[TypeSymbol, ...]) -> int:
+    """|Z| of a product of types, the product of its factors' orders."""
+    return prod(center(sym).order for sym in factors)

@@ -16,7 +16,7 @@ from math import prod
 
 from . import layers, oracle, weyl
 from .errors import CapabilityError
-from .rootsys import RootSystem, TypeSymbol, center_order, diagram_automorphisms, format_type
+from .rootsys import RootSystem, TypeSymbol, center, diagram_automorphisms, format_type, type_data
 
 
 def _require(condition: bool, message: str) -> None:
@@ -103,8 +103,8 @@ def poset_grading(rs, poset_rank, wz):
 def iwahori_matsumoto(rs, poset_rank, wz):
     for sym in rs.factors:
         group, orbits = wz(sym)
-        _require(len(group) == center_order((sym,)), str(sym))
-        _, aut_orbits = diagram_automorphisms(layers._vertex_data(sym).diagram)
+        _require(len(group) == center(sym).order, str(sym))
+        _, aut_orbits = diagram_automorphisms(type_data(sym).diagram)
         _require(set(aut_orbits) == set(orbits), f"{sym}: orbit mismatch")
     return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"
 

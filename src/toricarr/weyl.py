@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .rootsys import TypeSymbol, _cartan_matrix, highest_root
+from .rootsys import TypeSymbol, type_data
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -62,13 +62,13 @@ def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
     """W_Z = {1} u {w_0^p w_0 : a_p = 1}, with induced diagram action.
 
     w_0^p is the longest element of the parabolic omitting vertex p.  The
-    marks (1, theta) come from the highest root by ascent; construction
-    verifies z_p.alpha_0 = alpha_p and that z_p permutes the extended
-    simple roots -theta, alpha_1, .., alpha_n.
+    Cartan matrix and the marks (1, theta) come from the type's record;
+    construction verifies z_p.alpha_0 = alpha_p and that z_p permutes the
+    extended simple roots -theta, alpha_1, .., alpha_n.
     """
     n = sym.rank
-    cartan = _cartan_matrix(sym)
-    theta = highest_root(sym)
+    data = type_data(sym)
+    cartan, theta = data.cartan, data.diagram.marks[1:]
     units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extended = (tuple(-t for t in theta),) + units
     w0 = longest_element(cartan, range(n))

@@ -6,9 +6,9 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from itertools import product as iproduct
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import add, getitem, gt, mod, mul
 from typing import Callable, Optional, Sequence
 
@@ -21,6 +21,7 @@ from toricarr.layers import IntPolynomial, _binomial_shift
 from toricarr.rootsys import (
     RootSystem,
     TypeSymbol,
+    _cartan_matrix,
     center_order,
     classify_dynkin,
     format_type,
@@ -349,6 +350,98 @@ def _find_highest_roots(rs):
 @pytest.fixture
 def reference_highest_roots():
     return _find_highest_roots
+
+
+# -- the per-type routines that `rootsys.type_data` and `rootsys.center` replaced, kept as references --
+
+
+def _reference_symmetrizer(cartan):
+    """Positive integers d with d[i]*c[i][j] == d[j]*c[j][i], gcd 1 per block, for a block-diagonal matrix."""
+    n = len(cartan)
+    d = [0] * n
+    for start in range(n):
+        if d[start]:
+            continue
+        comp = [start]
+        d[start] = 1
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if i != j and cartan[i][j] and not d[j]:
+                    num, den = d[i] * cartan[i][j], cartan[j][i]
+                    scale = abs(den) // gcd(num, den)
+                    for k in comp:
+                        d[k] *= scale
+                    d[j] = num * scale // den
+                    comp.append(j)
+                    queue.append(j)
+        g = gcd(*(d[i] for i in comp))
+        for i in comp:
+            d[i] //= g
+    return d
+
+
+def _reference_highest_root(sym):
+    """theta of an irreducible type: the ascent from a long simple root, one simple reflection a step."""
+    cartan = _cartan_matrix(sym)
+    d = _reference_symmetrizer(cartan)
+    root = [int(i == d.index(max(d))) for i in range(sym.rank)]
+    while True:
+        for j, row in enumerate(cartan):
+            c = sum(map(mul, row, root))
+            if c < 0:
+                root[j] -= c
+                break
+        else:
+            return tuple(root)
+
+
+def _reference_center_exponent(sym):
+    """The least e with e Z^n inside the Cartan lattice, tried e = 1, 2, ..."""
+    basis = intlat.hermite_normal_form(_cartan_matrix(sym))
+    units = [[int(i == j) for j in range(sym.rank)] for i in range(sym.rank)]
+    return next(
+        e for e in count(1) if not any(any(intlat.residue(basis, [e * x for x in u])) for u in units)
+    )
+
+
+def _reference_center_order(factors):
+    """|Z| of a product: per factor, the index in Z^n of the Cartan lattice."""
+    return prod(intlat.index_in_zk(_cartan_matrix(sym), sym.rank) for sym in factors)
+
+
+def _reference_order_bound(factors):
+    """lcm over the factors of lcm(theta) * exp Z."""
+    m = 1
+    for sym in factors:
+        m = lcm(m, lcm(*_reference_highest_root(sym)) * _reference_center_exponent(sym))
+    return m
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_symmetrizer():
+    return _reference_symmetrizer
+
+
+@pytest.fixture
+def reference_highest_root():
+    return _reference_highest_root
+
+
+@pytest.fixture
+def reference_center_exponent():
+    return _reference_center_exponent
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_center_order():
+    return _reference_center_order
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_order_bound():
+    return _reference_order_bound
 
 
 # -- the automorphism search that the breadth-first placement replaced, kept as a reference --

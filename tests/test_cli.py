@@ -336,8 +336,16 @@ def test_verify_reports_a_wrong_center_subgroup():
 
 
 def test_verify_reports_a_wrong_highest_root_in_the_center_subgroup():
-    # B3's highest short root (1, 1, 1) in place of theta: z_1 = w_0^1 w_0 does not send -theta to alpha_1.
-    patch = "from toricarr import weyl\nweyl.highest_root = lambda sym: (1, 1, 1)"
+    # B3's highest short root (1, 1, 1) in place of the theta that weyl reads from the record, after
+    # the record's null-vector check: z_1 = w_0^1 w_0 does not send -theta to alpha_1.
+    patch = (
+        "from toricarr import weyl\n"
+        "data = weyl.type_data\n"
+        "def short_theta(sym):\n"
+        "    record = data(sym)\n"
+        "    return record._replace(diagram=record.diagram._replace(marks=(1, 1, 1, 1)))\n"
+        "weyl.type_data = short_theta"
+    )
     proc = _run_with_defect(patch, ["verify", "--type", "B3"], "-O")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
@@ -758,22 +766,51 @@ def test_closed_forms_compute_no_smith_normal_form(capsys, monkeypatch, argv):
     assert calls == []
 
 
-def test_verify_builds_each_affine_diagram_once(capsys, monkeypatch):
-    # The iwahori_matsumoto row reads the diagram the degree_identity row already built.
+_PER_TYPE_DATA = {"cartan", "ascent", "diagram"}
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["verify", "--type", "F4"], _PER_TYPE_DATA | {"center"}),
+        (["verify", "--type", "B2xA1"], _PER_TYPE_DATA | {"center"}),
+        (["poset", "--type", "B3"], _PER_TYPE_DATA | {"center"}),
+        (["census", "--type", "F4"], _PER_TYPE_DATA),  # the grid modulus, and with it the center, is the oracles'
+    ],
+    ids=["verify-F4", "verify-B2xA1", "poset-B3", "census-F4"],
+)
+def test_each_type_is_built_once_per_request(capsys, monkeypatch, argv, built):
+    # Every irreducible type a request meets, a factor or the type of a deletion or of a Theta,
+    # gets its Cartan matrix, theta's ascent, its affine diagram and its center's HNF once.
     _clear_library_caches()
+    rootsys = toricarr.rootsys
     calls = collections.Counter()
-    diagram = toricarr.rootsys.affine_diagram
 
-    def counted(sym):
-        calls[sym] += 1
-        return diagram(sym)
+    def counted(name, fn, key):
+        def wrapper(*args):
+            calls[name, key(*args)] += 1
+            return fn(*args)
+        return wrapper
 
-    for module in (toricarr.rootsys, toricarr.layers, toricarr.verify, toricarr.oracle, toricarr.weyl):
-        if hasattr(module, "affine_diagram"):
-            monkeypatch.setattr(module, "affine_diagram", counted)
-    code, out, _ = run_cli(capsys, "verify", "--type", "F4")
+    def matrix(rows):
+        return tuple(map(tuple, rows))
+
+    by_type, by_matrix = (lambda sym: sym), (lambda cartan, root: matrix(cartan))
+    monkeypatch.setattr(rootsys, "_cartan_matrix", counted("cartan", rootsys._cartan_matrix, by_type))
+    monkeypatch.setattr(rootsys, "_ascend", counted("ascent", rootsys._ascend, by_matrix))
+    monkeypatch.setattr(rootsys, "affine_diagram", counted("diagram", rootsys.affine_diagram, by_type))
+    hnf = toricarr.intlat.hermite_normal_form
+
+    def center_hnf(rows):
+        if sys._getframe(1).f_globals is vars(rootsys):  # called from rootsys: a center
+            calls["center", matrix(rows)] += 1
+        return hnf(rows)
+
+    monkeypatch.setattr(toricarr.intlat, "hermite_normal_form", center_hnf)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
-    assert calls and max(calls.values()) == 1, calls
+    assert max(calls.values()) == 1, sorted(key for key, n in calls.items() if n > 1)
+    assert {name for name, _ in calls} == built
 
 
 @pytest.mark.parametrize(
@@ -806,7 +843,8 @@ def test_affine_null_vector_check_survives_optimized_mode():
     # Ascent from B3's short simple root alpha_3 ends at the highest short root (1, 1, 1), not at theta.
     patch = (
         "from toricarr import rootsys\n"
-        "rootsys.highest_root = lambda sym: rootsys._ascend(rootsys._cartan_matrix(sym), [0, 0, 1])"
+        "ascend = rootsys._ascend\n"
+        "rootsys._ascend = lambda cartan, root: ascend(cartan, [0, 0, 1])"
     )
     proc = _run_with_defect(patch, ["points", "--type", "B3"], "-O")
     assert proc.returncode == 3 and proc.stdout == ""

@@ -24,7 +24,7 @@ from toricarr.oracle import (
     component_count,
     order_bound,
 )
-from toricarr.rootsys import build_str, center_order, format_type, parse_type
+from toricarr.rootsys import build_str, center, center_order, format_type, parse_type, type_data
 from toricarr.subsys import _span_levels, enumerate_complete, simple_type
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -576,7 +576,8 @@ def test_poset_relation_keeps_theta_roots_constant(t):
 def test_poset_does_no_fraction_arithmetic(monkeypatch):
     rs = build_str("C3")
     _span_levels.cache_clear()
-    order_bound.cache_clear()
+    type_data.cache_clear()
+    center.cache_clear()
     calls = Counter()
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__mod__", "__neg__"):

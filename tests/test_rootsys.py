@@ -14,17 +14,19 @@ from toricarr.rootsys import (
     TypeSymbol,
     _cartan_matrix,
     affine_diagram,
+    build,
     build_str,
-    center_exponent,
+    center,
     center_order,
     classify_dynkin,
     delete_vertex,
     diagram_automorphisms,
     format_type,
-    highest_root,
     parse_type,
+    type_data,
     type_invariants,
 )
+from toricarr.oracle import order_bound
 from toricarr.subsys import enumerate_complete
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -150,10 +152,11 @@ def test_closure_and_highest_root(t):
                 # sums of roots either leave the system or stay in it; the
                 # string arithmetic used to build it guarantees consistency
                 assert (s in allr) == (s in rs.root_index)
-    top = highest_root(*rs.factors)
+    marks = type_data(*rs.factors).diagram.marks
+    top = marks[1:]
     assert top in pos
     assert all(all(x >= y for x, y in zip(top, r)) for r in pos)
-    assert affine_diagram(*rs.factors).marks == (1,) + top
+    assert marks[0] == 1 and affine_diagram(*rs.factors).marks == marks
 
 
 HIGHEST_ROOT_TYPES = (
@@ -166,7 +169,7 @@ HIGHEST_ROOT_TYPES = (
 def test_highest_root_equals_the_closure_reference(reference_highest_roots, t):
     # The ascent from a long simple root against the last root of the closure.
     rs = build_str(t)
-    theta = highest_root(*rs.factors)
+    theta = type_data(*rs.factors).diagram.marks[1:]
     assert (theta,) == reference_highest_roots(rs)
     assert all(all(x >= y for x, y in zip(theta, r)) for r in rs.positive_roots)
 
@@ -382,7 +385,7 @@ def _labelled_diagrams(draw):
         if u != v:
             c[u][v], c[v][u] = draw(label), draw(label)
     marks = draw(st.lists(st.sampled_from([1, 2]), min_size=k, max_size=k))
-    return AffineDiagram(n=k - 1, marks=tuple(marks), cartan=tuple(map(tuple, c)))
+    return AffineDiagram(n=k - 1, marks=tuple(marks), cartan=tuple(map(tuple, c)), symmetrizer=())
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,7 +398,7 @@ def test_diagram_automorphisms_equal_the_exhaustive_search_on_labelled_graphs(
 
 def test_diagram_automorphisms_keep_the_orientation_of_each_bond():
     # A 3-cycle of oriented double bonds: the rotations keep the Cartan matrix, the reflections reverse it.
-    diag = AffineDiagram(n=2, marks=(1, 1, 1), cartan=((2, -2, -1), (-1, 2, -2), (-2, -1, 2)))
+    diag = AffineDiagram(n=2, marks=(1, 1, 1), cartan=((2, -2, -1), (-1, 2, -2), (-2, -1, 2)), symmetrizer=())
     assert diagram_automorphisms(diag) == (((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((0, 1, 2),))
 
 
@@ -446,10 +449,62 @@ def test_center_order_and_exponent_equal_the_smith_divisors(reference_smith_norm
     factors = parse_type(t)
     divisors = [reference_smith_normal_form(_cartan_matrix(sym)).divisors for sym in factors]
     assert center_order(factors) == math.prod(math.prod(d) for d in divisors)
-    assert [center_exponent(sym) for sym in factors] == [max(d) for d in divisors]
+    assert [center(sym).exponent for sym in factors] == [max(d) for d in divisors]
+
+
+PER_TYPE_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("t", PER_TYPE_TYPES)
+def test_type_data_and_center_equal_the_per_type_references(
+    reference_symmetrizer, reference_highest_root, reference_center_exponent, reference_center_order, t
+):
+    [sym] = parse_type(t)
+    data = type_data(sym)
+    assert data.cartan == tuple(map(tuple, _cartan_matrix(sym)))
+    assert data.symmetrizer == tuple(reference_symmetrizer(_cartan_matrix(sym)))
+    assert data.diagram.marks == (1,) + reference_highest_root(sym)
+    assert center(sym) == (reference_center_order((sym,)), reference_center_exponent(sym))
+    # The affine symmetrizer adds -theta, a long root, and symmetrizes the extended matrix.
+    d, c = data.diagram.symmetrizer, data.diagram.cartan
+    assert d == (max(data.symmetrizer),) + data.symmetrizer
+    assert all(d[u] * c[u][v] == d[v] * c[v][u] for u in data.diagram.vertices for v in data.diagram.vertices)
+
+
+@pytest.mark.parametrize("t", PER_TYPE_TYPES)
+def test_type_data_keeps_the_vertex_deletions(t):
+    [sym] = parse_type(t)
+    data = type_data(sym)
+    w_order = type_invariants((sym,)).weyl_order
+    for p, ptype, wp, size in data.vertices:
+        assert ptype == delete_vertex(data.diagram, p)
+        assert wp == type_invariants(ptype).weyl_order and wp * size == w_order
+    assert [v[0] for v in data.vertices] == list(data.diagram.vertices)
 
 
 # -- property tests ----------------------------------------------------------
+
+_RANK_LE_8 = [t for t in PER_TYPE_TYPES if int(t[1:]) <= 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_RANK_LE_8), min_size=1, max_size=3)
+    .map(lambda names: tuple(sorted(sym for t in names for sym in parse_type(t))))
+    .filter(lambda factors: sum(sym.rank for sym in factors) <= 8)
+)
+def test_products_read_their_factors_records(
+    reference_symmetrizer, reference_center_order, reference_order_bound, factors
+):
+    # A product's symmetrizer is its factors' in blocks; |Z| and the grid modulus come from the factors.
+    rs = build(factors)
+    assert list(rs.symmetrizer) == reference_symmetrizer(rs.cartan)
+    assert center_order(factors) == reference_center_order(factors)
+    assert order_bound(factors) == reference_order_bound(factors)
+
 
 # Other accepted spellings of some canonical factors.
 _SPELLINGS = {"A1": ["a1", "B1", "C1"], "A3": ["a3", "D3"], "B2": ["b2", "C2"], "G2": ["g2"]}
