@@ -2,8 +2,9 @@
 
 Commands run one computation per process and emit deterministic output:
 identical inputs produce byte-identical bytes.  Exit codes: 0 success,
-1 usage/parse error or unwritable --out path, 2 capability bound hit,
-3 verification mismatch or a failed internal cross-check.
+1 usage/parse error or unwritable --out path (UsageError), 2 capability
+bound hit, 3 verification mismatch, a failed internal cross-check or any
+other ValueError from the library.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__, layers, oracle, verify
-from .errors import CapabilityError, require_work
+from .errors import CapabilityError, UsageError, require_work
 from .rootsys import TypeSymbol, build, format_type, parse_type, type_invariants
 
 # Each command: its help line, its output formats, and whether it takes --poset-rank.
@@ -75,7 +76,7 @@ def _help(option: str, value: Optional[str], command: Optional[str]) -> None:
     rest = value.lstrip("h") if value and option == "-h" else value  # -hh is -h -h
     if rest is not None and (rest or not value):
         name = "--version" if option == "--version" else "-h/--help"
-        raise ValueError(f"argument {name}: ignored explicit argument {rest!r}")
+        raise UsageError(f"argument {name}: ignored explicit argument {rest!r}")
     if option == "--version":
         text = __version__
     elif command is None:
@@ -95,7 +96,7 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     names, extras, k = ("-h", "--help", "--version"), [], 0
     for token in argv[: argv.index("--") if "--" in argv else None]:
         if token.startswith("--="):  # an empty prefix names every long option at once
-            raise ValueError(f"ambiguous option: {token} could match --help, --version")
+            raise UsageError(f"ambiguous option: {token} could match --help, --version")
     while k < len(argv):
         token, k = argv[k], k + 1
         opt = _option(token, names)
@@ -103,7 +104,7 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         if args.command is None and (opt is None or (token == "--" and k < len(argv))):
             if token not in _COMMANDS:
                 choices = ", ".join(map(repr, _COMMANDS))
-                raise ValueError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+                raise UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
             args.command = token
             names = ("-h", "--help", "--type", "--format", "--out") + ("--poset-rank",) * _COMMANDS[token][2]
         elif not (opt and opt[0]):
@@ -115,28 +116,28 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             option, value = opt
             if value is None:
                 if k == len(argv) or _option(argv[k], names) is not None:
-                    raise ValueError(f"argument {option}: expected one argument")
+                    raise UsageError(f"argument {option}: expected one argument")
                 value, k = argv[k], k + 1
             if option == "--format" and value not in _FORMAT_CHOICES:
                 choices = ", ".join(map(repr, _FORMAT_CHOICES))
-                raise ValueError(f"argument --format: invalid choice: {value!r} (choose from {choices})")
+                raise UsageError(f"argument --format: invalid choice: {value!r} (choose from {choices})")
             if option == "--poset-rank":
                 try:
                     rank = int(value)
                 except ValueError:
                     rank = 0
                 if rank < 1:
-                    raise ValueError(
+                    raise UsageError(
                         f"argument --poset-rank: capability bounds must be positive integers, not {value!r}"
                     )
                 value = rank
             setattr(args, option[2:].replace("-", "_"), value)
     if args.command is None or args.type is None:
-        raise ValueError(f"the following arguments are required: {'--type' if args.command else 'command'}")
+        raise UsageError(f"the following arguments are required: {'--type' if args.command else 'command'}")
     if extras:
-        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     if args.format not in _COMMANDS[args.command][1]:
-        raise ValueError(f"format {args.format!r} is not available for {args.command!r}")
+        raise UsageError(f"format {args.format!r} is not available for {args.command!r}")
     return args
 
 
@@ -353,7 +354,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -405,12 +406,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapabilityError as exc:
         sys.stderr.write(f"capability: {exc}\n")
         return EXIT_CAPABILITY
-    except AssertionError as exc:
-        sys.stderr.write(f"mismatch: {exc}\n")
-        return EXIT_MISMATCH
-    except ValueError as exc:
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except (AssertionError, ValueError) as exc:  # any other ValueError is an internal failure
+        sys.stderr.write(f"mismatch: {exc}\n")
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@
 MAX_WORK = 10**7
 
 
+class UsageError(ValueError):
+    """A request the CLI cannot parse or an --out path it cannot write; other ValueErrors are internal."""
+
+
 class CapabilityError(RuntimeError):
     """A computation was refused because it exceeds a configured bound.
 

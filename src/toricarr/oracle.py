@@ -7,17 +7,21 @@ lattice data, not tables).  The scan tells points from other grid points
 by counting simple vanishing roots on bit lanes and returns the points
 alone; the center is read off them, and one point per W-orbit names its
 vanishing roots, to type it.  The lattice work of the quotient tori runs
-on intlat's Hermite normal form.
+on intlat's Hermite normal form, and each flat's quotient torus is scanned
+once per request, for the component counts and the poset alike.
 The layer poset takes no pass over the grid: the grid points of a layer
 form a coset of a lattice that contains the grid's own, and the canonical
 HNF residue of that coset is the layer's first grid point, which serves as
-both its base point and its name.  Everything is exact integer/rational
+both its base point and its name.  The poset is graded by dimension, so it
+keeps no order relation: its covers, between layers of consecutive
+dimensions, are computed on request.  Everything is exact integer/rational
 arithmetic; set equality against the formula route is zero-tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -237,15 +241,22 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
     )
 
 
-def _quotient_points(qa: _QuotientArrangement) -> list[tuple[int, ...]]:
-    """Grid coordinates (in the R-basis, units of 1/modulus) of the points.
+@lru_cache(maxsize=None)
+def _quotient_layers(
+    rs: RootSystem, theta: Subsystem
+) -> tuple[_QuotientArrangement, tuple[tuple[int, ...], ...]]:
+    """Theta's quotient arrangement and the grid coordinates of its points.
 
-    A root vanishes at grid point x when x . row = 0 mod modulus for its
-    grid row, r_basis applied to its theta coordinates; r_basis is
-    invertible, so the rows are theta's positive roots under an injective
-    linear map, as the scan requires.
+    The coordinates are in the R-basis, in units of 1/modulus.  A root
+    vanishes at grid point x when x . row = 0 mod modulus for its grid row,
+    r_basis applied to its theta coordinates; r_basis is invertible, so the
+    rows are theta's positive roots under an injective linear map, as the
+    scan requires.  Cached, so component_count and build_poset scan each
+    flat once per request; each of them still checks its own result
+    against a formula.
     """
-    return _grid_points(qa.rows, qa.modulus, len(qa.gamma))
+    qa = _quotient_arrangement(rs, theta)
+    return qa, tuple(_grid_points(qa.rows, qa.modulus, len(qa.gamma)))
 
 
 def component_count(rs: RootSystem, theta: Subsystem) -> int:
@@ -257,7 +268,7 @@ def component_count(rs: RootSystem, theta: Subsystem) -> int:
     """
     if not theta.complete:
         raise ValueError("component_count requires a complete subsystem")
-    return len(_quotient_points(_quotient_arrangement(rs, theta)))
+    return len(_quotient_layers(rs, theta)[1])
 
 
 # -- the explicit layer poset --------------------------------------------------
@@ -270,26 +281,34 @@ class ExplicitLayer(NamedTuple):
 
 
 class LayerPoset(NamedTuple):
-    """Layers of the arrangement ordered by inclusion (C' <= C iff C' ⊆ C)."""
+    """Layers of the arrangement ordered by inclusion (C' <= C iff C' ⊆ C), kept as its covers.
+
+    The order is graded by dimension.  For layers C' ⊊ C, some root beta
+    vanishes on C' but not on C (else the connected C, which meets C', would
+    lie in C'), so beta is not constant on C and cuts C in a layer of
+    dimension dim C - 1 through C'.  Hence C' <= C is a chain of covers, and
+    layer j covers layer i exactly when dim j = dim i + 1, theta_j lies in
+    theta_i and base_i reduces to base_j modulo M_j.  The order is the
+    reflexive transitive closure of the covers.
+    """
 
     elements: tuple[ExplicitLayer, ...]
-    relation: frozenset  # pairs (i, j) with element i <= element j
+    lattices: tuple[tuple[tuple[int, ...], ...], ...]  # lattices[t]: HNF of M_t = ker gamma_t + m Z^n
+    below: tuple[tuple[int, ...], ...]  # below[t]: flats of rank one less whose roots lie in theta t's
+    layers: tuple[tuple[int, tuple[int, ...]], ...]  # layers[i]: (flat, base grid point) of element i
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs i < j with nothing between: j above i, but above no k above i."""
-        succ: list[set[int]] = [set() for _ in self.elements]
-        for i, j in self.relation:
-            if i != j:
-                succ[i].add(j)
+        """Pairs (i, j), ordered, with layer i inside layer j of one dimension more."""
+        index = {layer: j for j, layer in enumerate(self.layers)}
         out = []
-        for i, above in enumerate(succ):
-            beyond = set().union(*(succ[k] for k in above))
-            out.extend((i, j) for j in sorted(above - beyond))
+        for i, (t, base) in enumerate(self.layers):
+            above = [index.get((u, intlat.residue(self.lattices[u], base))) for u in self.below[t]]
+            out.extend((i, j) for j in sorted(j for j in above if j is not None))
         return tuple(out)
 
 
 def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerPoset:
-    """Every layer of the arrangement, with the full order relation.
+    """Every layer of the arrangement, with what its covers are computed from.
 
     Each layer is a fiber of the projection onto the quotient torus of its
     tangent subsystem theta.  With gamma the pairing rows of theta's simple
@@ -299,11 +318,11 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     its HNF divide m, and the canonical residue of y modulo M is the
     lexicographically first grid point of the layer (Cohen 1993, 2.4.3):
     its base point, which also names the layer.  One HNF of the rows
-    (gamma y, y) gives r_basis, ker gamma and y.  Layer i lies in layer j
-    when the roots of theta_j lie in theta_i (so dim i <= dim j) and base_i
-    reduces to base_j modulo M_j.  Refuses, with the estimate, when the
-    quotient scan of theta = Phi is over the work bound, before enumerating
-    any subsystem, or when m^n points times the number of thetas is.
+    (gamma y, y) gives r_basis, ker gamma and y.  The order is left to
+    LayerPoset.covers, which reads each flat's M and the flats one rank
+    below it.  Refuses, with the estimate, when the quotient scan of
+    theta = Phi is over the work bound, before enumerating any subsystem,
+    or when m^n points times the number of thetas is.
     """
     n = rs.rank
     if n > max_rank:
@@ -317,12 +336,12 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     lattices = []  # lattices[t]: HNF of M = ker gamma + m Z^n for theta t
     layers = []  # (dimension, theta index, base grid point)
     for t, (d, theta) in enumerate(thetas):
-        qa = _quotient_arrangement(rs, theta)
+        qa, points = _quotient_layers(rs, theta)
         k = len(qa.gamma)
         kernel = [row[k:] for row in qa.graph if not any(row[:k])]
         lattices.append(intlat.hermite_normal_form(kernel + grid))
         r_cols = list(zip(*qa.r_basis))
-        for c in _quotient_points(qa):
+        for c in points:
             scaled = [m * sum(map(mul, c, col)) for col in r_cols]
             # (-v, 0) reduces by rows (gamma z, z) to (0, -z) only when gamma(-z) = v.
             rest = intlat.residue(qa.graph, [-(v // qa.modulus) for v in scaled] + [0] * n)
@@ -330,26 +349,17 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
                 raise AssertionError("layer contains no grid point")
             layers.append((d, t, intlat.residue(lattices[t], rest[k:])))
     layers.sort(key=lambda layer: (layer[0], thetas[layer[1]][1].span_basis, layer[2]))
-    index = {(t, base): i for i, (_, t, base) in enumerate(layers)}
-    # uppers[t]: the thetas whose layers may contain a layer of theta t.  A
-    # complete subsystem is the set of roots in its span, so one span lies
-    # in another exactly when the root sets do; then its rank is not
-    # larger, and its layers' dimension not smaller.
+    # A complete subsystem is the set of roots in its span, so one span lies
+    # in another exactly when the root sets do.
     roots = [frozenset(theta.roots) for _, theta in thetas]
-    uppers = [[u for u, upper in enumerate(roots) if upper <= lower] for lower in roots]
-    keys: dict = {}
-    relation = set()
-    for i, (_, t, base) in enumerate(layers):
-        for u in uppers[t]:
-            if (u, base) not in keys:
-                keys[u, base] = intlat.residue(lattices[u], base)
-            j = index.get((u, keys[u, base]))
-            if j is not None:
-                relation.add((i, j))
+    below = tuple(
+        tuple(u for u, (e, _) in enumerate(thetas) if e == d + 1 and roots[u] <= roots[t])
+        for t, (d, _) in enumerate(thetas)
+    )
     # Each base point is a residue modulo M, which contains m Z^n, so its coordinates lie in [0, m).
     coords = [Fraction(c, m) for c in range(m)]
     elements = tuple(
         ExplicitLayer(theta=thetas[t][1], base_point=tuple(map(coords.__getitem__, base)), dimension=d)
         for d, t, base in layers
     )
-    return LayerPoset(elements=elements, relation=frozenset(relation))
+    return LayerPoset(elements, tuple(lattices), below, tuple((t, base) for _, t, base in layers))

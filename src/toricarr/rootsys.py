@@ -50,9 +50,9 @@ class TypeSymbol(_TypeFields):
 
     def __new__(cls, family: str, rank: int):
         if family not in _RANK_MIN:
-            raise ValueError(f"unknown family {family!r}")
+            raise errors.UsageError(f"unknown family {family!r}")
         if rank < _RANK_MIN[family] or rank > _RANK_MAX.get(family, 10 ** 9):
-            raise ValueError(f"{family}{rank} is not a valid canonical type")
+            raise errors.UsageError(f"{family}{rank} is not a valid canonical type")
         return super().__new__(cls, family, rank)
 
     @classmethod
@@ -60,7 +60,7 @@ class TypeSymbol(_TypeFields):
         """Normalize low-rank aliases (B1, C1 -> A1; C2 -> B2; D3 -> A3)."""
         family = family.upper()
         if rank < 1:
-            raise ValueError(f"rank must be positive, got {family}{rank}")
+            raise errors.UsageError(f"rank must be positive, got {family}{rank}")
         family, rank = _ALIASES.get((family, rank), (family, rank))
         return cls(family, rank)
 
@@ -79,8 +79,12 @@ def parse_type(text: str) -> tuple[TypeSymbol, ...]:
         name = part.strip()
         # isdecimal() is exactly the Unicode Nd digits that int() reads.
         if len(name) < 2 or name[0] not in "ABCDEFGabcdefg" or not name[1:].isdecimal():
-            raise ValueError(f"cannot parse type {part!r} in {text!r}")
-        factors.append(TypeSymbol.of(name[0], int(name[1:])))
+            raise errors.UsageError(f"cannot parse type {part!r} in {text!r}")
+        try:
+            rank = int(name[1:])
+        except ValueError as exc:  # more digits than int() converts
+            raise errors.UsageError(str(exc)) from None
+        factors.append(TypeSymbol.of(name[0], rank))
     return tuple(sorted(factors))
 
 

@@ -124,8 +124,9 @@ def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
 
     Enumerates saturated rational spans of root subsets, growing rank one
     root at a time (see _span_levels) and naming each span by its canonical
-    HNF basis.  Only build_poset and the tests use this span route; the
-    census and verify work from parabolic_classes.  Each flat is saturated
+    HNF basis.  Only build_poset, which verify reaches through
+    poset_grading, and the tests use this span route; the census and the
+    other verify checks work from parabolic_classes.  Each flat is saturated
     once and extended by the value vectors of at most n_positive roots, and
     there are at most |W| flats (see parabolic_classes), so the work is
     refused above |W| x n_positive.

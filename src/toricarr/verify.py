@@ -4,7 +4,8 @@ Each check compares a counting formula with a brute-force oracle, or with
 a second route to the same quantity.  A check takes the root system, the
 poset rank and the request's W_Z lookup, which builds W_Z once per factor.
 It returns its detail line, raises AssertionError on a mismatch and
-CapabilityError when a work bound refuses it.  The library is called
+CapabilityError when a work bound refuses it; a ValueError from the
+library inside a check is reported as a mismatch too.  The library is called
 through module attributes (`layers.x`, `oracle.x`, `weyl.x`), so a
 function replaced there is the one checked.
 """
@@ -137,6 +138,6 @@ def run_checks(rs: RootSystem, poset_rank: int) -> list[tuple[str, str, str]]:
             rows.append((check.__name__, "ok", check(rs, poset_rank, wz)))
         except CapabilityError as exc:
             rows.append((check.__name__, "skipped", str(exc)))
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:  # a ValueError inside a check is an internal failure
             rows.append((check.__name__, "mismatch", str(exc)))
     return rows

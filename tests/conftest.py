@@ -1159,3 +1159,28 @@ def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
 @pytest.fixture
 def reference_parabolic_classes():
     return _reference_parabolic_classes
+
+
+# -- the order of a layer poset, read from its covers --------------------------
+
+
+def _poset_order(poset) -> frozenset:
+    """Pairs (i, j) with layer i inside layer j: the reflexive transitive closure of the covers."""
+    up: list[list[int]] = [[] for _ in poset.elements]
+    for i, j in poset.covers():
+        up[i].append(j)
+    order = set()
+    for i in range(len(up)):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in up[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        order.update((i, j) for j in seen)
+    return frozenset(order)
+
+
+@pytest.fixture
+def poset_order():
+    return _poset_order

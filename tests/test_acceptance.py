@@ -261,7 +261,7 @@ def test_criterion_9_degree_identity_through_e8():
     _ok(9, f"degree identity exact for {len(types)} types in {elapsed:.2f}s")
 
 
-def test_criterion_10_posets():
+def test_criterion_10_posets(poset_order):
     for t in ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]:
         rs = build_str(t)
         poset = build_poset(rs)
@@ -269,7 +269,7 @@ def test_criterion_10_posets():
             level = sum(1 for el in poset.elements if el.dimension == d)
             assert level == count_layers(rs, d), (t, d)
         n = len(poset.elements)
-        rel = poset.relation
+        rel = poset_order(poset)
         for i in range(n):
             assert (i, i) in rel
         for (i, j) in rel:

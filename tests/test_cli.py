@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,36 @@ def test_verify_reports_a_wrong_center_subgroup():
     assert "  iwahori_matsumoto: mismatch (A3)\n" in proc.stdout
 
 
+def test_library_value_error_exits_as_a_mismatch():
+    # An extra edge in a rank-3 flat's carried Cartan matrix: classify_dynkin raises
+    # ValueError, a fault of the library and not of the request.
+    patch = (
+        "from toricarr import subsys\n"
+        "classify = subsys.classify_dynkin\n"
+        "def extra_edge(cartan):\n"
+        "    rows = [list(row) for row in cartan]\n"
+        "    if len(rows) == 3:\n"
+        "        rows[0][2] = rows[2][0] = -1\n"
+        "    return classify(rows)\n"
+        "subsys.classify_dynkin = extra_edge"
+    )
+    proc = _run_with_defect(patch, ["census", "--type", "A3"], "-O")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "mismatch: graph is not a tree: not a finite Dynkin diagram\n"
+
+
+def test_verify_reports_a_value_error_as_a_mismatch(capsys, monkeypatch):
+    # The other checks still report their rows.
+    def broken(sym):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(toricarr.layers, "verify_degree_identity", broken)
+    code, out, err = run_cli(capsys, "verify", "--type", "A2")
+    assert (code, err) == (3, "")
+    assert out.count("mismatch") == 1 and out.count(": ok") == 6
+    assert "  degree_identity: mismatch (an internal fault)\n" in out
+
+
 def test_verify_reports_a_wrong_highest_root_in_the_center_subgroup():
     # B3's highest short root (1, 1, 1) in place of the theta that weyl reads from the record, after
     # the record's null-vector check: z_1 = w_0^1 w_0 does not send -theta to alpha_1.
@@ -630,6 +661,12 @@ def test_usage_errors_keep_their_messages(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_a_rank_past_integer_conversion_is_a_usage_error(capsys):
+    # int() refuses a numeral of more than 4300 digits with ValueError; the request is at fault.
+    code, out, err = run_cli(capsys, "points", "--type", "A" + "1" * 5000)
+    assert (code, out) == (1, "") and err.startswith("error: Exceeds the limit (4300 digits)")
+
+
 def test_help_lists_the_commands(capsys):
     for flag in ("-h", "--help"):
         code, out, err = run_cli(capsys, flag)
@@ -811,6 +848,42 @@ def test_each_type_is_built_once_per_request(capsys, monkeypatch, argv, built):
     assert code == 0 and out
     assert max(calls.values()) == 1, sorted(key for key, n in calls.items() if n > 1)
     assert {name for name, _ in calls} == built
+
+
+def test_verify_scans_each_flat_once(capsys, monkeypatch):
+    # component_counts and poset_grading read the same quotient scans: one per
+    # flat of B3, besides the point scan.
+    _clear_library_caches()
+    scans = []
+    scan = toricarr.oracle._grid_points
+    monkeypatch.setattr(toricarr.oracle, "_grid_points", lambda *args: scans.append(args) or scan(*args))
+    code, out, _ = run_cli(capsys, "verify", "--type", "B3")
+    assert code == 0 and out.count(": ok") == 7
+    rs = toricarr.build_str("B3")
+    flats = sum(len(toricarr.enumerate_complete(rs, d).members) for d in range(rs.rank + 1))
+    assert len(scans) == flats + 1
+
+
+def test_verify_poset_takes_no_residues_of_the_order(capsys, monkeypatch):
+    # The poset's layers take two residues each, the lift and the base point;
+    # poset_grading reads no covers, so no residue of the order is taken.
+    _clear_library_caches()
+    residues = 0
+    residue = toricarr.intlat.residue
+
+    def counting(basis, vec):
+        nonlocal residues
+        residues += 1
+        return residue(basis, vec)
+
+    # Only the calls made from oracle's own code are counted.
+    monkeypatch.setattr(
+        toricarr.oracle, "intlat", types.SimpleNamespace(**{**vars(toricarr.intlat), "residue": counting})
+    )
+    code, out, _ = run_cli(capsys, "verify", "--type", "B3")
+    assert code == 0 and "poset_grading: ok" in out
+    rs = toricarr.build_str("B3")
+    assert residues == 2 * sum(toricarr.count_layers(rs, d) for d in range(rs.rank + 1))
 
 
 @pytest.mark.parametrize(

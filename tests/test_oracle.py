@@ -18,7 +18,7 @@ from toricarr.oracle import (
     ExplicitLayer,
     _grid_points,
     _quotient_arrangement,
-    _quotient_points,
+    _quotient_layers,
     brute_points,
     build_poset,
     component_count,
@@ -310,8 +310,10 @@ def test_quotient_rows_equal_the_coordinates_through_r_basis(t, reference_coords
 
 @pytest.mark.parametrize("t", ["B3", "F4"])
 def test_quotient_arrangement_takes_one_hnf_per_theta(monkeypatch, t):
+    # The scan of each quotient arrangement takes none, and a second reading of a flat is cached.
     rs = build_str(t)
     thetas = [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
+    _quotient_layers.cache_clear()
     calls = 0
     hnf = intlat.hermite_normal_form
 
@@ -321,8 +323,8 @@ def test_quotient_arrangement_takes_one_hnf_per_theta(monkeypatch, t):
         return hnf(rows)
 
     monkeypatch.setattr(intlat, "hermite_normal_form", counting)
-    for theta in thetas:
-        _quotient_arrangement(rs, theta)
+    for theta in thetas + thetas:
+        _quotient_layers(rs, theta)
     assert calls == len(thetas)
 
 
@@ -348,6 +350,7 @@ def test_grid_scans_take_no_hermite_normal_form(monkeypatch, t, run):
 
     monkeypatch.setattr(intlat, "hermite_normal_form", counting)
     monkeypatch.setattr(oracle, "_grid_points", flagged)
+    _quotient_layers.cache_clear()
     run(build_str(t))
     assert scans and calls == 0
 
@@ -390,14 +393,15 @@ def test_component_count_equals_quotient_formula(t):
             assert cc * n_theta(rs, theta) == count_points(theta.type)
 
 
-def test_poset_a1():
+def test_poset_a1(poset_order):
     poset = build_poset(build_str("A1"))
     assert len(poset.elements) == 3
     dims = sorted(el.dimension for el in poset.elements)
     assert dims == [0, 0, 1]
     top = next(i for i, el in enumerate(poset.elements) if el.dimension == 1)
+    order = poset_order(poset)
     for i, el in enumerate(poset.elements):
-        assert (i, top) in poset.relation
+        assert (i, top) in order
 
 
 def test_poset_a2_seven_elements():
@@ -407,14 +411,14 @@ def test_poset_a2_seven_elements():
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
-def test_poset_graded_and_partial_order(t):
+def test_poset_graded_and_partial_order(t, poset_order):
     rs = build_str(t)
     poset = build_poset(rs)
     for d in range(rs.rank + 1):
         level = sum(1 for el in poset.elements if el.dimension == d)
         assert level == count_layers(rs, d), (t, d)
     n = len(poset.elements)
-    rel = poset.relation
+    rel = poset_order(poset)
     for i in range(n):
         assert (i, i) in rel
     for (i, j) in rel:
@@ -469,20 +473,30 @@ def test_poset_capability():
         build_poset(build_str("D4"))
 
 
-def _reference_covers(poset):
-    """The former definition: strict pairs (i, j) with no k strictly between."""
-    strict = {(i, j) for (i, j) in poset.relation if i != j}
+def _reference_covers(relation, size):
+    """The transitive reduction of an order: strict pairs (i, j) with no k strictly between."""
+    strict = {(i, j) for (i, j) in relation if i != j}
     return tuple(
         (i, j)
         for (i, j) in sorted(strict)
-        if not any((i, k) in strict and (k, j) in strict for k in range(len(poset.elements)))
+        if not any((i, k) in strict and (k, j) in strict for k in range(size))
     )
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "G2xA1", "B4", "D4", "A3xA1"])
 def test_poset_covers_match_former_definition(t):
+    # The former build: layer i lies in layer j when theta_j lies in theta_i
+    # and base_i reduces to base_j modulo M_j, over every pair of flats and
+    # not only those one rank apart; the covers are its transitive reduction.
     poset = build_poset(build_str(t), max_rank=4)
-    assert poset.covers() == _reference_covers(poset)
+    roots = {f: frozenset(poset.elements[i].theta.roots) for i, (f, _) in enumerate(poset.layers)}
+    relation = {
+        (i, j)
+        for i, (f, base) in enumerate(poset.layers)
+        for j, (u, base_u) in enumerate(poset.layers)
+        if roots[u] <= roots[f] and intlat.residue(poset.lattices[u], base) == base_u
+    }
+    assert poset.covers() == _reference_covers(relation, len(poset.elements))
 
 
 def test_poset_covers_respect_grading():
@@ -511,9 +525,9 @@ def _reference_poset(rs):
     layers = []
     for d in range(n + 1):
         for theta in enumerate_complete(rs, d).members:
-            qa = _quotient_arrangement(rs, theta)
+            qa, points = _quotient_layers(rs, theta)
             rank = len(qa.gamma)
-            for combo in _quotient_points(qa):
+            for combo in points:
                 func = [
                     Fraction(sum(combo[i] * qa.r_basis[i][j] for i in range(rank)), qa.modulus)
                     for j in range(rank)
@@ -553,11 +567,23 @@ def test_poset_matches_per_layer_grid_search(t):
     poset = build_poset(rs, max_rank=4)
     elements, relation = _reference_poset(rs)
     assert poset.elements == elements
-    assert poset.relation == relation
+    assert poset.covers() == _reference_covers(relation, len(elements))
+
+
+@pytest.mark.parametrize("t", POSET_TYPES + ["A4", "B4", "C4", "D4", "F4", "A3xA1"])
+def test_poset_covers_join_consecutive_dimensions(t):
+    # The poset is graded: every cover goes up one dimension, and every layer
+    # below the top one lies in some layer one dimension up.
+    rs = build_str(t)
+    poset = build_poset(rs, max_rank=4)
+    dims = [el.dimension for el in poset.elements]
+    covers = poset.covers()
+    assert all(dims[j] == dims[i] + 1 for i, j in covers)
+    assert {i for i, _ in covers} == {i for i, d in enumerate(dims) if d < rs.rank}
 
 
 @pytest.mark.parametrize("t", POSET_TYPES)
-def test_poset_relation_keeps_theta_roots_constant(t):
+def test_poset_relation_keeps_theta_roots_constant(t, poset_order):
     # On layer j every root of theta_j is constant mod 1, so a layer inside
     # it has base point with the same root values.
     rs = build_str(t)
@@ -566,7 +592,7 @@ def test_poset_relation_keeps_theta_roots_constant(t):
     def value(root, point):
         return sum(rs.pairing(root, k) * point[k] for k in range(rs.rank)) % 1
 
-    for i, j in poset.relation:
+    for i, j in poset_order(poset):
         lower, upper = poset.elements[i], poset.elements[j]
         for r in upper.theta.roots:
             root = rs.all_roots[r]
@@ -596,9 +622,11 @@ def test_poset_does_no_fraction_arithmetic(monkeypatch):
 @pytest.mark.parametrize("t", ["B3", "A4", "B4"])
 def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
     # One _grid_points call per theta, its quotient scan; besides, each layer
-    # takes two residues (lift and base point), and each base point one per
-    # theta above its layer's.
+    # takes two residues (lift and base point), and no residue of the order is
+    # taken until the covers are asked for: then one per layer and flat one
+    # rank below its theta.
     rs = build_str(t)
+    _quotient_layers.cache_clear()
     thetas = [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
     expected = []
     for theta in thetas:
@@ -621,14 +649,15 @@ def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
     monkeypatch.setattr(oracle, "intlat", SimpleNamespace(**{**vars(intlat), "residue": counting_residue}))
     poset = build_poset(rs, max_rank=4)
     assert scans == expected
-    roots = {theta.roots: frozenset(theta.roots) for theta in thetas}
-    reduced = {
-        (upper, el.base_point)
-        for el in poset.elements
-        for upper in roots.values()
-        if upper <= roots[el.theta.roots]
+    assert residues == 2 * len(poset.elements)
+    below = {
+        (i, upper.roots)
+        for i, el in enumerate(poset.elements)
+        for upper in thetas
+        if upper.rank == el.theta.rank - 1 and set(upper.roots) <= set(el.theta.roots)
     }
-    assert residues == 2 * len(poset.elements) + len(reduced)
+    poset.covers()
+    assert residues == 2 * len(poset.elements) + len(below)
 
 
 def test_poset_grid_work_bound():
