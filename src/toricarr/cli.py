@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Every request takes one path through `main`: parse the arguments, run the
+command's handler from `_COMMANDS`, which returns (results, text lines, exit
+status), render the chosen format and emit it.  JSON, `census` CSV and
+`poset` dot all render the results; text joins the lines.
+
 Commands run one computation per process and emit deterministic output:
 identical inputs produce byte-identical bytes.  Exit codes: 0 success,
 1 usage/parse error or unwritable --out path (UsageError), 2 capability
@@ -22,17 +27,6 @@ from . import __version__, layers, oracle, verify
 from .errors import CapabilityError, UsageError, require_work
 from .rootsys import TypeSymbol, build, format_type, parse_type, type_invariants
 
-# Each command: its help line, its output formats, and whether it takes --poset-rank.
-_COMMANDS = {
-    "points": ("count the points of the arrangement and their orbit table", ("json", "text"), False),
-    "layers": ("per-dimension layer counts", ("json", "text"), False),
-    "census": ("full layer census with tangent types", ("json", "text", "csv"), False),
-    "poincare": ("Poincare polynomial of the complement", ("json", "text"), False),
-    "euler": ("Euler characteristic, both routes", ("json", "text"), False),
-    "identity": ("the degree identity check", ("json", "text"), False),
-    "poset": ("explicit layer poset", ("json", "text", "dot"), True),
-    "verify": ("run the oracle-vs-formula suite", ("json", "text"), True),
-}
 _FORMAT_CHOICES = ("json", "csv", "dot", "text")
 
 EXIT_OK = 0
@@ -41,17 +35,8 @@ EXIT_CAPABILITY = 2
 EXIT_MISMATCH = 3
 
 
-def _num(x: int) -> str:
-    """Counts are serialized as decimal strings; they can exceed 2^53."""
-    return str(x)
-
-
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _poly_json(p: layers.IntPolynomial) -> dict:
-    return {"coefficients": [_num(c) for c in p.coeffs], "display": str(p)}
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -83,7 +68,7 @@ def _help(option: str, value: Optional[str], command: Optional[str]) -> None:
         text = "usage: toricarr [-h] [--version] COMMAND --type TYPE [options]\n\ncommands:"
         text += "".join(f"\n  {name:10}{entry[0]}" for name, entry in _COMMANDS.items())
     else:
-        line, formats, takes_rank = _COMMANDS[command]
+        line, formats, takes_rank, _ = _COMMANDS[command]
         text = f"usage: toricarr {command} [-h] --type TYPE [--format {{{','.join(formats)}}}] [--out PATH]"
         text += " [--poset-rank N]" * takes_rank + f"\n\n{line}; TYPE is a root system such as F4 or A3xA1"
     sys.stdout.write(text + "\n")
@@ -142,6 +127,7 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
 
 def _json_payload(factors: tuple[TypeSymbol, ...], command: str, results: dict) -> str:
+    # The handlers give counts as decimal strings: they can exceed 2^53.
     doc = {
         "type": format_type(factors),
         "rank": _rank(factors),
@@ -152,57 +138,72 @@ def _json_payload(factors: tuple[TypeSymbol, ...], command: str, results: dict) 
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _census_csv(results: dict) -> str:
+    """One row per phi_c type of each census record."""
+    buf = io.StringIO()
+    fields = ["dim", "theta_type", "theta_orbit_size", "n_theta", "phi_c_type", "count"]
+    writer = csv.DictWriter(buf, fields, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    for rec in results["records"]:
+        for ptype in rec["phi_c_types"]:
+            writer.writerow(dict(rec, phi_c_type=ptype["type"], count=ptype["count"]))
+    return buf.getvalue()
+
+
+def _poset_dot(results: dict) -> str:
+    out = ["digraph layers {"]
+    out += [f'  n{i} [label="{el["theta_type"]}@{el["dim"]}"];' for i, el in enumerate(results["elements"])]
+    out += [f"  n{i} -> n{j};" for i, j in results["covers"]]
+    return "\n".join(out + ["}"]) + "\n"
+
+
 # -- command handlers ---------------------------------------------------------
-# Each takes the parsed factors; only those that read roots close the root system.
+# Each takes the parsed factors and options and returns (results, text lines, exit status);
+# only those that read roots close the root system.
 
 
 def _rank(factors: tuple[TypeSymbol, ...]) -> int:
     return sum(sym.rank for sym in factors)
 
 
-def _cmd_points(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+def _cmd_points(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     total = layers.count_points(factors)
     factors_out = []
     lines = [f"type {format_type(factors)}: {total} points"]
     for sym in factors:
-        records = layers.point_orbits(sym)
         factor_total = layers.count_points((sym,))
         rows = []
-        for r in records:
+        lines.append(f"factor {sym}: {factor_total} points")
+        for r in layers.point_orbits(sym):
             rows.append(
                 {
                     "vertex": r.vertex,
-                    "orbit_size": _num(r.orbit_size),
+                    "orbit_size": str(r.orbit_size),
                     "point_type": format_type(r.point_type),
-                    "stabilizer_order": _num(r.stabilizer_order),
-                    "aut_stabilizer_order": _num(r.aut_stabilizer_order),
+                    "stabilizer_order": str(r.stabilizer_order),
+                    "aut_stabilizer_order": str(r.aut_stabilizer_order),
                     "aut_orbit": r.aut_orbit,
                 }
             )
-        factors_out.append({"factor": str(sym), "total": _num(factor_total), "orbits": rows})
-        lines.append(f"factor {sym}: {factor_total} points")
-        for r in records:
             lines.append(
                 f"  vertex {r.vertex}: orbit {r.orbit_size}, type {format_type(r.point_type)}, "
                 f"|W_p| {r.stabilizer_order}, |Stab_Aut| {r.aut_stabilizer_order}, Q-orbit {r.aut_orbit}"
             )
-    return {"total": _num(total), "factors": factors_out}, lines
+        factors_out.append({"factor": str(sym), "total": str(factor_total), "orbits": rows})
+    return {"total": str(total), "factors": factors_out}, lines, EXIT_OK
 
 
-def _cmd_layers(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+def _cmd_layers(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     rs = build(factors)
     counts = [layers.count_layers(rs, d) for d in range(rs.rank + 1)]
     lines = [f"type {format_type(factors)}: layers by dimension"]
     for d, c in enumerate(counts):
         lines.append(f"  d={d}: {c}")
     lines.append(f"  total: {sum(counts)}")
-    return {
-        "by_dimension": [_num(c) for c in counts],
-        "total": _num(sum(counts)),
-    }, lines
+    return {"by_dimension": [str(c) for c in counts], "total": str(sum(counts))}, lines, EXIT_OK
 
 
-def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     records = layers.layer_census(build(factors))
     out_records = []
     lines = [f"type {format_type(factors)}: layer census"]
@@ -211,12 +212,10 @@ def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]
             {
                 "dim": rec.dimension,
                 "theta_type": format_type(rec.theta_type),
-                "theta_orbit_size": _num(rec.orbit_size),
-                "n_theta": _num(rec.n_theta),
-                "layers_per_theta": _num(rec.layer_count),
-                "phi_c_types": [
-                    {"type": format_type(t), "count": _num(c)} for t, c in rec.phi_c_types
-                ],
+                "theta_orbit_size": str(rec.orbit_size),
+                "n_theta": str(rec.n_theta),
+                "layers_per_theta": str(rec.layer_count),
+                "phi_c_types": [{"type": format_type(t), "count": str(c)} for t, c in rec.phi_c_types],
             }
         )
         types = ", ".join(f"{format_type(t)}:{c}" for t, c in rec.phi_c_types)
@@ -224,35 +223,31 @@ def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]
             f"  d={rec.dimension} theta {format_type(rec.theta_type)} x{rec.orbit_size} "
             f"n_theta={rec.n_theta} layers/theta={rec.layer_count} [{types}]"
         )
-    return {"records": out_records}, lines
+    return {"records": out_records}, lines, EXIT_OK
 
 
-def _cmd_poincare(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+def _cmd_poincare(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     # poincare computes both routes and raises when they differ, so they agree here.
     poly = layers.poincare(build(factors))
-    results = {
-        "route": "both",
-        "closed": _poly_json(poly),
-        "layers": _poly_json(poly),
-        "routes_agree": True,
-    }
+    both = {"coefficients": [str(c) for c in poly.coeffs], "display": str(poly)}
+    results = {"route": "both", "closed": both, "layers": both, "routes_agree": True}
     lines = [
         f"type {format_type(factors)}: Poincare polynomial",
         f"  closed-form: {poly}",
         f"  layer-sum:   {poly}",
         "  routes agree: True",
     ]
-    return results, lines
+    return results, lines, EXIT_OK
 
 
-def _cmd_euler(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+def _cmd_euler(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     value = layers.euler_characteristic(factors)
     sign = (-1) ** _rank(factors)
     closed = sign * type_invariants(factors).weyl_order
     results = {
-        "point_sum": _num(value),
-        "closed_form": _num(closed),
-        "equivariant_multiple": _num(sign),
+        "point_sum": str(value),
+        "closed_form": str(closed),
+        "equivariant_multiple": str(sign),
     }
     lines = [
         f"type {format_type(factors)}: Euler characteristic",
@@ -261,16 +256,16 @@ def _cmd_euler(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
     ]
     try:
         p_eval = layers.poincare(build(factors))(-1)
-        results["poincare_at_minus_one"] = _num(p_eval)
+        results["poincare_at_minus_one"] = str(p_eval)
         lines.append(f"  P(-1):           {p_eval}")
     except CapabilityError as exc:
         results["poincare_at_minus_one"] = None
         lines.append(f"  P(-1):           ({exc})")
     lines.append(f"  equivariant: {sign} * regular character")
-    return results, lines
+    return results, lines, EXIT_OK
 
 
-def _cmd_identity(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
+def _cmd_identity(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     factors_out = []
     lines = [f"type {format_type(factors)}: degree identity"]
     for sym in factors:
@@ -280,53 +275,31 @@ def _cmd_identity(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str
                 "factor": str(sym),
                 "holds": res.holds,
                 "total": _frac(res.total),
-                "terms": [
-                    {"vertex": p, "value": _frac(v)} for p, v in res.terms
-                ],
+                "terms": [{"vertex": p, "value": _frac(v)} for p, v in res.terms],
             }
         )
         lines.append(f"  {sym}: sum = {_frac(res.total)} ({'ok' if res.holds else 'FAIL'})")
         for p, v in res.terms:
             lines.append(f"    vertex {p}: {_frac(v)}")
-    return {"factors": factors_out}, lines
+    return {"factors": factors_out}, lines, EXIT_OK
 
 
-def _poset_payload(factors: tuple[TypeSymbol, ...], args):
+def _cmd_poset(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
     poset = oracle.build_poset(build(factors), max_rank=args.poset_rank)
-    elements = []
-    for el in poset.elements:
-        elements.append(
-            {
-                "dim": el.dimension,
-                "theta_type": format_type(el.theta.type),
-                "base_point": [_frac(x) for x in el.base_point],
-            }
-        )
+    elements = [
+        {
+            "dim": el.dimension,
+            "theta_type": format_type(el.theta.type),
+            "base_point": [_frac(x) for x in el.base_point],
+        }
+        for el in poset.elements
+    ]
     covers = [list(c) for c in poset.covers()]
-    return poset, elements, covers
-
-
-def _cmd_poset(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str]]:
-    poset, elements, covers = _poset_payload(factors, args)
     lines = [f"type {format_type(factors)}: layer poset ({len(elements)} layers)"]
     for i, el in enumerate(elements):
-        lines.append(
-            f"  [{i}] d={el['dim']} {el['theta_type']} @ ({', '.join(el['base_point'])})"
-        )
+        lines.append(f"  [{i}] d={el['dim']} {el['theta_type']} @ ({', '.join(el['base_point'])})")
     lines.append("  covering relations: " + " ".join(f"{i}<{j}" for i, j in covers))
-    return {"elements": elements, "covers": covers}, lines
-
-
-def _poset_dot(factors: tuple[TypeSymbol, ...], args) -> str:
-    poset, elements, covers = _poset_payload(factors, args)
-    out = ["digraph layers {"]
-    for i, el in enumerate(elements):
-        label = f"{el['theta_type']}@{el['dim']}"
-        out.append(f'  n{i} [label="{label}"];')
-    for i, j in covers:
-        out.append(f"  n{i} -> n{j};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return {"elements": elements, "covers": covers}, lines, EXIT_OK
 
 
 def _cmd_verify(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
@@ -334,16 +307,25 @@ def _cmd_verify(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str],
     lines = [f"type {format_type(factors)}: verification suite"]
     for name, status, detail in checks:
         lines.append(f"  {name}: {status}" + (f" ({detail})" if detail else ""))
-    results = {
-        "checks": [
-            {"name": n, "status": s, "detail": d} for n, s, d in checks
-        ]
-    }
+    results = {"checks": [{"name": n, "status": s, "detail": d} for n, s, d in checks]}
     status = EXIT_MISMATCH if any(s == "mismatch" for _, s, _ in checks) else EXIT_OK
     return results, lines, status
 
 
-# -- dispatch -----------------------------------------------------------------
+# Each command: its help line, its output formats, whether it takes --poset-rank, and its handler.
+_COMMANDS = {
+    "points": ("count the points of the arrangement and their orbit table", ("json", "text"), False, _cmd_points),
+    "layers": ("per-dimension layer counts", ("json", "text"), False, _cmd_layers),
+    "census": ("full layer census with tangent types", ("json", "text", "csv"), False, _cmd_census),
+    "poincare": ("Poincare polynomial of the complement", ("json", "text"), False, _cmd_poincare),
+    "euler": ("Euler characteristic, both routes", ("json", "text"), False, _cmd_euler),
+    "identity": ("the degree identity check", ("json", "text"), False, _cmd_identity),
+    "poset": ("explicit layer poset", ("json", "text", "dot"), True, _cmd_poset),
+    "verify": ("run the oracle-vs-formula suite", ("json", "text"), True, _cmd_verify),
+}
+
+
+# -- request path -------------------------------------------------------------
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -358,7 +340,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    status = EXIT_OK
+    """Parse the arguments, run the command's handler, render the chosen format, then emit it."""
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args is None:
@@ -368,40 +350,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # Their per-type data is n + 1 deletions from each factor's affine diagram, each a pass over it.
             work = sum((sym.rank + 1) ** 3 for sym in factors)
             require_work(f"affine vertex deletions of {format_type(factors)}: sum of (rank + 1)^3", work)
-        if args.command == "poset" and args.format == "dot":
-            _emit(_poset_dot(factors, args), args.out)
-            return EXIT_OK
-
-        handlers = {
-            "points": _cmd_points,
-            "layers": _cmd_layers,
-            "census": _cmd_census,
-            "poincare": _cmd_poincare,
-            "euler": _cmd_euler,
-            "identity": _cmd_identity,
-            "poset": _cmd_poset,
-        }
-        if args.command == "verify":
-            results, lines, status = _cmd_verify(factors, args)
+        results, lines, status = _COMMANDS[args.command][3](factors, args)
+        if args.format == "json":
+            text = _json_payload(factors, args.command, results)
+        elif args.format == "csv":  # census only
+            text = _census_csv(results)
+        elif args.format == "dot":  # poset only
+            text = _poset_dot(results)
         else:
-            results, lines = handlers[args.command](factors, args)
-        if args.format == "csv":  # census only: one row per phi_c type of each record
-            buf = io.StringIO()
-            writer = csv.DictWriter(
-                buf,
-                fieldnames=["dim", "theta_type", "theta_orbit_size", "n_theta", "phi_c_type", "count"],
-                extrasaction="ignore",
-                lineterminator="\n",
-            )
-            writer.writeheader()
-            for rec in results["records"]:
-                for ptype in rec["phi_c_types"]:
-                    writer.writerow(dict(rec, phi_c_type=ptype["type"], count=ptype["count"]))
-            _emit(buf.getvalue(), args.out)
-        elif args.format == "json":
-            _emit(_json_payload(factors, args.command, results), args.out)
-        else:
-            _emit("\n".join(lines) + "\n", args.out)
+            text = "\n".join(lines) + "\n"
+        _emit(text, args.out)
         return status
     except CapabilityError as exc:
         sys.stderr.write(f"capability: {exc}\n")

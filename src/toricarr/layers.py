@@ -95,7 +95,6 @@ class PointOrbitRecord(NamedTuple):
     aut_orbit: int  # index into the Aut(Gamma)-orbit list Q
 
 
-@lru_cache(maxsize=None)
 def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[TypeSymbol, ...], int], ...]:
     """Multiset of Phi(t)-types over the points t, with multiplicities.
 

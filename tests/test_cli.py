@@ -366,6 +366,21 @@ def test_verify_reports_a_value_error_as_a_mismatch(capsys, monkeypatch):
     assert "  degree_identity: mismatch (an internal fault)\n" in out
 
 
+def test_point_oracle_value_error_is_its_mismatch_row_in_optimized_mode():
+    # The roots vanishing at a grid point do not type: brute_points lets the ValueError
+    # through, and verify reports it in the points_oracle row alone.
+    patch = (
+        "from toricarr import oracle\n"
+        "def untyped(rs, roots, rank):\n"
+        "    raise ValueError('vanishing roots are not a subsystem')\n"
+        "oracle.simple_type = untyped"
+    )
+    proc = _run_with_defect(patch, ["verify", "--type", "G2"], "-O")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout.count("mismatch") == 1 and proc.stdout.count(": ok") == 6
+    assert "  points_oracle: mismatch (vanishing roots are not a subsystem)\n" in proc.stdout
+
+
 def test_verify_reports_a_wrong_highest_root_in_the_center_subgroup():
     # B3's highest short root (1, 1, 1) in place of the theta that weyl reads from the record, after
     # the record's null-vector check: z_1 = w_0^1 w_0 does not send -theta to alpha_1.
