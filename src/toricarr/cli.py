@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__, layers, oracle, verify
 from .errors import CapabilityError, UsageError, require_work
-from .rootsys import TypeSymbol, build, format_type, parse_type, type_invariants
+from .rootsys import TypeSymbol, build, format_type, parse_type
 
 _FORMAT_CHOICES = ("json", "csv", "dot", "text")
 
@@ -211,7 +211,7 @@ def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str],
         out_records.append(
             {
                 "dim": rec.dimension,
-                "theta_type": format_type(rec.theta_type),
+                "theta_type": format_type(rec.theta.type),
                 "theta_orbit_size": str(rec.orbit_size),
                 "n_theta": str(rec.n_theta),
                 "layers_per_theta": str(rec.layer_count),
@@ -220,7 +220,7 @@ def _cmd_census(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str],
         )
         types = ", ".join(f"{format_type(t)}:{c}" for t, c in rec.phi_c_types)
         lines.append(
-            f"  d={rec.dimension} theta {format_type(rec.theta_type)} x{rec.orbit_size} "
+            f"  d={rec.dimension} theta {format_type(rec.theta.type)} x{rec.orbit_size} "
             f"n_theta={rec.n_theta} layers/theta={rec.layer_count} [{types}]"
         )
     return {"records": out_records}, lines, EXIT_OK
@@ -241,18 +241,14 @@ def _cmd_poincare(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str
 
 
 def _cmd_euler(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], int]:
+    # euler_characteristic raises when the point sum differs from (-1)^n |W|, so both are this value.
     value = layers.euler_characteristic(factors)
     sign = (-1) ** _rank(factors)
-    closed = sign * type_invariants(factors).weyl_order
-    results = {
-        "point_sum": str(value),
-        "closed_form": str(closed),
-        "equivariant_multiple": str(sign),
-    }
+    results = {"point_sum": str(value), "closed_form": str(value), "equivariant_multiple": str(sign)}
     lines = [
         f"type {format_type(factors)}: Euler characteristic",
         f"  point-orbit sum: {value}",
-        f"  (-1)^n |W|:      {closed}",
+        f"  (-1)^n |W|:      {value}",
     ]
     try:
         p_eval = layers.poincare(build(factors))(-1)

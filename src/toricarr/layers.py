@@ -166,10 +166,9 @@ def n_theta(rs: RootSystem, theta: Subsystem) -> int:
     restricted to theta's span, is spanned by the values of the simple
     coroots of rs, the transposed pairings of theta's simples.
     """
-    if not theta.complete:
-        raise ValueError("n_theta is defined for complete (tangent) subsystems")
-    coroots = intlat.index_in_zk(theta.cartan, theta.rank)
-    restricted = intlat.index_in_zk(list(zip(*(rs.pairings[i] for i in theta.simples))), theta.rank)
+    k = len(theta.simples)
+    coroots = intlat.index_in_zk(theta.cartan, k)
+    restricted = intlat.index_in_zk(list(zip(*(rs.pairings[i] for i in theta.simples))), k)
     q, r = divmod(coroots, restricted)
     if r:
         raise AssertionError("theta's coroot lattice is not inside R^Phi(Theta)")
@@ -181,7 +180,6 @@ class LayerClassRecord(NamedTuple):
 
     dimension: int
     theta: Subsystem
-    theta_type: tuple[TypeSymbol, ...]
     orbit_size: int
     n_theta: int
     layer_count: int  # layers tangent to each member of the orbit
@@ -207,7 +205,6 @@ def layer_census(rs: RootSystem) -> tuple[LayerClassRecord, ...]:
                 LayerClassRecord(
                     dimension=d,
                     theta=theta,
-                    theta_type=theta.type,
                     orbit_size=orbit_size,
                     n_theta=nt,
                     layer_count=layer_count,
@@ -227,7 +224,7 @@ def _check_orlik_solomon(rs: RootSystem, records: Sequence[LayerClassRecord]) ->
     by_rank = [0] * (rs.rank + 1)
     for r in records:
         by_rank[rs.rank - r.dimension] += (
-            r.orbit_size * type_invariants(r.theta_type).exponent_product
+            r.orbit_size * type_invariants(r.theta.type).exponent_product
         )
     expected = IntPolynomial.of([1])
     for degree in rs.degrees:
@@ -271,7 +268,7 @@ def _closed_form_sum(rs: RootSystem, records: Sequence[LayerClassRecord]) -> Int
     """Sum over tangent orbits of n_theta^{-1} |W^Theta| (q+1)^d q^{n-d}."""
     total = IntPolynomial.of([])
     for r in records:
-        q, rem = divmod(r.orbit_size * type_invariants(r.theta_type).weyl_order, r.n_theta)
+        q, rem = divmod(r.orbit_size * type_invariants(r.theta.type).weyl_order, r.n_theta)
         if rem:
             raise AssertionError("n_theta does not divide |W^Theta|")
         total = total + q * _binomial_shift(r.dimension, rs.rank - r.dimension)

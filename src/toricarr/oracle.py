@@ -49,7 +49,6 @@ def order_bound(factors: tuple[TypeSymbol, ...]) -> int:
 
 
 class BrutePoint(NamedTuple):
-    point: TorusPoint
     phi_type: tuple[TypeSymbol, ...]
     stabilizer_order: int
     wz_stabilizer_order: int
@@ -129,9 +128,11 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     """All points of the arrangement by exhaustive grid scan.
 
     Returns one record per point with the type of its vanishing subsystem,
-    its stabilizer order in W, and its stabilizer order in W x Z.  Both
-    orders are computed once per W-orbit of points, which is walked under
-    the simple reflections: the stabilizer order in W is |W| / |orbit|.
+    its stabilizer order in W, and its stabilizer order in W x Z, in the
+    order of the points' grid coordinates, which are
+    _grid_points(rs.pairings[:rs.n_positive], order_bound(rs.factors), rs.rank).
+    Both orders are computed once per W-orbit of points, which is walked
+    under the simple reflections: the stabilizer order in W is |W| / |orbit|.
     W acts trivially on the center, so the count of central shifts that
     stay in the orbit is constant on it too, and the vanishing subsystems
     of an orbit are W-conjugate, so the vanishing roots of one point per
@@ -154,11 +155,9 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     centers = [x for x in points if not any(sum(map(mul, column, x)) % m for _, column in columns)]
     if len(centers) != center_order(rs.factors):
         raise AssertionError("center grid vectors do not match the center order")
-    coords = [Fraction(c, m) for c in range(m)]
-    orders: dict[tuple[int, ...], tuple[int, int, tuple[TypeSymbol, ...]]] = {}
-    records = []
+    records: dict[tuple[int, ...], BrutePoint] = {}
     for cand in points:
-        if cand not in orders:
+        if cand not in records:
             orbit = {cand}
             queue = [cand]
             while queue:
@@ -184,17 +183,8 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
             )
             vanishing = [i for i, u in enumerate(rows) if sum(map(mul, u, cand)) % m == 0]
             phi_type = simple_type(rs, vanishing, rs.rank)[2]
-            orders.update(dict.fromkeys(orbit, (stab, stab * shifts, phi_type)))
-        stab, wz_stab, phi_type = orders[cand]
-        records.append(
-            BrutePoint(
-                point=tuple(map(coords.__getitem__, cand)),
-                phi_type=phi_type,
-                stabilizer_order=stab,
-                wz_stabilizer_order=wz_stab,
-            )
-        )
-    return tuple(records)
+            records.update(dict.fromkeys(orbit, BrutePoint(phi_type, stab, stab * shifts)))
+    return tuple(map(records.__getitem__, points))
 
 
 # -- counting layers tangent to one subsystem ---------------------------------
@@ -229,8 +219,7 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
         graph=graph,
         r_basis=tuple(row[:k] for row in image),
         rows=tuple(
-            tuple(sum(map(mul, row[k:], rs.pairings[i])) for row in image)
-            for i in theta.roots if i < rs.n_positive
+            tuple(sum(map(mul, row[k:], rs.pairings[i])) for row in image) for i in theta.roots
         ),
         modulus=order_bound(theta.type),
     )
@@ -261,8 +250,6 @@ def component_count(rs: RootSystem, theta: Subsystem) -> int:
     the quotient torus with lattice R^Phi(Theta) -- independent of both the
     point-count formula and the n_theta index computation.
     """
-    if not theta.complete:
-        raise ValueError("component_count requires a complete subsystem")
     return len(_quotient_layers(rs, theta)[1])
 
 

@@ -1,11 +1,12 @@
 """Subsystems of a root system: assembly, enumeration, classification.
 
 A subsystem is a subset closed under negation and under addition of roots
-(when the sum is a root).  A complete subsystem equals the intersection of
-its rational span with the ambient system; complete subsystems of rank
-n - d are in bijection with the d-dimensional spaces of the linear
-arrangement, which is what makes them enumerable by rational spans, at one
-saturation per span; a subsystem is typed from its simple roots with none.
+(when the sum is a root).  A complete subsystem, or flat, equals the
+intersection of its rational span with the ambient system, so its positive
+roots determine it; complete subsystems of rank n - d are in bijection with
+the d-dimensional spaces of the linear arrangement, which is what makes them
+enumerable by rational spans, at one saturation per span; a subsystem is
+typed from its simple roots with none.
 Their W-orbits are classified from the standard parabolic flats alone, by a
 walk whose carried simple systems stay positive (Humphreys, Reflection Groups
 and Coxeter Groups, 1990, Prop. 1.4) and saturated, as W is unimodular.
@@ -25,11 +26,13 @@ from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type, type_
 
 
 class Subsystem(NamedTuple):
-    """A closed subsystem, stored as sorted indices into rs.all_roots."""
+    """A complete subsystem (a flat), stored as the sorted indices of its positive roots.
+
+    Its rank is len(simples); its negative roots are those of rs.all_roots
+    n_positive places on.
+    """
 
     roots: tuple[int, ...]
-    rank: int
-    complete: bool
     span_basis: tuple[tuple[int, ...], ...]  # canonical HNF basis of the saturated span
     type: tuple[TypeSymbol, ...]
     simples: tuple[int, ...]  # indices of the simple system (positive part)
@@ -77,7 +80,6 @@ def simple_type(
 class CompleteFamily(NamedTuple):
     """All complete subsystems of a fixed rank (the set K_d)."""
 
-    d: int
     members: tuple[Subsystem, ...]
 
 
@@ -143,11 +145,8 @@ def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
     members = []
     for basis, (pos, _) in sorted(level.items()):
         simples, cartan, types = simple_type(rs, pos, len(basis))
-        members.append(Subsystem(
-            roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=True,
-            span_basis=basis, type=types, simples=simples, cartan=cartan,
-        ))
-    return CompleteFamily(d=d, members=tuple(members))
+        members.append(Subsystem(pos, basis, types, simples, cartan))
+    return CompleteFamily(tuple(members))
 
 
 def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ...]:
@@ -162,7 +161,6 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
     otherwise alpha_i is not in the flat, and s_i turns no positive root but
     alpha_i negative (Humphreys 1990, Prop. 1.4).  W acts unimodularly on
     Z^n, so the base spans a saturated lattice; it keeps J's Cartan matrix.
-    Negatives follow positives, so the lex-minimal flat has the lex-minimal roots.
 
     The flats X satisfy sum |mu(X)| = |W| with every |mu(X)| >= 1
     (Orlik-Solomon 1983), so the walk visits at most |W| of them; larger
@@ -207,10 +205,7 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
                 "are not positive roots of it of full rank"
             )
         cartan = tuple(tuple(rs.cartan[J[a]][J[b]] for b in order) for a in order)
-        theta = Subsystem(
-            roots=flat + tuple(i + rs.n_positive for i in flat), rank=len(basis), complete=True,
-            span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
-        )
+        theta = Subsystem(flat, basis, classify_dynkin(cartan), simples, cartan)
         classes.append((theta, len(orbit)))
     classes.sort(key=lambda c: c[0].roots)
     return tuple(classes)

@@ -85,8 +85,8 @@ def component_counts(rs, poset_rank, wz):
         except CapabilityError as exc:
             refused.append(exc)
             continue
-        cp, nt = layers.count_points(rec.theta_type), rec.n_theta
-        _require(cc * nt == cp, f"theta {format_type(rec.theta_type)}: components {cc} != {cp}/{nt}")
+        cp, nt = layers.count_points(rec.theta.type), rec.n_theta
+        _require(cc * nt == cp, f"theta {format_type(rec.theta.type)}: components {cc} != {cp}/{nt}")
     if refused:
         raise CapabilityError(f"{len(records) - len(refused)} of {len(records)} orbits checked; {refused[0]}")
     return f"{sum(r.orbit_size for r in records)} tangent subsystems checked"

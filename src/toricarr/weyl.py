@@ -48,13 +48,11 @@ class CenterElement(NamedTuple):
     """One element of the Iwahori-Matsumoto subgroup W_Z.
 
     `vertex` is the affine vertex p the element sends vertex 0 to (the
-    identity carries vertex 0); `matrix` is the element, with columns
-    w(alpha_1), .., w(alpha_n); `diagram_perm` is the induced permutation
+    identity carries vertex 0); `diagram_perm` is the induced permutation
     of the affine vertices 0..n.
     """
 
     vertex: int
-    matrix: Matrix
     diagram_perm: tuple[int, ...]
 
 
@@ -72,7 +70,7 @@ def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
     units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extended = (tuple(-t for t in theta),) + units
     w0 = longest_element(cartan, range(n))
-    out = [CenterElement(0, units, tuple(range(n + 1)))]
+    out = [CenterElement(0, tuple(range(n + 1)))]
     for p, mark in enumerate(theta, 1):
         if mark != 1:
             continue
@@ -84,5 +82,5 @@ def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
             raise AssertionError(f"z_{p}.alpha_0 != alpha_{p}")
         if not set(images) <= set(extended):
             raise AssertionError("z_p does not permute the extended simple roots")
-        out.append(CenterElement(p, z, tuple(map(extended.index, images))))
+        out.append(CenterElement(p, tuple(map(extended.index, images))))
     return tuple(out)

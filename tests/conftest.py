@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, count
@@ -28,6 +30,31 @@ from toricarr.rootsys import (
     type_invariants,
 )
 from toricarr.subsys import Subsystem, enumerate_complete
+
+
+# -- cold caches, as a fresh CLI process starts --
+
+
+def _clear_every_cache():
+    """Empty each lru_cache of a toricarr module or of a class defined in one."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "toricarr":
+            continue
+        values = list(vars(module).values())
+        values += [
+            getattr(attr, "fget", attr)
+            for value in values
+            if isinstance(value, type)
+            for attr in vars(value).values()
+        ]
+        for value in values:
+            if isinstance(value, functools._lru_cache_wrapper):
+                value.cache_clear()
+
+
+@pytest.fixture
+def clear_every_cache():
+    return _clear_every_cache
 
 
 # -- subsystem assembly by saturation and the per-root span route that subsys replaced, kept as references --
@@ -71,14 +98,13 @@ def reference_pair_roots():
     return _reference_pair_roots
 
 
-def _reference_assemble(rs, pos, basis, complete):
+def _reference_assemble(rs, pos, basis):
     """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
     simples = _reference_simple_system(rs, pos)
     coords = [rs.all_roots[i] for i in simples]
     cartan = tuple(tuple(_reference_pair_roots(rs, b, a) for b in coords) for a in coords)
     return Subsystem(
-        roots=pos + tuple(i + rs.n_positive for i in pos), rank=len(basis), complete=complete,
-        span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
+        roots=pos, span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
     )
 
 
@@ -94,15 +120,28 @@ def _make_subsystem(rs, positive_indices):
     """Assemble a Subsystem from the indices of its positive roots, by one saturation."""
     pos = tuple(sorted(positive_indices))
     if not pos:
-        return _reference_assemble(rs, pos, (), complete=True)
-    basis, null_vectors = saturate([rs.all_roots[i] for i in pos])
-    complete = len(_positives_in_span(rs, null_vectors)) == len(pos)
-    return _reference_assemble(rs, pos, basis, complete)
+        return _reference_assemble(rs, pos, ())
+    basis, _ = saturate([rs.all_roots[i] for i in pos])
+    return _reference_assemble(rs, pos, basis)
 
 
 @pytest.fixture
 def make_subsystem():
     return _make_subsystem
+
+
+def _is_complete(rs, positive_indices):
+    """Whether the given positive roots are every positive root in their rational span."""
+    pos = set(positive_indices)
+    if not pos:
+        return True
+    _, null_vectors = saturate([rs.all_roots[i] for i in pos])
+    return len(_positives_in_span(rs, null_vectors)) == len(pos)
+
+
+@pytest.fixture
+def is_complete():
+    return _is_complete
 
 
 def _reference_span_levels(rs, top):
@@ -132,7 +171,7 @@ def _reference_enumerate_complete(rs, d):
     """The members of K_d by the per-root span route, ordered by span basis."""
     target = rs.rank - d
     level = _reference_span_levels(rs, target)[target]
-    return tuple(_reference_assemble(rs, pos, basis, complete=True) for basis, pos in sorted(level.items()))
+    return tuple(_reference_assemble(rs, pos, basis) for basis, pos in sorted(level.items()))
 
 
 @pytest.fixture
@@ -159,10 +198,11 @@ def _span_orbits(rs, d):
 
     Each orbit is a tuple of Subsystems sorted by roots; orbits are ordered
     by their first member.  Independent of subsys.parabolic_classes: it
-    starts from every member of enumerate_complete and acts on full root
-    indices.
+    starts from every member of enumerate_complete and acts on root
+    indices, folding negatives back with % n_positive.
     """
     members = {m.roots: m for m in enumerate_complete(rs, d).members}
+    npos = rs.n_positive
     gens = rs.reflection_perms
     orbits = []
     seen = set()
@@ -174,7 +214,7 @@ def _span_orbits(rs, d):
         while queue:
             x = queue.pop()
             for g in gens:
-                img = tuple(sorted(g[i] for i in x))
+                img = tuple(sorted(g[i] % npos for i in x))
                 if img not in orbit:
                     assert img in members, "W-image left K_d"
                     orbit.add(img)
@@ -1113,6 +1153,24 @@ def _recursive_grid_points(
 @pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
 def recursive_grid_points():
     return _recursive_grid_points
+
+
+# -- the points of oracle.brute_points with their grid coordinates --
+
+
+def _brute_point_grid(rs):
+    """(grid coordinates in units of 1/order_bound, record) of each point of oracle.brute_points.
+
+    brute_points returns its records in the order of the point scan it runs.
+    """
+    rows = rs.pairings[:rs.n_positive]
+    grid = oracle._grid_points(rows, oracle.order_bound(rs.factors), rs.rank)
+    return list(zip(grid, oracle.brute_points(rs), strict=True))
+
+
+@pytest.fixture
+def brute_point_grid():
+    return _brute_point_grid
 
 
 # -- the orbit walk that subsys.parabolic_classes replaced, kept as its reference --

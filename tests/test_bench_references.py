@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import _clear_library_caches
 from toricarr import cli
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -24,8 +23,8 @@ REQUESTS = [
 
 
 @pytest.mark.parametrize("row", REQUESTS)
-def test_request_replays_its_recorded_bytes(capsys, row):
-    _clear_library_caches()
+def test_request_replays_its_recorded_bytes(capsys, clear_every_cache, row):
+    clear_every_cache()
     code = cli.main(list(row["argv"]))
     assert (capsys.readouterr().out, code) == (row["stdout"], row["exit"])
 

@@ -418,6 +418,77 @@ def test_internal_cross_check_failure_exits_3_without_traceback():
     assert "mismatch" in proc.stderr and "Euler" in proc.stderr
 
 
+def _merged_vertex_orbits(monkeypatch):
+    # G2's vertices 0 and 1 carry 1 and 2 points; a Q-orbit holding both counts 2 x 1 of them.
+    automorphisms = toricarr.layers.diagram_automorphisms
+
+    def merged(diagram):
+        autos, orbits = automorphisms(diagram)
+        return autos, (orbits[0] + orbits[1],) + orbits[2:]
+
+    monkeypatch.setattr(toricarr.layers, "diagram_automorphisms", merged)
+
+
+def _one_more_point_at_a_vertex(monkeypatch):
+    # The point sum then moves by the exponent product of that vertex's type.
+    data = toricarr.layers.type_data
+
+    def perturbed(sym):
+        record = data(sym)
+        (p, ptype, wp, size), *rest = record.vertices
+        return record._replace(vertices=((p, ptype, wp, size + 1), *rest))
+
+    monkeypatch.setattr(toricarr.layers, "type_data", perturbed)
+
+
+def _weyl_order_off_by_one(monkeypatch):
+    # The exponent products stay, so the census and its Orlik-Solomon check pass.
+    invariants = toricarr.layers.type_invariants
+
+    def wrong(factors):
+        inv = invariants(factors)
+        return inv._replace(weyl_order=inv.weyl_order + 1)
+
+    monkeypatch.setattr(toricarr.layers, "type_invariants", wrong)
+
+
+def _doubled_binomial_shift(monkeypatch):
+    # Both Poincare routes double alike, so they agree and only the constant term is off.
+    shift = toricarr.layers._binomial_shift
+    monkeypatch.setattr(toricarr.layers, "_binomial_shift", lambda d, m: shift(d, m) * 2)
+
+
+# The layers.py guards that no other test trips: (argv, defect, the mismatch line).
+_LAYERS_GUARD_DEFECTS = {
+    "vertex_orbits": (["points", "--type", "G2"], _merged_vertex_orbits, "vertex and Q-orbit point counts disagree"),
+    "n_theta_divides_points": (
+        ["census", "--type", "A2"],
+        # A2's three points are all of type A2, and 4 does not divide 3.
+        lambda monkeypatch: monkeypatch.setattr(toricarr.layers, "n_theta", lambda rs, theta: 4),
+        "n_theta does not divide a point-type count",
+    ),
+    "euler_routes": (
+        ["euler", "--type", "G2"],
+        _one_more_point_at_a_vertex,
+        "point-sum and closed-form Euler characteristics differ",
+    ),
+    "n_theta_divides_w_theta": (
+        ["poincare", "--type", "A2"], _weyl_order_off_by_one, "n_theta does not divide |W^Theta|"
+    ),
+    "constant_term": (
+        ["poincare", "--type", "A2"], _doubled_binomial_shift, "Poincare polynomial has nonunit constant term"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_LAYERS_GUARD_DEFECTS))
+def test_layers_guard_exits_3_with_its_line(capsys, monkeypatch, clear_every_cache, defect):
+    argv, patch, line = _LAYERS_GUARD_DEFECTS[defect]
+    clear_every_cache()  # a cached census would skip the patched code
+    patch(monkeypatch)
+    assert run_cli(capsys, *argv) == (3, "", f"mismatch: {line}\n")
+
+
 def test_orlik_solomon_check_catches_a_wrong_orbit_size():
     patch = (
         "classes = layers.parabolic_classes\n"
@@ -773,10 +844,10 @@ def test_per_type_data_answers_points_on_large_types(capsys, t, total):
     assert code == 0 and out.startswith(f"type {t}: {total} points\n")
 
 
-def test_root_closure_bound_admits_a66(capsys, monkeypatch):
+def test_root_closure_bound_admits_a66(capsys, monkeypatch, clear_every_cache):
     # A66 has 2211 positive roots: 2211 x 66^2 = 9631116 is within the bound, so poincare
     # closes it and is refused only afterwards, by the flat orbit walk's bound on |W| = 67!.
-    _clear_library_caches()
+    clear_every_cache()
     built = []
     init = toricarr.rootsys.RootSystem.__init__
     monkeypatch.setattr(
@@ -797,19 +868,11 @@ def test_root_closure_bound_refuses_a67(capsys):
     )
 
 
-def _clear_library_caches():
-    """Empty every lru_cache of the library, as a fresh CLI process starts."""
-    for module in (toricarr.rootsys, toricarr.subsys, toricarr.layers, toricarr.oracle):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 @pytest.mark.parametrize("argv", [["points", "--type", "E8"], ["identity", "--type", "E7xA1"]])
-def test_closed_forms_compute_no_smith_normal_form(capsys, monkeypatch, argv):
+def test_closed_forms_compute_no_smith_normal_form(capsys, monkeypatch, argv, clear_every_cache):
     # The closed forms need |W| and the degrees only; |Z| is the oracles' business,
     # and no other quantity of theirs needs a lattice normal form.
-    _clear_library_caches()
+    clear_every_cache()
     calls = []
     hnf = toricarr.intlat.hermite_normal_form
     monkeypatch.setattr(toricarr.intlat, "hermite_normal_form", lambda rows: calls.append(rows) or hnf(rows))
@@ -831,10 +894,10 @@ _PER_TYPE_DATA = {"cartan", "ascent", "diagram"}
     ],
     ids=["verify-F4", "verify-B2xA1", "poset-B3", "census-F4"],
 )
-def test_each_type_is_built_once_per_request(capsys, monkeypatch, argv, built):
+def test_each_type_is_built_once_per_request(capsys, monkeypatch, argv, built, clear_every_cache):
     # Every irreducible type a request meets, a factor or the type of a deletion or of a Theta,
     # gets its Cartan matrix, theta's ascent, its affine diagram and its center's HNF once.
-    _clear_library_caches()
+    clear_every_cache()
     rootsys = toricarr.rootsys
     calls = collections.Counter()
 
@@ -865,10 +928,10 @@ def test_each_type_is_built_once_per_request(capsys, monkeypatch, argv, built):
     assert {name for name, _ in calls} == built
 
 
-def test_verify_scans_each_flat_once(capsys, monkeypatch):
+def test_verify_scans_each_flat_once(capsys, monkeypatch, clear_every_cache):
     # component_counts and poset_grading read the same quotient scans: one per
     # flat of B3, besides the point scan.
-    _clear_library_caches()
+    clear_every_cache()
     scans = []
     scan = toricarr.oracle._grid_points
     monkeypatch.setattr(toricarr.oracle, "_grid_points", lambda *args: scans.append(args) or scan(*args))
@@ -879,10 +942,10 @@ def test_verify_scans_each_flat_once(capsys, monkeypatch):
     assert len(scans) == flats + 1
 
 
-def test_verify_poset_takes_no_residues_of_the_order(capsys, monkeypatch):
+def test_verify_poset_takes_no_residues_of_the_order(capsys, monkeypatch, clear_every_cache):
     # The poset's layers take two residues each, the lift and the base point;
     # poset_grading reads no covers, so no residue of the order is taken.
-    _clear_library_caches()
+    clear_every_cache()
     residues = 0
     residue = toricarr.intlat.residue
 
@@ -912,10 +975,10 @@ def test_verify_poset_takes_no_residues_of_the_order(capsys, monkeypatch):
         (["euler", "--type", "E7xA1"], ["A1xE7"]),
     ],
 )
-def test_per_type_data_closes_no_other_root_system(capsys, monkeypatch, argv, closed):
+def test_per_type_data_closes_no_other_root_system(capsys, monkeypatch, argv, closed, clear_every_cache):
     # Affine diagrams and marks come from each type's Cartan matrix: no factor or Theta type is closed,
     # and only a command that reads roots (euler for P(-1)) closes the requested system.
-    _clear_library_caches()
+    clear_every_cache()
     built = []
     init = toricarr.rootsys.RootSystem.__init__
     monkeypatch.setattr(
@@ -944,7 +1007,7 @@ def test_n_theta_division_check_survives_optimized_mode():
     # An identity Cartan matrix makes <Theta^vee> all of Z^k, which cannot lie inside B3's R^Phi(Theta).
     patch = (
         "def identity(theta):\n"
-        "    k = range(theta.rank)\n"
+        "    k = range(len(theta.simples))\n"
         "    return theta._replace(cartan=tuple(tuple(int(i == j) for j in k) for i in k))\n"
         "classes = layers.parabolic_classes\n"
         "layers.parabolic_classes = lambda rs, d: tuple((identity(t), size) for t, size in classes(rs, d))"

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import _clear_library_caches
 from toricarr import cli
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -44,8 +43,8 @@ ROWS = json.loads(GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[" ".join(row["argv"]) for row in ROWS])
-def test_request_replays_its_golden_bytes(capsys, monkeypatch, tmp_path, row):
-    _clear_library_caches()
+def test_request_replays_its_golden_bytes(capsys, monkeypatch, tmp_path, clear_every_cache, row):
+    clear_every_cache()
     monkeypatch.chdir(tmp_path)
     code = cli.main(list(row["argv"]))
     captured = capsys.readouterr()

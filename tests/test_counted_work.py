@@ -31,21 +31,6 @@ def _package_modules():
     return [module for name, module in list(sys.modules.items()) if name.split(".")[0] == "toricarr"]
 
 
-def _clear_every_cache():
-    """Empty each lru_cache of a toricarr module or of a class defined in one."""
-    for module in _package_modules():
-        values = list(vars(module).values())
-        values += [
-            getattr(attr, "fget", attr)
-            for value in values
-            if isinstance(value, type)
-            for attr in vars(value).values()
-        ]
-        for value in values:
-            if isinstance(value, functools._lru_cache_wrapper):
-                value.cache_clear()
-
-
 def _count(monkeypatch, fn, tally):
     """Rebind fn, in every toricarr namespace that holds it, to a wrapper calling tally(args, result)."""
 
@@ -61,7 +46,7 @@ def _count(monkeypatch, fn, tally):
                 monkeypatch.setattr(module, attr, counted)
 
 
-def _replay(monkeypatch, capsys, workload):
+def _replay(monkeypatch, capsys, clear_every_cache, workload):
     """{command: {count: total}} over the workload's requests."""
     totals = {}
     counts = Counter()  # the wrappers add to the totals of the command being replayed
@@ -90,7 +75,7 @@ def _replay(monkeypatch, capsys, workload):
         lambda args, result: counts.update(flats=sum(size for _, size in result)),
     )
     for row in json.loads((REFERENCE / f"{workload}.json").read_text()):
-        _clear_every_cache()
+        clear_every_cache()
         counts = totals.setdefault(row["argv"][0], Counter())
         code = cli.main(list(row["argv"]))
         assert (capsys.readouterr().out, code) == (row["stdout"], row["exit"]), row["argv"]
@@ -98,8 +83,8 @@ def _replay(monkeypatch, capsys, workload):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_counted_work_equals_the_record(monkeypatch, capsys, workload):
-    counts = _replay(monkeypatch, capsys, workload)
+def test_counted_work_equals_the_record(monkeypatch, capsys, clear_every_cache, workload):
+    counts = _replay(monkeypatch, capsys, clear_every_cache, workload)
     assert counts == json.loads(COUNTS.read_text())[workload], json.dumps(counts)
 
 

@@ -160,14 +160,6 @@ def test_n_theta_equals_the_reference_lattice_index(t, lattice_index):
             assert n_theta(rs, theta) == lattice_index(restricted, coroots), (t, theta.type)
 
 
-def test_n_theta_rejects_non_complete(inner, make_subsystem):
-    rs = build_str("G2")
-    norms = [inner(rs, r, r) for r in rs.positive_roots]
-    longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
-    with pytest.raises(ValueError):
-        n_theta(rs, make_subsystem(rs, longs))
-
-
 def test_n_theta_constant_on_orbits(span_orbits):
     from toricarr.subsys import parabolic_classes
 
@@ -204,7 +196,7 @@ def test_census_f4_matches_paper_table():
     # aggregate orbits by type: (space count, layers per space)
     agg = {}
     for r in records:
-        key = format_type(r.theta_type)
+        key = format_type(r.theta.type)
         cnt, per = agg.get(key, (0, r.layer_count))
         assert per == r.layer_count
         agg[key] = (cnt + r.orbit_size, r.layer_count)
@@ -223,7 +215,7 @@ def test_census_f4_matches_paper_table():
 
 def test_census_f4_phi_c_multisets():
     rs = build_str("F4")
-    records = {format_type(r.theta_type): r for r in layer_census(rs)}
+    records = {format_type(r.theta.type): r for r in layer_census(rs)}
     as_dict = lambda r: {format_type(t): c for t, c in r.phi_c_types}
     assert as_dict(records["B2"]) == {"B2": 1, "A1xA1": 1}
     assert as_dict(records["B3"]) == {"B3": 1, "A3": 1, "A1xA1xA1": 3}
@@ -274,7 +266,7 @@ def _closed_form_sums(rs):
     """Per-dimension sums of n_theta^-1 |W^Theta| over K_d, from the census."""
     sums = [0] * (rs.rank + 1)
     for r in layer_census(rs):
-        sums[r.dimension] += r.orbit_size * type_invariants(r.theta_type).weyl_order // r.n_theta
+        sums[r.dimension] += r.orbit_size * type_invariants(r.theta.type).weyl_order // r.n_theta
     return tuple(sums)
 
 
@@ -341,7 +333,7 @@ def test_orlik_solomon_f4():
     # flats by rank, weighted by |mu|, give prod (1 + e_i t) over the exponents 1, 5, 7, 11
     by_rank = [0] * 5
     for r in layer_census(build_str("F4")):
-        by_rank[4 - r.dimension] += r.orbit_size * type_invariants(r.theta_type).exponent_product
+        by_rank[4 - r.dimension] += r.orbit_size * type_invariants(r.theta.type).exponent_product
     assert by_rank == [1, 24, 190, 552, 385]
 
 

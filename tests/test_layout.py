@@ -4,9 +4,12 @@ Every top-level function and class of `src/toricarr`, and every method
 other than a dunder, must be named somewhere in a library module other
 than `__init__.py` (which only re-exports).  A definition is found by its
 name alone, so this is a lint, not a call graph; it catches the helper
-whose last library caller is gone.  Likewise every name that a module of
-`src/toricarr` (but `__init__.py`) or `tests/` imports must be read in it.  Every `lru_cache` of `src/toricarr` must appear in
-`CACHES` with the reason it is kept, so that a new cache states one.
+whose last library caller is gone.  By the same rule, every field of a
+NamedTuple record in `src/toricarr` must be read as an attribute by such a
+module, so that a record holds no fact that only the tests read.  Likewise
+every name that a module of `src/toricarr` (but `__init__.py`) or `tests/`
+imports must be read in it.  Every `lru_cache` of `src/toricarr` must appear
+in `CACHES` with the reason it is kept, so that a new cache states one.
 """
 
 import ast
@@ -64,6 +67,43 @@ def test_every_definition_is_used_by_the_library():
 
 def test_allowlist_names_only_unreferenced_definitions():
     assert set(ALLOWED) <= set(_unreferenced().values())
+
+
+# Record fields kept on purpose, though no library module reads them, each with its reason.
+FIELDS_ALLOWED: dict[str, str] = {}
+
+
+def _record_fields(tree):
+    """(record, field) of each NamedTuple class of the module, and of each class derived from one there."""
+    records = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in records | {"NamedTuple"} for base in node.bases
+        ):
+            records.add(node.name)
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_record_field_is_read_by_the_library():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {
+        node.attr
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unread = {
+        f"{record}.{field}"
+        for tree in trees.values()
+        for record, field in _record_fields(tree)
+        if field not in read
+    }
+    assert unread == set(FIELDS_ALLOWED), "record fields that no library module reads:\n" + "\n".join(
+        sorted(unread - set(FIELDS_ALLOWED))
+    )
 
 
 def _unused_imports(tree):

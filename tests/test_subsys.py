@@ -14,11 +14,11 @@ from toricarr.rootsys import build_str, format_type, type_invariants
 from toricarr.subsys import _span_levels, enumerate_complete, parabolic_classes, simple_system
 
 
-def test_completion_single_root_a2(completion):
+def test_completion_single_root_a2(completion, is_complete):
     rs = build_str("A2")
     sub = completion(rs, [rs.root_index[(1, 0)]])
-    assert len(sub.roots) == 2
-    assert sub.complete
+    assert len(sub.roots) == 1
+    assert is_complete(rs, sub.roots)
     assert format_type(sub.type) == "A1"
 
 
@@ -26,11 +26,11 @@ def test_completion_a1xa1_in_b2_is_all(completion):
     rs = build_str("B2")
     # e1 - e2 and e1 + e2 span the plane, so the completion is all of B2
     sub = completion(rs, [rs.root_index[(1, 0)], rs.root_index[(1, 2)]])
-    assert len(sub.roots) == 8
+    assert len(sub.roots) == 4
     assert format_type(sub.type) == "B2"
 
 
-def test_long_roots_of_g2_are_a2_not_complete(completion, inner, make_subsystem):
+def test_long_roots_of_g2_are_a2_not_complete(completion, inner, make_subsystem, is_complete):
     rs = build_str("G2")
     norms = [inner(rs, r, r) for r in rs.positive_roots]
     longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
@@ -43,7 +43,7 @@ def test_long_roots_of_g2_are_a2_not_complete(completion, inner, make_subsystem)
             assert s not in rs.root_index or s in coords
     sub = make_subsystem(rs, longs)
     assert format_type(sub.type) == "A2"
-    assert not sub.complete
+    assert not is_complete(rs, longs)
     assert completion(rs, longs).type == rs.factors
 
 
@@ -52,7 +52,7 @@ def test_b2_subsystem_of_f4_not_misread():
     fam = enumerate_complete(rs, 2)
     b2 = [m for m in fam.members if format_type(m.type) == "B2"]
     assert len(b2) == 18
-    assert all(len(m.roots) == 8 for m in b2)
+    assert all(len(m.roots) == 4 for m in b2)
 
 
 def test_trivial_families():
@@ -60,7 +60,7 @@ def test_trivial_families():
     full = enumerate_complete(rs, 0)
     assert len(full.members) == 1 and full.members[0].type == rs.factors
     empty = enumerate_complete(rs, rs.rank)
-    assert len(empty.members) == 1 and empty.members[0].rank == 0
+    assert len(empty.members) == 1 and empty.members[0].simples == ()
 
 
 def test_f4_family_sizes():
@@ -76,13 +76,13 @@ def test_f4_family_sizes():
     assert counts == {"C3": 12, "B3": 12, "A1xA2": 96}
 
 
-def test_every_member_is_complete(completion):
+def test_every_member_is_complete(completion, is_complete):
     for t in ["A3", "B3", "C3", "G2"]:
         rs = build_str(t)
         for d in range(rs.rank + 1):
             for m in enumerate_complete(rs, d).members:
-                assert m.complete
-                assert m.rank == rs.rank - d
+                assert is_complete(rs, m.roots)
+                assert len(m.simples) == rs.rank - d
                 comp = completion(rs, m.roots)
                 assert comp.roots == m.roots
 
@@ -97,7 +97,7 @@ def test_span_members_equal_make_subsystem(t, make_subsystem):
     rs = build_str(t)
     for d in range(rs.rank + 1):
         for m in enumerate_complete(rs, d).members:
-            assert m == make_subsystem(rs, [i for i in m.roots if i < rs.n_positive])
+            assert m == make_subsystem(rs, m.roots)
 
 
 def test_cold_poset_saturates_only_to_extend_spans(monkeypatch):
@@ -154,8 +154,7 @@ def test_simple_system_equals_the_pairwise_reference_on_flats(t, reference_simpl
     rs = build_str(t)
     for d in range(rs.rank + 1):
         for m in enumerate_complete(rs, d).members:
-            pos = [i for i in m.roots if i < rs.n_positive]
-            assert simple_system(rs, pos) == reference_simple_system(rs, pos), m.roots
+            assert simple_system(rs, m.roots) == reference_simple_system(rs, m.roots), m.roots
 
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A4", "B4", "C4", "D4", "F4", "B2xA1", "G2xA1", "D5"])

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from toricarr.oracle import brute_points
+from toricarr.oracle import order_bound
 from toricarr.rootsys import (
     TypeSymbol,
     affine_diagram,
@@ -145,7 +145,7 @@ def test_orbit_stabilizer_root_sets(weyl_elements):
     assert _root_orbit_and_stabilizer(elements, rs.root_index[(1, 1)]) == (6, 1)
 
 
-def test_orbit_stabilizer_torus_points(weyl_elements, coroot_matrix):
+def test_orbit_stabilizer_torus_points(weyl_elements, coroot_matrix, brute_point_grid):
     rs = build_str("A2")
     origin = (Fraction(0), Fraction(0))
     matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
@@ -158,7 +158,8 @@ def test_orbit_stabilizer_torus_points(weyl_elements, coroot_matrix):
     matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
     assert _point_orbit_and_stabilizer(matrices, pt) == (3, 16)
     # the brute-force oracle finds the same stabilizer
-    assert next(p for p in brute_points(rs) if p.point == pt).stabilizer_order == 16
+    x = tuple(int(c * order_bound(rs.factors)) for c in pt)
+    assert next(p for y, p in brute_point_grid(rs) if y == x).stabilizer_order == 16
 
 
 def test_orbit_sizes_divide_group_order(weyl_elements):
@@ -176,10 +177,10 @@ def test_center_subgroup_properties(t):
     # |W_Z| = |Z|
     assert len(wz) == center_order(rs.factors)
     # subgroup closure, and the diagram action is by automorphisms
-    matrices = {e.matrix for e in wz}
+    perms = {e.diagram_perm for e in wz}
     for a in wz:
         for b in wz:
-            assert _mul(a.matrix, b.matrix) in matrices
+            assert tuple(a.diagram_perm[v] for v in b.diagram_perm) in perms
     diag = affine_diagram(*rs.factors)
     autos, aut_orbits = diagram_automorphisms(diag)
     for e in wz:
@@ -209,14 +210,13 @@ def test_center_subgroup_a_series_transitive():
     wz = center_subgroup(TypeSymbol("A", 3))
     assert sorted(e.vertex for e in wz) == [0, 1, 2, 3]
     # cyclic: the vertex-1 element generates the rest
-    gen = next(e.matrix for e in wz if e.vertex == 1)
+    gen = next(e.diagram_perm for e in wz if e.vertex == 1)
     power = gen
     seen = {gen}
     for _ in range(2):
-        power = _mul(gen, power)
+        power = tuple(gen[v] for v in power)
         seen.add(power)
-    identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
-    assert seen | {identity} == {e.matrix for e in wz}
+    assert seen | {tuple(range(4))} == {e.diagram_perm for e in wz}
 
 
 def test_center_subgroup_f4_trivial():
@@ -227,13 +227,15 @@ def test_center_subgroup_f4_trivial():
 @pytest.mark.parametrize("t", IRREDUCIBLE)
 def test_center_subgroup_equals_the_permutation_reference(t, reference_center_subgroup):
     # Same vertices and diagram action as the root-permutation W_Z of the closure,
-    # and each z_p matrix moves every root as the reference permutation does.
+    # and each z_p = w_0^p w_0, as matrices, moves every root as the reference permutation does.
     rs = build_str(t)
     wz = center_subgroup(*rs.factors)
     ref = reference_center_subgroup(rs)
     assert [(e.vertex, e.diagram_perm) for e in wz] == [(e.vertex, e.diagram_perm) for e in ref]
-    for e, r in zip(wz, ref):
-        assert _as_perm(rs, e.matrix) == r.perm
+    w0 = longest_element(rs.cartan, range(rs.rank))
+    for r in ref[1:]:
+        w0p = longest_element(rs.cartan, (j for j in range(rs.rank) if j != r.vertex - 1))
+        assert _as_perm(rs, _mul(w0p, w0)) == r.perm
 
 
 def test_reference_longest_element_agrees_with_the_matrices(reference_longest_element):
