@@ -45,7 +45,6 @@ from .layers import (
 )
 from .oracle import (
     BrutePoint,
-    ExplicitLayer,
     LayerPoset,
     brute_points,
     build_poset,

@@ -284,11 +284,11 @@ def _cmd_poset(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], 
     poset = oracle.build_poset(build(factors), max_rank=args.poset_rank)
     elements = [
         {
-            "dim": el.dimension,
-            "theta_type": format_type(el.theta.type),
-            "base_point": [_frac(x) for x in el.base_point],
+            "dim": d,
+            "theta_type": format_type(poset.thetas[t].type),
+            "base_point": [_frac(Fraction(c, poset.modulus)) for c in base],
         }
-        for el in poset.elements
+        for d, t, base in poset.layers
     ]
     covers = [list(c) for c in poset.covers()]
     lines = [f"type {format_type(factors)}: layer poset ({len(elements)} layers)"]

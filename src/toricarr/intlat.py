@@ -61,23 +61,21 @@ def hermite_normal_form(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, basis))
 
 
-def _with_identity(rows: IntMatrix) -> list[list[int]]:
-    """[rows | I]: each row followed by its unit vector, which records the row operations."""
-    k = len(rows)
-    return [[*row, *[0] * i, 1, *[0] * (k - 1 - i)] for i, row in enumerate(rows)]
+def graph_hnf(rows: IntMatrix, n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical HNF of [rows^T | I_n], whose rows are (rows @ y, y) for y in Z^n."""
+    return hermite_normal_form([[*(row[j] for row in rows), *(int(i == j) for i in range(n))] for j in range(n)])
 
 
 def kernel(rows: IntMatrix, n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical HNF basis of the integer vectors y in Z^n with rows @ y == 0.
 
-    The rows of the HNF of [rows^T | I_n] are (rows @ y, y) for integer
-    vectors y.  It is echelon, so the rows whose first len(rows) entries
-    vanish span the kernel, and their last n entries are already in
-    Hermite normal form: each pivot reduced every row above it.
+    The rows of graph_hnf(rows, n) are (rows @ y, y).  It is echelon, so the
+    rows whose first len(rows) entries vanish span the kernel, and their
+    last n entries are already in Hermite normal form: each pivot reduced
+    every row above it.
     """
     r = len(rows)
-    hnf = hermite_normal_form(_with_identity([[row[j] for row in rows] for j in range(n)]))
-    return tuple(row[r:] for row in hnf if not any(row[:r]))
+    return tuple(row[r:] for row in graph_hnf(rows, n) if not any(row[:r]))
 
 
 def saturate(

@@ -20,7 +20,6 @@ arithmetic; set equality against the formula route is zero-tolerance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, mul
@@ -32,8 +31,6 @@ from .rootsys import RootSystem, TypeSymbol, center, center_order, type_data, ty
 from .subsys import Subsystem, enumerate_complete, simple_type
 
 DEFAULT_POSET_RANK = 3
-
-TorusPoint = tuple[Fraction, ...]
 
 
 def order_bound(factors: tuple[TypeSymbol, ...]) -> int:
@@ -130,7 +127,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     Returns one record per point with the type of its vanishing subsystem,
     its stabilizer order in W, and its stabilizer order in W x Z, in the
     order of the points' grid coordinates, which are
-    _grid_points(rs.pairings[:rs.n_positive], order_bound(rs.factors), rs.rank).
+    _grid_points(rs.pairings, order_bound(rs.factors), rs.rank).
     Both orders are computed once per W-orbit of points, which is walked
     under the simple reflections: the stabilizer order in W is |W| / |orbit|.
     W acts trivially on the center, so the count of central shifts that
@@ -146,7 +143,7 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
     """
     m = order_bound(rs.factors)
     # The pairing vectors are the roots under the Cartan matrix, which is invertible.
-    rows = rs.pairings[:rs.n_positive]
+    rows = rs.pairings
     points = _grid_points(rows, m, rs.rank)
     hits = set(points)
     order = type_invariants(rs.factors).weyl_order
@@ -210,9 +207,7 @@ def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangem
     """
     gamma = tuple(rs.pairings[i] for i in theta.simples)
     k = len(gamma)
-    graph = intlat.hermite_normal_form(
-        intlat._with_identity([[row[j] for row in gamma] for j in range(rs.rank)])
-    )
+    graph = intlat.graph_hnf(gamma, rs.rank)
     image = [row for row in graph if any(row[:k])]
     return _QuotientArrangement(
         gamma=gamma,
@@ -256,41 +251,39 @@ def component_count(rs: RootSystem, theta: Subsystem) -> int:
 # -- the explicit layer poset --------------------------------------------------
 
 
-class ExplicitLayer(NamedTuple):
-    theta: Subsystem
-    base_point: TorusPoint
-    dimension: int
-
-
 class LayerPoset(NamedTuple):
     """Layers of the arrangement ordered by inclusion (C' <= C iff C' ⊆ C), kept as its covers.
 
-    The order is graded by dimension.  For layers C' ⊊ C, some root beta
-    vanishes on C' but not on C (else the connected C, which meets C', would
-    lie in C'), so beta is not constant on C and cuts C in a layer of
-    dimension dim C - 1 through C'.  Hence C' <= C is a chain of covers, and
-    layer j covers layer i exactly when dim j = dim i + 1, theta_j lies in
-    theta_i and base_i reduces to base_j modulo M_j.  The order is the
-    reflexive transitive closure of the covers.
+    layers[i] = (dimension, flat index t, base grid point): the layer is
+    tangent to the flat thetas[t], and its base point, in units of
+    1/modulus, is its lexicographically first grid point.  The order is
+    graded by dimension.  For layers C' ⊊ C, some root beta vanishes on C'
+    but not on C (else the connected C, which meets C', would lie in C'),
+    so beta is not constant on C and cuts C in a layer of dimension
+    dim C - 1 through C'.  Hence C' <= C is a chain of covers, and layer j
+    covers layer i exactly when dim j = dim i + 1, theta_j lies in theta_i
+    and base_i reduces to base_j modulo M_j.  The order is the reflexive
+    transitive closure of the covers.
     """
 
-    elements: tuple[ExplicitLayer, ...]
+    thetas: tuple[Subsystem, ...]  # the flats, in (dimension, span basis) order
+    modulus: int  # the grid modulus m
+    layers: tuple[tuple[int, int, tuple[int, ...]], ...]  # sorted (dimension, flat, base grid point)
     lattices: tuple[tuple[tuple[int, ...], ...], ...]  # lattices[t]: HNF of M_t = ker gamma_t + m Z^n
     below: tuple[tuple[int, ...], ...]  # below[t]: flats of rank one less whose roots lie in theta t's
-    layers: tuple[tuple[int, tuple[int, ...]], ...]  # layers[i]: (flat, base grid point) of element i
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j), ordered, with layer i inside layer j of one dimension more."""
-        index = {layer: j for j, layer in enumerate(self.layers)}
+        index = {(t, base): j for j, (_, t, base) in enumerate(self.layers)}
         out = []
-        for i, (t, base) in enumerate(self.layers):
+        for i, (_, t, base) in enumerate(self.layers):
             above = [index.get((u, intlat.residue(self.lattices[u], base))) for u in self.below[t]]
             out.extend((i, j) for j in sorted(j for j in above if j is not None))
         return tuple(out)
 
 
 def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerPoset:
-    """Every layer of the arrangement, with what its covers are computed from.
+    """Every layer of the arrangement, as an integer triple, with what its covers are computed from.
 
     Each layer is a fiber of the projection onto the quotient torus of its
     tangent subsystem theta.  With gamma the pairing rows of theta's simple
@@ -300,11 +293,13 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     its HNF divide m, and the canonical residue of y modulo M is the
     lexicographically first grid point of the layer (Cohen 1993, 2.4.3):
     its base point, which also names the layer.  One HNF of the rows
-    (gamma y, y) gives r_basis, ker gamma and y.  The order is left to
-    LayerPoset.covers, which reads each flat's M and the flats one rank
-    below it.  Refuses, with the estimate, when the quotient scan of
-    theta = Phi is over the work bound, before enumerating any subsystem,
-    or when m^n points times the number of thetas is.
+    (gamma y, y) gives r_basis, ker gamma and y.  The flats come from
+    enumerate_complete, K_0 to K_n, in (dimension, span basis) order, so
+    sorting the triples orders the layers by dimension, span basis and base
+    point.  The order is left to LayerPoset.covers, which reads each flat's
+    M and the flats one rank below it.  Refuses, with the estimate, when the
+    quotient scan of theta = Phi is over the work bound, before enumerating
+    any subsystem, or when m^n points times the number of thetas is.
     """
     n = rs.rank
     if n > max_rank:
@@ -312,12 +307,12 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     m = order_bound(rs.factors)
     # The largest quotient scan, that of theta = Phi, is bounded before enumerating.
     require_work(f"grid scan of {m}^{n} candidates x {rs.n_positive} roots", m**n * rs.n_positive)
-    thetas = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
-    require_work(f"poset of {m}^{n} points x {len(thetas)} subsystems", m**n * len(thetas))
+    flats = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
+    require_work(f"poset of {m}^{n} points x {len(flats)} subsystems", m**n * len(flats))
     grid = [[m * (i == j) for j in range(n)] for i in range(n)]  # rows of m Z^n
     lattices = []  # lattices[t]: HNF of M = ker gamma + m Z^n for theta t
     layers = []  # (dimension, theta index, base grid point)
-    for t, (d, theta) in enumerate(thetas):
+    for t, (d, theta) in enumerate(flats):
         qa, points = _quotient_layers(rs, theta)
         k = len(qa.gamma)
         kernel = [row[k:] for row in qa.graph if not any(row[:k])]
@@ -330,18 +325,12 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
             if any(v % qa.modulus for v in scaled) or any(rest[:k]):
                 raise AssertionError("layer contains no grid point")
             layers.append((d, t, intlat.residue(lattices[t], rest[k:])))
-    layers.sort(key=lambda layer: (layer[0], thetas[layer[1]][1].span_basis, layer[2]))
+    layers.sort()
     # A complete subsystem is the set of roots in its span, so one span lies
     # in another exactly when the root sets do.
-    roots = [frozenset(theta.roots) for _, theta in thetas]
+    roots = [frozenset(theta.roots) for _, theta in flats]
     below = tuple(
-        tuple(u for u, (e, _) in enumerate(thetas) if e == d + 1 and roots[u] <= roots[t])
-        for t, (d, _) in enumerate(thetas)
+        tuple(u for u, (e, _) in enumerate(flats) if e == d + 1 and roots[u] <= roots[t])
+        for t, (d, _) in enumerate(flats)
     )
-    # Each base point is a residue modulo M, which contains m Z^n, so its coordinates lie in [0, m).
-    coords = [Fraction(c, m) for c in range(m)]
-    elements = tuple(
-        ExplicitLayer(theta=thetas[t][1], base_point=tuple(map(coords.__getitem__, base)), dimension=d)
-        for d, t, base in layers
-    )
-    return LayerPoset(elements, tuple(lattices), below, tuple((t, base) for _, t, base in layers))
+    return LayerPoset(tuple(theta for _, theta in flats), m, tuple(layers), tuple(lattices), below)

@@ -8,8 +8,10 @@ Conventions, fixed globally:
 
 Root data is generated by closure from the Cartan matrix (root strings),
 one code path for every type; the per-type coordinate models appear only
-in tests.  The closure carries each positive root's pairings with the
-simple coroots, and every later pairing and reflection reads that table.
+in tests.  A root system is its positive roots, each naming the hypertorus
+of a root up to sign.  The closure carries each positive root's pairings
+with the simple coroots, and every later pairing and reflection reads that
+table.
 Each irreducible type has one record, `type_data`, built once with no
 closure: its Cartan matrix and symmetrizer, its affine diagram, whose
 marks (1, theta) come from one ascent from a long simple root, and its
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from operator import add, mul, neg
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from . import errors, intlat
@@ -176,7 +178,7 @@ def _closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], li
 
 
 class RootSystem:
-    """A (product of) irreducible system(s); immutable after construction."""
+    """A (product of) irreducible system(s), held as its positive roots; immutable after construction."""
 
     def __init__(self, factors: Sequence[TypeSymbol]):
         factors = tuple(sorted(factors))
@@ -195,10 +197,9 @@ class RootSystem:
         self.symmetrizer = tuple(symmetrizer)
         positive, pairings = _closure(cartan)
         self.positive_roots = tuple(positive)
-        self.all_roots = self.positive_roots + tuple(tuple(map(neg, r)) for r in positive)
-        # Each root's values on the simple coroots, in the order of all_roots.
-        self.pairings = tuple(pairings) + tuple(tuple(map(neg, p)) for p in pairings)
-        self.root_index = {r: i for i, r in enumerate(self.all_roots)}
+        # Each positive root's values on the simple coroots, in the order of positive_roots.
+        self.pairings = tuple(pairings)
+        self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         self.n_positive = len(self.positive_roots)
         expected = sum(self.degrees) - n  # the sum of the exponents
         if self.n_positive != expected:
@@ -209,19 +210,15 @@ class RootSystem:
 
     # -- basic linear data ------------------------------------------------
 
-    def pairing(self, root: tuple[int, ...], i: int) -> int:
-        """<root, alpha_i^vee>."""
-        return self.pairings[self.root_index[root]][i]
-
     def cartan_of(self, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """The Cartan matrix [a][b] = <b, a^vee> = 2(b,a)/(a,a) of the roots at `indices` in all_roots.
+        """The Cartan matrix [a][b] = <b, a^vee> = 2(b,a)/(a,a) of the roots at `indices` in positive_roots.
 
         (b,a) = sum_i a_i d_i <b, alpha_i^vee>: one weight vector a d per root, one dot product per pair.
         """
         pairs = [self.pairings[i] for i in indices]
         cartan = []
         for a, i in enumerate(indices):
-            weights = list(map(mul, self.all_roots[i], self.symmetrizer))
+            weights = list(map(mul, self.positive_roots[i], self.symmetrizer))
             doubled = [2 * sum(map(mul, weights, p)) for p in pairs]  # 2(b, a) for each b
             norm = doubled[a] // 2
             if any(v % norm for v in doubled):
@@ -229,24 +226,25 @@ class RootSystem:
             cartan.append(tuple(v // norm for v in doubled))
         return tuple(cartan)
 
-    def reflect(self, root: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """Simple reflection s_i applied to a root."""
-        c = self.pairing(root, i)
-        out = list(root)
-        out[i] -= c
-        return tuple(out)
-
     @cached_property
     def simple_indices(self) -> tuple[int, ...]:
-        """Index in all_roots of each simple root alpha_1..alpha_n."""
+        """Index in positive_roots of each simple root alpha_1..alpha_n."""
         n = self.rank
         return tuple(self.root_index[tuple(int(i == j) for j in range(n))] for i in range(n))
 
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """Each simple reflection s_i as the tuple of root indices it sends all_roots to."""
+        """Each simple reflection s_i as the permutation of the hyperplanes, named by their positive roots.
+
+        s_i beta = beta - <beta, alpha_i^vee> alpha_i is positive for every positive beta but alpha_i
+        (Humphreys 1990, Prop. 1.4), the one image with a negative coordinate: -alpha_i names the
+        same hyperplane as alpha_i, so s_i fixes it.
+        """
         return tuple(
-            tuple(self.root_index[self.reflect(r, i)] for r in self.all_roots)
+            tuple(
+                j if r[i] < p[i] else self.root_index[r[:i] + (r[i] - p[i],) + r[i + 1:]]
+                for j, (r, p) in enumerate(zip(self.positive_roots, self.pairings))
+            )
             for i in range(self.rank)
         )
 

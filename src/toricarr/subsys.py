@@ -26,16 +26,11 @@ from .rootsys import RootSystem, TypeSymbol, classify_dynkin, format_type, type_
 
 
 class Subsystem(NamedTuple):
-    """A complete subsystem (a flat), stored as the sorted indices of its positive roots.
-
-    Its rank is len(simples); its negative roots are those of rs.all_roots
-    n_positive places on.
-    """
+    """A complete subsystem (a flat): the sorted indices of its positive roots; its rank is len(simples)."""
 
     roots: tuple[int, ...]
-    span_basis: tuple[tuple[int, ...], ...]  # canonical HNF basis of the saturated span
     type: tuple[TypeSymbol, ...]
-    simples: tuple[int, ...]  # indices of the simple system (positive part)
+    simples: tuple[int, ...]  # indices of its simple roots
     cartan: tuple[tuple[int, ...], ...]  # Cartan matrix of the simples, in their order
 
 
@@ -50,11 +45,11 @@ def simple_system(rs: RootSystem, positive_indices: Sequence[int]) -> tuple[int,
     of the subsystem.
     """
     pos = sorted(positive_indices)
-    vecs = {rs.all_roots[i] for i in pos}
+    vecs = {rs.positive_roots[i] for i in pos}
     simples: list[int] = []
     for i in pos:
-        root = rs.all_roots[i]
-        if not any(tuple(map(sub, root, rs.all_roots[s])) in vecs for s in simples):
+        root = rs.positive_roots[i]
+        if not any(tuple(map(sub, root, rs.positive_roots[s])) in vecs for s in simples):
             simples.append(i)
     return tuple(simples)
 
@@ -113,7 +108,7 @@ def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
                 groups.setdefault(tuple(v // g for v in values), []).append(j)
         for roots in groups.values():
             positives = tuple(sorted(members + tuple(roots)))
-            extensions.setdefault(positives, [*basis, rs.all_roots[roots[0]]])
+            extensions.setdefault(positives, [*basis, rs.positive_roots[roots[0]]])
     nxt = {}
     for positives, rows in extensions.items():
         new_basis, null_vectors = intlat.saturate(rows)
@@ -122,16 +117,17 @@ def _span_levels(rs: RootSystem, top: int) -> tuple[dict, ...]:
 
 
 def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
-    """The family K_d: complete subsystems of rank n - d.
+    """The family K_d: complete subsystems of rank n - d, sorted by span basis.
 
     Enumerates saturated rational spans of root subsets, growing rank one
-    root at a time (see _span_levels) and naming each span by its canonical
-    HNF basis.  Only build_poset, which verify reaches through
-    poset_grading, and the tests use this span route; the census and the
-    other verify checks work from parabolic_classes.  Each flat is saturated
-    once and extended by the value vectors of at most n_positive roots, and
-    there are at most |W| flats (see parabolic_classes), so the work is
-    refused above |W| x n_positive.
+    root at a time (see _span_levels) and sorting them by their canonical
+    HNF bases, which are not kept: K_0, .., K_n in turn list every flat in
+    (dimension, span basis) order.  Only build_poset, which verify reaches
+    through poset_grading, and the tests use this span route; the census and
+    the other verify checks work from parabolic_classes.  Each flat is
+    saturated once and extended by the value vectors of at most n_positive
+    roots, and there are at most |W| flats (see parabolic_classes), so the
+    work is refused above |W| x n_positive.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
@@ -145,7 +141,7 @@ def enumerate_complete(rs: RootSystem, d: int) -> CompleteFamily:
     members = []
     for basis, (pos, _) in sorted(level.items()):
         simples, cartan, types = simple_type(rs, pos, len(basis))
-        members.append(Subsystem(pos, basis, types, simples, cartan))
+        members.append(Subsystem(pos, types, simples, cartan))
     return CompleteFamily(tuple(members))
 
 
@@ -157,10 +153,11 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
     some X_J, the positive roots supported on J with |J| = n - d.  Orbits
     are walked under the simple reflections, each flat keyed by its positive
     simple system, the image of J's simple roots.  s_i is skipped when it
-    reached the flat or alpha_i is in that base (s_i fixes the flat);
-    otherwise alpha_i is not in the flat, and s_i turns no positive root but
-    alpha_i negative (Humphreys 1990, Prop. 1.4).  W acts unimodularly on
-    Z^n, so the base spans a saturated lattice; it keeps J's Cartan matrix.
+    reached the flat or alpha_i is in that base (s_i fixes the flat).  A
+    simple root in a flat is simple in it, so otherwise alpha_i is not in the
+    flat, and s_i turns none of its positive roots negative (Humphreys 1990,
+    Prop. 1.4).  W acts unimodularly on Z^n, so the base spans a saturated
+    lattice; it keeps J's Cartan matrix, and its HNF only guards its rank.
 
     The flats X satisfy sum |mu(X)| = |W| with every |mu(X)| >= 1
     (Orlik-Solomon 1983), so the walk visits at most |W| of them; larger
@@ -198,14 +195,14 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
         flat, base = least
         order = sorted(range(len(J)), key=base.__getitem__)
         simples = tuple(base[a] for a in order)
-        basis = intlat.hermite_normal_form([rs.all_roots[i] for i in simples])
-        if not set(simples) <= set(flat) or len(basis) != len(simples):
+        rank = len(intlat.hermite_normal_form([rs.positive_roots[i] for i in simples]))
+        if not set(simples) <= set(flat) or rank != len(simples):
             raise AssertionError(
                 f"the carried simple roots {simples} of a flat of {format_type(rs.factors)} "
                 "are not positive roots of it of full rank"
             )
         cartan = tuple(tuple(rs.cartan[J[a]][J[b]] for b in order) for a in order)
-        theta = Subsystem(flat, basis, classify_dynkin(cartan), simples, cartan)
+        theta = Subsystem(flat, classify_dynkin(cartan), simples, cartan)
         classes.append((theta, len(orbit)))
     classes.sort(key=lambda c: c[0].roots)
     return tuple(classes)

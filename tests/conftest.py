@@ -12,7 +12,7 @@ from itertools import chain, combinations, count
 from itertools import product as iproduct
 from math import factorial, gcd, lcm, prod
 from operator import add, getitem, gt, mod, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import pytest
 
@@ -57,13 +57,53 @@ def clear_every_cache():
     return _clear_every_cache
 
 
-# -- subsystem assembly by saturation and the per-root span route that subsys replaced, kept as references --
+# -- signed roots: RootSystem keeps one positive root per hypertorus, the references act on both signs --
+
+
+class SignedRoots(NamedTuple):
+    roots: tuple[tuple[int, ...], ...]  # the positive roots, then their negatives in the same order
+    index: dict  # root -> its index in roots
+    simples: tuple[int, ...]  # the index of each simple root alpha_1..alpha_n
+    perms: tuple[tuple[int, ...], ...]  # perms[i][x]: the index of s_i(roots[x])
+
+
+def _pairing_row(rs, root):
+    """<root, alpha_i^vee> for each i, from the Cartan matrix: sum_j cartan[i][j] root_j."""
+    return tuple(sum(map(mul, row, root)) for row in rs.cartan)
+
+
+@functools.lru_cache(maxsize=None)  # the Weyl-group references read it once per element
+def _signed_roots(rs):
+    """Every root of rs, positive then negative, and each simple reflection as a permutation of them.
+
+    RootSystem names each hypertorus by its positive root, so its
+    reflection_perms act on hyperplanes.  Where -1 is in W (B_n, C_n, D_n for
+    even n, E7, E8, F4 and G2), W acts on hyperplanes only through W/{+-1},
+    so the Weyl-group references act on signed roots, built here from the
+    Cartan matrix.
+    """
+    roots = rs.positive_roots + tuple(tuple(-x for x in r) for r in rs.positive_roots)
+    index = {r: k for k, r in enumerate(roots)}
+    perms = tuple(
+        tuple(index[r[:i] + (r[i] - _pairing_row(rs, r)[i],) + r[i + 1:]] for r in roots)
+        for i in range(rs.rank)
+    )
+    simples = tuple(index[tuple(int(i == j) for j in range(rs.rank))] for i in range(rs.rank))
+    return SignedRoots(roots, index, simples, perms)
+
+
+@pytest.fixture
+def signed_roots():
+    return _signed_roots
+
+
+# -- subsystem assembly by pairwise sums, and the per-root span route that subsys replaced, kept as references --
 
 
 def _reference_simple_system(rs, positive_indices):
     """Indecomposable elements of the positive part of a closed subsystem, by every pairwise sum."""
     pos = sorted(positive_indices)
-    coords = {i: rs.all_roots[i] for i in pos}
+    coords = {i: rs.positive_roots[i] for i in pos}
     sums = set()
     vecs = set(coords.values())
     for a in coords.values():
@@ -82,11 +122,12 @@ def reference_simple_system():
 def _reference_pair_roots(rs, a, b):
     """<a, b^vee> = 2(a,b)/(b,b) for roots a, b, where (a,b) = sum_i b_i d_i <a, alpha_i^vee>.
 
-    The pairwise formula that RootSystem.cartan_of replaced, one pair at a time.
+    The pairwise formula that RootSystem.cartan_of replaced, one pair at a time,
+    for roots of either sign, each paired with the simple coroots through the Cartan matrix.
     """
     weights = list(map(mul, b, rs.symmetrizer))
-    num = 2 * sum(map(mul, weights, rs.pairings[rs.root_index[a]]))
-    den = sum(map(mul, weights, rs.pairings[rs.root_index[b]]))
+    num = 2 * sum(map(mul, weights, _pairing_row(rs, a)))
+    den = sum(map(mul, weights, _pairing_row(rs, b)))
     q, r = divmod(num, den)
     if r:
         raise AssertionError("non-integral Cartan pairing")
@@ -98,14 +139,13 @@ def reference_pair_roots():
     return _reference_pair_roots
 
 
-def _reference_assemble(rs, pos, basis):
-    """The Subsystem on sorted positive indices whose span has the canonical HNF `basis`."""
+def _make_subsystem(rs, positive_indices):
+    """Assemble a Subsystem from the indices of its positive roots, by every pairwise sum and pairing."""
+    pos = tuple(sorted(positive_indices))
     simples = _reference_simple_system(rs, pos)
-    coords = [rs.all_roots[i] for i in simples]
+    coords = [rs.positive_roots[i] for i in simples]
     cartan = tuple(tuple(_reference_pair_roots(rs, b, a) for b in coords) for a in coords)
-    return Subsystem(
-        roots=pos, span_basis=basis, type=classify_dynkin(cartan), simples=simples, cartan=cartan,
-    )
+    return Subsystem(roots=pos, type=classify_dynkin(cartan), simples=simples, cartan=cartan)
 
 
 def _positives_in_span(rs, null_vectors):
@@ -114,15 +154,6 @@ def _positives_in_span(rs, null_vectors):
     for k in null_vectors:
         inside = [i for i in inside if not sum(map(mul, rs.positive_roots[i], k))]
     return inside
-
-
-def _make_subsystem(rs, positive_indices):
-    """Assemble a Subsystem from the indices of its positive roots, by one saturation."""
-    pos = tuple(sorted(positive_indices))
-    if not pos:
-        return _reference_assemble(rs, pos, ())
-    basis, _ = saturate([rs.all_roots[i] for i in pos])
-    return _reference_assemble(rs, pos, basis)
 
 
 @pytest.fixture
@@ -135,7 +166,7 @@ def _is_complete(rs, positive_indices):
     pos = set(positive_indices)
     if not pos:
         return True
-    _, null_vectors = saturate([rs.all_roots[i] for i in pos])
+    _, null_vectors = saturate([rs.positive_roots[i] for i in pos])
     return len(_positives_in_span(rs, null_vectors)) == len(pos)
 
 
@@ -159,7 +190,7 @@ def _reference_span_levels(rs, top):
             for j in range(rs.n_positive):
                 if j in covered:
                     continue
-                new_basis, null_vectors = saturate(list(basis) + [rs.all_roots[j]])
+                new_basis, null_vectors = saturate(list(basis) + [rs.positive_roots[j]])
                 if new_basis not in nxt:
                     nxt[new_basis] = tuple(_positives_in_span(rs, null_vectors))
                 covered.update(nxt[new_basis])
@@ -171,7 +202,7 @@ def _reference_enumerate_complete(rs, d):
     """The members of K_d by the per-root span route, ordered by span basis."""
     target = rs.rank - d
     level = _reference_span_levels(rs, target)[target]
-    return tuple(_reference_assemble(rs, pos, basis) for basis, pos in sorted(level.items()))
+    return tuple(_make_subsystem(rs, pos) for _, pos in sorted(level.items()))
 
 
 @pytest.fixture
@@ -181,7 +212,7 @@ def reference_enumerate_complete():
 
 def _completion(rs, root_indices):
     """Smallest complete subsystem containing the given roots: every positive root in their span."""
-    coords = [rs.all_roots[i] for i in root_indices]
+    coords = [rs.positive_roots[i] for i in root_indices]
     if not coords:
         return _make_subsystem(rs, ())
     _, null_vectors = saturate(coords)
@@ -198,12 +229,12 @@ def _span_orbits(rs, d):
 
     Each orbit is a tuple of Subsystems sorted by roots; orbits are ordered
     by their first member.  Independent of subsys.parabolic_classes: it
-    starts from every member of enumerate_complete and acts on root
+    starts from every member of enumerate_complete and acts on signed root
     indices, folding negatives back with % n_positive.
     """
     members = {m.roots: m for m in enumerate_complete(rs, d).members}
     npos = rs.n_positive
-    gens = rs.reflection_perms
+    gens = _signed_roots(rs).perms
     orbits = []
     seen = set()
     for roots in members:
@@ -251,11 +282,12 @@ def _reference_longest_element(rs, p=None):
     skip = None if p is None else p - 1
     if skip is not None and not 0 <= skip < rs.rank:
         raise IndexError(f"parabolic vertex {p} out of range")
-    w = tuple(range(len(rs.all_roots)))
+    signed = _signed_roots(rs)
+    w = tuple(range(len(signed.roots)))
     while True:
         for i in range(rs.rank):
-            if i != skip and w[rs.simple_indices[i]] < rs.n_positive:
-                w = _compose(w, rs.reflection_perms[i])
+            if i != skip and w[signed.simples[i]] < rs.n_positive:
+                w = _compose(w, signed.perms[i])
                 break
         else:
             return w
@@ -280,10 +312,11 @@ def _reference_center_subgroup(rs):
     n = rs.rank
     theta = rs.positive_roots[-1]
     marks = (1,) + theta
-    lowest_idx = rs.root_index[tuple(-x for x in theta)]
-    extended_idx = (lowest_idx,) + rs.simple_indices
+    signed = _signed_roots(rs)
+    lowest_idx = signed.index[tuple(-x for x in theta)]
+    extended_idx = (lowest_idx,) + signed.simples
     w0 = _reference_longest_element(rs)
-    out = [ReferenceCenterElement(0, tuple(range(len(rs.all_roots))), tuple(range(n + 1)))]
+    out = [ReferenceCenterElement(0, tuple(range(len(signed.roots))), tuple(range(n + 1)))]
     for p in range(1, n + 1):
         if marks[p] != 1:
             continue
@@ -311,14 +344,15 @@ def _weyl_elements(rs):
     The tests' reference enumeration: its length pins |W| from the degree
     table, and its coroot matrices count point stabilizers directly.
     """
-    identity = tuple(range(len(rs.all_roots)))
+    perms = _signed_roots(rs).perms
+    identity = tuple(range(2 * rs.n_positive))
     seen = {identity}
     out = [identity]
     frontier = [identity]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in rs.reflection_perms:
+            for g in perms:
                 v = _compose(w, g)
                 if v not in seen:
                     seen.add(v)
@@ -569,10 +603,8 @@ def coroot_coords():
 def _coroot_matrix(rs, w):
     """Matrix of the Weyl element w on simple-coroot coordinates (columns = images)."""
     n = rs.rank
-    cols = [
-        _coroot_coords(rs, rs.all_roots[w[rs.root_index[tuple(int(i == k) for i in range(n))]]])
-        for k in range(n)
-    ]
+    signed = _signed_roots(rs)
+    cols = [_coroot_coords(rs, signed.roots[w[signed.simples[k]]]) for k in range(n)]
     return tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
 
 
@@ -740,6 +772,47 @@ def a_series_poincare():
     return _a_series_poincare
 
 
+# -- the signed set partitions, kept as references for the B_n, C_n and D_n classes of flats --
+
+
+def _signed_partition_classes(family, n):
+    """W-orbits of the flats of B_n, C_n or D_n as a Counter of (d, type, orbit size), by signed set partitions.
+
+    A flat sets a block of k coordinates to zero and splits the other n - k
+    into blocks lambda, on each of which the coordinates agree up to sign
+    (Orlik-Solomon 1983, "Coxeter arrangements"; Orlik-Terao 1992, 6.4;
+    Barcelo-Ihrig 1999).  The orbit of (k, lambda) holds
+    n! / (k! prod lambda_i! prod m_j!) * prod 2^(lambda_i - 1) flats, with m_j
+    the number of parts equal to j, of type the family's rank-k type times
+    A_{lambda_i - 1} per part, at d = len(lambda).  In D_n, k is never 1, and
+    for k = 0 with every part even the orbit splits into two of half the size.
+    """
+    out = Counter()
+    for k in range(n + 1):
+        if family == "D" and k == 1:
+            continue
+        if k == 0:
+            zero = ()
+        elif (family, k) == ("D", 2):
+            zero = (TypeSymbol("A", 1),) * 2
+        else:
+            zero = (TypeSymbol.of(family, k),)
+        for lam in _partitions(n - k):
+            flat_type = format_type(zero + tuple(TypeSymbol("A", p - 1) for p in lam if p > 1))
+            symmetry = factorial(k) * prod(map(factorial, lam)) * prod(map(factorial, Counter(lam).values()))
+            size = factorial(n) // symmetry * prod(2 ** (p - 1) for p in lam)
+            if family == "D" and k == 0 and all(p % 2 == 0 for p in lam):
+                out[(len(lam), flat_type, size // 2)] += 2
+            else:
+                out[(len(lam), flat_type, size)] += 1
+    return out
+
+
+@pytest.fixture
+def signed_partition_classes():
+    return _signed_partition_classes
+
+
 # -- the Hermite form's first-nonzero-pivot Euclid loop and the coordinate solver on it, kept as references --
 
 
@@ -798,7 +871,7 @@ def _coords_solver(
     x, so vec is in the lattice exactly when its first n entries are zero,
     and then x is the negated rest.
     """
-    hnf = intlat.hermite_normal_form(intlat._with_identity(basis))
+    hnf = intlat.graph_hnf(list(zip(*basis)), len(basis))
 
     def solve(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
         rest = intlat.residue(hnf, [*vec, *(0 for _ in basis)])
@@ -1163,8 +1236,7 @@ def _brute_point_grid(rs):
 
     brute_points returns its records in the order of the point scan it runs.
     """
-    rows = rs.pairings[:rs.n_positive]
-    grid = oracle._grid_points(rows, oracle.order_bound(rs.factors), rs.rank)
+    grid = oracle._grid_points(rs.pairings, oracle.order_bound(rs.factors), rs.rank)
     return list(zip(grid, oracle.brute_points(rs), strict=True))
 
 
@@ -1180,9 +1252,9 @@ def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
     """W-orbits of K_d as (lex-minimal member, orbit size), ordered by roots.
 
     Walks each standard parabolic flat's orbit under the simple
-    reflections on sorted tuples of positive indices, folding negatives
-    back with % n_positive, and rebuilds each representative with
-    make_subsystem: saturation, simple-system search and Cartan pairings.
+    reflections on sorted tuples of positive indices, acting on signed roots
+    and folding negatives back with % n_positive, and rebuilds each
+    representative with make_subsystem: simple-system search and Cartan pairings.
     """
     if not 0 <= d <= rs.rank:
         raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
@@ -1191,12 +1263,12 @@ def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
         type_invariants(rs.factors).weyl_order,
     )
     npos = rs.n_positive
-    gens = rs.reflection_perms
+    gens = _signed_roots(rs).perms
     seen: set[tuple[int, ...]] = set()
     classes = []
     for J in combinations(range(rs.rank), rs.rank - d):
         outside = [k for k in range(rs.rank) if k not in J]
-        flat = tuple(i for i in range(npos) if not any(rs.all_roots[i][k] for k in outside))
+        flat = tuple(i for i in range(npos) if not any(rs.positive_roots[i][k] for k in outside))
         if flat in seen:
             continue
         orbit = {flat}
@@ -1224,7 +1296,7 @@ def reference_parabolic_classes():
 
 def _poset_order(poset) -> frozenset:
     """Pairs (i, j) with layer i inside layer j: the reflexive transitive closure of the covers."""
-    up: list[list[int]] = [[] for _ in poset.elements]
+    up: list[list[int]] = [[] for _ in poset.layers]
     for i, j in poset.covers():
         up[i].append(j)
     order = set()

@@ -265,9 +265,9 @@ def test_criterion_10_posets(poset_order, brute_point_grid):
         rs = build_str(t)
         poset = build_poset(rs)
         for d in range(rs.rank + 1):
-            level = sum(1 for el in poset.elements if el.dimension == d)
+            level = sum(1 for e, _, _ in poset.layers if e == d)
             assert level == count_layers(rs, d), (t, d)
-        n = len(poset.elements)
+        n = len(poset.layers)
         rel = poset_order(poset)
         for i in range(n):
             assert (i, i) in rel
@@ -276,8 +276,8 @@ def test_criterion_10_posets(poset_order, brute_point_grid):
             for k in range(n):
                 if (j, k) in rel:
                     assert (i, k) in rel
-        m = order_bound(rs.factors)
-        zero = sorted(tuple(int(c * m) for c in el.base_point) for el in poset.elements if el.dimension == 0)
+        assert poset.modulus == order_bound(rs.factors)
+        zero = sorted(base for d, _, base in poset.layers if d == 0)
         assert zero == sorted(x for x, _ in brute_point_grid(rs)), t
     _ok(10, "posets graded by count_layers; partial order valid; 0-dim = brute points")
 

@@ -489,6 +489,104 @@ def test_layers_guard_exits_3_with_its_line(capsys, monkeypatch, clear_every_cac
     assert run_cli(capsys, *argv) == (3, "", f"mismatch: {line}\n")
 
 
+def _repeated_simples(monkeypatch):
+    # A2's class at d = 0 with its first simple root twice: its Cartan matrix [[2, 2], [2, 2]] has rank 1.
+    classes = toricarr.layers.parabolic_classes
+
+    def repeated(rs, d):
+        out = list(classes(rs, d))
+        if d == 0:
+            theta, size = out[0]
+            simples = theta.simples[:1] * len(theta.simples)
+            out[0] = (theta._replace(simples=simples, cartan=rs.cartan_of(simples)), size)
+        return tuple(out)
+
+    monkeypatch.setattr(toricarr.layers, "parabolic_classes", repeated)
+
+
+def _vertex_0_typed_a3(monkeypatch):
+    # |W(A3)| = 24 does not divide |W(G2)| = 12.
+    delete = toricarr.rootsys.delete_vertex
+    a3 = (toricarr.rootsys.TypeSymbol("A", 3),)
+    monkeypatch.setattr(toricarr.rootsys, "delete_vertex", lambda diagram, p: a3 if p == 0 else delete(diagram, p))
+
+
+def _parabolic_longest_times_s2(monkeypatch):
+    # Each w_0^p becomes w_0^p s_2, so z_p = w_0^p s_2 w_0 still sends -theta to alpha_p (s_2 fixes A3's
+    # theta) but moves the simple roots off the extended ones.
+    longest = toricarr.weyl.longest_element
+
+    def times_s2(cartan, J):
+        J = list(J)
+        w = longest(cartan, J)
+        if len(J) == len(cartan):
+            return w
+        cols = list(zip(*w))  # (w s_2) alpha_i = w alpha_i - <alpha_i, alpha_2^vee> w alpha_2
+        cols = [tuple(x - cartan[1][i] * y for x, y in zip(col, cols[1])) for i, col in enumerate(cols)]
+        return tuple(zip(*cols))
+
+    monkeypatch.setattr(toricarr.weyl, "longest_element", times_s2)
+
+
+def _one_stabilizer_more(monkeypatch):
+    # The point count stays, so only the multisets of types and stabilizers differ.
+    orbits = toricarr.layers.point_orbits
+
+    def wrong(sym):
+        first, *rest = orbits(sym)
+        return (first._replace(stabilizer_order=first.stabilizer_order + 1), *rest)
+
+    monkeypatch.setattr(toricarr.layers, "point_orbits", wrong)
+
+
+def _merged_aut_orbits(monkeypatch):
+    # G2's W_Z is trivial, so its vertex orbits are single vertices; verify alone reads the merged orbits.
+    automorphisms = toricarr.verify.diagram_automorphisms
+
+    def merged(diagram):
+        autos, orbits = automorphisms(diagram)
+        return autos, (orbits[0] + orbits[1],) + orbits[2:]
+
+    monkeypatch.setattr(toricarr.verify, "diagram_automorphisms", merged)
+
+
+# The guards outside layers.py that no other test trips: (argv, defect, lines).  The lines are
+# the stderr of a command, or the mismatch rows of verify, which writes nothing to stderr.
+_GUARD_DEFECTS = {
+    "index_in_zk": (["census", "--type", "A2"], _repeated_simples, ["mismatch: a lattice of rank 1 in Z^2"]),
+    "parabolic_order": (
+        ["points", "--type", "G2"], _vertex_0_typed_a3, ["mismatch: parabolic order does not divide |W|"]
+    ),
+    "center_subgroup_permutes": (
+        ["verify", "--type", "A3"],
+        _parabolic_longest_times_s2,
+        [f"  {row}: mismatch (z_p does not permute the extended simple roots)"
+         for row in ("points_oracle", "iwahori_matsumoto")],
+    ),
+    "point_multisets": (
+        ["verify", "--type", "G2"],
+        _one_stabilizer_more,
+        ["  points_oracle: mismatch (type/stabilizer multisets differ)"],
+    ),
+    "vertex_orbits": (
+        ["verify", "--type", "G2"], _merged_aut_orbits, ["  iwahori_matsumoto: mismatch (G2: orbit mismatch)"]
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_GUARD_DEFECTS))
+def test_guard_exits_3_with_its_line(capsys, monkeypatch, clear_every_cache, defect):
+    argv, patch, lines = _GUARD_DEFECTS[defect]
+    clear_every_cache()  # a cached record would skip the patched code
+    patch(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    if argv[0] == "verify":
+        assert (code, err) == (3, "")
+        assert [row for row in out.splitlines() if ": mismatch" in row] == lines
+    else:
+        assert (code, out, err.splitlines()) == (3, "", lines)
+
+
 def test_orlik_solomon_check_catches_a_wrong_orbit_size():
     patch = (
         "classes = layers.parabolic_classes\n"
@@ -1018,8 +1116,8 @@ def test_n_theta_division_check_survives_optimized_mode():
 
 
 _CARRIED_BASE_DEFECTS = {
-    # Negative simple roots: every carried base is then negative.
-    "negative": "tuple(i + rs.n_positive for i in simple(rs))",
+    # The n highest positive roots in place of the simple ones: J's base then lies outside X_J.
+    "highest": "tuple(range(rs.n_positive - rs.rank, rs.n_positive))",
     # One simple root n times: J's base then has rank 1.
     "repeated": "simple(rs)[:1] * rs.rank",
 }

@@ -8,8 +8,9 @@ whose last library caller is gone.  By the same rule, every field of a
 NamedTuple record in `src/toricarr` must be read as an attribute by such a
 module, so that a record holds no fact that only the tests read.  Likewise
 every name that a module of `src/toricarr` (but `__init__.py`) or `tests/`
-imports must be read in it.  Every `lru_cache` of `src/toricarr` must appear
-in `CACHES` with the reason it is kept, so that a new cache states one.
+imports must be read in it.  No module of `src/toricarr` reads another's
+private name.  Every `lru_cache` of `src/toricarr` must appear in `CACHES`
+with the reason it is kept, so that a new cache states one.
 """
 
 import ast
@@ -104,6 +105,26 @@ def test_every_record_field_is_read_by_the_library():
     assert unread == set(FIELDS_ALLOWED), "record fields that no library module reads:\n" + "\n".join(
         sorted(unread - set(FIELDS_ALLOWED))
     )
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_library_module_reads_another_modules_private_name():
+    # A private helper another module needs gets a public name in its own module.
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names if _private(alias.name)]
+            elif (
+                isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules - {path.stem} and _private(node.attr)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert not found, "private names read across library modules:\n" + "\n".join(found)
 
 
 def _unused_imports(tree):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from operator import mul
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from toricarr.errors import CapabilityError
 from toricarr.layers import count_layers, count_points, n_theta, point_orbits
 from toricarr.oracle import (
     BrutePoint,
-    ExplicitLayer,
     _grid_points,
     _quotient_arrangement,
     _quotient_layers,
@@ -25,7 +25,7 @@ from toricarr.oracle import (
     order_bound,
 )
 from toricarr.rootsys import build_str, center, center_order, format_type, parse_type, type_data
-from toricarr.subsys import _span_levels, enumerate_complete, simple_type
+from toricarr.subsys import Subsystem, _span_levels, enumerate_complete, simple_type
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
@@ -106,7 +106,7 @@ def _naive_brute_points(rs, matrices, make_subsystem):
     of W, and each point's type is that of its vanishing roots' saturation.
     """
     n, m = rs.rank, order_bound(rs.factors)
-    pairings = [[rs.pairing(r, k) for k in range(n)] for r in rs.positive_roots]
+    pairings = [[sum(map(mul, row, r)) for row in rs.cartan] for r in rs.positive_roots]
     grid = list(iproduct(range(m), repeat=n))
 
     def vanishing(x):
@@ -117,7 +117,7 @@ def _naive_brute_points(rs, matrices, make_subsystem):
     records = []
     for x in grid:
         van = vanishing(x)
-        if len(intlat.hermite_normal_form([rs.all_roots[i] for i in van])) < n:
+        if len(intlat.hermite_normal_form([rs.positive_roots[i] for i in van])) < n:
             continue
         images = [tuple(_dot_mod(row, x, m) for row in mat) for mat in matrices]
         stab = images.count(x)
@@ -151,7 +151,7 @@ def test_grid_kernel_matches_naive_scan(t, weyl_elements, coroot_matrix, make_su
 def test_point_grid_matches_per_candidate_loop(t):
     rs = build_str(t)
     n, m = rs.rank, order_bound(rs.factors)
-    rows = rs.pairings[:rs.n_positive]
+    rows = rs.pairings
     expected = []
     for x in iproduct(range(m), repeat=n):
         van = tuple(i for i, u in enumerate(rows) if _dot_mod(u, x, m) == 0)
@@ -165,7 +165,7 @@ def test_grid_scan_rejects_a_zero_row(t):
     # A zero row is the sum of itself and any row, so no row is simple at
     # the origin, and the origin is no point.
     rs = build_str(t)
-    rows = [*rs.pairings[:rs.n_positive], (0,) * rs.rank]
+    rows = [*rs.pairings, (0,) * rs.rank]
     with pytest.raises(AssertionError, match=f"not the positive roots of a rank-{rs.rank} system"):
         _grid_points(rows, order_bound(rs.factors), rs.rank)
 
@@ -195,7 +195,7 @@ def test_lane_scan_matches_recursive_kernel(recursive_grid_points, data):
         if i != j:
             basis[i] = [a + s * b for a, b in zip(basis[i], basis[j])]
     columns = list(zip(*basis))
-    rows = [tuple(sum(map(mul, u, col)) for col in columns) for u in rs.pairings[:rs.n_positive]]
+    rows = [tuple(sum(map(mul, u, col)) for col in columns) for u in rs.pairings]
     rows = data.draw(st.permutations(rows))
     m = data.draw(st.integers(2, 12))
     assert _grid_points(rows, m, n) == [x for x, _ in recursive_grid_points(rows, m, n)]
@@ -220,7 +220,7 @@ def test_brute_points_shortcuts_hold_at_every_point(t, weyl_elements, coroot_mat
     # show: each counts the central shifts that keep the point in its orbit.
     rs = build_str(t)
     m = order_bound(rs.factors)
-    rows = rs.pairings[:rs.n_positive]
+    rows = rs.pairings
     grid = brute_point_grid(rs)
     centers = [x for x, _ in grid if all(_dot_mod(u, x, m) == 0 for u in rows)]
     assert len(centers) == center_order(rs.factors)
@@ -291,8 +291,8 @@ def test_quotient_rows_equal_the_coordinates_through_r_basis(t, reference_coords
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             qa = _quotient_arrangement(rs, theta)
-            solve = reference_coords_solver([rs.all_roots[i] for i in theta.simples])
-            coords = [solve(rs.all_roots[i]) for i in theta.roots]
+            solve = reference_coords_solver([rs.positive_roots[i] for i in theta.simples])
+            coords = [solve(rs.positive_roots[i]) for i in theta.roots]
             assert qa.rows == tuple(
                 tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis) for c in coords
             ), (d, theta.roots)
@@ -377,29 +377,27 @@ def test_component_count_equals_quotient_formula(t):
 
 def test_poset_a1(poset_order):
     poset = build_poset(build_str("A1"))
-    assert len(poset.elements) == 3
-    dims = sorted(el.dimension for el in poset.elements)
-    assert dims == [0, 0, 1]
-    top = next(i for i, el in enumerate(poset.elements) if el.dimension == 1)
+    assert poset.layers == ((0, 0, (0,)), (0, 0, (1,)), (1, 1, (0,)))
+    assert poset.modulus == 2
     order = poset_order(poset)
-    for i, el in enumerate(poset.elements):
-        assert (i, top) in order
+    for i in range(3):
+        assert (i, 2) in order
 
 
 def test_poset_a2_seven_elements():
     poset = build_poset(build_str("A2"))
-    assert len(poset.elements) == 7
-    assert Counter(el.dimension for el in poset.elements) == {0: 3, 1: 3, 2: 1}
+    assert len(poset.layers) == 7
+    assert Counter(d for d, _, _ in poset.layers) == {0: 3, 1: 3, 2: 1}
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
 def test_poset_graded_and_partial_order(t, poset_order):
     rs = build_str(t)
     poset = build_poset(rs)
+    dims = [d for d, _, _ in poset.layers]
     for d in range(rs.rank + 1):
-        level = sum(1 for el in poset.elements if el.dimension == d)
-        assert level == count_layers(rs, d), (t, d)
-    n = len(poset.elements)
+        assert dims.count(d) == count_layers(rs, d), (t, d)
+    n = len(poset.layers)
     rel = poset_order(poset)
     for i in range(n):
         assert (i, i) in rel
@@ -410,15 +408,15 @@ def test_poset_graded_and_partial_order(t, poset_order):
                 assert (i, k) in rel
     # comparable layers have comparable dimensions
     for (i, j) in rel:
-        assert poset.elements[i].dimension <= poset.elements[j].dimension
+        assert dims[i] <= dims[j]
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
 def test_poset_zero_layers_are_brute_points(t, brute_point_grid):
     rs = build_str(t)
     poset = build_poset(rs)
-    m = order_bound(rs.factors)
-    zero = sorted(tuple(int(c * m) for c in el.base_point) for el in poset.elements if el.dimension == 0)
+    assert poset.modulus == order_bound(rs.factors)
+    zero = sorted(base for d, _, base in poset.layers if d == 0)
     assert zero == [x for x, _ in brute_point_grid(rs)]
 
 
@@ -428,24 +426,19 @@ def test_poset_theta_is_completion_of_integral_roots(completion):
     # integral pointwise -- that is exactly the n_theta > 1 phenomenon)
     rs = build_str("B2")
     poset = build_poset(rs)
-    for el in poset.elements:
-        integral = []
-        for i in el.theta.roots:
-            root = rs.all_roots[i]
-            value = sum(
-                Fraction(rs.pairing(root, k)) * el.base_point[k] for k in range(rs.rank)
-            )
-            if value.denominator == 1:
-                integral.append(i)
+    for _, t, base in poset.layers:
+        theta = poset.thetas[t]
+        # beta takes the value sum_k <beta, alpha_k^vee> base_k / modulus on the base point
+        integral = [i for i in theta.roots if sum(map(mul, rs.pairings[i], base)) % poset.modulus == 0]
         comp = completion(rs, integral)
-        assert comp.roots == el.theta.roots
-        assert completion(rs, el.theta.roots).roots == el.theta.roots
+        assert comp.roots == theta.roots
+        assert completion(rs, theta.roots).roots == theta.roots
 
 
 def test_poset_layer_multiplicity_per_theta():
     rs = build_str("B2")
     poset = build_poset(rs)
-    per_theta = Counter(el.theta.roots for el in poset.elements)
+    per_theta = Counter(poset.thetas[t].roots for _, t, _ in poset.layers)
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             assert per_theta[theta.roots] == component_count(rs, theta)
@@ -472,20 +465,20 @@ def test_poset_covers_match_former_definition(t):
     # and base_i reduces to base_j modulo M_j, over every pair of flats and
     # not only those one rank apart; the covers are its transitive reduction.
     poset = build_poset(build_str(t), max_rank=4)
-    roots = {f: frozenset(poset.elements[i].theta.roots) for i, (f, _) in enumerate(poset.layers)}
+    roots = [frozenset(theta.roots) for theta in poset.thetas]
     relation = {
         (i, j)
-        for i, (f, base) in enumerate(poset.layers)
-        for j, (u, base_u) in enumerate(poset.layers)
+        for i, (_, f, base) in enumerate(poset.layers)
+        for j, (_, u, base_u) in enumerate(poset.layers)
         if roots[u] <= roots[f] and intlat.residue(poset.lattices[u], base) == base_u
     }
-    assert poset.covers() == _reference_covers(relation, len(poset.elements))
+    assert poset.covers() == _reference_covers(relation, len(poset.layers))
 
 
 def test_poset_covers_respect_grading():
     poset = build_poset(build_str("A2"))
     for i, j in poset.covers():
-        assert poset.elements[i].dimension < poset.elements[j].dimension
+        assert poset.layers[i][0] < poset.layers[j][0]
 
 
 def _in_fiber(qa, values):
@@ -495,13 +488,21 @@ def _in_fiber(qa, values):
     )
 
 
+class _ReferenceLayer(NamedTuple):
+    dimension: int
+    span_basis: tuple[tuple[int, ...], ...]  # canonical HNF basis of the saturated span of theta
+    base_point: tuple[Fraction, ...]
+    theta: Subsystem
+
+
 def _reference_poset(rs):
     """The former algorithm: a Fraction grid search per layer, then every pair.
 
     The base point of a layer is the first grid point whose image lies on
-    the layer's fiber; layer i lies in layer j when dim i <= dim j, the
-    span of theta_j lies in that of theta_i (by lattice membership), and
-    gamma_j (base_i - base_j) lies in R^Phi(Theta_j).
+    the layer's fiber, and the layers are sorted by dimension, the span
+    basis of theta and the base point.  Layer i lies in layer j when
+    dim i <= dim j, the span of theta_j lies in that of theta_i (by lattice
+    membership), and gamma_j (base_i - base_j) lies in R^Phi(Theta_j).
     """
     n, m = rs.rank, order_bound(rs.factors)
     grid = [tuple(Fraction(c, m) for c in x) for x in iproduct(range(m), repeat=n)]
@@ -520,14 +521,14 @@ def _reference_poset(rs):
                     if _in_fiber(qa, [sum(g * c for g, c in zip(row, x)) - f
                                       for row, f in zip(qa.gamma, func)])
                 )
-                layers.append((ExplicitLayer(theta=theta, base_point=base, dimension=d), qa))
-    layers.sort(key=lambda l: (l[0].dimension, l[0].theta.span_basis, l[0].base_point))
+                basis, _ = intlat.saturate([rs.positive_roots[i] for i in theta.roots])
+                layers.append((_ReferenceLayer(d, basis, base, theta), qa))
+    layers.sort(key=lambda l: l[0][:3])
 
     def leq(lower, upper, qa_upper):
         if lower.dimension > upper.dimension:
             return False
-        if any(any(intlat.residue(lower.theta.span_basis, row))
-               for row in upper.theta.span_basis):
+        if any(any(intlat.residue(lower.span_basis, row)) for row in upper.span_basis):
             return False
         diff = [a - b for a, b in zip(lower.base_point, upper.base_point)]
         return _in_fiber(qa_upper, [sum(g * x for g, x in zip(row, diff)) for row in qa_upper.gamma])
@@ -549,7 +550,9 @@ def test_poset_matches_per_layer_grid_search(t):
     rs = build_str(t)
     poset = build_poset(rs, max_rank=4)
     elements, relation = _reference_poset(rs)
-    assert poset.elements == elements
+    assert [
+        (d, poset.thetas[t], tuple(Fraction(c, poset.modulus) for c in base)) for d, t, base in poset.layers
+    ] == [(el.dimension, el.theta, el.base_point) for el in elements]
     assert poset.covers() == _reference_covers(relation, len(elements))
 
 
@@ -559,7 +562,7 @@ def test_poset_covers_join_consecutive_dimensions(t):
     # below the top one lies in some layer one dimension up.
     rs = build_str(t)
     poset = build_poset(rs, max_rank=4)
-    dims = [el.dimension for el in poset.elements]
+    dims = [d for d, _, _ in poset.layers]
     covers = poset.covers()
     assert all(dims[j] == dims[i] + 1 for i, j in covers)
     assert {i for i, _ in covers} == {i for i, d in enumerate(dims) if d < rs.rank}
@@ -572,14 +575,14 @@ def test_poset_relation_keeps_theta_roots_constant(t, poset_order):
     rs = build_str(t)
     poset = build_poset(rs)
 
-    def value(root, point):
-        return sum(rs.pairing(root, k) * point[k] for k in range(rs.rank)) % 1
+    def value(r, point):
+        """Root r's value on a grid point mod 1, in units of 1/modulus."""
+        return sum(map(mul, rs.pairings[r], point)) % poset.modulus
 
     for i, j in poset_order(poset):
-        lower, upper = poset.elements[i], poset.elements[j]
-        for r in upper.theta.roots:
-            root = rs.all_roots[r]
-            assert value(root, lower.base_point) == value(root, upper.base_point), (i, j, r)
+        (_, _, lower), (_, u, upper) = poset.layers[i], poset.layers[j]
+        for r in poset.thetas[u].roots:
+            assert value(r, lower) == value(r, upper), (i, j, r)
 
 
 def test_poset_does_no_fraction_arithmetic(monkeypatch):
@@ -598,7 +601,7 @@ def test_poset_does_no_fraction_arithmetic(monkeypatch):
 
         monkeypatch.setattr(Fraction, name, counting)
     poset = build_poset(rs)
-    assert len(poset.elements) == 49
+    assert len(poset.layers) == 49
     assert not calls
 
 
@@ -632,15 +635,16 @@ def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
     monkeypatch.setattr(oracle, "intlat", SimpleNamespace(**{**vars(intlat), "residue": counting_residue}))
     poset = build_poset(rs, max_rank=4)
     assert scans == expected
-    assert residues == 2 * len(poset.elements)
+    assert residues == 2 * len(poset.layers)
     below = {
         (i, upper.roots)
-        for i, el in enumerate(poset.elements)
+        for i, (_, t, _) in enumerate(poset.layers)
+        for theta in [poset.thetas[t]]
         for upper in thetas
-        if len(upper.simples) == len(el.theta.simples) - 1 and set(upper.roots) <= set(el.theta.roots)
+        if len(upper.simples) == len(theta.simples) - 1 and set(upper.roots) <= set(theta.roots)
     }
     poset.covers()
-    assert residues == 2 * len(poset.elements) + len(below)
+    assert residues == 2 * len(poset.layers) + len(below)
 
 
 def test_poset_grid_work_bound():

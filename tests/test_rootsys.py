@@ -115,12 +115,12 @@ def test_closure_matches_the_reference(reference_positive_roots, inner, t):
     for sym in rs.factors:
         assert math.gcd(*d[start:start + sym.rank]) == 1, sym
         start += sym.rank
-    for root, pairing in zip(rs.all_roots, rs.pairings, strict=True):
+    for root, pairing in zip(rs.positive_roots, rs.pairings, strict=True):
         assert pairing == tuple(sum(c * m for c, m in zip(row, root)) for row in rs.cartan), root
     if rs.rank <= 4:
-        roots = rs.all_roots
-    elif len(rs.factors) == 1:  # the extended simple roots: the lowest root, then the simple roots
-        roots = [tuple(-x for x in rs.positive_roots[-1])] + [rs.all_roots[i] for i in range(rs.rank)]
+        roots = rs.positive_roots
+    elif len(rs.factors) == 1:  # the highest root, then the simple roots
+        roots = [rs.positive_roots[-1]] + [rs.positive_roots[i] for i in rs.simple_indices]
     else:
         roots = []
     cartan = rs.cartan_of([rs.root_index[r] for r in roots])
@@ -134,14 +134,14 @@ def test_simple_roots_are_units():
     for i in range(rs.rank):
         unit = tuple(int(i == j) for j in range(rs.rank))
         assert unit in rs.positive_roots
-        assert rs.all_roots[rs.simple_indices[i]] == unit
+        assert rs.positive_roots[rs.simple_indices[i]] == unit
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
-def test_closure_and_highest_root(t):
+def test_closure_and_highest_root(t, signed_roots):
     rs = build_str(t)
     pos = set(rs.positive_roots)
-    allr = set(rs.all_roots)
+    allr = set(signed_roots(rs).roots)
     # closed under negation and under addition within the system
     for a in allr:
         assert tuple(-x for x in a) in allr
@@ -151,7 +151,7 @@ def test_closure_and_highest_root(t):
             if any(s):
                 # sums of roots either leave the system or stay in it; the
                 # string arithmetic used to build it guarantees consistency
-                assert (s in allr) == (s in rs.root_index)
+                assert (s in allr) == (s in rs.root_index)  # a sum of positive roots is positive
     marks = type_data(*rs.factors).diagram.marks
     top = marks[1:]
     assert top in pos
@@ -215,7 +215,7 @@ def test_cartan_of_equals_the_pairwise_reference(t, reference_pair_roots):
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             for indices in (theta.simples, theta.roots):
-                roots = [rs.all_roots[i] for i in indices]
+                roots = [rs.positive_roots[i] for i in indices]
                 expected = tuple(tuple(reference_pair_roots(rs, b, a) for b in roots) for a in roots)
                 assert rs.cartan_of(indices) == expected, (d, indices)
 
@@ -280,13 +280,13 @@ def test_affine_diagram_d4_star():
     [f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)]
     + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8", "F4", "G2"],
 )
-def test_affine_diagram_equals_the_pairings_of_the_extended_roots(monkeypatch, t):
-    # The diagram reads the Cartan matrix alone; the test's own closure pairs the extended roots.
+def test_affine_diagram_equals_the_pairings_of_the_extended_roots(monkeypatch, reference_pair_roots, t):
+    # The diagram reads the Cartan matrix alone; the test's own closure gives the lowest root.
     rs = RootSystem(parse_type(t))
     extended = [tuple(-x for x in rs.positive_roots[-1])] + [
         tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
     ]
-    expected = rs.cartan_of([rs.root_index[r] for r in extended])
+    expected = tuple(tuple(reference_pair_roots(rs, b, a) for b in extended) for a in extended)
     built = []
     init = RootSystem.__init__
     monkeypatch.setattr(RootSystem, "__init__", lambda self, factors: built.append(factors) or init(self, factors))

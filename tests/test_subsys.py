@@ -30,17 +30,17 @@ def test_completion_a1xa1_in_b2_is_all(completion):
     assert format_type(sub.type) == "B2"
 
 
-def test_long_roots_of_g2_are_a2_not_complete(completion, inner, make_subsystem, is_complete):
+def test_long_roots_of_g2_are_a2_not_complete(completion, inner, make_subsystem, is_complete, signed_roots):
     rs = build_str("G2")
     norms = [inner(rs, r, r) for r in rs.positive_roots]
     longs = [i for i, r in enumerate(rs.positive_roots) if inner(rs, r, r) == max(norms)]
     # the long roots are closed: a sum of two of them that is a root is long
-    coords = [rs.all_roots[i] for i in longs]
+    coords = [rs.positive_roots[i] for i in longs]
     coords += [tuple(-x for x in r) for r in coords]
     for a in coords:
         for b in coords:
             s = tuple(x + y for x, y in zip(a, b))
-            assert s not in rs.root_index or s in coords
+            assert s not in signed_roots(rs).index or s in coords
     sub = make_subsystem(rs, longs)
     assert format_type(sub.type) == "A2"
     assert not is_complete(rs, longs)
@@ -161,7 +161,7 @@ def test_simple_system_equals_the_pairwise_reference_on_flats(t, reference_simpl
 def test_simple_system_equals_the_pairwise_reference_at_points(t, reference_simple_system):
     # The roots vanishing at a point of the point scan.
     rs = build_str(t)
-    rows, m = rs.pairings[:rs.n_positive], order_bound(rs.factors)
+    rows, m = rs.pairings, order_bound(rs.factors)
     for x in _grid_points(rows, m, rs.rank):
         vanishing = [i for i, u in enumerate(rows) if sum(map(mul, u, x)) % m == 0]
         assert simple_system(rs, vanishing) == reference_simple_system(rs, vanishing), vanishing
@@ -180,7 +180,7 @@ def test_total_span_count_matches_brute_force(t):
     seen = set()
     for k in range(rs.rank + 1):
         for sub in combinations(range(rs.n_positive), k):
-            basis, _ = intlat.saturate([rs.all_roots[i] for i in sub])
+            basis, _ = intlat.saturate([rs.positive_roots[i] for i in sub])
             seen.add(basis)
     total = sum(len(enumerate_complete(rs, d).members) for d in range(rs.rank + 1))
     assert total == len(seen)
@@ -199,6 +199,18 @@ def test_a_series_counts_by_partitions(a_series_census):
                 count // gcd(*lam) for lam, count in a_series_census(n, d)[1]
             )
             assert len(fam.members) == expected, (n, d)
+
+
+@pytest.mark.parametrize(
+    "t", [f"B{n}" for n in range(2, 8)] + [f"C{n}" for n in range(3, 8)] + [f"D{n}" for n in range(4, 8)]
+)
+def test_classical_classes_by_signed_set_partitions(t, signed_partition_classes):
+    rs = build_str(t)
+    (sym,) = rs.factors
+    walk = Counter(
+        (d, format_type(theta.type), size) for d in range(rs.rank + 1) for theta, size in parabolic_classes(rs, d)
+    )
+    assert walk == signed_partition_classes(sym.family, sym.rank)
 
 
 def test_w_orbit_census_f4_k1():

@@ -1,4 +1,4 @@
-"""Weyl groups as root permutations and as matrices: orders, orbits, longest elements, W_Z."""
+"""Weyl groups on hyperplanes, on signed roots and as matrices: orders, orbits, longest elements, W_Z."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -29,8 +29,8 @@ IRREDUCIBLE = (
 
 def test_simple_reflection_examples():
     rs = build_str("A1")
-    s = rs.reflection_perms[0]
-    assert s[rs.root_index[(1,)]] == rs.root_index[(-1,)]
+    # s_1(alpha_1) = -alpha_1, whose hyperplane is alpha_1's
+    assert rs.reflection_perms[0] == (rs.root_index[(1,)],)
     rs = build_str("A2")
     # s_1(alpha_2) = alpha_1 + alpha_2
     assert rs.reflection_perms[0][rs.root_index[(0, 1)]] == rs.root_index[(1, 1)]
@@ -41,11 +41,31 @@ def test_simple_reflection_examples():
 
 @pytest.mark.parametrize("t", RANK_LE_4)
 def test_reflections_are_involutions_preserving_pairing(t, compose):
+    # s_i preserves the pairing; on hyperplanes it names -alpha_i by alpha_i, so alpha_i's row and column
+    # change sign.
     rs = build_str(t)
-    identity = tuple(range(len(rs.all_roots)))
-    for g in rs.reflection_perms:
+    identity = tuple(range(rs.n_positive))
+    cartan = rs.cartan_of(identity)
+    for g, simple in zip(rs.reflection_perms, rs.simple_indices):
         assert compose(g, g) == identity
-        assert rs.cartan_of(g) == rs.cartan_of(identity)
+        sign = [-1 if j == simple else 1 for j in identity]
+        signed = tuple(tuple(sign[a] * sign[b] * cartan[a][b] for b in identity) for a in identity)
+        assert rs.cartan_of(g) == signed
+
+
+@pytest.mark.parametrize("t", RANK_LE_4 + ["A2xA1", "B2xG2", "D5", "E6"])
+def test_reflection_perms_act_on_hyperplanes(t):
+    # s_i fixes alpha_i's hyperplane and sends every other positive root beta to s_i beta.
+    rs = build_str(t)
+    everything = list(range(rs.n_positive))
+    for i, g in enumerate(rs.reflection_perms):
+        assert sorted(g) == everything and [g[g[j]] for j in everything] == everything
+        for j, beta in enumerate(rs.positive_roots):
+            if j == rs.simple_indices[i]:
+                assert g[j] == j and beta == tuple(int(i == k) for k in range(rs.rank))
+            else:
+                pairing = sum(c * m for c, m in zip(rs.cartan[i], beta))
+                assert rs.positive_roots[g[j]] == beta[:i] + (beta[i] - pairing,) + beta[i + 1:], (i, beta)
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
@@ -68,27 +88,27 @@ def _mul(a, b):
     return tuple(zip(*(_apply(a, col) for col in zip(*b))))
 
 
-def _as_perm(rs, w):
-    """The root permutation of a matrix element: the index of w(beta) for each beta in all_roots."""
-    return tuple(rs.root_index[_apply(w, r)] for r in rs.all_roots)
+def _as_perm(signed, w):
+    """The signed-root permutation of a matrix element: the index of w(beta) for each signed root beta."""
+    return tuple(signed.index[_apply(w, r)] for r in signed.roots)
 
 
-def test_longest_element_examples(compose):
+def test_longest_element_examples(compose, signed_roots):
     rs = build_str("A1")
     w0 = longest_element(rs.cartan, range(1))
     assert w0 == ((-1,),)
-    assert _as_perm(rs, w0) == rs.reflection_perms[0]
+    assert _as_perm(signed_roots(rs), w0) == signed_roots(rs).perms[0]
     rs = build_str("A2")
     w0 = longest_element(rs.cartan, range(2))
-    s1, s2 = rs.reflection_perms
-    assert _as_perm(rs, w0) == compose(compose(s1, s2), s1)
+    s1, s2 = signed_roots(rs).perms
+    assert _as_perm(signed_roots(rs), w0) == compose(compose(s1, s2), s1)
     # columns w0.alpha_1 = -alpha_2 and w0.alpha_2 = -alpha_1
     assert w0 == ((0, -1), (-1, 0))
     assert _apply(w0, (1, 0)) == (0, -1)
     rs = build_str("B2")
     w0 = longest_element(rs.cartan, range(2))
     assert w0 == ((-1, 0), (0, -1))
-    assert all(_apply(w0, r) == tuple(-x for x in r) for r in rs.all_roots)
+    assert all(_apply(w0, r) == tuple(-x for x in r) for r in rs.positive_roots)
 
 
 @pytest.mark.parametrize("t", RANK_LE_4)
@@ -108,7 +128,7 @@ def test_parabolic_longest_element():
 
 
 @pytest.mark.parametrize("t", ["B3", "A2xA1"])
-def test_parabolic_longest_element_on_every_subset(t):
+def test_parabolic_longest_element_on_every_subset(t, signed_roots):
     # w_0^J flips exactly the positive roots supported on J, and keeps the others positive.
     rs = build_str(t)
     for k in range(rs.rank + 1):
@@ -116,7 +136,7 @@ def test_parabolic_longest_element_on_every_subset(t):
             w = longest_element(rs.cartan, J)
             for r in rs.positive_roots:
                 image = _apply(w, r)
-                assert image in rs.root_index
+                assert image in signed_roots(rs).index
                 supported = all(r[i] == 0 for i in range(rs.rank) if i not in J)
                 assert (min(image) < 0) == supported, (J, r)
 
@@ -225,7 +245,7 @@ def test_center_subgroup_f4_trivial():
 
 
 @pytest.mark.parametrize("t", IRREDUCIBLE)
-def test_center_subgroup_equals_the_permutation_reference(t, reference_center_subgroup):
+def test_center_subgroup_equals_the_permutation_reference(t, reference_center_subgroup, signed_roots):
     # Same vertices and diagram action as the root-permutation W_Z of the closure,
     # and each z_p = w_0^p w_0, as matrices, moves every root as the reference permutation does.
     rs = build_str(t)
@@ -235,12 +255,13 @@ def test_center_subgroup_equals_the_permutation_reference(t, reference_center_su
     w0 = longest_element(rs.cartan, range(rs.rank))
     for r in ref[1:]:
         w0p = longest_element(rs.cartan, (j for j in range(rs.rank) if j != r.vertex - 1))
-        assert _as_perm(rs, _mul(w0p, w0)) == r.perm
+        assert _as_perm(signed_roots(rs), _mul(w0p, w0)) == r.perm
 
 
-def test_reference_longest_element_agrees_with_the_matrices(reference_longest_element):
+def test_reference_longest_element_agrees_with_the_matrices(reference_longest_element, signed_roots):
     rs = build_str("B3")
-    assert _as_perm(rs, longest_element(rs.cartan, range(3))) == reference_longest_element(rs)
+    signed = signed_roots(rs)
+    assert _as_perm(signed, longest_element(rs.cartan, range(3))) == reference_longest_element(rs)
     for p in range(1, 4):
         parabolic = [j for j in range(3) if j != p - 1]
-        assert _as_perm(rs, longest_element(rs.cartan, parabolic)) == reference_longest_element(rs, p)
+        assert _as_perm(signed, longest_element(rs.cartan, parabolic)) == reference_longest_element(rs, p)
