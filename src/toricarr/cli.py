@@ -269,12 +269,12 @@ def _cmd_identity(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str
         factors_out.append(
             {
                 "factor": str(sym),
-                "holds": res.holds,
+                "holds": res.total == 1,
                 "total": _frac(res.total),
                 "terms": [{"vertex": p, "value": _frac(v)} for p, v in res.terms],
             }
         )
-        lines.append(f"  {sym}: sum = {_frac(res.total)} ({'ok' if res.holds else 'FAIL'})")
+        lines.append(f"  {sym}: sum = {_frac(res.total)} ({'ok' if res.total == 1 else 'FAIL'})")
         for p, v in res.terms:
             lines.append(f"    vertex {p}: {_frac(v)}")
     return {"factors": factors_out}, lines, EXIT_OK

@@ -310,7 +310,6 @@ def poincare(rs: RootSystem) -> IntPolynomial:
 
 
 class DegreeIdentityResult(NamedTuple):
-    holds: bool
     terms: tuple[tuple[int, Fraction], ...]
     total: Fraction
 
@@ -323,4 +322,4 @@ def verify_degree_identity(sym: TypeSymbol) -> DegreeIdentityResult:
         term = Fraction(type_invariants(ptype).exponent_product, wp)
         terms.append((p, term))
         total += term
-    return DegreeIdentityResult(holds=(total == 1), terms=tuple(terms), total=total)
+    return DegreeIdentityResult(terms=tuple(terms), total=total)

@@ -177,6 +177,26 @@ def _closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], li
     return roots, pairings
 
 
+def _pairing_matrix(
+    roots: Sequence[Sequence[int]], pairings: Sequence[Sequence[int]], symmetrizer: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows [a][b] = <b, a^vee> = 2(b,a)/(a,a) of a Cartan matrix: a in `roots`, b over `pairings`.
+
+    pairings[b] lists <b, alpha_i^vee>, and pairings[a] is roots[a]'s own.
+    (b,a) = sum_i a_i d_i <b, alpha_i^vee> with d the symmetrizer: one
+    weight vector a d per root, one dot product per pair.
+    """
+    cartan = []
+    for a, root in enumerate(roots):
+        weights = list(map(mul, root, symmetrizer))
+        doubled = [2 * sum(map(mul, weights, p)) for p in pairings]  # 2(b, a) for each b
+        norm = doubled[a] // 2
+        if any(v % norm for v in doubled):
+            raise AssertionError("non-integral Cartan pairing")
+        cartan.append(tuple(v // norm for v in doubled))
+    return tuple(cartan)
+
+
 class RootSystem:
     """A (product of) irreducible system(s), held as its positive roots; immutable after construction."""
 
@@ -211,20 +231,10 @@ class RootSystem:
     # -- basic linear data ------------------------------------------------
 
     def cartan_of(self, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """The Cartan matrix [a][b] = <b, a^vee> = 2(b,a)/(a,a) of the roots at `indices` in positive_roots.
-
-        (b,a) = sum_i a_i d_i <b, alpha_i^vee>: one weight vector a d per root, one dot product per pair.
-        """
-        pairs = [self.pairings[i] for i in indices]
-        cartan = []
-        for a, i in enumerate(indices):
-            weights = list(map(mul, self.positive_roots[i], self.symmetrizer))
-            doubled = [2 * sum(map(mul, weights, p)) for p in pairs]  # 2(b, a) for each b
-            norm = doubled[a] // 2
-            if any(v % norm for v in doubled):
-                raise AssertionError("non-integral Cartan pairing")
-            cartan.append(tuple(v // norm for v in doubled))
-        return tuple(cartan)
+        """The Cartan matrix [a][b] = <b, a^vee> of the roots at `indices` in positive_roots."""
+        return _pairing_matrix(
+            [self.positive_roots[i] for i in indices], [self.pairings[i] for i in indices], self.symmetrizer
+        )
 
     @cached_property
     def simple_indices(self) -> tuple[int, ...]:
@@ -349,9 +359,11 @@ def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
 
     theta is the unique dominant long root, and each W-orbit holds exactly
     one dominant element, so the ascent from a long simple root ends at it.
-    Its column is -<theta, alpha_i^vee> and its row -2(alpha_j, theta)/(theta, theta), where
-    (a, b) = sum_i b_i d_i <a, alpha_i^vee> and (theta, theta) = 2 max(d), a long root's length.
-    The marks (1, theta) are then a null vector of the extended matrix only when theta is long.
+    The extended matrix is the Cartan matrix of (-theta, alpha_1, .., alpha_n),
+    whose pairings are -C theta and the columns of C; only the row of -theta
+    is new.  The marks (1, theta) are its null vector for any root theta.
+    Weighted by the symmetrizer (max(d), d), they are a left null vector only
+    when (theta, theta) = 2 max(d), that is when theta is long.
     `type_data` calls this once per type.
     """
     cartan = _cartan_matrix(sym)
@@ -359,17 +371,14 @@ def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
     long = d.index(max(d))
     theta = _ascend(cartan, [int(i == long) for i in range(sym.rank)])
     marks = (1,) + theta
-    row = [2]
-    for j in range(sym.rank):
-        q, r = divmod(-sum(t * dt * c[j] for t, dt, c in zip(theta, d, cartan)), max(d))
-        if r:
-            raise AssertionError("non-integral Cartan pairing")
-        row.append(q)
     column = [-sum(map(mul, c, theta)) for c in cartan]
-    extended = (tuple(row),) + tuple((a,) + tuple(c) for a, c in zip(column, cartan))
-    if any(sum(map(mul, c, marks)) for c in extended):
-        raise AssertionError(f"the marks of {sym} are not a null vector of its affine Cartan matrix")
-    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended, symmetrizer=(max(d), *d))
+    (row,) = _pairing_matrix([tuple(-t for t in theta)], [column, *zip(*cartan)], d)
+    extended = (row,) + tuple((a, *c) for a, c in zip(column, cartan))
+    symmetrizer = (max(d), *d)
+    weighted = list(map(mul, symmetrizer, marks))
+    if any(sum(map(mul, weighted, col)) for col in zip(*extended)):
+        raise AssertionError(f"the marks of {sym} are not a left null vector of its symmetrized affine Cartan matrix")
+    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended, symmetrizer=symmetrizer)
 
 
 def delete_vertex(diagram: AffineDiagram, p: int) -> tuple[TypeSymbol, ...]:

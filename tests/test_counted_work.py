@@ -4,7 +4,8 @@ Each request in `perfbench/reference/` is replayed in process through
 `cli.main`, with every `lru_cache` of the package emptied first (found by
 scanning the modules and their classes), as a fresh CLI process starts.
 Wrappers count, summed per workload and command: root system
-constructions, Hermite normal forms, saturations, lattice residues, n_theta
+constructions, Cartan matrices of a type and theta ascents (one each per
+affine diagram), Hermite normal forms, saturations, lattice residues, n_theta
 indices, torsion-grid scans with the sum of candidates times rows over them,
 and the flats the orbit walk visits, the orbit sizes `parabolic_classes`
 returns.  The totals must equal `counted_work.json` beside this file.  A
@@ -65,6 +66,8 @@ def _replay(monkeypatch, capsys, clear_every_cache, workload):
         init(rs, factors)
 
     monkeypatch.setattr(rootsys.RootSystem, "__init__", construct)
+    _count(monkeypatch, rootsys._cartan_matrix, calls("cartan_matrix"))
+    _count(monkeypatch, rootsys._ascend, calls("ascend"))
     _count(monkeypatch, intlat.hermite_normal_form, calls("hermite_normal_form"))
     _count(monkeypatch, intlat.saturate, calls("saturate"))
     _count(monkeypatch, intlat.residue, calls("residue"))

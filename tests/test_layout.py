@@ -9,8 +9,9 @@ NamedTuple record in `src/toricarr` must be read as an attribute by such a
 module, so that a record holds no fact that only the tests read.  Likewise
 every name that a module of `src/toricarr` (but `__init__.py`) or `tests/`
 imports must be read in it.  No module of `src/toricarr` reads another's
-private name.  Every `lru_cache` of `src/toricarr` must appear in `CACHES`
-with the reason it is kept, so that a new cache states one.
+private name, and none has an `assert` or reads the optimization flag.
+Every `lru_cache` of `src/toricarr` must appear in `CACHES` with the
+reason it is kept, so that a new cache states one.
 """
 
 import ast
@@ -125,6 +126,21 @@ def test_no_library_module_reads_another_modules_private_name():
             ):
                 found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert not found, "private names read across library modules:\n" + "\n".join(found)
+
+
+def test_no_check_depends_on_the_optimization_flag():
+    # python -O strips assert statements and sets __debug__ and sys.flags.optimize; with none of them
+    # in src/, a check behaves alike with and without -O, so tests/test_guards.py can run in process.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"
+        or isinstance(node, ast.Attribute) and node.attr == "flags" and getattr(node.value, "id", None) == "sys"
+        or isinstance(node, ast.ImportFrom) and node.module == "sys" and "flags" in {a.name for a in node.names}
+    ]
+    assert not found, "asserts or optimization-flag reads in src/:\n" + "\n".join(found)
 
 
 def _unused_imports(tree):
