@@ -16,7 +16,6 @@ from .rootsys import (
     affine_diagram,
     build,
     build_str,
-    delete_vertex,
     diagram_automorphisms,
     format_type,
     parse_type,
@@ -31,12 +30,12 @@ from .subsys import (
     parabolic_classes,
 )
 from .layers import (
-    IntPolynomial,
     LayerClassRecord,
     PointOrbitRecord,
     count_layers,
     count_points,
     euler_characteristic,
+    format_polynomial,
     layer_census,
     n_theta,
     poincare,

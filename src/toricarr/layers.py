@@ -6,6 +6,9 @@ partition, the full layer census with tangent types, Euler characteristic
 and the Poincare polynomial of the complement by two independent routes.
 The index n_Theta is a quotient of two indices in Z^k, each the product of
 the pivots of a Hermite normal form (`intlat.index_in_zk`).
+A polynomial in q is its tuple of integer coefficients, lowest degree
+first.  Every Poincare route is a list of terms (d, c), and `_assemble`
+sums each into sum c (q+1)^d q^(n-d).
 """
 
 from __future__ import annotations
@@ -20,65 +23,27 @@ from .rootsys import RootSystem, TypeSymbol, diagram_automorphisms, type_data, t
 from .subsys import Subsystem, parabolic_classes
 
 
-# -- integer polynomials ----------------------------------------------------
+# -- polynomials in q, as coefficient tuples, lowest degree first -------------
 
 
-class IntPolynomial(NamedTuple):
-    """Polynomial in q with integer coefficients, lowest degree first."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def of(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return cls(tuple(c))
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial.of(
-            [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
-        )
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial.of([other * x for x in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return IntPolynomial.of(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                q = "q" if k == 1 else f"q^{k}"
-                terms.append(q if c == 1 else f"{c}{q}")
-        return " + ".join(terms).replace("+ -", "- ")
+def _assemble(n: int, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The n + 1 coefficients of sum c (q+1)^d q^(n-d) over the terms (d, c)."""
+    coeffs = [0] * (n + 1)
+    for d, c in terms:
+        for k in range(d + 1):
+            coeffs[n - d + k] += c * comb(d, k)
+    return tuple(coeffs)
 
 
-def _binomial_shift(d: int, m: int) -> IntPolynomial:
-    """(q+1)^d * q^m."""
-    return IntPolynomial.of([0] * m + [comb(d, k) for k in range(d + 1)])
+def format_polynomial(coeffs: Sequence[int]) -> str:
+    """The display string of a polynomial in q, highest degree first: `28q + 1` for (1, 28)."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            q = "q" if k == 1 else f"q^{k}"
+            terms.append(str(c) if k == 0 else q if c == 1 else f"{c}{q}")
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 # -- points of the arrangement ----------------------------------------------
@@ -226,13 +191,13 @@ def _check_orlik_solomon(rs: RootSystem, records: Sequence[LayerClassRecord]) ->
         by_rank[rs.rank - r.dimension] += (
             r.orbit_size * type_invariants(r.theta.type).exponent_product
         )
-    expected = IntPolynomial.of([1])
+    expected = [1]
     for degree in rs.degrees:
-        expected = expected * IntPolynomial.of([1, degree - 1])
-    if IntPolynomial.of(by_rank) != expected:
+        expected = [a + (degree - 1) * b for a, b in zip(expected + [0], [0] + expected)]
+    if by_rank != expected:
         raise AssertionError(
             f"Orlik-Solomon factorisation fails: flats give {by_rank}, "
-            f"degrees give {list(expected.coeffs)}"
+            f"degrees give {expected}"
         )
 
 
@@ -264,46 +229,42 @@ def euler_characteristic(factors: tuple[TypeSymbol, ...]) -> int:
     return value
 
 
-def _closed_form_sum(rs: RootSystem, records: Sequence[LayerClassRecord]) -> IntPolynomial:
-    """Sum over tangent orbits of n_theta^{-1} |W^Theta| (q+1)^d q^{n-d}."""
-    total = IntPolynomial.of([])
+def _closed_form_terms(records: Sequence[LayerClassRecord]) -> list[tuple[int, int]]:
+    """(d, n_theta^{-1} |W^Theta|) for each tangent orbit."""
+    terms = []
     for r in records:
         q, rem = divmod(r.orbit_size * type_invariants(r.theta.type).weyl_order, r.n_theta)
         if rem:
             raise AssertionError("n_theta does not divide |W^Theta|")
-        total = total + q * _binomial_shift(r.dimension, rs.rank - r.dimension)
-    return total
+        terms.append((r.dimension, q))
+    return terms
 
 
-def _layer_sum(rs: RootSystem, records: Sequence[LayerClassRecord]) -> IntPolynomial:
-    """Sum over the census of the exponent product of each layer's own subsystem."""
-    total = IntPolynomial.of([])
-    for r in records:
-        weight = 0
-        for ptype, count in r.phi_c_types:
-            weight += count * type_invariants(ptype).exponent_product
-        total = total + (r.orbit_size * weight) * _binomial_shift(
-            r.dimension, rs.rank - r.dimension
-        )
-    return total
+def _layer_terms(records: Sequence[LayerClassRecord]) -> list[tuple[int, int]]:
+    """(d, the exponent products of the layers' own subsystems) for each census record."""
+    return [
+        (r.dimension, r.orbit_size * sum(c * type_invariants(t).exponent_product for t, c in r.phi_c_types))
+        for r in records
+    ]
 
 
-def poincare(rs: RootSystem) -> IntPolynomial:
-    """Poincare polynomial of the complement, by two routes that must agree.
+def poincare(rs: RootSystem) -> tuple[int, ...]:
+    """Poincare polynomial of the complement, lowest degree first, by two routes that must agree.
 
     The closed form over tangent orbits and the layer sum over the census
-    are both computed from the one census; the result must also have
-    constant term 1 and equal the Euler characteristic at q = -1.
+    are both term lists of the one census, each assembled into
+    sum c (q+1)^d q^(n-d); the result must also have constant term 1 and
+    equal the Euler characteristic at q = -1.
     """
     records = layer_census(rs)
-    poly = _closed_form_sum(rs, records)
-    if poly != _layer_sum(rs, records):
+    coeffs = _assemble(rs.rank, _closed_form_terms(records))
+    if coeffs != _assemble(rs.rank, _layer_terms(records)):
         raise AssertionError("closed-form and layer-sum Poincare polynomials differ")
-    if poly(0) != 1:
+    if coeffs[0] != 1:
         raise AssertionError("Poincare polynomial has nonunit constant term")
-    if poly(-1) != euler_characteristic(rs.factors):
+    if sum((-1) ** k * c for k, c in enumerate(coeffs)) != euler_characteristic(rs.factors):
         raise AssertionError("Poincare polynomial disagrees with the Euler characteristic")
-    return poly
+    return coeffs
 
 
 # -- the degree identity -------------------------------------------------------

@@ -190,7 +190,6 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
 class _QuotientArrangement(NamedTuple):
     """The arrangement of theta on the quotient torus D' = d/R^Phi(Theta)."""
 
-    gamma: tuple[tuple[int, ...], ...]       # functional matrix, rows = theta simples
     graph: tuple[tuple[int, ...], ...]       # HNF of the rows (gamma y, y) for y in Z^n
     r_basis: tuple[tuple[int, ...], ...]     # HNF basis of R^Phi(Theta)
     rows: tuple[tuple[int, ...], ...]        # grid rows of theta's positive roots
@@ -200,17 +199,16 @@ class _QuotientArrangement(NamedTuple):
 def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangement:
     """Theta's arrangement on its quotient torus, read off one HNF of [gamma^T | I_n].
 
-    The graph rows (gamma y_j, y_j) with gamma y_j != 0 give r_basis_j =
-    gamma y_j, so at grid point x the functional values are x @ r_basis =
-    gamma (sum_j x_j y_j): a root of theta with pairing row p takes the
-    value x . (y_j . p)_j, and that is its grid row, with no solve.
+    gamma holds the pairing rows of theta's k simple roots.  The graph rows
+    (gamma y_j, y_j) with gamma y_j != 0 give r_basis_j = gamma y_j, so at
+    grid point x the functional values are x @ r_basis = gamma (sum_j x_j
+    y_j): a root of theta with pairing row p takes the value x . (y_j . p)_j,
+    and that is its grid row, with no solve.
     """
-    gamma = tuple(rs.pairings[i] for i in theta.simples)
-    k = len(gamma)
-    graph = intlat.graph_hnf(gamma, rs.rank)
+    k = len(theta.simples)
+    graph = intlat.graph_hnf([rs.pairings[i] for i in theta.simples], rs.rank)
     image = [row for row in graph if any(row[:k])]
     return _QuotientArrangement(
-        gamma=gamma,
         graph=graph,
         r_basis=tuple(row[:k] for row in image),
         rows=tuple(
@@ -235,7 +233,7 @@ def _quotient_layers(
     against a formula.
     """
     qa = _quotient_arrangement(rs, theta)
-    return qa, tuple(_grid_points(qa.rows, qa.modulus, len(qa.gamma)))
+    return qa, tuple(_grid_points(qa.rows, qa.modulus, len(qa.r_basis)))
 
 
 def component_count(rs: RootSystem, theta: Subsystem) -> int:
@@ -314,7 +312,7 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
     layers = []  # (dimension, theta index, base grid point)
     for t, (d, theta) in enumerate(flats):
         qa, points = _quotient_layers(rs, theta)
-        k = len(qa.gamma)
+        k = len(qa.r_basis)
         kernel = [row[k:] for row in qa.graph if not any(row[:k])]
         lattices.append(intlat.hermite_normal_form(kernel + grid))
         r_cols = list(zip(*qa.r_basis))

@@ -15,7 +15,8 @@ table.
 Each irreducible type has one record, `type_data`, built once with no
 closure: its Cartan matrix and symmetrizer, its affine diagram, whose
 marks (1, theta) come from one ascent from a long simple root, and its
-vertex deletions.  A product reads its factors' records, in blocks.
+vertex deletions, each typed by a walk of the diagram's adjacency lists
+less that vertex.  A product reads its factors' records, in blocks.
 A Dynkin diagram, affine or of a subsystem, is encoded only by its Cartan
 matrix, and `classify_dynkin` types it from the nonzero off-diagonal
 entries.  The Weyl-group invariants, and the number of positive roots
@@ -29,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import add, mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import errors, intlat
 
@@ -343,12 +344,17 @@ class AffineDiagram(NamedTuple):
 
 
 def _ascend(cartan: Sequence[Sequence[int]], root: list[int]) -> tuple[int, ...]:
-    """The dominant root in a positive root's W-orbit: s_j raises the height while <root, alpha_j^vee> < 0."""
+    """The dominant root in a positive root's W-orbit: s_j raises the height while <root, alpha_j^vee> < 0.
+
+    The root carries its pairings, and s_j subtracts c times column j of the
+    Cartan matrix from them, as `_closure` adds one column per step.
+    """
+    pairing = [sum(map(mul, row, root)) for row in cartan]
     while True:
-        for j, row in enumerate(cartan):
-            c = sum(map(mul, row, root))
+        for j, c in enumerate(pairing):
             if c < 0:
                 root[j] -= c
+                pairing = [x - c * row[j] for x, row in zip(pairing, cartan)]
                 break
         else:
             return tuple(root)
@@ -381,14 +387,6 @@ def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
     return AffineDiagram(n=sym.rank, marks=marks, cartan=extended, symmetrizer=symmetrizer)
 
 
-def delete_vertex(diagram: AffineDiagram, p: int) -> tuple[TypeSymbol, ...]:
-    """Type of the subdiagram left after removing vertex p."""
-    if p not in diagram.vertices:
-        raise ValueError(f"vertex {p} not in diagram")
-    keep = [v for v in diagram.vertices if v != p]
-    return classify_dynkin([[diagram.cartan[i][j] for j in keep] for i in keep])
-
-
 def classify_dynkin(cartan: Sequence[Sequence[int]]) -> tuple[TypeSymbol, ...]:
     """Identify a Cartan matrix as a product of irreducible types.
 
@@ -396,10 +394,17 @@ def classify_dynkin(cartan: Sequence[Sequence[int]]) -> tuple[TypeSymbol, ...]:
     c[i][j] is nonzero.
     """
     k = len(cartan)
-    adj = [[j for j in range(k) if j != i and cartan[i][j]] for i in range(k)]
-    seen = set()
+    return _classify_diagram([[j for j in range(k) if j != i and cartan[i][j]] for i in range(k)], cartan)
+
+
+def _classify_diagram(
+    adj: Sequence[Sequence[int]], cartan: Sequence[Sequence[int]], deleted: Optional[int] = None
+) -> tuple[TypeSymbol, ...]:
+    """Types of the components of the diagram with adjacency lists `adj`, less the vertex `deleted`."""
+    adj = [[w for w in ws if w != deleted] for ws in adj]
+    seen = {deleted}
     out = []
-    for v in range(k):
+    for v in range(len(adj)):
         if v in seen:
             continue
         comp = [v]
@@ -540,12 +545,18 @@ class TypeData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def type_data(sym: TypeSymbol) -> TypeData:
-    """Cartan matrix, symmetrizer, affine diagram and, per affine vertex p, the type left by deleting p."""
+    """Cartan matrix, symmetrizer, affine diagram and, per affine vertex p, the type left by deleting p.
+
+    The diagram's adjacency lists are built once; each deletion walks the
+    components left on them, O(n) per vertex.
+    """
     diagram = affine_diagram(sym)
+    c = diagram.cartan
+    adj = [[w for w in diagram.vertices if w != v and c[v][w]] for v in diagram.vertices]
     w_order = type_invariants((sym,)).weyl_order
     vertices = []
     for p in diagram.vertices:
-        ptype = delete_vertex(diagram, p)
+        ptype = _classify_diagram(adj, c, p)
         wp = type_invariants(ptype).weyl_order
         if w_order % wp:
             raise AssertionError("parabolic order does not divide |W|")

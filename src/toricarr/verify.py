@@ -47,7 +47,7 @@ def euler_characteristic(rs, poset_rank, wz):
 
 
 def poincare_routes(rs, poset_rank, wz):
-    return f"routes agree: {layers.poincare(rs)}"
+    return f"routes agree: {layers.format_polynomial(layers.poincare(rs))}"
 
 
 def points_oracle(rs, poset_rank, wz):
@@ -103,7 +103,8 @@ def poset_grading(rs, poset_rank, wz):
 def iwahori_matsumoto(rs, poset_rank, wz):
     for sym in rs.factors:
         group, orbits = wz(sym)
-        _require(len(group) == center(sym).order, str(sym))
+        order = center(sym).order
+        _require(len(group) == order, f"{sym}: |W_Z| = {len(group)} != |Z| = {order}")
         _, aut_orbits = diagram_automorphisms(type_data(sym).diagram)
         _require(set(aut_orbits) == set(orbits), f"{sym}: orbit mismatch")
     return "z_p.alpha_0 = alpha_p, |W_Z| = |Z|, W_Z orbits = Aut orbits"

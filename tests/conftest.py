@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, count
 from itertools import product as iproduct
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, getitem, gt, mod, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -19,7 +19,6 @@ import pytest
 from toricarr import __version__, intlat, oracle
 from toricarr.errors import require_work
 from toricarr.intlat import IntMatrix, saturate
-from toricarr.layers import IntPolynomial, _binomial_shift
 from toricarr.rootsys import (
     RootSystem,
     TypeSymbol,
@@ -493,6 +492,17 @@ def _reference_order_bound(factors):
     return m
 
 
+def _reference_delete_vertex(diagram, p):
+    """Type of the affine diagram less vertex p: its (n x n) submatrix, classified anew."""
+    keep = [v for v in diagram.vertices if v != p]
+    return classify_dynkin([[diagram.cartan[i][j] for j in keep] for i in keep])
+
+
+@pytest.fixture
+def reference_delete_vertex():
+    return _reference_delete_vertex
+
+
 @pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
 def reference_symmetrizer():
     return _reference_symmetrizer
@@ -748,13 +758,17 @@ def _a_series_census(n, d):
 
 
 def _a_series_poincare(n):
-    """Poincare polynomial of the A_{n-1} complement, by partitions alone."""
-    total = IntPolynomial.of([])
+    """Poincare polynomial of the A_{n-1} complement by partitions alone, lowest degree first.
+
+    Each partition with d + 1 parts adds its coefficient times (q+1)^d q^(n-1-d).
+    """
+    total = [0] * n
     for lam in _partitions(n):
         d = len(lam) - 1
         coeff = factorial(n) * gcd(*lam) * prod(factorial(p - 1) for p in lam) // _b_lambda(lam)
-        total = total + coeff * _binomial_shift(d, n - 1 - d)
-    return total
+        for k in range(d + 1):
+            total[n - 1 - d + k] += coeff * comb(d, k)
+    return tuple(total)
 
 
 @pytest.fixture

@@ -129,7 +129,7 @@ def _naive_brute_points(rs, matrices, make_subsystem):
 def _naive_component_count(rs, theta):
     """Points of theta's arrangement on its quotient torus, one candidate at a time."""
     qa = _quotient_arrangement(rs, theta)
-    rank, m = len(qa.gamma), qa.modulus
+    rank, m = len(theta.simples), qa.modulus
     count = 0
     for x in iproduct(range(m), repeat=rank):
         van = [row for row in qa.rows if _dot_mod(row, x, m) == 0]
@@ -207,7 +207,7 @@ def test_quotient_scans_match_recursive_kernel(t, recursive_grid_points):
     for d in range(rs.rank + 1):
         for theta in enumerate_complete(rs, d).members:
             qa = _quotient_arrangement(rs, theta)
-            args = (qa.rows, qa.modulus, len(qa.gamma))
+            args = (qa.rows, qa.modulus, len(theta.simples))
             assert _grid_points(*args) == [x for x, _ in recursive_grid_points(*args)], (d, theta.roots)
 
 
@@ -510,7 +510,8 @@ def _reference_poset(rs):
     for d in range(n + 1):
         for theta in enumerate_complete(rs, d).members:
             qa, points = _quotient_layers(rs, theta)
-            rank = len(qa.gamma)
+            gamma = [rs.pairings[i] for i in theta.simples]
+            rank = len(gamma)
             for combo in points:
                 func = [
                     Fraction(sum(combo[i] * qa.r_basis[i][j] for i in range(rank)), qa.modulus)
@@ -519,7 +520,7 @@ def _reference_poset(rs):
                 base = next(
                     x for x in grid
                     if _in_fiber(qa, [sum(g * c for g, c in zip(row, x)) - f
-                                      for row, f in zip(qa.gamma, func)])
+                                      for row, f in zip(gamma, func)])
                 )
                 basis, _ = intlat.saturate([rs.positive_roots[i] for i in theta.roots])
                 layers.append((_ReferenceLayer(d, basis, base, theta), qa))
@@ -531,7 +532,8 @@ def _reference_poset(rs):
         if any(any(intlat.residue(lower.span_basis, row)) for row in upper.span_basis):
             return False
         diff = [a - b for a, b in zip(lower.base_point, upper.base_point)]
-        return _in_fiber(qa_upper, [sum(g * x for g, x in zip(row, diff)) for row in qa_upper.gamma])
+        gamma = [rs.pairings[i] for i in upper.theta.simples]
+        return _in_fiber(qa_upper, [sum(g * x for g, x in zip(row, diff)) for row in gamma])
 
     relation = {
         (i, j)
@@ -617,7 +619,7 @@ def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
     expected = []
     for theta in thetas:
         qa = _quotient_arrangement(rs, theta)
-        expected.append((list(qa.rows), qa.modulus, len(qa.gamma)))
+        expected.append((list(qa.rows), qa.modulus, len(theta.simples)))
     scans, residues = [], 0
     scan = oracle._grid_points
 
