@@ -3,7 +3,13 @@
 Every request takes one path through `main`: parse the arguments, run the
 command's handler from `_COMMANDS`, which returns (results, text lines, exit
 status), render the chosen format and emit it.  JSON, `census` CSV and
-`poset` dot all render the results; text joins the lines.
+`poset` dot all render the results; text joins the lines.  `_json` writes
+the bytes of the stdlib's `dumps(doc, indent=2, sort_keys=True)` itself:
+with an indent the `json` module always runs its pure-Python encoder, and in
+a fresh process the first call of each Python function is several times
+slower than a later one, so that encoder was a fixed cost of every JSON
+request.  The results hold only str-keyed dicts, lists, str, int, bool and
+None, with no float.
 
 Commands run one computation per process and emit deterministic output:
 identical inputs produce byte-identical bytes.  Exit codes: 0 success,
@@ -16,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -33,10 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPABILITY = 2
 EXIT_MISMATCH = 3
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -135,7 +136,30 @@ def _json_payload(factors: tuple[TypeSymbol, ...], command: str, results: dict) 
         "tool_version": __version__,
         "results": results,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc, "") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """The stdlib's `dumps(value, indent=2, sort_keys=True)` at this indent, for the results' types; else TypeError.
+
+    Strings are quoted by the stdlib's C function, which raises TypeError on a key that is not a str.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return "true" if value is True else "false" if value is False else "null"
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    return "[\n" + ",\n".join([inner + _json(item, inner) for item in value]) + "\n" + indent + "]"
 
 
 def _census_csv(results: dict) -> str:
@@ -267,17 +291,18 @@ def _cmd_identity(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str
     lines = [f"type {format_type(factors)}: degree identity"]
     for sym in factors:
         res = layers.verify_degree_identity(sym)
+        total = layers.format_fraction(*res.total)
         factors_out.append(
             {
                 "factor": str(sym),
-                "holds": res.total == 1,
-                "total": _frac(res.total),
-                "terms": [{"vertex": p, "value": _frac(v)} for p, v in res.terms],
+                "holds": res.total == (1, 1),
+                "total": total,
+                "terms": [{"vertex": p, "value": layers.format_fraction(*v)} for p, v in res.terms],
             }
         )
-        lines.append(f"  {sym}: sum = {_frac(res.total)} ({'ok' if res.total == 1 else 'FAIL'})")
+        lines.append(f"  {sym}: sum = {total} ({'ok' if res.total == (1, 1) else 'FAIL'})")
         for p, v in res.terms:
-            lines.append(f"    vertex {p}: {_frac(v)}")
+            lines.append(f"    vertex {p}: {layers.format_fraction(*v)}")
     return {"factors": factors_out}, lines, EXIT_OK
 
 
@@ -287,7 +312,7 @@ def _cmd_poset(factors: tuple[TypeSymbol, ...], args) -> tuple[dict, list[str], 
         {
             "dim": d,
             "theta_type": format_type(poset.thetas[t].type),
-            "base_point": [_frac(Fraction(c, poset.modulus)) for c in base],
+            "base_point": [layers.format_fraction(c, poset.modulus) for c in base],
         }
         for d, t, base in poset.layers
     ]

@@ -8,14 +8,15 @@ The index n_Theta is a quotient of two indices in Z^k, each the product of
 the pivots of a Hermite normal form (`intlat.index_in_zk`).
 A polynomial in q is its tuple of integer coefficients, lowest degree
 first.  Every Poincare route is a list of terms (d, c), and `_assemble`
-sums each into sum c (q+1)^d q^(n-d).
+sums each into sum c (q+1)^d q^(n-d).  The degree identity is the one
+rational sum; it is checked in integers, times |W|, and a fraction is a
+(numerator, denominator) pair in lowest terms, shown by `format_fraction`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlat
@@ -270,17 +271,32 @@ def poincare(rs: RootSystem) -> tuple[int, ...]:
 # -- the degree identity -------------------------------------------------------
 
 
+def _reduced(numerator: int, denominator: int) -> tuple[int, int]:
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def format_fraction(numerator: int, denominator: int) -> str:
+    """The fraction in lowest terms: `1/2` for (2, 4), and `2` for (4, 2)."""
+    numerator, denominator = _reduced(numerator, denominator)
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
 class DegreeIdentityResult(NamedTuple):
-    terms: tuple[tuple[int, Fraction], ...]
-    total: Fraction
+    terms: tuple[tuple[int, tuple[int, int]], ...]  # (p, P(Phi_p)/|W_p| in lowest terms)
+    total: tuple[int, int]  # their sum in lowest terms; (1, 1) when the identity holds
 
 
 def verify_degree_identity(sym: TypeSymbol) -> DegreeIdentityResult:
-    """Exact check of sum_p P(Phi_p)/|W_p| = 1 over the affine vertices of an irreducible type."""
+    """Exact check of sum_p P(Phi_p)/|W_p| = 1 over the affine vertices of an irreducible type.
+
+    Times |W| it is a sum of integers, sum_p P(Phi_p) |W|/|W_p| = |W|: each
+    vertex's exponent product weighted by its orbit of points.
+    """
     terms = []
-    total = Fraction(0)
-    for p, ptype, wp, _ in type_data(sym).vertices:
-        term = Fraction(type_invariants(ptype).exponent_product, wp)
-        terms.append((p, term))
-        total += term
-    return DegreeIdentityResult(terms=tuple(terms), total=total)
+    total = 0
+    for p, ptype, wp, size in type_data(sym).vertices:
+        product = type_invariants(ptype).exponent_product
+        terms.append((p, _reduced(product, wp)))
+        total += product * size
+    return DegreeIdentityResult(terms=tuple(terms), total=_reduced(total, type_invariants((sym,)).weyl_order))

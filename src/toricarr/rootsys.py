@@ -329,14 +329,17 @@ class AffineDiagram(NamedTuple):
     """Affine diagram on vertices 0..n: marks, Cartan matrix and symmetrizer of -theta, alpha_1, .., alpha_n.
 
     A diagram is its Cartan matrix: vertices u and v are joined when
-    cartan[u][v] = <alpha_v, alpha_u^vee> is nonzero.  The symmetrizer, empty
-    for a diagram that is no type's, holds half each root's squared length.
+    cartan[u][v] = <alpha_v, alpha_u^vee> is nonzero, and `adjacency` lists
+    each vertex's neighbours in that matrix, for the walks over the diagram.
+    The symmetrizer, empty for a diagram that is no type's, holds half each
+    root's squared length.
     """
 
     n: int
     marks: tuple[int, ...]
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
+    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def vertices(self) -> range:
@@ -384,7 +387,8 @@ def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
     weighted = list(map(mul, symmetrizer, marks))
     if any(sum(map(mul, weighted, col)) for col in zip(*extended)):
         raise AssertionError(f"the marks of {sym} are not a left null vector of its symmetrized affine Cartan matrix")
-    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended, symmetrizer=symmetrizer)
+    adjacency = tuple(tuple(w for w, x in enumerate(row) if x and w != v) for v, row in enumerate(extended))
+    return AffineDiagram(n=sym.rank, marks=marks, cartan=extended, symmetrizer=symmetrizer, adjacency=adjacency)
 
 
 def classify_dynkin(cartan: Sequence[Sequence[int]]) -> tuple[TypeSymbol, ...]:
@@ -486,11 +490,11 @@ def diagram_automorphisms(
     order from vertex 0, each later one onto a neighbour of its parent's image.
     Only the edges to placed vertices are checked: an injective map that sends
     every edge to an equal edge, between vertices of equal degree, sends every
-    non-edge to a non-edge too.
+    non-edge to a non-edge too.  The search keeps one candidate iterator per
+    placed vertex on a stack, so its depth is not bounded by Python's recursion.
     """
-    verts = list(diagram.vertices)
-    c = diagram.cartan
-    adj = [[w for w in verts if w != v and c[v][w]] for v in verts]
+    verts = diagram.vertices
+    c, adj = diagram.cartan, diagram.adjacency
     invariant = [
         (diagram.marks[v], sorted((c[v][w], c[w][v], diagram.marks[w]) for w in adj[v])) for v in verts
     ]
@@ -500,26 +504,39 @@ def diagram_automorphisms(
             if w not in parent:
                 parent[w] = v
                 order.append(w)
+    position = {v: i for i, v in enumerate(order)}
+    # Step i places v = order[i] next to its parent; its edges to earlier vertices are (u, c[v][u], c[u][v]).
+    steps = [
+        (v, parent[v], [(u, c[v][u], c[u][v]) for u in adj[v] if position[u] < i]) for i, v in enumerate(order)
+    ]
     autos = []
-    image: dict[int, int] = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            autos.append(tuple(image[v] for v in verts))
-            return
-        v = order[i]
-        for w in adj[image[parent[v]]] if i else verts:
-            if w in used or invariant[v] != invariant[w]:
+    image = [-1] * len(verts)
+    used = [False] * len(verts)
+    candidates = [iter(verts)]
+    while candidates:
+        v, _, earlier = steps[len(candidates) - 1]
+        if image[v] >= 0:  # back at this step: free the last image tried
+            used[image[v]] = False
+        key = invariant[v]
+        for w in candidates[-1]:
+            if used[w] or invariant[w] != key:
                 continue
-            if all(c[v][u] == c[w][image[u]] and c[u][v] == c[image[u]][w] for u in adj[v] if u in image):
-                image[v] = w
-                used.add(w)
-                extend(i + 1)
-                used.remove(w)
-                del image[v]
-
-    extend(0)
+            cw = c[w]
+            for u, vu, uv in earlier:
+                x = image[u]
+                if cw[x] != vu or c[x][w] != uv:
+                    break
+            else:
+                image[v], used[w] = w, True
+                break
+        else:
+            image[v] = -1
+            candidates.pop()
+            continue
+        if len(candidates) == len(steps):
+            autos.append(tuple(image))
+        else:
+            candidates.append(iter(adj[image[steps[len(candidates)][1]]]))
     seen = set()
     orbits = []
     for v in verts:
@@ -547,16 +564,14 @@ class TypeData(NamedTuple):
 def type_data(sym: TypeSymbol) -> TypeData:
     """Cartan matrix, symmetrizer, affine diagram and, per affine vertex p, the type left by deleting p.
 
-    The diagram's adjacency lists are built once; each deletion walks the
-    components left on them, O(n) per vertex.
+    Each deletion walks the components left on the diagram's adjacency
+    lists, O(n) per vertex.
     """
     diagram = affine_diagram(sym)
-    c = diagram.cartan
-    adj = [[w for w in diagram.vertices if w != v and c[v][w]] for v in diagram.vertices]
     w_order = type_invariants((sym,)).weyl_order
     vertices = []
     for p in diagram.vertices:
-        ptype = _classify_diagram(adj, c, p)
+        ptype = _classify_diagram(diagram.adjacency, diagram.cartan, p)
         wp = type_invariants(ptype).weyl_order
         if w_order % wp:
             raise AssertionError("parabolic order does not divide |W|")

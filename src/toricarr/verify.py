@@ -38,7 +38,7 @@ def wz_vertex_orbits(sym: TypeSymbol):
 def degree_identity(rs, poset_rank, wz):
     for sym in rs.factors:
         res = layers.verify_degree_identity(sym)
-        _require(res.total == 1, f"{sym}: sum = {res.total}")
+        _require(res.total == (1, 1), f"{sym}: sum = {layers.format_fraction(*res.total)}")
     return "sum over vertices equals 1 for every factor"
 
 

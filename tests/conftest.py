@@ -579,6 +579,60 @@ def reference_diagram_automorphisms():
     return _reference_diagram_automorphisms
 
 
+def _reference_recursive_diagram_automorphisms(diagram):
+    """The breadth-first placement as a recursion, one frame per vertex, as the library ran it before.
+
+    Each vertex after vertex 0 tries the neighbours of its parent's image,
+    checked against the images of its neighbours placed before it.
+    """
+    verts = list(diagram.vertices)
+    c = diagram.cartan
+    adj = [[w for w in verts if w != v and c[v][w]] for v in verts]
+    invariant = [
+        (diagram.marks[v], sorted((c[v][w], c[w][v], diagram.marks[w]) for w in adj[v])) for v in verts
+    ]
+    order, parent = [0], {0: 0}
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    autos = []
+    image: dict[int, int] = {}
+    used = set()
+
+    def extend(i):
+        if i == len(order):
+            autos.append(tuple(image[v] for v in verts))
+            return
+        v = order[i]
+        for w in adj[image[parent[v]]] if i else verts:
+            if w in used or invariant[v] != invariant[w]:
+                continue
+            if all(c[v][u] == c[w][image[u]] and c[u][v] == c[image[u]][w] for u in adj[v] if u in image):
+                image[v] = w
+                used.add(w)
+                extend(i + 1)
+                used.remove(w)
+                del image[v]
+
+    extend(0)
+    seen = set()
+    orbits = []
+    for v in verts:
+        if v in seen:
+            continue
+        orb = sorted({a[v] for a in autos})
+        orbits.append(tuple(orb))
+        seen.update(orb)
+    return tuple(sorted(autos)), tuple(orbits)
+
+
+@pytest.fixture(scope="session")
+def reference_recursive_diagram_automorphisms():
+    return _reference_recursive_diagram_automorphisms
+
+
 def _inner(rs, a, b):
     """Invariant bilinear form (block-scaled to integers), from the Cartan matrix and symmetrizer."""
     total = 0

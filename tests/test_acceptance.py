@@ -254,7 +254,7 @@ def test_criterion_9_degree_identity_through_e8():
     start = time.monotonic()
     for t in types:
         res = verify_degree_identity(*parse_type(t))
-        assert res.total == 1, t
+        assert res.total == (1, 1), t
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _ok(9, f"degree identity exact for {len(types)} types in {elapsed:.2f}s")

@@ -14,10 +14,14 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricarr
 from toricarr import cli
 from toricarr.cli import main
+
+TESTS = Path(__file__).resolve().parent
 
 COMMANDS = ["points", "layers", "census", "poincare", "euler", "identity", "poset", "verify"]
 
@@ -439,6 +443,65 @@ def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
     env = dict(os.environ, PYTHONPATH=str(Path(toricarr.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_importing_the_cli_imports_neither_fractions_nor_decimal():
+    # fractions imports decimal and numbers, about 2-3 ms of each cold start; every number is an integer.
+    script = "import sys\nimport toricarr.cli\nprint(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(toricarr.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+# Quotes, backslashes, control characters, non-ASCII, a lone surrogate and a character past the BMP.
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u00e9", "\u2028", "\ud800", "\U0001f600"])
+_TEXT = st.text(st.one_of(_AWKWARD, st.characters()), max_size=6)
+_LEAVES = st.one_of(
+    _TEXT, st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)), st.booleans(), st.none()
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=24
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_json_writer_gives_the_bytes_of_the_stdlib_encoder(doc):
+    assert cli._json(doc, "") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_a_float():
+    with pytest.raises(TypeError, match="float"):
+        cli._json({"results": [{"value": 0.5}]}, "")
+
+
+def test_requests_run_no_frame_of_the_json_package_or_of_fractions(monkeypatch, tmp_path, clear_every_cache):
+    # Replays every benchmark and golden request in process under a profiler: in a fresh process the first
+    # call of each stdlib function is a fixed cost, so the JSON is written by cli._json and every number is
+    # an integer.
+    files = [TESTS.parent / "perfbench" / "reference" / f"{w}.json" for w in ("census", "verify", "closed-forms")]
+    rows = [row for path in files + [TESTS / "cli_golden.json"] for row in json.loads(path.read_text())]
+    stdlib = (os.path.dirname(json.__file__) + os.sep, os.path.join(os.path.dirname(os.__file__), "fractions.py"))
+    frames = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(stdlib):
+            frames.add(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+
+    monkeypatch.chdir(tmp_path)
+    for row in rows:
+        clear_every_cache()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            sys.setprofile(profile)
+            try:
+                code = cli.main(list(row["argv"]))
+            finally:
+                sys.setprofile(None)
+        assert (out.getvalue(), code) == (row["stdout"], row["exit"]), row["argv"]
+        assert not frames, (row["argv"], sorted(frames))
 
 
 @pytest.mark.parametrize("command", ["census"])

@@ -352,7 +352,7 @@ DEFECTS = {
     # -- verify
     "degree_identity": Defect(
         "verify.degree_identity#1", ["verify", "--type", "G2"],
-        lambda mp: _wrap(mp, layers, "verify_degree_identity", lambda identity, sym: identity(sym)._replace(total=2)),
+        lambda mp: _wrap(mp, layers, "verify_degree_identity", lambda identity, sym: identity(sym)._replace(total=(2, 1))),
         ["  degree_identity: mismatch (G2: sum = 2)"],
     ),
     "point_count": Defect(

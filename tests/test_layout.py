@@ -170,7 +170,7 @@ def test_every_import_is_read():
 CACHES = {
     "rootsys.build": "0 hits in CLI traffic; perfbench/selftest.py pins it, and library callers"
     " share one RootSystem, the key of the layer_census, _span_levels and _quotient_layers caches",
-    "rootsys.type_invariants": "|W| and degrees of a product, 696/842 hits on census, 183/287 on closed-forms",
+    "rootsys.type_invariants": "|W| and degrees of a product, 696/842 hits on census, 196/300 on closed-forms",
     "rootsys.type_data": "the per-type record of every closed form, 613/661 hits on verify, 141/203 on census",
     "rootsys.center": "|Z| and exp Z from one Hermite form, 267/315 hits on verify",
     "subsys._span_levels": "the span route of enumerate_complete, 29/68 hits on verify;"

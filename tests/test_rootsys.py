@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,21 @@ def test_diagram_automorphisms_equal_the_exhaustive_search(reference_diagram_aut
         assert diagram_automorphisms(diag) == reference_diagram_automorphisms(diag), t
 
 
+def test_diagram_automorphisms_need_no_recursion_depth():
+    # The search used to take one frame per vertex; A200's 201 vertices must fit in 50 spare frames.
+    diag = affine_diagram(TypeSymbol("A", 200))
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        autos, orbits = diagram_automorphisms(diag)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(autos) == 402 and orbits == (tuple(range(201)),)
+
+
 @st.composite
 def _labelled_diagrams(draw):
     """A connected diagram on up to 6 vertices with bonds of labels -1 and -2 and marks 1 or 2."""
@@ -384,7 +400,14 @@ def _labelled_diagrams(draw):
         if u != v:
             c[u][v], c[v][u] = draw(label), draw(label)
     marks = draw(st.lists(st.sampled_from([1, 2]), min_size=k, max_size=k))
-    return AffineDiagram(n=k - 1, marks=tuple(marks), cartan=tuple(map(tuple, c)), symmetrizer=())
+    return _diagram(marks, c)
+
+
+def _diagram(marks, cartan):
+    """The diagram of a Cartan matrix with these marks and no symmetrizer; vertices are joined by nonzero entries."""
+    k = range(len(cartan))
+    adjacency = tuple(tuple(w for w in k if w != v and cartan[v][w]) for v in k)
+    return AffineDiagram(len(cartan) - 1, tuple(marks), tuple(map(tuple, cartan)), (), adjacency)
 
 
 @settings(max_examples=300, deadline=None)
@@ -397,7 +420,7 @@ def test_diagram_automorphisms_equal_the_exhaustive_search_on_labelled_graphs(
 
 def test_diagram_automorphisms_keep_the_orientation_of_each_bond():
     # A 3-cycle of oriented double bonds: the rotations keep the Cartan matrix, the reflections reverse it.
-    diag = AffineDiagram(n=2, marks=(1, 1, 1), cartan=((2, -2, -1), (-1, 2, -2), (-2, -1, 2)), symmetrizer=())
+    diag = _diagram((1, 1, 1), ((2, -2, -1), (-1, 2, -2), (-2, -1, 2)))
     assert diagram_automorphisms(diag) == (((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((0, 1, 2),))
 
 
@@ -471,6 +494,7 @@ def test_type_data_and_center_equal_the_per_type_references(
     d, c = data.diagram.symmetrizer, data.diagram.cartan
     assert d == (max(data.symmetrizer),) + data.symmetrizer
     assert all(d[u] * c[u][v] == d[v] * c[v][u] for u in data.diagram.vertices for v in data.diagram.vertices)
+    assert data.diagram == _diagram(data.diagram.marks, c)._replace(symmetrizer=d)
 
 
 # Every irreducible type of rank <= 12, and two past it.
@@ -490,6 +514,12 @@ def test_type_data_keeps_the_vertex_deletions(reference_delete_vertex, t):
         assert ptype == reference_delete_vertex(data.diagram, p)
         assert wp == type_invariants(ptype).weyl_order and wp * size == w_order
     assert [v[0] for v in data.vertices] == list(data.diagram.vertices)
+
+
+@pytest.mark.parametrize("t", _DELETION_TYPES)
+def test_diagram_automorphisms_equal_the_recursive_search(reference_recursive_diagram_automorphisms, t):
+    diag = affine_diagram(*parse_type(t))
+    assert diagram_automorphisms(diag) == reference_recursive_diagram_automorphisms(diag)
 
 
 # -- property tests ----------------------------------------------------------
