@@ -11,7 +11,7 @@ one code path for every type; the per-type coordinate models appear only
 in tests.  A root system is its positive roots, each naming the hypertorus
 of a root up to sign.  The closure carries each positive root's pairings
 with the simple coroots, and every later pairing and reflection reads that
-table.
+table; it also records each root's support, as a bit mask.
 Each irreducible type has one record, `type_data`, built once with no
 closure: its Cartan matrix and symmetrizer, its affine diagram, whose
 marks (1, theta) come from one ascent from a long simple root, and its
@@ -69,6 +69,11 @@ class TypeSymbol(_TypeFields):
 
     def __str__(self):
         return f"{self.family}{self.rank}"
+
+
+def _symbol(family: str, rank: int) -> TypeSymbol:
+    """A TypeSymbol the diagram classifier derived, canonical by construction, so built without the checks."""
+    return tuple.__new__(TypeSymbol, (family, rank))
 
 
 def parse_type(text: str) -> tuple[TypeSymbol, ...]:
@@ -148,34 +153,38 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> list[int]:
     return [x // g for x in d]
 
 
-def _closure(cartan: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Positive roots ordered by height, then coordinates, with their pairings <beta, alpha_i^vee>.
+def _closure(
+    cartan: Sequence[Sequence[int]],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """Positive roots ordered by height, then coordinates, with their pairings <beta, alpha_i^vee> and supports.
 
     Each root of the current height also carries p_i, the length of its
     alpha_i-string below it, and beta + alpha_i is a root iff
     p_i(beta) > <beta, alpha_i^vee>.  That root gamma has beta's pairings
-    plus column i of the Cartan matrix, and p_i(gamma) = p_i(beta) + 1.
+    plus column i of the Cartan matrix, beta's support plus bit i, and
+    p_i(gamma) = p_i(beta) + 1.
     Every root gamma - alpha_k of this height reaches gamma this way, so a
     p_k of gamma still 0 means gamma - alpha_k is no root.
     """
     n = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(n)]
-    level = {tuple(int(i == j) for j in range(n)): (columns[i], [0] * n) for i in range(n)}
-    roots, pairings = [], []
+    level = {tuple(int(i == j) for j in range(n)): (columns[i], [0] * n, 1 << i) for i in range(n)}
+    roots, pairings, supports = [], [], []
     while level:
         upper: dict = {}
         for beta in sorted(level):
-            pairing, down = level[beta]
+            pairing, down, support = level[beta]
             roots.append(beta)
             pairings.append(pairing)
+            supports.append(support)
             for i in range(n):
                 if down[i] > pairing[i]:
                     gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if gamma not in upper:
-                        upper[gamma] = (tuple(map(add, pairing, columns[i])), [0] * n)
+                        upper[gamma] = (tuple(map(add, pairing, columns[i])), [0] * n, support | 1 << i)
                     upper[gamma][1][i] = down[i] + 1
         level = upper
-    return roots, pairings
+    return roots, pairings, supports
 
 
 def _pairing_matrix(
@@ -216,10 +225,12 @@ class RootSystem:
         self.rank = n
         self.cartan = tuple(map(tuple, cartan))
         self.symmetrizer = tuple(symmetrizer)
-        positive, pairings = _closure(cartan)
+        positive, pairings, supports = _closure(cartan)
         self.positive_roots = tuple(positive)
         # Each positive root's values on the simple coroots, in the order of positive_roots.
         self.pairings = tuple(pairings)
+        # Each positive root's support, bit i set when alpha_i occurs in it, in the same order.
+        self.supports = tuple(supports)
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         self.n_positive = len(self.positive_roots)
         expected = sum(self.degrees) - n  # the sum of the exponents
@@ -349,18 +360,27 @@ class AffineDiagram(NamedTuple):
 def _ascend(cartan: Sequence[Sequence[int]], root: list[int]) -> tuple[int, ...]:
     """The dominant root in a positive root's W-orbit: s_j raises the height while <root, alpha_j^vee> < 0.
 
-    The root carries its pairings, and s_j subtracts c times column j of the
-    Cartan matrix from them, as `_closure` adds one column per step.
+    The root carries its pairings.  s_j subtracts c times column j of the
+    Cartan matrix from them, which moves only the pairing with alpha_j,
+    to -c, and those with j's neighbours in the diagram; a worklist holds
+    the vertices whose pairing may be negative.
     """
+    n = len(cartan)
     pairing = [sum(map(mul, row, root)) for row in cartan]
-    while True:
-        for j, c in enumerate(pairing):
-            if c < 0:
-                root[j] -= c
-                pairing = [x - c * row[j] for x, row in zip(pairing, cartan)]
-                break
-        else:
-            return tuple(root)
+    neighbours = [[i for i in range(n) if i != j and cartan[i][j]] for j in range(n)]
+    todo = [j for j in range(n) if pairing[j] < 0]
+    while todo:
+        j = todo.pop()
+        c = pairing[j]
+        if c >= 0:
+            continue
+        root[j] -= c
+        pairing[j] = -c
+        for i in neighbours[j]:
+            pairing[i] -= c * cartan[i][j]
+            if pairing[i] < 0:
+                todo.append(i)
+    return tuple(root)
 
 
 def affine_diagram(sym: TypeSymbol) -> AffineDiagram:
@@ -404,81 +424,90 @@ def classify_dynkin(cartan: Sequence[Sequence[int]]) -> tuple[TypeSymbol, ...]:
 def _classify_diagram(
     adj: Sequence[Sequence[int]], cartan: Sequence[Sequence[int]], deleted: Optional[int] = None
 ) -> tuple[TypeSymbol, ...]:
-    """Types of the components of the diagram with adjacency lists `adj`, less the vertex `deleted`."""
-    adj = [[w for w in ws if w != deleted] for ws in adj]
-    seen = {deleted}
+    """Types of the components of the diagram with adjacency lists `adj`, less the vertex `deleted`.
+
+    A component is a finite Dynkin diagram when it is a tree: a chain of
+    simple bonds (A), one branch point with arms (1, 1, m) (D) or
+    (1, 2, 2..4) (E), or a chain with one multiple bond (B, C, F4, G2).
+    A vertex's degree is its adjacency list's length less the deleted vertex.
+    """
+    seen = [False] * len(adj)
+    if deleted is not None:
+        seen[deleted] = True
     out = []
     for v in range(len(adj)):
-        if v in seen:
+        if seen[v]:
             continue
-        comp = [v]
-        seen.add(v)
-        queue = [v]
-        while queue:
-            for y in adj[queue.pop()]:
-                if y not in seen:
-                    seen.add(y)
+        seen[v] = True
+        comp, degree, multi = [v], [], []  # multi: the bonds (x, y), x < y, that are not simple
+        for x in comp:
+            row = cartan[x]
+            edges = 0
+            for y in adj[x]:
+                if y == deleted:
+                    continue
+                edges += 1
+                if not seen[y]:
+                    seen[y] = True
                     comp.append(y)
-                    queue.append(y)
-        out.append(_classify_component(comp, adj, cartan))
-    return tuple(sorted(out))
-
-
-def _classify_component(
-    comp: Sequence[int], adj: Sequence[Sequence[int]], cartan: Sequence[Sequence[int]]
-) -> TypeSymbol:
-    k = len(comp)
-    if k == 1:
-        return TypeSymbol("A", 1)
-    degree = {v: len(adj[v]) for v in comp}
-    if sum(degree.values()) != 2 * (k - 1):
-        raise ValueError("graph is not a tree: not a finite Dynkin diagram")
-    multi = [(v, w) for v in comp for w in adj[v] if v < w and cartan[v][w] * cartan[w][v] != 1]
-    if not multi:
-        if all(d <= 2 for d in degree.values()):
-            return TypeSymbol("A", k)
-        branches = [v for v in comp if degree[v] == 3]
-        if len(branches) != 1 or any(d > 3 for d in degree.values()):
+                if x < y and row[y] * cartan[y][x] != 1:
+                    multi.append((x, y))
+            degree.append(edges)
+        k = len(comp)
+        if k == 1:
+            out.append(_symbol("A", 1))
+            continue
+        if sum(degree) != 2 * (k - 1):
+            raise ValueError("graph is not a tree: not a finite Dynkin diagram")
+        top = max(degree)
+        if not multi:
+            if top <= 2:
+                out.append(_symbol("A", k))
+                continue
+            if top > 3 or degree.count(3) != 1:
+                raise ValueError("not a finite Dynkin diagram")
+            b = comp[degree.index(3)]
+            arms = []
+            for w in adj[b]:
+                if w == deleted:
+                    continue
+                length, prev, cur = 1, b, w
+                while len(adj[cur]) - (deleted in adj[cur]) == 2:
+                    prev, cur = cur, next(x for x in adj[cur] if x != prev and x != deleted)
+                    length += 1
+                arms.append(length)
+            arms.sort()
+            if arms[:2] == [1, 1]:
+                out.append(_symbol("D", k))
+            elif arms[:2] == [1, 2] and 2 <= arms[2] <= 4:
+                out.append(_symbol("E", arms[2] + 4))
+            else:
+                raise ValueError("not a finite Dynkin diagram")
+            continue
+        if len(multi) != 1 or top > 2:
             raise ValueError("not a finite Dynkin diagram")
-        b = branches[0]
-        arms = []
-        for w in adj[b]:
-            length = 1
-            prev, cur = b, w
-            while degree[cur] == 2:
-                prev, cur = cur, next(x for x in adj[cur] if x != prev)
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[:2] == [1, 1]:
-            return TypeSymbol("D", k)
-        if arms == [1, 2, 2]:
-            return TypeSymbol("E", 6)
-        if arms == [1, 2, 3]:
-            return TypeSymbol("E", 7)
-        if arms == [1, 2, 4]:
-            return TypeSymbol("E", 8)
-        raise ValueError("not a finite Dynkin diagram")
-    if len(multi) != 1 or any(d > 2 for d in degree.values()):
-        raise ValueError("not a finite Dynkin diagram")
-    v, w = multi[0]
-    bond = (-cartan[w][v], -cartan[v][w])  # (|<alpha_v, alpha_w^vee>|, |<alpha_w, alpha_v^vee>|)
-    if sorted(bond) == [1, 3]:
-        if k != 2:
-            raise ValueError("triple bond only occurs in G2")
-        return TypeSymbol("G", 2)
-    if sorted(bond) != [1, 2]:
-        raise ValueError(f"unrecognized bond {bond}")
-    if k == 2:
-        return TypeSymbol("B", 2)  # canonical alias of C2
-    # Chain with one double bond: B/C when at an end, F4 in the middle.
-    if degree[v] != 1 and degree[w] != 1:
-        if k == 4:
-            return TypeSymbol("F", 4)
-        raise ValueError("interior double bond only occurs in F4")
-    end, other = (v, w) if degree[v] == 1 else (w, v)
-    # <alpha_end, alpha_other^vee> = -2 means the end root is the long one.
-    return TypeSymbol("C" if cartan[other][end] == -2 else "B", k)
+        ((x, y),) = multi
+        bond = (-cartan[y][x], -cartan[x][y])  # (|<alpha_x, alpha_y^vee>|, |<alpha_y, alpha_x^vee>|)
+        if sorted(bond) == [1, 3]:
+            if k != 2:
+                raise ValueError("triple bond only occurs in G2")
+            out.append(_symbol("G", 2))
+        elif sorted(bond) != [1, 2]:
+            raise ValueError(f"unrecognized bond {bond}")
+        elif k == 2:
+            out.append(_symbol("B", 2))  # canonical alias of C2
+        else:
+            # Chain with one double bond: B/C when at an end, F4 in the middle.
+            ends = [z for z, e in zip(comp, degree) if e == 1]
+            if x not in ends and y not in ends:
+                if k != 4:
+                    raise ValueError("interior double bond only occurs in F4")
+                out.append(_symbol("F", 4))
+                continue
+            end, other = (x, y) if x in ends else (y, x)
+            # <alpha_end, alpha_other^vee> = -2 means the end root is the long one.
+            out.append(_symbol("C" if cartan[other][end] == -2 else "B", k))
+    return tuple(sorted(out))
 
 
 def diagram_automorphisms(

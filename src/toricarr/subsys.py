@@ -10,6 +10,21 @@ typed from its simple roots with none.
 Their W-orbits are classified from the standard parabolic flats alone, by a
 walk whose carried simple systems stay positive (Humphreys, Reflection Groups
 and Coxeter Groups, 1990, Prop. 1.4) and saturated, as W is unimodular.
+
+Ordering lemma: positive roots are indexed in height order, and two flats
+F != G of one rank compare, as sorted tuples of root indices, exactly as
+their sorted simple systems compare.  Proof: let x be the least index in
+exactly one of them, say in F.  G has a root outside F (of two complete
+subsystems of one rank, one inside the other, both are equal), above x, so F
+has the smaller sorted roots.  A root of a flat that is not simple in it is
+a simple root of the flat plus a positive root of it, both of lower height,
+hence of lower index.  So the roots below x, the same in F and G, are
+simple in F exactly when simple in G; and x is simple in F, for otherwise it
+would be a sum of two roots of G, which is closed.  The simple systems then
+agree below x, and x is in F's and not in G's, which has as many members,
+so F's sorted simple system is the smaller.  The walk therefore keys each
+flat by its simple system alone and finds an orbit's least flat by the
+least key.
 """
 
 from __future__ import annotations
@@ -159,6 +174,14 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
     Prop. 1.4).  W acts unimodularly on Z^n, so the base spans a saturated
     lattice; it keeps J's Cartan matrix, and its HNF only guards its rank.
 
+    The walk keys each flat by that system, sorted, and maps no flat's
+    roots.  By the ordering lemma (see the module docstring: a non-simple
+    root of a flat is a sum of two of its roots of lower index, so the least
+    root in one flat only is simple in it), the orbit's lex-minimal flat is
+    the one with the least key.  Each key keeps the simple reflection that
+    reached it, an involution that also takes it back to the key it came
+    from, and X_J's roots and J's base are mapped once, along that path.
+
     The flats X satisfy sum |mu(X)| = |W| with every |mu(X)| >= 1
     (Orlik-Solomon 1983), so the walk visits at most |W| of them; larger
     groups are refused.
@@ -170,29 +193,39 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
         type_invariants(rs.factors).weyl_order,
     )
     gens = tuple(zip(rs.simple_indices, rs.reflection_perms))
-    support = [sum(1 << k for k, c in enumerate(r) if c) for r in rs.positive_roots]
     seen: set[tuple[int, ...]] = set()
     classes = []
     for J in combinations(range(rs.rank), rs.rank - d):
         start = tuple(rs.simple_indices[j] for j in J)
-        if tuple(sorted(start)) in seen:
+        if (key := tuple(sorted(start))) in seen:
             continue
-        mask = sum(1 << j for j in J)
-        least = (tuple(i for i, s in enumerate(support) if not s & ~mask), start)
-        orbit = {tuple(sorted(start))}
-        queue = [(*least, None)]
+        # Each visited flat's key, its sorted simple system, names the reflection that reached it.
+        paths = {key: None}
+        queue = [key]
         while queue:
-            flat, base, back = queue.pop()
+            at = queue.pop()
+            back = paths[at]
             for simple, g in gens:
-                if simple in base or g is back:
+                if simple in at or g is back:
                     continue
-                img = tuple([g[b] for b in base])
-                if (key := tuple(sorted(img))) not in orbit:
-                    orbit.add(key)
-                    queue.append((tuple(sorted([g[i] for i in flat])), img, g))
-                    least = min(least, queue[-1][:2])
-        seen |= orbit
-        flat, base = least
+                if (key := tuple(sorted([g[b] for b in at]))) not in paths:
+                    paths[key] = g
+                    queue.append(key)
+        seen.update(paths)
+        # A reflection is an involution, so it takes a key back to the key it came from.
+        steps = []
+        key = min(paths)
+        while (g := paths[key]) is not None:
+            steps.append(g)
+            key = tuple(sorted([g[b] for b in key]))
+        # Map X_J and J's base once, along the path from J to the least key.
+        mask = sum(1 << j for j in J)
+        flat = [i for i, support in enumerate(rs.supports) if not support & ~mask]
+        base = start
+        for g in reversed(steps):
+            flat = [g[i] for i in flat]
+            base = [g[b] for b in base]
+        flat = tuple(sorted(flat))
         order = sorted(range(len(J)), key=base.__getitem__)
         simples = tuple(base[a] for a in order)
         rank = len(intlat.hermite_normal_form([rs.positive_roots[i] for i in simples]))
@@ -203,6 +236,6 @@ def parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ..
             )
         cartan = tuple(tuple(rs.cartan[J[a]][J[b]] for b in order) for a in order)
         theta = Subsystem(flat, classify_dynkin(cartan), simples, cartan)
-        classes.append((theta, len(orbit)))
+        classes.append((theta, len(paths)))
     classes.sort(key=lambda c: c[0].roots)
     return tuple(classes)

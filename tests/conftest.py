@@ -1313,10 +1313,10 @@ def brute_point_grid():
     return _brute_point_grid
 
 
-# -- the orbit walk that subsys.parabolic_classes replaced, kept as its reference --
+# -- the orbit walks that subsys.parabolic_classes replaced, kept as references --
 
 
-def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
+def _reference_signed_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
     """W-orbits of K_d as (lex-minimal member, orbit size), ordered by roots.
 
     Walks each standard parabolic flat's orbit under the simple
@@ -1355,8 +1355,167 @@ def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple, ...]:
 
 
 @pytest.fixture
+def reference_signed_parabolic_classes():
+    return _reference_signed_parabolic_classes
+
+
+# The walk that carried each flat's sorted roots with its simple system, mapping every flat it visits.
+
+
+def _reference_parabolic_classes(rs: RootSystem, d: int) -> tuple[tuple[Subsystem, int], ...]:
+    """W-orbits of K_d as (lex-minimal member, orbit size), ordered by roots.
+
+    Every flat of the Coxeter arrangement is W-conjugate to a standard
+    parabolic one (Steinberg; Orlik-Solomon 1983), so each orbit contains
+    some X_J, the positive roots supported on J with |J| = n - d.  Orbits
+    are walked under the simple reflections, each flat keyed by its positive
+    simple system, the image of J's simple roots.  s_i is skipped when it
+    reached the flat or alpha_i is in that base (s_i fixes the flat).  A
+    simple root in a flat is simple in it, so otherwise alpha_i is not in the
+    flat, and s_i turns none of its positive roots negative (Humphreys 1990,
+    Prop. 1.4).  W acts unimodularly on Z^n, so the base spans a saturated
+    lattice; it keeps J's Cartan matrix, and its HNF only guards its rank.
+
+    The flats X satisfy sum |mu(X)| = |W| with every |mu(X)| >= 1
+    (Orlik-Solomon 1983), so the walk visits at most |W| of them; larger
+    groups are refused.
+    """
+    if not 0 <= d <= rs.rank:
+        raise ValueError(f"dimension {d} out of range for rank {rs.rank}")
+    require_work(
+        f"flat orbit walk of {format_type(rs.factors)}: |W|",
+        type_invariants(rs.factors).weyl_order,
+    )
+    gens = tuple(zip(rs.simple_indices, rs.reflection_perms))
+    support = [sum(1 << k for k, c in enumerate(r) if c) for r in rs.positive_roots]
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for J in combinations(range(rs.rank), rs.rank - d):
+        start = tuple(rs.simple_indices[j] for j in J)
+        if tuple(sorted(start)) in seen:
+            continue
+        mask = sum(1 << j for j in J)
+        least = (tuple(i for i, s in enumerate(support) if not s & ~mask), start)
+        orbit = {tuple(sorted(start))}
+        queue = [(*least, None)]
+        while queue:
+            flat, base, back = queue.pop()
+            for simple, g in gens:
+                if simple in base or g is back:
+                    continue
+                img = tuple([g[b] for b in base])
+                if (key := tuple(sorted(img))) not in orbit:
+                    orbit.add(key)
+                    queue.append((tuple(sorted([g[i] for i in flat])), img, g))
+                    least = min(least, queue[-1][:2])
+        seen |= orbit
+        flat, base = least
+        order = sorted(range(len(J)), key=base.__getitem__)
+        simples = tuple(base[a] for a in order)
+        rank = len(intlat.hermite_normal_form([rs.positive_roots[i] for i in simples]))
+        if not set(simples) <= set(flat) or rank != len(simples):
+            raise AssertionError(
+                f"the carried simple roots {simples} of a flat of {format_type(rs.factors)} "
+                "are not positive roots of it of full rank"
+            )
+        cartan = tuple(tuple(rs.cartan[J[a]][J[b]] for b in order) for a in order)
+        theta = Subsystem(flat, classify_dynkin(cartan), simples, cartan)
+        classes.append((theta, len(orbit)))
+    classes.sort(key=lambda c: c[0].roots)
+    return tuple(classes)
+
+
+@pytest.fixture
 def reference_parabolic_classes():
     return _reference_parabolic_classes
+
+
+# -- the diagram classifier that rootsys._classify_diagram folded into one function, kept as its reference --
+
+
+def _reference_classify_diagram(
+    adj: Sequence[Sequence[int]], cartan: Sequence[Sequence[int]], deleted: Optional[int] = None
+) -> tuple[TypeSymbol, ...]:
+    """Types of the components of the diagram with adjacency lists `adj`, less the vertex `deleted`."""
+    adj = [[w for w in ws if w != deleted] for ws in adj]
+    seen = {deleted}
+    out = []
+    for v in range(len(adj)):
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        queue = [v]
+        while queue:
+            for y in adj[queue.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    queue.append(y)
+        out.append(_reference_classify_component(comp, adj, cartan))
+    return tuple(sorted(out))
+
+
+def _reference_classify_component(
+    comp: Sequence[int], adj: Sequence[Sequence[int]], cartan: Sequence[Sequence[int]]
+) -> TypeSymbol:
+    k = len(comp)
+    if k == 1:
+        return TypeSymbol("A", 1)
+    degree = {v: len(adj[v]) for v in comp}
+    if sum(degree.values()) != 2 * (k - 1):
+        raise ValueError("graph is not a tree: not a finite Dynkin diagram")
+    multi = [(v, w) for v in comp for w in adj[v] if v < w and cartan[v][w] * cartan[w][v] != 1]
+    if not multi:
+        if all(d <= 2 for d in degree.values()):
+            return TypeSymbol("A", k)
+        branches = [v for v in comp if degree[v] == 3]
+        if len(branches) != 1 or any(d > 3 for d in degree.values()):
+            raise ValueError("not a finite Dynkin diagram")
+        b = branches[0]
+        arms = []
+        for w in adj[b]:
+            length = 1
+            prev, cur = b, w
+            while degree[cur] == 2:
+                prev, cur = cur, next(x for x in adj[cur] if x != prev)
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            return TypeSymbol("D", k)
+        if arms == [1, 2, 2]:
+            return TypeSymbol("E", 6)
+        if arms == [1, 2, 3]:
+            return TypeSymbol("E", 7)
+        if arms == [1, 2, 4]:
+            return TypeSymbol("E", 8)
+        raise ValueError("not a finite Dynkin diagram")
+    if len(multi) != 1 or any(d > 2 for d in degree.values()):
+        raise ValueError("not a finite Dynkin diagram")
+    v, w = multi[0]
+    bond = (-cartan[w][v], -cartan[v][w])  # (|<alpha_v, alpha_w^vee>|, |<alpha_w, alpha_v^vee>|)
+    if sorted(bond) == [1, 3]:
+        if k != 2:
+            raise ValueError("triple bond only occurs in G2")
+        return TypeSymbol("G", 2)
+    if sorted(bond) != [1, 2]:
+        raise ValueError(f"unrecognized bond {bond}")
+    if k == 2:
+        return TypeSymbol("B", 2)  # canonical alias of C2
+    # Chain with one double bond: B/C when at an end, F4 in the middle.
+    if degree[v] != 1 and degree[w] != 1:
+        if k == 4:
+            return TypeSymbol("F", 4)
+        raise ValueError("interior double bond only occurs in F4")
+    end, other = (v, w) if degree[v] == 1 else (w, v)
+    # <alpha_end, alpha_other^vee> = -2 means the end root is the long one.
+    return TypeSymbol("C" if cartan[other][end] == -2 else "B", k)
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests take it too
+def reference_classify_diagram():
+    return _reference_classify_diagram
 
 
 # -- the order of a layer poset, read from its covers --------------------------

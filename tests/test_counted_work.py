@@ -5,12 +5,13 @@ Each request in `perfbench/reference/` is replayed in process through
 scanning the modules and their classes), as a fresh CLI process starts.
 Wrappers count, summed per workload and command: root system
 constructions, Cartan matrices of a type and theta ascents (one each per
-affine diagram), Hermite normal forms, saturations, lattice residues, n_theta
-indices, torsion-grid scans with the sum of candidates times rows over them,
-and the flats the orbit walk visits, the orbit sizes `parabolic_classes`
-returns.  The totals must equal `counted_work.json` beside this file.  A
-change that moves a count records the new totals there and states each
-old -> new count with its reason.  This only reads `perfbench/`.
+affine diagram), Dynkin diagrams typed, Hermite normal forms, saturations,
+lattice residues, n_theta indices, torsion-grid scans with the sum of
+candidates times rows over them, and the flats the orbit walk visits, the
+orbit sizes `parabolic_classes` returns.  The totals must equal
+`counted_work.json` beside this file.  A change that moves a count records
+the new totals there and states each old -> new count with its reason.
+This only reads `perfbench/`.
 """
 
 import functools
@@ -68,6 +69,7 @@ def _replay(monkeypatch, capsys, clear_every_cache, workload):
     monkeypatch.setattr(rootsys.RootSystem, "__init__", construct)
     _count(monkeypatch, rootsys._cartan_matrix, calls("cartan_matrix"))
     _count(monkeypatch, rootsys._ascend, calls("ascend"))
+    _count(monkeypatch, rootsys._classify_diagram, calls("classify_diagram"))
     _count(monkeypatch, intlat.hermite_normal_form, calls("hermite_normal_form"))
     _count(monkeypatch, intlat.saturate, calls("saturate"))
     _count(monkeypatch, intlat.residue, calls("residue"))

@@ -341,7 +341,7 @@ DEFECTS = {
         # The n highest positive roots in place of the simple ones: J's base then lies outside X_J.
         "subsys.parabolic_classes#1", ["census", "--type", "B3"],
         _carried_simples(lambda rs, simples: tuple(range(rs.n_positive - rs.rank, rs.n_positive))),
-        [f"mismatch: {_CARRIED.format((6, 7))}"],
+        [f"mismatch: {_CARRIED.format((2, 6))}"],
     ),
     "carried_repeated": Defect(
         # One simple root n times: J's base then has rank 1.

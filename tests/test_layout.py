@@ -11,16 +11,23 @@ every name that a module of `src/toricarr` (but `__init__.py`) or `tests/`
 imports must be read in it.  No module of `src/toricarr` reads another's
 private name, and none has an `assert` or reads the optimization flag.
 Every `lru_cache` of `src/toricarr` must appear in `CACHES` with the
-reason it is kept, so that a new cache states one.
+reason it is kept, so that a new cache states one, and the hit counts a
+reason quotes must be those of a replay of the benchmark's reference
+requests.
 """
 
 import ast
+import importlib
+import json
+import re
 from pathlib import Path
 
 import toricarr
+from toricarr import cli
 
 SRC = Path(toricarr.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+REFERENCE = TESTS.parent / "perfbench" / "reference"
 
 # Kept on purpose, though no library module names them.
 ALLOWED = {
@@ -166,9 +173,10 @@ def test_every_import_is_read():
 
 # Every lru_cache in src/, with the reason it is kept.  "a/b hits" counts cache hits over
 # calls in one in-process replay of the perfbench/reference requests of a workload, with
-# every cache emptied before each request, as a fresh CLI process starts.
+# every cache emptied before each request, as a fresh CLI process starts; the last test
+# of this module replays them and compares.
 CACHES = {
-    "rootsys.build": "0 hits in CLI traffic; perfbench/selftest.py pins it, and library callers"
+    "rootsys.build": "0/14 hits on census, 0/14 on verify; perfbench/selftest.py pins it, and library callers"
     " share one RootSystem, the key of the layer_census, _span_levels and _quotient_layers caches",
     "rootsys.type_invariants": "|W| and degrees of a product, 696/842 hits on census, 196/300 on closed-forms",
     "rootsys.type_data": "the per-type record of every closed form, 613/661 hits on verify, 141/203 on census",
@@ -202,3 +210,29 @@ def _lru_caches():
 
 def test_every_cache_is_listed_with_its_reason():
     assert _lru_caches() == set(CACHES)
+
+
+def test_quoted_hit_counts_are_those_of_the_reference_requests(capsys, clear_every_cache):
+    # Each "a/b hits on W" (or "a/b on W") of a reason, from a replay of perfbench/reference/W.json.
+    quoted = {
+        (cache, workload): (int(hits), int(calls))
+        for cache, reason in CACHES.items()
+        for hits, calls, workload in re.findall(r"(\d+)/(\d+) (?:hits )?on ([\w-]+)", reason)
+    }
+    caches = {}
+    for cache in CACHES:
+        module, name = cache.split(".")
+        caches[cache] = getattr(importlib.import_module(f"toricarr.{module}"), name)
+    counted = {}
+    for workload in sorted({workload for _, workload in quoted}):
+        hits = dict.fromkeys(CACHES, 0)
+        calls = dict.fromkeys(CACHES, 0)
+        for row in json.loads((REFERENCE / f"{workload}.json").read_text()):
+            clear_every_cache()
+            assert (cli.main(list(row["argv"])), capsys.readouterr().out) == (row["exit"], row["stdout"])
+            for cache, fn in caches.items():
+                info = fn.cache_info()
+                hits[cache] += info.hits
+                calls[cache] += info.hits + info.misses
+        counted.update({(cache, workload): (hits[cache], calls[cache]) for cache in CACHES})
+    assert quoted == {key: counted[key] for key in quoted}

@@ -14,6 +14,7 @@ from toricarr.rootsys import (
     RootSystem,
     TypeSymbol,
     _cartan_matrix,
+    _classify_diagram,
     affine_diagram,
     build,
     build_str,
@@ -522,6 +523,37 @@ def test_diagram_automorphisms_equal_the_recursive_search(reference_recursive_di
     assert diagram_automorphisms(diag) == reference_recursive_diagram_automorphisms(diag)
 
 
+def _typing(classify, adj, cartan, deleted=None):
+    """The types a classifier gives, or the message of the ValueError it raises."""
+    try:
+        return classify(adj, cartan, deleted)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _adjacency(cartan):
+    return [[j for j, c in enumerate(row) if c and j != i] for i, row in enumerate(cartan)]
+
+
+@pytest.mark.parametrize("t", _DELETION_TYPES)
+def test_classify_diagram_equals_the_reference_on_every_deletion(reference_classify_diagram, t):
+    # Each affine vertex deleted, and none: the whole affine diagram is no finite one, so both raise alike.
+    diagram = type_data(*parse_type(t)).diagram
+    for p in [None, *diagram.vertices]:
+        types = _typing(_classify_diagram, diagram.adjacency, diagram.cartan, p)
+        assert types == _typing(reference_classify_diagram, diagram.adjacency, diagram.cartan, p), p
+        assert p is None or all(type(sym) is TypeSymbol for sym in types), p
+
+
+def test_classify_diagram_walks_no_arm_through_the_deleted_vertex(reference_classify_diagram):
+    # Vertex 4 is on an arm of the branch point 0 once 5 is deleted, and 5 comes before 6 in its list.
+    edges = [(0, 1), (0, 2), (2, 8), (0, 3), (3, 4), (4, 5), (4, 6), (5, 7)]
+    cartan = [[2 if i == j else -((i, j) in edges or (j, i) in edges) for j in range(9)] for i in range(9)]
+    adj = _adjacency(cartan)
+    assert _classify_diagram(adj, cartan, 5) == (TypeSymbol("A", 1), TypeSymbol("E", 7))
+    assert reference_classify_diagram(adj, cartan, 5) == (TypeSymbol("A", 1), TypeSymbol("E", 7))
+
+
 # -- property tests ----------------------------------------------------------
 
 _RANK_LE_8 = [t for t in PER_TYPE_TYPES if int(t[1:]) <= 8]
@@ -558,3 +590,36 @@ def test_format_parse_round_trip(names, data):
     separators = [data.draw(st.sampled_from("xX*")) for _ in names[1:]]
     written = spelled[0] + "".join(sep + n for sep, n in zip(separators, spelled[1:]))
     assert parse_type(written) == factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_DELETION_TYPES), st.data())
+def test_classify_diagram_equals_the_reference_on_principal_submatrices(reference_classify_diagram, t, data):
+    # Any vertex subset of an affine diagram, less one more vertex or none: a product of finite types or an error.
+    cartan = type_data(*parse_type(t)).diagram.cartan
+    keep = data.draw(st.lists(st.sampled_from(range(len(cartan))), min_size=1, unique=True).map(sorted))
+    sub = [[cartan[i][j] for j in keep] for i in keep]
+    deleted = data.draw(st.sampled_from([None, *range(len(keep))]))
+    adj = _adjacency(sub)
+    assert _typing(_classify_diagram, adj, sub, deleted) == _typing(reference_classify_diagram, adj, sub, deleted)
+
+
+# Off-diagonal pairs (c[i][j], c[j][i]) of a generalized Cartan matrix: no bond, simple, double, triple, or more.
+_BONDS = [(0, 0), (0, 0), (0, 0), (-1, -1), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=1, max_value=9).flatmap(
+    lambda k: st.tuples(
+        st.just(k), st.lists(st.sampled_from(_BONDS), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2),
+        st.sampled_from([None, *range(k)]),
+    )
+))
+def test_classify_diagram_equals_the_reference_on_any_matrix(reference_classify_diagram, drawn):
+    # Most of these are no Dynkin diagram: cycles, branch points of degree 4, two multiple bonds, bonds of 4.
+    k, bonds, deleted = drawn
+    cartan = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for (i, j), (cij, cji) in zip(itertools.combinations(range(k), 2), bonds):
+        cartan[i][j], cartan[j][i] = cij, cji
+    adj = _adjacency(cartan)
+    assert _typing(_classify_diagram, adj, cartan, deleted) == _typing(reference_classify_diagram, adj, cartan, deleted)

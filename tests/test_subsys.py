@@ -1,7 +1,10 @@
 """Completion, complete-subsystem enumeration, type identification, W-orbits."""
 
+import json
 from collections import Counter
+from itertools import combinations
 from operator import mul
+from pathlib import Path
 
 import sys
 
@@ -244,11 +247,46 @@ def test_parabolic_classes_match_span_route(t, span_orbits):
 
 
 @pytest.mark.parametrize("t", ["B5", "C5", "D5", "A6", "D6", "E6", "B2xG2xA1"])
-def test_parabolic_classes_match_the_reference_walk(t, reference_parabolic_classes):
+def test_parabolic_classes_match_the_reference_walk(t, reference_signed_parabolic_classes):
     # Beyond the span route's reach: the rebuilt representatives against the carried ones.
     rs = build_str(t)
     for d in range(rs.rank + 1):
+        assert parabolic_classes(rs, d) == reference_signed_parabolic_classes(rs, d), d
+
+
+def _product_types():
+    """The product types that tests/cli_golden.json and perfbench/reference/ request."""
+    root = Path(__file__).resolve().parent
+    rows = json.loads((root / "cli_golden.json").read_text())
+    for path in sorted((root.parent / "perfbench" / "reference").glob("*.json")):
+        rows += json.loads(path.read_text())
+    types = {argv[argv.index("--type") + 1] for argv in (row["argv"] for row in rows) if "--type" in argv}
+    return sorted(t for t in types if "x" in t)
+
+
+_IRREDUCIBLE_LE_6 = (
+    [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)] + [f"C{n}" for n in range(3, 7)]
+    + [f"D{n}" for n in range(4, 7)] + ["E6", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("t", _IRREDUCIBLE_LE_6 + ["E7"] + _product_types())
+def test_parabolic_classes_equal_the_walk_that_mapped_every_flat(t, reference_parabolic_classes):
+    # The walk keyed by simple systems against the one that carried and compared each flat's sorted roots.
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
         assert parabolic_classes(rs, d) == reference_parabolic_classes(rs, d), d
+
+
+@pytest.mark.parametrize("t", ["B3", "F4", "A3xA1"])
+def test_flats_order_as_their_simple_systems(t):
+    # Two flats of one rank compare, by their sorted roots, as their sorted simple systems compare.
+    rs = build_str(t)
+    for d in range(rs.rank + 1):
+        members = enumerate_complete(rs, d).members
+        assert len({tuple(sorted(m.simples)) for m in members}) == len(members)
+        for a, b in combinations(members, 2):
+            assert (a.roots < b.roots) == (tuple(sorted(a.simples)) < tuple(sorted(b.simples))), (a.roots, b.roots)
 
 
 def test_parabolic_classes_e6_lines(span_orbits):
