@@ -6,13 +6,13 @@ affine diagram times the exponent of the center, both computed from
 lattice data, not tables).  The scan tells points from other grid points
 by counting simple vanishing roots on bit lanes and returns the points
 alone; the center is read off them, and one point per W-orbit names its
-vanishing roots, to type it.  The lattice work of the quotient tori runs
-on intlat's Hermite normal form, and each flat's quotient torus is scanned
-once per request, for the component counts and the poset alike.
-The layer poset takes no pass over the grid: the grid points of a layer
-form a coset of a lattice that contains the grid's own, and the canonical
-HNF residue of that coset is the layer's first grid point, which serves as
-both its base point and its name.  The poset is graded by dimension, so it
+vanishing roots, to type it.  The component counts scan the quotient torus
+of each flat they check, with its lattice work on intlat's Hermite normal
+form.  The layer poset scans the point grid once: every layer contains a
+point, the grid points of a layer form a coset of a lattice that contains
+the grid's own, and the canonical HNF residue of a point of the layer
+modulo that lattice is the layer's first grid point, which serves as both
+its base point and its name.  The poset is graded by dimension, so it
 keeps no order relation: its covers, between layers of consecutive
 dimensions, are computed on request.  Everything is exact integer/rational
 arithmetic; set equality against the formula route is zero-tolerance.
@@ -20,7 +20,7 @@ arithmetic; set equality against the formula route is zero-tolerance.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
 from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 from . import intlat
 from .errors import CapabilityError, require_work
 from .rootsys import RootSystem, TypeSymbol, center, center_order, type_data, type_invariants
-from .subsys import Subsystem, enumerate_complete, simple_type
+from .subsys import Subsystem, enumerate_complete, simple_system, simple_type
 
 DEFAULT_POSET_RANK = 3
 
@@ -187,63 +187,25 @@ def brute_points(rs: RootSystem) -> tuple[BrutePoint, ...]:
 # -- counting layers tangent to one subsystem ---------------------------------
 
 
-class _QuotientArrangement(NamedTuple):
-    """The arrangement of theta on the quotient torus D' = d/R^Phi(Theta)."""
-
-    graph: tuple[tuple[int, ...], ...]       # HNF of the rows (gamma y, y) for y in Z^n
-    r_basis: tuple[tuple[int, ...], ...]     # HNF basis of R^Phi(Theta)
-    rows: tuple[tuple[int, ...], ...]        # grid rows of theta's positive roots
-    modulus: int
-
-
-def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangement:
-    """Theta's arrangement on its quotient torus, read off one HNF of [gamma^T | I_n].
-
-    gamma holds the pairing rows of theta's k simple roots.  The graph rows
-    (gamma y_j, y_j) with gamma y_j != 0 give r_basis_j = gamma y_j, so at
-    grid point x the functional values are x @ r_basis = gamma (sum_j x_j
-    y_j): a root of theta with pairing row p takes the value x . (y_j . p)_j,
-    and that is its grid row, with no solve.
-    """
-    k = len(theta.simples)
-    graph = intlat.graph_hnf([rs.pairings[i] for i in theta.simples], rs.rank)
-    image = [row for row in graph if any(row[:k])]
-    return _QuotientArrangement(
-        graph=graph,
-        r_basis=tuple(row[:k] for row in image),
-        rows=tuple(
-            tuple(sum(map(mul, row[k:], rs.pairings[i])) for row in image) for i in theta.roots
-        ),
-        modulus=order_bound(theta.type),
-    )
-
-
-@lru_cache(maxsize=None)
-def _quotient_layers(
-    rs: RootSystem, theta: Subsystem
-) -> tuple[_QuotientArrangement, tuple[tuple[int, ...], ...]]:
-    """Theta's quotient arrangement and the grid coordinates of its points.
-
-    The coordinates are in the R-basis, in units of 1/modulus.  A root
-    vanishes at grid point x when x . row = 0 mod modulus for its grid row,
-    r_basis applied to its theta coordinates; r_basis is invertible, so the
-    rows are theta's positive roots under an injective linear map, as the
-    scan requires.  Cached, so component_count and build_poset scan each
-    flat once per request; each of them still checks its own result
-    against a formula.
-    """
-    qa = _quotient_arrangement(rs, theta)
-    return qa, tuple(_grid_points(qa.rows, qa.modulus, len(qa.r_basis)))
-
-
 def component_count(rs: RootSystem, theta: Subsystem) -> int:
     """|C^Phi_Theta|: layers whose tangent subsystem completes to theta.
 
-    Counted directly as the 0-dimensional layers of theta's arrangement on
-    the quotient torus with lattice R^Phi(Theta) -- independent of both the
-    point-count formula and the n_theta index computation.
+    Counted directly as the points of theta's arrangement on the quotient
+    torus D' = d/R^Phi(Theta) -- independent of both the point-count
+    formula and the n_theta index computation.  gamma holds the pairing
+    rows of theta's k simple roots, and one HNF of [gamma^T | I_n] has the
+    rows (gamma y, y); those with gamma y != 0 give the basis r_j = gamma y_j
+    of R^Phi(Theta).  At the quotient grid point x, in that basis and in
+    units of 1/order_bound(theta.type), a root of theta with pairing row p
+    takes the value x . (y_j . p)_j: that is its grid row, with no solve.
+    The basis is invertible, so the rows are theta's positive roots under an
+    injective linear map, as the scan requires.
     """
-    return len(_quotient_layers(rs, theta)[1])
+    k = len(theta.simples)
+    graph = intlat.graph_hnf([rs.pairings[i] for i in theta.simples], rs.rank)
+    lifts = [row[k:] for row in graph if any(row[:k])]
+    rows = [tuple(sum(map(mul, y, rs.pairings[i])) for y in lifts) for i in theta.roots]
+    return len(_grid_points(rows, order_bound(theta.type), k))
 
 
 # -- the explicit layer poset --------------------------------------------------
@@ -254,14 +216,21 @@ class LayerPoset(NamedTuple):
 
     layers[i] = (dimension, flat index t, base grid point): the layer is
     tangent to the flat thetas[t], and its base point, in units of
-    1/modulus, is its lexicographically first grid point.  The order is
-    graded by dimension.  For layers C' ⊊ C, some root beta vanishes on C'
-    but not on C (else the connected C, which meets C', would lie in C'),
-    so beta is not constant on C and cuts C in a layer of dimension
-    dim C - 1 through C'.  Hence C' <= C is a chain of covers, and layer j
-    covers layer i exactly when dim j = dim i + 1, theta_j lies in theta_i
-    and base_i reduces to base_j modulo M_j.  The order is the reflexive
-    transitive closure of the covers.
+    1/modulus, is its lexicographically first grid point.  Every layer L
+    tangent to theta contains a point x, and L is a component of the
+    intersection of the hypertori of some roots of theta that vanish at x
+    and span theta.  Conversely, at every point x where the roots of theta
+    vanishing at x span theta, they cut out a layer tangent to theta through
+    x, whose grid points are the coset x + M of the lattice
+    M = ker gamma + m Z^n, gamma the pairing rows of theta's simple roots.
+    So the canonical residue of x modulo M is that layer's base point.
+    The order is graded by dimension.  For layers C' ⊊ C, some root beta
+    vanishes on C' but not on C (else the connected C, which meets C',
+    would lie in C'), so beta is not constant on C and cuts C in a layer
+    of dimension dim C - 1 through C'.  Hence C' <= C is a chain of covers,
+    and layer j covers layer i exactly when dim j = dim i + 1, theta_j lies
+    in theta_i and base_i reduces to base_j modulo M_j.  The order is the
+    reflexive transitive closure of the covers.
     """
 
     thetas: tuple[Subsystem, ...]  # the flats, in (dimension, span basis) order
@@ -283,47 +252,61 @@ class LayerPoset(NamedTuple):
 def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerPoset:
     """Every layer of the arrangement, as an integer triple, with what its covers are computed from.
 
-    Each layer is a fiber of the projection onto the quotient torus of its
-    tangent subsystem theta.  With gamma the pairing rows of theta's simple
-    roots, the grid points x (units of 1/m) of the layer over the quotient
-    point c form one coset y + M of the lattice M = ker gamma + m Z^n, where
-    gamma y = m (c r_basis) / modulus.  M contains m Z^n, so the pivots of
-    its HNF divide m, and the canonical residue of y modulo M is the
-    lexicographically first grid point of the layer (Cohen 1993, 2.4.3):
-    its base point, which also names the layer.  One HNF of the rows
-    (gamma y, y) gives r_basis, ker gamma and y.  The flats come from
-    enumerate_complete, K_0 to K_n, in (dimension, span basis) order, so
-    sorting the triples orders the layers by dimension, span basis and base
-    point.  The order is left to LayerPoset.covers, which reads each flat's
-    M and the flats one rank below it.  Refuses, with the estimate, when the
-    quotient scan of theta = Phi is over the work bound, before enumerating
-    any subsystem, or when m^n points times the number of thetas is.
+    One scan of the point grid Z_m^n names every layer.  At each point x
+    and flat theta whose roots vanishing at x span it, the layer tangent to
+    theta through x is named by the canonical residue of x modulo
+    M_theta = ker gamma_theta + m Z^n (LayerPoset gives the argument).
+    M_theta contains m Z^n, so the pivots of its HNF divide m, and that
+    residue is the layer's lexicographically first grid point (Cohen 1993,
+    2.4.3).  M_theta's HNF is the rows with a zero gamma-part of one HNF of
+    the rows (gamma e_j, e_j) and (0, m e_j).  The roots of theta vanishing
+    at x form a closed subsystem, whose rank is the count of its simple
+    roots; that count is taken once per such subsystem, and the flats
+    spanned at x once per set of roots vanishing at a point.  The flats
+    come from enumerate_complete, K_0 to K_n, in (dimension, span basis)
+    order, so sorting the triples orders the layers by dimension, span
+    basis and base point.  The order is left to LayerPoset.covers, which
+    reads each flat's M and the flats one rank below it.  Raises
+    AssertionError when a flat has no layer, or the flat Phi, K_0's one
+    member, not one layer per point.  Refuses, with the estimate, when the
+    point scan is over the work bound, before enumerating any subsystem, or
+    when m^n points, a bound on the points, times the number of flats is.
     """
     n = rs.rank
     if n > max_rank:
         raise CapabilityError(f"rank {n} exceeds poset bound poset_rank={max_rank}")
     m = order_bound(rs.factors)
-    # The largest quotient scan, that of theta = Phi, is bounded before enumerating.
+    # The point scan is bounded before enumerating.
     require_work(f"grid scan of {m}^{n} candidates x {rs.n_positive} roots", m**n * rs.n_positive)
     flats = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
     require_work(f"poset of {m}^{n} points x {len(flats)} subsystems", m**n * len(flats))
-    grid = [[m * (i == j) for j in range(n)] for i in range(n)]  # rows of m Z^n
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
     lattices = []  # lattices[t]: HNF of M = ker gamma + m Z^n for theta t
-    layers = []  # (dimension, theta index, base grid point)
-    for t, (d, theta) in enumerate(flats):
-        qa, points = _quotient_layers(rs, theta)
-        k = len(qa.r_basis)
-        kernel = [row[k:] for row in qa.graph if not any(row[:k])]
-        lattices.append(intlat.hermite_normal_form(kernel + grid))
-        r_cols = list(zip(*qa.r_basis))
-        for c in points:
-            scaled = [m * sum(map(mul, c, col)) for col in r_cols]
-            # (-v, 0) reduces by rows (gamma z, z) to (0, -z) only when gamma(-z) = v.
-            rest = intlat.residue(qa.graph, [-(v // qa.modulus) for v in scaled] + [0] * n)
-            if any(v % qa.modulus for v in scaled) or any(rest[:k]):
-                raise AssertionError("layer contains no grid point")
-            layers.append((d, t, intlat.residue(lattices[t], rest[k:])))
-    layers.sort()
+    for _, theta in flats:
+        k = len(theta.simples)
+        gamma = [rs.pairings[i] for i in theta.simples]
+        graph = [[*(row[j] for row in gamma), *unit[j]] for j in range(n)]  # rows (gamma e_j, e_j)
+        hnf = intlat.hermite_normal_form(graph + [[0] * k + [m * v for v in e] for e in unit])
+        lattices.append(tuple(row[k:] for row in hnf if not any(row[:k])))
+    masks = [sum(1 << i for i in theta.roots) for _, theta in flats]
+    ranks: dict[int, int] = {}  # the mask of a closed subsystem: its rank
+    spanned: dict[int, list[int]] = {}  # the mask of the roots vanishing at a point: the flats they span
+    points = _grid_points(rs.pairings, m, n)
+    layers = set()  # (dimension, theta index, base grid point)
+    for x in points:
+        vanishing = sum(1 << i for i, u in enumerate(rs.pairings) if not sum(map(mul, u, x)) % m)
+        if vanishing not in spanned:
+            spanned[vanishing] = []
+            for t, (_, theta) in enumerate(flats):
+                common = masks[t] & vanishing
+                if common not in ranks:
+                    ranks[common] = len(simple_system(rs, [i for i in theta.roots if common >> i & 1]))
+                if ranks[common] == len(theta.simples):
+                    spanned[vanishing].append(t)
+        layers.update((flats[t][0], t, intlat.residue(lattices[t], x)) for t in spanned[vanishing])
+    per_flat = Counter(t for _, t, _ in layers)
+    if len(per_flat) != len(flats) or per_flat[0] != len(points):
+        raise AssertionError("a flat has no layer, or the flat of all roots not one layer per point")
     # A complete subsystem is the set of roots in its span, so one span lies
     # in another exactly when the root sets do.
     roots = [frozenset(theta.roots) for _, theta in flats]
@@ -331,4 +314,4 @@ def build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerP
         tuple(u for u, (e, _) in enumerate(flats) if e == d + 1 and roots[u] <= roots[t])
         for t, (d, _) in enumerate(flats)
     )
-    return LayerPoset(tuple(theta for _, theta in flats), m, tuple(layers), tuple(lattices), below)
+    return LayerPoset(tuple(theta for _, theta in flats), m, tuple(sorted(layers)), tuple(lattices), below)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import pytest
 
 from toricarr import __version__, intlat, oracle
-from toricarr.errors import require_work
+from toricarr.errors import CapabilityError, require_work
 from toricarr.intlat import IntMatrix, saturate
 from toricarr.rootsys import (
     RootSystem,
@@ -1541,3 +1541,125 @@ def _poset_order(poset) -> frozenset:
 @pytest.fixture
 def poset_order():
     return _poset_order
+
+
+# -- the per-flat layer poset that oracle.build_poset replaced, kept as its reference --
+#
+# Each flat's quotient torus is scanned, and each of its points is lifted to a
+# grid point of the layer over it.  The bodies are the library's before the
+# poset named its layers by the residues of one point scan; _quotient_layers
+# keeps no cache, since the reference reads each flat once.  The library names
+# are bound here once, so a test that patches oracle leaves the reference as it is.
+
+_grid_points, order_bound, LayerPoset = oracle._grid_points, oracle.order_bound, oracle.LayerPoset
+DEFAULT_POSET_RANK = oracle.DEFAULT_POSET_RANK
+
+
+class _QuotientArrangement(NamedTuple):
+    """The arrangement of theta on the quotient torus D' = d/R^Phi(Theta)."""
+
+    graph: tuple[tuple[int, ...], ...]       # HNF of the rows (gamma y, y) for y in Z^n
+    r_basis: tuple[tuple[int, ...], ...]     # HNF basis of R^Phi(Theta)
+    rows: tuple[tuple[int, ...], ...]        # grid rows of theta's positive roots
+    modulus: int
+
+
+def _quotient_arrangement(rs: RootSystem, theta: Subsystem) -> _QuotientArrangement:
+    """Theta's arrangement on its quotient torus, read off one HNF of [gamma^T | I_n].
+
+    gamma holds the pairing rows of theta's k simple roots.  The graph rows
+    (gamma y_j, y_j) with gamma y_j != 0 give r_basis_j = gamma y_j, so at
+    grid point x the functional values are x @ r_basis = gamma (sum_j x_j
+    y_j): a root of theta with pairing row p takes the value x . (y_j . p)_j,
+    and that is its grid row, with no solve.
+    """
+    k = len(theta.simples)
+    graph = intlat.graph_hnf([rs.pairings[i] for i in theta.simples], rs.rank)
+    image = [row for row in graph if any(row[:k])]
+    return _QuotientArrangement(
+        graph=graph,
+        r_basis=tuple(row[:k] for row in image),
+        rows=tuple(
+            tuple(sum(map(mul, row[k:], rs.pairings[i])) for row in image) for i in theta.roots
+        ),
+        modulus=order_bound(theta.type),
+    )
+
+
+def _quotient_layers(
+    rs: RootSystem, theta: Subsystem
+) -> tuple[_QuotientArrangement, tuple[tuple[int, ...], ...]]:
+    """Theta's quotient arrangement and the grid coordinates of its points.
+
+    The coordinates are in the R-basis, in units of 1/modulus.  A root
+    vanishes at grid point x when x . row = 0 mod modulus for its grid row,
+    r_basis applied to its theta coordinates; r_basis is invertible, so the
+    rows are theta's positive roots under an injective linear map, as the
+    scan requires.
+    """
+    qa = _quotient_arrangement(rs, theta)
+    return qa, tuple(_grid_points(qa.rows, qa.modulus, len(qa.r_basis)))
+
+
+def _reference_build_poset(rs: RootSystem, *, max_rank: int = DEFAULT_POSET_RANK) -> LayerPoset:
+    """Every layer of the arrangement, as an integer triple, with what its covers are computed from.
+
+    Each layer is a fiber of the projection onto the quotient torus of its
+    tangent subsystem theta.  With gamma the pairing rows of theta's simple
+    roots, the grid points x (units of 1/m) of the layer over the quotient
+    point c form one coset y + M of the lattice M = ker gamma + m Z^n, where
+    gamma y = m (c r_basis) / modulus.  M contains m Z^n, so the pivots of
+    its HNF divide m, and the canonical residue of y modulo M is the
+    lexicographically first grid point of the layer (Cohen 1993, 2.4.3):
+    its base point, which also names the layer.  One HNF of the rows
+    (gamma y, y) gives r_basis, ker gamma and y.  The flats come from
+    enumerate_complete, K_0 to K_n, in (dimension, span basis) order, so
+    sorting the triples orders the layers by dimension, span basis and base
+    point.  The order is left to LayerPoset.covers, which reads each flat's
+    M and the flats one rank below it.  Refuses, with the estimate, when the
+    quotient scan of theta = Phi is over the work bound, before enumerating
+    any subsystem, or when m^n points times the number of thetas is.
+    """
+    n = rs.rank
+    if n > max_rank:
+        raise CapabilityError(f"rank {n} exceeds poset bound poset_rank={max_rank}")
+    m = order_bound(rs.factors)
+    # The largest quotient scan, that of theta = Phi, is bounded before enumerating.
+    require_work(f"grid scan of {m}^{n} candidates x {rs.n_positive} roots", m**n * rs.n_positive)
+    flats = [(d, theta) for d in range(n + 1) for theta in enumerate_complete(rs, d).members]
+    require_work(f"poset of {m}^{n} points x {len(flats)} subsystems", m**n * len(flats))
+    grid = [[m * (i == j) for j in range(n)] for i in range(n)]  # rows of m Z^n
+    lattices = []  # lattices[t]: HNF of M = ker gamma + m Z^n for theta t
+    layers = []  # (dimension, theta index, base grid point)
+    for t, (d, theta) in enumerate(flats):
+        qa, points = _quotient_layers(rs, theta)
+        k = len(qa.r_basis)
+        kernel = [row[k:] for row in qa.graph if not any(row[:k])]
+        lattices.append(intlat.hermite_normal_form(kernel + grid))
+        r_cols = list(zip(*qa.r_basis))
+        for c in points:
+            scaled = [m * sum(map(mul, c, col)) for col in r_cols]
+            # (-v, 0) reduces by rows (gamma z, z) to (0, -z) only when gamma(-z) = v.
+            rest = intlat.residue(qa.graph, [-(v // qa.modulus) for v in scaled] + [0] * n)
+            if any(v % qa.modulus for v in scaled) or any(rest[:k]):
+                raise AssertionError("layer contains no grid point")
+            layers.append((d, t, intlat.residue(lattices[t], rest[k:])))
+    layers.sort()
+    # A complete subsystem is the set of roots in its span, so one span lies
+    # in another exactly when the root sets do.
+    roots = [frozenset(theta.roots) for _, theta in flats]
+    below = tuple(
+        tuple(u for u, (e, _) in enumerate(flats) if e == d + 1 and roots[u] <= roots[t])
+        for t, (d, _) in enumerate(flats)
+    )
+    return LayerPoset(tuple(theta for _, theta in flats), m, tuple(layers), tuple(lattices), below)
+
+
+@pytest.fixture
+def reference_build_poset():
+    return _reference_build_poset
+
+
+@pytest.fixture
+def reference_quotient_layers():
+    return _quotient_layers

@@ -623,8 +623,8 @@ def test_each_type_is_built_once_per_request(capsys, monkeypatch, argv, built, c
 
 
 def test_verify_scans_each_flat_once(capsys, monkeypatch, clear_every_cache):
-    # component_counts and poset_grading read the same quotient scans: one per
-    # flat of B3, besides the point scan.
+    # component_counts scans the quotient torus of each census orbit's flat of B3 once; the point
+    # oracle and the poset each scan the point grid, and share no scan.
     clear_every_cache()
     scans = []
     scan = toricarr.oracle._grid_points
@@ -632,12 +632,14 @@ def test_verify_scans_each_flat_once(capsys, monkeypatch, clear_every_cache):
     code, out, _ = run_cli(capsys, "verify", "--type", "B3")
     assert code == 0 and out.count(": ok") == 7
     rs = toricarr.build_str("B3")
-    flats = sum(len(toricarr.enumerate_complete(rs, d).members) for d in range(rs.rank + 1))
-    assert len(scans) == flats + 1
+    point_scan = (rs.pairings, toricarr.oracle.order_bound(rs.factors), rs.rank)
+    records = toricarr.layer_census(rs)
+    assert [scans[0], scans[-1]] == [point_scan, point_scan]
+    assert [rank for _, _, rank in scans[1:-1]] == [len(rec.theta.simples) for rec in records]
 
 
 def test_verify_poset_takes_no_residues_of_the_order(capsys, monkeypatch, clear_every_cache):
-    # The poset's layers take two residues each, the lift and the base point;
+    # The poset takes one residue per layer and point on it, the layer's name;
     # poset_grading reads no covers, so no residue of the order is taken.
     clear_every_cache()
     residues = 0
@@ -649,13 +651,16 @@ def test_verify_poset_takes_no_residues_of_the_order(capsys, monkeypatch, clear_
         return residue(basis, vec)
 
     # Only the calls made from oracle's own code are counted.
-    monkeypatch.setattr(
-        toricarr.oracle, "intlat", types.SimpleNamespace(**{**vars(toricarr.intlat), "residue": counting})
-    )
-    code, out, _ = run_cli(capsys, "verify", "--type", "B3")
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            toricarr.oracle, "intlat", types.SimpleNamespace(**{**vars(toricarr.intlat), "residue": counting})
+        )
+        code, out, _ = run_cli(capsys, "verify", "--type", "B3")
     assert code == 0 and "poset_grading: ok" in out
     rs = toricarr.build_str("B3")
-    assert residues == 2 * sum(toricarr.count_layers(rs, d) for d in range(rs.rank + 1))
+    poset = toricarr.oracle.build_poset(rs)
+    points = toricarr.oracle._grid_points(rs.pairings, poset.modulus, rs.rank)
+    assert residues == sum(residue(poset.lattices[t], x) == base for _, t, base in poset.layers for x in points)
 
 
 @pytest.mark.parametrize(

@@ -177,15 +177,13 @@ def test_every_import_is_read():
 # of this module replays them and compares.
 CACHES = {
     "rootsys.build": "0/14 hits on census, 0/14 on verify; perfbench/selftest.py pins it, and library callers"
-    " share one RootSystem, the key of the layer_census, _span_levels and _quotient_layers caches",
+    " share one RootSystem, the key of the layer_census and _span_levels caches",
     "rootsys.type_invariants": "|W| and degrees of a product, 696/842 hits on census, 196/300 on closed-forms",
-    "rootsys.type_data": "the per-type record of every closed form, 613/661 hits on verify, 141/203 on census",
-    "rootsys.center": "|Z| and exp Z from one Hermite form, 267/315 hits on verify",
+    "rootsys.type_data": "the per-type record of every closed form, 461/503 hits on verify, 141/203 on census",
+    "rootsys.center": "|Z| and exp Z from one Hermite form, 121/163 hits on verify",
     "subsys._span_levels": "the span route of enumerate_complete, 29/68 hits on verify;"
     " perfbench/selftest.py pins it",
     "layers.layer_census": "read by poincare, count_layers and verify's component counts, 38/49 hits on verify",
-    "oracle._quotient_layers": "one quotient scan per flat, shared by component_count and build_poset,"
-    " 45/252 hits on verify",
 }
 
 

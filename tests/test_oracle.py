@@ -17,8 +17,6 @@ from toricarr.layers import count_layers, count_points, n_theta, point_orbits
 from toricarr.oracle import (
     BrutePoint,
     _grid_points,
-    _quotient_arrangement,
-    _quotient_layers,
     brute_points,
     build_poset,
     component_count,
@@ -126,25 +124,41 @@ def _naive_brute_points(rs, matrices, make_subsystem):
     return records
 
 
-def _naive_component_count(rs, theta):
-    """Points of theta's arrangement on its quotient torus, one candidate at a time."""
-    qa = _quotient_arrangement(rs, theta)
-    rank, m = len(theta.simples), qa.modulus
+def _quotient_scans(monkeypatch, rs, thetas):
+    """The arguments (rows, modulus, rank) of the one grid scan that component_count makes per theta."""
+    scans = []
+    scan = oracle._grid_points
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_grid_points", lambda *args: scans.append(args) or scan(*args))
+        for theta in thetas:
+            component_count(rs, theta)
+    assert len(scans) == len(thetas)
+    return scans
+
+
+def _flats(rs):
+    return [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
+
+
+def _naive_component_count(rows, m, rank):
+    """Points of a quotient arrangement with these grid rows, one candidate at a time."""
     count = 0
     for x in iproduct(range(m), repeat=rank):
-        van = [row for row in qa.rows if _dot_mod(row, x, m) == 0]
+        van = [row for row in rows if _dot_mod(row, x, m) == 0]
         count += len(intlat.hermite_normal_form(van)) == rank
     return count
 
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4"])
-def test_grid_kernel_matches_naive_scan(t, weyl_elements, coroot_matrix, make_subsystem, brute_point_grid):
+def test_grid_kernel_matches_naive_scan(
+    t, weyl_elements, coroot_matrix, make_subsystem, brute_point_grid, monkeypatch
+):
     rs = build_str(t)
     matrices = [coroot_matrix(rs, w) for w in weyl_elements(rs)]
     assert brute_point_grid(rs) == _naive_brute_points(rs, matrices, make_subsystem)
-    for d in range(rs.rank + 1):
-        for theta in enumerate_complete(rs, d).members:
-            assert component_count(rs, theta) == _naive_component_count(rs, theta), (d, theta)
+    thetas = _flats(rs)
+    for theta, args in zip(thetas, _quotient_scans(monkeypatch, rs, thetas)):
+        assert component_count(rs, theta) == _naive_component_count(*args), theta
 
 
 @pytest.mark.parametrize("t", ["G2", "B3", "C3", "A2xA1", "B2xA1", "B4", "F4", "D5"])
@@ -202,13 +216,11 @@ def test_lane_scan_matches_recursive_kernel(recursive_grid_points, data):
 
 
 @pytest.mark.parametrize("t", RANK_LE_4 + ["A2xA1", "B2xA1", "A1xA1xA1", "G2xG2", "D5"])
-def test_quotient_scans_match_recursive_kernel(t, recursive_grid_points):
+def test_quotient_scans_match_recursive_kernel(t, recursive_grid_points, monkeypatch):
     rs = build_str(t)
-    for d in range(rs.rank + 1):
-        for theta in enumerate_complete(rs, d).members:
-            qa = _quotient_arrangement(rs, theta)
-            args = (qa.rows, qa.modulus, len(theta.simples))
-            assert _grid_points(*args) == [x for x, _ in recursive_grid_points(*args)], (d, theta.roots)
+    thetas = _flats(rs)
+    for theta, args in zip(thetas, _quotient_scans(monkeypatch, rs, thetas)):
+        assert _grid_points(*args) == [x for x, _ in recursive_grid_points(*args)], theta.roots
 
 
 @pytest.mark.parametrize("t", TYPES_LE_4 + ["D5"])
@@ -285,25 +297,26 @@ def test_brute_points_saturates_nothing(monkeypatch, t):
 
 
 @pytest.mark.parametrize("t", ["B3", "C3", "F4"])
-def test_quotient_rows_equal_the_coordinates_through_r_basis(t, reference_coords_solver):
-    # A root's grid row is r_basis applied to its coordinates in theta's simple basis.
+def test_quotient_rows_equal_the_coordinates_through_r_basis(t, reference_coords_solver, monkeypatch):
+    # A root's grid row is r_basis applied to its coordinates in theta's simple basis, where r_basis,
+    # a basis of R^Phi(Theta), is read off the graph HNF; the grid is that of theta's own order bound.
     rs = build_str(t)
-    for d in range(rs.rank + 1):
-        for theta in enumerate_complete(rs, d).members:
-            qa = _quotient_arrangement(rs, theta)
-            solve = reference_coords_solver([rs.positive_roots[i] for i in theta.simples])
-            coords = [solve(rs.positive_roots[i]) for i in theta.roots]
-            assert qa.rows == tuple(
-                tuple(sum(map(mul, basis_row, c)) for basis_row in qa.r_basis) for c in coords
-            ), (d, theta.roots)
+    thetas = _flats(rs)
+    for theta, (rows, m, rank) in zip(thetas, _quotient_scans(monkeypatch, rs, thetas)):
+        k = len(theta.simples)
+        graph = intlat.graph_hnf([rs.pairings[i] for i in theta.simples], rs.rank)
+        r_basis = [row[:k] for row in graph if any(row[:k])]
+        solve = reference_coords_solver([rs.positive_roots[i] for i in theta.simples])
+        coords = [solve(rs.positive_roots[i]) for i in theta.roots]
+        assert list(rows) == [tuple(sum(map(mul, basis_row, c)) for basis_row in r_basis) for c in coords]
+        assert (m, rank) == (order_bound(theta.type), k), theta.roots
 
 
 @pytest.mark.parametrize("t", ["B3", "F4"])
 def test_quotient_arrangement_takes_one_hnf_per_theta(monkeypatch, t):
-    # The scan of each quotient arrangement takes none, and a second reading of a flat is cached.
+    # component_count takes one HNF per theta, for its quotient arrangement, and its scan takes none.
     rs = build_str(t)
-    thetas = [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
-    _quotient_layers.cache_clear()
+    thetas = _flats(rs)
     calls = 0
     hnf = intlat.hermite_normal_form
 
@@ -313,15 +326,15 @@ def test_quotient_arrangement_takes_one_hnf_per_theta(monkeypatch, t):
         return hnf(rows)
 
     monkeypatch.setattr(intlat, "hermite_normal_form", counting)
-    for theta in thetas + thetas:
-        _quotient_layers(rs, theta)
+    for theta in thetas:
+        component_count(rs, theta)
     assert calls == len(thetas)
 
 
 @pytest.mark.parametrize("t, run", [("F4", brute_points), ("B3", build_poset)], ids=["F4", "B3"])
 def test_grid_scans_take_no_hermite_normal_form(monkeypatch, t, run):
     # Points are found by counting simple vanishing rows: no rank test runs
-    # in F4's point scan or in the quotient scans of B3's poset.
+    # in F4's point scan or in the point scan of B3's poset.
     inside, scans, calls = False, 0, 0
     hnf, scan = intlat.hermite_normal_form, oracle._grid_points
 
@@ -340,7 +353,6 @@ def test_grid_scans_take_no_hermite_normal_form(monkeypatch, t, run):
 
     monkeypatch.setattr(intlat, "hermite_normal_form", counting)
     monkeypatch.setattr(oracle, "_grid_points", flagged)
-    _quotient_layers.cache_clear()
     run(build_str(t))
     assert scans and calls == 0
 
@@ -495,8 +507,10 @@ class _ReferenceLayer(NamedTuple):
     theta: Subsystem
 
 
-def _reference_poset(rs):
+def _reference_poset(rs, quotient_layers):
     """The former algorithm: a Fraction grid search per layer, then every pair.
+
+    quotient_layers(rs, theta) gives theta's quotient arrangement and its points.
 
     The base point of a layer is the first grid point whose image lies on
     the layer's fiber, and the layers are sorted by dimension, the span
@@ -509,7 +523,7 @@ def _reference_poset(rs):
     layers = []
     for d in range(n + 1):
         for theta in enumerate_complete(rs, d).members:
-            qa, points = _quotient_layers(rs, theta)
+            qa, points = quotient_layers(rs, theta)
             gamma = [rs.pairings[i] for i in theta.simples]
             rank = len(gamma)
             for combo in points:
@@ -548,10 +562,10 @@ POSET_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA1", "B2xA1", "A1xA
 
 
 @pytest.mark.parametrize("t", POSET_TYPES + ["A4", "B4", "C4", "D4", "A3xA1"])
-def test_poset_matches_per_layer_grid_search(t):
+def test_poset_matches_per_layer_grid_search(t, reference_quotient_layers):
     rs = build_str(t)
     poset = build_poset(rs, max_rank=4)
-    elements, relation = _reference_poset(rs)
+    elements, relation = _reference_poset(rs, reference_quotient_layers)
     assert [
         (d, poset.thetas[t], tuple(Fraction(c, poset.modulus) for c in base)) for d, t, base in poset.layers
     ] == [(el.dimension, el.theta, el.base_point) for el in elements]
@@ -587,24 +601,36 @@ def test_poset_relation_keeps_theta_roots_constant(t, poset_order):
             assert value(r, lower) == value(r, upper), (i, j, r)
 
 
-@pytest.mark.parametrize("t", ["B3", "A4", "B4"])
-def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
-    # One _grid_points call per theta, its quotient scan; besides, each layer
-    # takes two residues (lift and base point), and no residue of the order is
-    # taken until the covers are asked for: then one per layer and flat one
-    # rank below its theta.
+# The types on which the poset was checked against its per-flat reference when it first named its layers
+# by the residues of one point scan.
+REFERENCE_POSET_TYPES = [
+    "A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1", "A2xA1", "B2xA1", "G2xA1", "A1xA1xA1", "A1xA1xA1xA1",
+    "A4", "B4", "C4", "D4", "F4", "A3xA1", "A2xA2", "B2xB2", "G2xA2", "A2xA1xA1", "B2xG2", "G2xG2",
+]
+
+
+@pytest.mark.parametrize("t", REFERENCE_POSET_TYPES)
+def test_poset_matches_the_per_flat_reference(t, reference_build_poset):
+    # One quotient scan per flat, each point of it lifted to its layer's first grid point, names the same
+    # layers as the residues of the points; the flats, lattices and covers are the same too.
     rs = build_str(t)
-    _quotient_layers.cache_clear()
-    thetas = [theta for d in range(rs.rank + 1) for theta in enumerate_complete(rs, d).members]
-    expected = []
-    for theta in thetas:
-        qa = _quotient_arrangement(rs, theta)
-        expected.append((list(qa.rows), qa.modulus, len(theta.simples)))
+    poset, reference = build_poset(rs, max_rank=4), reference_build_poset(rs, max_rank=4)
+    assert poset == reference  # thetas, modulus, layers, lattices and below
+    assert poset.covers() == reference.covers()
+
+
+@pytest.mark.parametrize("t", ["B3", "A4", "B4"])
+def test_poset_scans_only_the_point_grid(t, monkeypatch):
+    # One _grid_points call, the scan of the whole point grid; besides, each layer takes
+    # one residue per point on it, its name, and no residue of the order is taken until
+    # the covers are asked for: then one per layer and flat one rank below its theta.
+    rs = build_str(t)
+    m = order_bound(rs.factors)
     scans, residues = [], 0
     scan = oracle._grid_points
 
     def recording_scan(rows, m, rank):
-        scans.append((list(rows), m, rank))
+        scans.append((rows, m, rank))
         return scan(rows, m, rank)
 
     def counting_residue(basis, vec):
@@ -616,8 +642,14 @@ def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
     # Only the calls made from oracle's own code are counted.
     monkeypatch.setattr(oracle, "intlat", SimpleNamespace(**{**vars(intlat), "residue": counting_residue}))
     poset = build_poset(rs, max_rank=4)
-    assert scans == expected
-    assert residues == 2 * len(poset.layers)
+    assert scans == [(rs.pairings, m, rs.rank)]
+    points = _grid_points(rs.pairings, m, rs.rank)
+    # The points on a layer are those whose residue modulo its flat's lattice is its base point.
+    on_layers = sum(
+        intlat.residue(poset.lattices[u], x) == base for _, u, base in poset.layers for x in points
+    )
+    assert residues == on_layers
+    thetas = _flats(rs)
     below = {
         (i, upper.roots)
         for i, (_, t, _) in enumerate(poset.layers)
@@ -626,7 +658,7 @@ def test_poset_scans_only_the_quotient_grids(t, monkeypatch):
         if len(upper.simples) == len(theta.simples) - 1 and set(upper.roots) <= set(theta.roots)
     }
     poset.covers()
-    assert residues == 2 * len(poset.layers) + len(below)
+    assert residues == on_layers + len(below)
 
 
 def test_poset_grid_work_bound():
