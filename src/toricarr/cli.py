@@ -20,8 +20,6 @@ other ValueError from the library.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -163,15 +161,12 @@ def _json(value, indent: str) -> str:
 
 
 def _census_csv(results: dict) -> str:
-    """One row per phi_c type of each census record."""
-    buf = io.StringIO()
-    fields = ["dim", "theta_type", "theta_orbit_size", "n_theta", "phi_c_type", "count"]
-    writer = csv.DictWriter(buf, fields, extrasaction="ignore", lineterminator="\n")
-    writer.writeheader()
+    """One row per phi_c type of each census record; no field needs quoting, being a number or a type name."""
+    out = ["dim,theta_type,theta_orbit_size,n_theta,phi_c_type,count"]
     for rec in results["records"]:
-        for ptype in rec["phi_c_types"]:
-            writer.writerow(dict(rec, phi_c_type=ptype["type"], count=ptype["count"]))
-    return buf.getvalue()
+        head = f"{rec['dim']},{rec['theta_type']},{rec['theta_orbit_size']},{rec['n_theta']}"
+        out += [f"{head},{ptype['type']},{ptype['count']}" for ptype in rec["phi_c_types"]]
+    return "\n".join(out) + "\n"
 
 
 def _poset_dot(results: dict) -> str:

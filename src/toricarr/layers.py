@@ -81,11 +81,8 @@ def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[Ty
 
 
 def count_points(factors: tuple[TypeSymbol, ...]) -> int:
-    """|C_0|, the number of points: per factor, the sum over affine vertices of |W|/|W_p|."""
-    total = 1
-    for sym in factors:
-        total *= sum(size for *_, size in type_data(sym).vertices)
-    return total
+    """|C_0|, the number of points: the size of their type multiset."""
+    return sum(count for _, count in point_type_multiset(factors))
 
 
 def point_orbits(sym: TypeSymbol) -> tuple[PointOrbitRecord, ...]:
@@ -215,16 +212,13 @@ def count_layers(rs: RootSystem, d: int) -> int:
 def euler_characteristic(factors: tuple[TypeSymbol, ...]) -> int:
     """Euler characteristic of the set of regular points: (-1)^n |W|.
 
-    Computed via the point-orbit sum (the only layers contributing at
-    q = -1 are the points) and cross-checked against the closed form.
+    Computed as the sum of the exponent products over the point-type
+    multiset (the only layers contributing at q = -1 are the points) and
+    cross-checked against the closed form.
     """
-    value = 1
-    for sym in factors:
-        factor = 0
-        for _, ptype, _, size in type_data(sym).vertices:
-            factor += size * type_invariants(ptype).exponent_product
-        value *= (-1) ** sym.rank * factor
-    closed = (-1) ** sum(sym.rank for sym in factors) * type_invariants(factors).weyl_order
+    sign = (-1) ** sum(sym.rank for sym in factors)
+    value = sign * sum(c * type_invariants(t).exponent_product for t, c in point_type_multiset(factors))
+    closed = sign * type_invariants(factors).weyl_order
     if value != closed:
         raise AssertionError("point-sum and closed-form Euler characteristics differ")
     return value

@@ -8,7 +8,7 @@ Cartan matrix alone builds it: no root closure is needed.
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .rootsys import TypeSymbol, type_data
 
@@ -44,22 +44,11 @@ def longest_element(cartan: Sequence[Sequence[int]], J: Iterable[int]) -> Matrix
             return tuple(zip(*cols))
 
 
-class CenterElement(NamedTuple):
-    """One element of the Iwahori-Matsumoto subgroup W_Z.
-
-    `vertex` is the affine vertex p the element sends vertex 0 to (the
-    identity carries vertex 0); `diagram_perm` is the induced permutation
-    of the affine vertices 0..n.
-    """
-
-    vertex: int
-    diagram_perm: tuple[int, ...]
-
-
-def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
-    """W_Z = {1} u {w_0^p w_0 : a_p = 1}, with induced diagram action.
+def center_subgroup(sym: TypeSymbol) -> tuple[tuple[int, ...], ...]:
+    """W_Z = {1} u {w_0^p w_0 : a_p = 1}, each element as its permutation of the affine vertices 0..n.
 
     w_0^p is the longest element of the parabolic omitting vertex p.  The
+    identity comes first, and z_p = w_0^p w_0 sends vertex 0 to p.  The
     Cartan matrix and the marks (1, theta) come from the type's record;
     construction verifies z_p.alpha_0 = alpha_p and that z_p permutes the
     extended simple roots -theta, alpha_1, .., alpha_n.
@@ -70,7 +59,7 @@ def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
     units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extended = (tuple(-t for t in theta),) + units
     w0 = longest_element(cartan, range(n))
-    out = [CenterElement(0, tuple(range(n + 1)))]
+    out = [tuple(range(n + 1))]
     for p, mark in enumerate(theta, 1):
         if mark != 1:
             continue
@@ -82,5 +71,5 @@ def center_subgroup(sym: TypeSymbol) -> tuple[CenterElement, ...]:
             raise AssertionError(f"z_{p}.alpha_0 != alpha_{p}")
         if not set(images) <= set(extended):
             raise AssertionError("z_p does not permute the extended simple roots")
-        out.append(CenterElement(p, tuple(map(extended.index, images))))
+        out.append(tuple(map(extended.index, images)))
     return tuple(out)

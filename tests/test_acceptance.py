@@ -7,7 +7,7 @@ Every check is zero-tolerance; each test prints a PASS line on success so
 import time
 from collections import Counter
 
-from toricarr import layers, subsys, verify
+from toricarr import layers, subsys
 from toricarr.layers import (
     count_layers,
     count_points,
@@ -40,8 +40,9 @@ def _ok(n, message):
 
 
 def _wz_vertex_orbits(rs):
-    """W_Z and the W_Z-orbit of each affine vertex, as the verify suite computes them."""
-    return verify.wz_vertex_orbits(*rs.factors)
+    """W_Z of an irreducible system, and the W_Z-orbit of each affine vertex: its images under the group."""
+    wz = center_subgroup(*rs.factors)
+    return wz, [tuple(sorted({z[v] for z in wz})) for v in range(rs.rank + 1)]
 
 
 def _compose(a, b):
@@ -287,10 +288,10 @@ def test_criterion_11_iwahori_matsumoto():
         rs = build_str(t)
         wz = center_subgroup(*rs.factors)  # construction asserts z_p.alpha_0 = alpha_p
         assert len(wz) == center_order(rs.factors), t
-        perms = {e.diagram_perm for e in wz}
+        perms = set(wz)
         for a in wz:
             for b in wz:
-                assert _compose(a.diagram_perm, b.diagram_perm) in perms, t  # subgroup closure
+                assert _compose(a, b) in perms, t  # subgroup closure
         _, aut_orbits = diagram_automorphisms(affine_diagram(*rs.factors))
         _, wz_orbits = _wz_vertex_orbits(rs)
         assert set(aut_orbits) == set(wz_orbits), t

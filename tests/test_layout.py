@@ -178,9 +178,9 @@ def test_every_import_is_read():
 CACHES = {
     "rootsys.build": "0/14 hits on census, 0/14 on verify; perfbench/selftest.py pins it, and library callers"
     " share one RootSystem, the key of the layer_census and _span_levels caches",
-    "rootsys.type_invariants": "|W| and degrees of a product, 696/842 hits on census, 196/300 on closed-forms",
-    "rootsys.type_data": "the per-type record of every closed form, 461/503 hits on verify, 141/203 on census",
-    "rootsys.center": "|Z| and exp Z from one Hermite form, 121/163 hits on verify",
+    "rootsys.type_invariants": "|W| and degrees of a product, 670/816 hits on census, 196/300 on closed-forms",
+    "rootsys.type_data": "the per-type record of every closed form, 463/505 hits on verify, 141/203 on census",
+    "rootsys.center": "|Z| and exp Z from one Hermite form, 136/178 hits on verify",
     "subsys._span_levels": "the span route of enumerate_complete, 29/68 hits on verify;"
     " perfbench/selftest.py pins it",
     "layers.layer_census": "read by poincare, count_layers and verify's component counts, 38/49 hits on verify",

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from toricarr.layers import point_orbits
 from toricarr.oracle import order_bound
 from toricarr.rootsys import (
     TypeSymbol,
@@ -13,6 +14,7 @@ from toricarr.rootsys import (
     build_str,
     center_order,
     diagram_automorphisms,
+    parse_type,
     type_invariants,
 )
 from toricarr.weyl import center_subgroup, longest_element
@@ -197,15 +199,16 @@ def test_center_subgroup_properties(t):
     # |W_Z| = |Z|
     assert len(wz) == center_order(rs.factors)
     # subgroup closure, and the diagram action is by automorphisms
-    perms = {e.diagram_perm for e in wz}
+    perms = set(wz)
     for a in wz:
         for b in wz:
-            assert tuple(a.diagram_perm[v] for v in b.diagram_perm) in perms
+            assert tuple(a[v] for v in b) in perms
     diag = affine_diagram(*rs.factors)
     autos, aut_orbits = diagram_automorphisms(diag)
-    for e in wz:
-        assert e.diagram_perm in autos
-        assert e.diagram_perm[0] == e.vertex
+    for z in wz:
+        assert z in autos
+    # z_p sends vertex 0 to p, one element for each vertex of mark 1
+    assert [z[0] for z in wz] == [p for p, mark in enumerate(diag.marks) if mark == 1]
     # W_Z vertex orbits coincide with the Aut(Gamma) orbits
     seen = set()
     wz_orbits = []
@@ -216,8 +219,8 @@ def test_center_subgroup_properties(t):
         frontier = [v]
         while frontier:
             x = frontier.pop()
-            for e in wz:
-                y = e.diagram_perm[x]
+            for z in wz:
+                y = z[x]
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -228,20 +231,34 @@ def test_center_subgroup_properties(t):
 
 def test_center_subgroup_a_series_transitive():
     wz = center_subgroup(TypeSymbol("A", 3))
-    assert sorted(e.vertex for e in wz) == [0, 1, 2, 3]
+    assert sorted(z[0] for z in wz) == [0, 1, 2, 3]
     # cyclic: the vertex-1 element generates the rest
-    gen = next(e.diagram_perm for e in wz if e.vertex == 1)
+    gen = next(z for z in wz if z[0] == 1)
     power = gen
     seen = {gen}
     for _ in range(2):
         power = tuple(gen[v] for v in power)
         seen.add(power)
-    assert seen | {tuple(range(4))} == {e.diagram_perm for e in wz}
+    assert seen | {tuple(range(4))} == set(wz)
 
 
 def test_center_subgroup_f4_trivial():
     wz = center_subgroup(TypeSymbol("F", 4))
-    assert len(wz) == 1 and wz[0].vertex == 0
+    assert wz == ((0, 1, 2, 3, 4),)
+
+
+@pytest.mark.parametrize("t", IRREDUCIBLE)
+def test_center_subgroup_stabilizers_from_z_and_aut_orbits(t):
+    # verify's points_oracle reads |Stab_{W_Z} p| = |W_Z| / |W_Z.p| as |Z| / |Aut.p|, with Aut.p the point
+    # orbits sharing p's aut_orbit.  Here the two agree on every vertex, also on E6-E8, A7 and up and D9,
+    # where that oracle's torus scan is refused.
+    (sym,) = parse_type(t)
+    wz = center_subgroup(sym)
+    records = point_orbits(sym)
+    for r in records:
+        aut_orbit = sum(s.aut_orbit == r.aut_orbit for s in records)
+        wz_orbit = len({z[r.vertex] for z in wz})
+        assert len(wz) * aut_orbit == center_order((sym,)) * wz_orbit, r.vertex
 
 
 @pytest.mark.parametrize("t", IRREDUCIBLE)
@@ -251,7 +268,7 @@ def test_center_subgroup_equals_the_permutation_reference(t, reference_center_su
     rs = build_str(t)
     wz = center_subgroup(*rs.factors)
     ref = reference_center_subgroup(rs)
-    assert [(e.vertex, e.diagram_perm) for e in wz] == [(e.vertex, e.diagram_perm) for e in ref]
+    assert [(z[0], z) for z in wz] == [(e.vertex, e.diagram_perm) for e in ref]
     w0 = longest_element(rs.cartan, range(rs.rank))
     for r in ref[1:]:
         w0p = longest_element(rs.cartan, (j for j in range(rs.rank) if j != r.vertex - 1))
