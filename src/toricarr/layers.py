@@ -16,7 +16,7 @@ rational sum; it is checked in integers, times |W|, and a fraction is a
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlat
@@ -81,8 +81,8 @@ def point_type_multiset(factors: tuple[TypeSymbol, ...]) -> tuple[tuple[tuple[Ty
 
 
 def count_points(factors: tuple[TypeSymbol, ...]) -> int:
-    """|C_0|, the number of points: the size of their type multiset."""
-    return sum(count for _, count in point_type_multiset(factors))
+    """|C_0|, the number of points: per factor, the size of its point-type multiset."""
+    return prod(sum(count for _, count in point_type_multiset((sym,))) for sym in factors)
 
 
 def point_orbits(sym: TypeSymbol) -> tuple[PointOrbitRecord, ...]:
@@ -212,13 +212,16 @@ def count_layers(rs: RootSystem, d: int) -> int:
 def euler_characteristic(factors: tuple[TypeSymbol, ...]) -> int:
     """Euler characteristic of the set of regular points: (-1)^n |W|.
 
-    Computed as the sum of the exponent products over the point-type
-    multiset (the only layers contributing at q = -1 are the points) and
-    cross-checked against the closed form.
+    Computed per factor as the sum of the exponent products over its
+    point-type multiset (the only layers contributing at q = -1 are the
+    points; exponent products multiply over factors) and cross-checked
+    against the closed form.
     """
-    sign = (-1) ** sum(sym.rank for sym in factors)
-    value = sign * sum(c * type_invariants(t).exponent_product for t, c in point_type_multiset(factors))
-    closed = sign * type_invariants(factors).weyl_order
+    value = prod(
+        (-1) ** sym.rank * sum(c * type_invariants(t).exponent_product for t, c in point_type_multiset((sym,)))
+        for sym in factors
+    )
+    closed = (-1) ** sum(sym.rank for sym in factors) * type_invariants(factors).weyl_order
     if value != closed:
         raise AssertionError("point-sum and closed-form Euler characteristics differ")
     return value

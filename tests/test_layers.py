@@ -1,7 +1,7 @@
 """The counting formulas: points, orbits, n_theta, census, Poincare, Euler."""
 
 import json
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -84,9 +84,16 @@ def test_count_points_examples():
     assert count_points(parse_type("E8")) == 157200  # diagram + tables only
 
 
+# Six mid-rank factors pass the CLI's sum of (rank + 1)^3 bound; the point count and the Euler point sum
+# multiply per-factor sums, where joining the factors' point types would take seconds here.
+MANY_FACTORS = "B12xC12xD12xB13xC13xD13"
+
+
 def test_count_points_multiplicative():
     assert count_points(parse_type("A3xA1")) == 4 * 2
     assert count_points(parse_type("B3xG2")) == 10 * 6
+    expected = prod(2 * (2 ** n - n) * 2 ** n * 2 * (2 ** n - 2 * n) for n in (12, 13))
+    assert count_points(parse_type(MANY_FACTORS)) == expected
 
 
 def test_point_orbits_b3():
@@ -273,6 +280,9 @@ def test_euler_examples():
 
 def test_euler_multiplicative():
     assert euler_characteristic(parse_type("A1xA2")) == -12
+    # (-1)^75 |W(B_n)| |W(C_n)| |W(D_n)| over n = 12, 13
+    expected = -prod(2 ** n * factorial(n) * 2 ** n * factorial(n) * 2 ** (n - 1) * factorial(n) for n in (12, 13))
+    assert euler_characteristic(parse_type(MANY_FACTORS)) == expected
 
 
 def test_equivariant_euler(capsys):
